@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use iotrace_model::event::TraceRecord;
 use iotrace_model::intern::{Interner, Sym};
-use iotrace_model::iot2::{Frame, Iot2Error, Iot2View};
+use iotrace_model::iot2::Frame;
 use iotrace_sim::time::SimDur;
 
 /// Aggregate for one path.
@@ -17,26 +17,23 @@ pub struct PathStats {
     pub time: SimDur,
 }
 
-/// Per-path aggregation keyed by interned symbols — the allocation-free
-/// core of [`by_path`]. Each distinct path is interned once; every
-/// record after that hashes and copies a `u32` instead of a `String`.
-/// Records without a path (fd-based calls) are attributed via the most
-/// recent successful `open` of that fd within the same rank.
+/// Per-path aggregation of `records`, keyed by symbols interned into
+/// `paths`: one [`PathFold`] over all of them.
 pub fn by_path_interned<'a>(
     records: impl IntoIterator<Item = &'a TraceRecord>,
     paths: &mut Interner,
 ) -> HashMap<Sym, PathStats> {
     let mut fold = PathFold::default();
     fold.fold(records, paths);
-    fold.stats
+    fold.finish()
 }
 
-/// Resumable per-path aggregation state: the running [`PathStats`] map
-/// plus the open-fd attribution table. The collector folds each sealed
-/// journal segment as it lands, so hotspot answers are available *while*
-/// capture runs — fd attribution must survive segment boundaries (an
-/// `open` in one segment names the I/O of the next), hence this struct
-/// rather than repeated [`by_path_interned`] calls.
+/// The hotspot fold: the running [`PathStats`] map plus the open-fd
+/// attribution table. Records without a path (fd-based calls) are
+/// attributed via the most recent successful `open` of that fd within
+/// the same rank. The table survives batch boundaries (an `open` in one
+/// journal segment names the I/O of the next), so pushing a stream in
+/// any batching yields the same map as one pass over the whole stream.
 #[derive(Clone, Debug, Default)]
 pub struct PathFold {
     pub stats: HashMap<Sym, PathStats>,
@@ -45,139 +42,77 @@ pub struct PathFold {
 }
 
 impl PathFold {
-    /// Fold a batch of records into the running aggregation. Folding a
-    /// record stream in any batching yields the same map as one call
-    /// over the whole stream.
+    /// Fold one frame. Its path symbols must live in the keyspace of
+    /// this fold's `stats`: the v1 fold decoder and
+    /// [`Frame::from_record`] intern into the caller's interner; IOT2
+    /// views re-key via [`iotrace_model::iot2::Iot2View::map_syms`].
+    #[inline]
+    pub fn push(&mut self, f: &Frame) {
+        let path = if f.is_open() {
+            if let (Some(sym), true) = (f.path, f.result >= 0) {
+                self.open_fds.insert((f.rank, f.result), sym);
+            }
+            f.path
+        } else if f.is_close() {
+            self.open_fds.remove(&(f.rank, f.fd))
+        } else if f.attributes_via_fd() {
+            self.open_fds.get(&(f.rank, f.fd)).copied()
+        } else {
+            // Matches `IoCall::path()`: the primary path, if any.
+            f.path
+        };
+        if let Some(p) = path {
+            let e = self.stats.entry(p).or_default();
+            e.ops += 1;
+            e.bytes += f.bytes_moved();
+            e.time += f.dur;
+        }
+    }
+
+    /// Record adapter: fold each record as its [`Frame`], interning
+    /// paths into `paths`.
     pub fn fold<'a>(
         &mut self,
         records: impl IntoIterator<Item = &'a TraceRecord>,
         paths: &mut Interner,
     ) {
-        let out = &mut self.stats;
-        let open_fds = &mut self.open_fds;
         for r in records {
-            use iotrace_model::event::IoCall::*;
-            let path: Option<Sym> = match &r.call {
-                Open { path, .. } | MpiFileOpen { path, .. } => {
-                    let sym = paths.intern(path);
-                    if r.result >= 0 {
-                        open_fds.insert((r.rank, r.result), sym);
-                    }
-                    Some(sym)
-                }
-                Close { fd } | MpiFileClose { fd } => open_fds.remove(&(r.rank, *fd)),
-                Read { fd, .. }
-                | Write { fd, .. }
-                | Pread { fd, .. }
-                | Pwrite { fd, .. }
-                | Lseek { fd, .. }
-                | Fsync { fd }
-                | MpiFileWriteAt { fd, .. }
-                | MpiFileReadAt { fd, .. } => open_fds.get(&(r.rank, *fd)).copied(),
-                _ => r.call.path().map(|p| paths.intern(p)),
-            };
-            if let Some(p) = path {
-                let e = out.entry(p).or_default();
-                e.ops += 1;
-                e.bytes += r.call.bytes();
-                e.time += r.dur;
-            }
+            self.push(&Frame::from_record(r, paths));
         }
     }
 
-    /// Fold zero-copy [`Frame`]s with the same attribution rules as
-    /// [`PathFold::fold`]. Frame path symbols must already live in the
-    /// caller's keyspace (the v1 fold decoder interns them there;
-    /// IOT2 views re-key via [`Iot2View::map_syms`] — or use
-    /// [`by_path_iot2`], which does both).
-    pub fn fold_frames(&mut self, frames: impl IntoIterator<Item = Frame>) {
-        for f in frames {
-            let path: Option<Sym> = if f.is_open() {
-                if let Some(sym) = f.path {
-                    if f.result >= 0 {
-                        self.open_fds.insert((f.rank, f.result), sym);
-                    }
-                    Some(sym)
-                } else {
-                    None
-                }
-            } else if f.is_close() {
-                self.open_fds.remove(&(f.rank, f.fd))
-            } else if f.attributes_via_fd() {
-                self.open_fds.get(&(f.rank, f.fd)).copied()
-            } else {
-                // Fallback path attribution matches `IoCall::path()`:
-                // the primary path when the op carries one.
-                f.path
-            };
-            if let Some(p) = path {
-                let e = self.stats.entry(p).or_default();
-                e.ops += 1;
-                e.bytes += f.bytes_moved();
-                e.time += f.dur;
-            }
+    /// Absorb a fold keyed in another interner; `remap` maps its
+    /// symbols into this fold's keyspace (the table
+    /// [`Interner::absorb`] returns). Exact when the two folds saw
+    /// disjoint rank sets, since fd attribution is per rank; the other
+    /// fold's open fds carry over as if its stream came last.
+    pub fn merge(&mut self, other: &PathFold, remap: &[Sym]) {
+        for (sym, ps) in &other.stats {
+            let e = self.stats.entry(remap[sym.id() as usize]).or_default();
+            e.ops += ps.ops;
+            e.bytes += ps.bytes;
+            e.time += ps.time;
+        }
+        for (&key, sym) in &other.open_fds {
+            self.open_fds.insert(key, remap[sym.id() as usize]);
         }
     }
-}
 
-/// Per-path aggregation straight off an opened IOT2 view: table strings
-/// are interned into `paths` once, then every frame is folded without
-/// materializing a `TraceRecord`. A structurally bad frame is an error.
-pub fn by_path_iot2(
-    view: &Iot2View<'_>,
-    paths: &mut Interner,
-) -> Result<HashMap<Sym, PathStats>, Iot2Error> {
-    let map = view.map_syms(paths);
-    let mut fold = PathFold::default();
-    for f in view.frames() {
-        let mut f = f?;
-        f.path = f.path.map(|s| map[s.id() as usize]);
-        f.path2 = f.path2.map(|s| map[s.id() as usize]);
-        fold.fold_frames(std::iter::once(f));
+    /// The per-path table; rank it with [`top_by_bytes_interned`].
+    pub fn finish(self) -> HashMap<Sym, PathStats> {
+        self.stats
     }
-    Ok(fold.stats)
-}
-
-/// Per-path aggregation with `String` keys — a thin resolve layer over
-/// [`by_path_interned`] kept for callers that want owned paths.
-pub fn by_path<'a>(
-    records: impl IntoIterator<Item = &'a TraceRecord>,
-) -> HashMap<String, PathStats> {
-    let mut paths = Interner::new();
-    by_path_interned(records, &mut paths)
-        .into_iter()
-        .map(|(sym, s)| (paths.resolve(sym).to_string(), s))
-        .collect()
 }
 
 /// The `n` paths with the most bytes moved, descending; ties break by
-/// path ascending.
+/// *resolved* path ascending (lexicographic, not symbol id, so the
+/// ranking does not depend on interning order).
 ///
 /// Uses partial selection: `select_nth_unstable_by` pulls the top `n`
 /// to the front in O(len), then only that slice is sorted — O(len +
 /// n log n) instead of sorting the whole map. The comparator is a total
 /// order (paths are unique map keys), so the unstable selection cannot
 /// perturb the result.
-pub fn top_by_bytes(stats: &HashMap<String, PathStats>, n: usize) -> Vec<(String, PathStats)> {
-    let mut v: Vec<(String, PathStats)> =
-        stats.iter().map(|(k, s)| (k.clone(), s.clone())).collect();
-    let cmp = |a: &(String, PathStats), b: &(String, PathStats)| {
-        b.1.bytes.cmp(&a.1.bytes).then_with(|| a.0.cmp(&b.0))
-    };
-    if n == 0 {
-        return Vec::new();
-    }
-    if n < v.len() {
-        v.select_nth_unstable_by(n - 1, cmp);
-        v.truncate(n);
-    }
-    v.sort_by(cmp);
-    v
-}
-
-/// [`top_by_bytes`] over interned stats. Ties still break by *resolved*
-/// path (lexicographic), not symbol id, so the ranking matches the
-/// `String`-keyed variant exactly.
 pub fn top_by_bytes_interned(
     stats: &HashMap<Sym, PathStats>,
     paths: &Interner,
@@ -205,6 +140,15 @@ mod tests {
     use super::*;
     use iotrace_model::event::IoCall;
     use iotrace_sim::time::SimTime;
+
+    /// [`by_path_interned`] with every key resolved to its path.
+    fn by_path(records: &[TraceRecord]) -> HashMap<String, PathStats> {
+        let mut paths = Interner::new();
+        by_path_interned(records, &mut paths)
+            .into_iter()
+            .map(|(sym, s)| (paths.resolve(sym).to_string(), s))
+            .collect()
+    }
 
     fn rec(call: IoCall, result: i64) -> TraceRecord {
         TraceRecord {
@@ -300,6 +244,43 @@ mod tests {
     }
 
     #[test]
+    fn attribution_follows_the_call_kind() {
+        let recs = vec![
+            rec(
+                IoCall::Open {
+                    path: "/data/a".into(),
+                    flags: 0,
+                    mode: 0,
+                },
+                3,
+            ),
+            rec(IoCall::Write { fd: 3, len: 100 }, 100),
+            rec(
+                IoCall::Lseek {
+                    fd: 3,
+                    offset: -5,
+                    whence: 1,
+                },
+                0,
+            ),
+            rec(IoCall::Fcntl { fd: 3, cmd: 1 }, 0), // not fd-attributed
+            rec(IoCall::Close { fd: 3 }, 0),
+            rec(
+                IoCall::Rename {
+                    from: "/data/a".into(),
+                    to: "/data/c".into(),
+                },
+                0, // attributes to `from` only
+            ),
+            rec(IoCall::Mmap { len: 4096 }, 0), // unattributed
+        ];
+        let stats = by_path(&recs);
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats["/data/a"].ops, 5);
+        assert_eq!(stats["/data/a"].bytes, 100);
+    }
+
+    #[test]
     fn top_by_bytes_orders_desc() {
         let recs = vec![
             rec(
@@ -322,166 +303,78 @@ mod tests {
             ),
             rec(IoCall::Write { fd: 3, len: 1000 }, 1000),
         ];
-        let stats = by_path(&recs);
-        let top = top_by_bytes(&stats, 1);
+        let mut paths = Interner::new();
+        let stats = by_path_interned(&recs, &mut paths);
+        let top = top_by_bytes_interned(&stats, &paths, 1);
         assert_eq!(top.len(), 1);
-        assert_eq!(top[0].0, "/big");
+        assert_eq!(paths.resolve(top[0].0), "/big");
     }
 
     #[test]
     fn top_by_bytes_selection_matches_full_sort_with_ties() {
-        // Many paths, deliberate byte-count ties: partial selection must
-        // agree with an exhaustive sort at every cutoff.
-        let mut stats: HashMap<String, PathStats> = HashMap::new();
+        // Many paths, deliberate byte-count ties, interned in an order
+        // unlike their lexicographic one: partial selection must agree
+        // with an exhaustive sort of the resolved map at every cutoff.
+        let mut paths = Interner::new();
+        let mut stats: HashMap<Sym, PathStats> = HashMap::new();
         for i in 0..40u64 {
-            stats.insert(
-                format!("/f/{i:02}"),
-                PathStats {
-                    ops: 1,
-                    bytes: i % 7, // ties everywhere
-                    time: SimDur::from_micros(1),
-                },
-            );
+            let sym = paths.intern(&format!("/f/{:02}", (i * 17) % 40));
+            let ps = PathStats {
+                ops: 1,
+                bytes: i % 7, // ties everywhere
+                time: SimDur::from_micros(1),
+            };
+            stats.insert(sym, ps);
         }
-        let mut full: Vec<(String, PathStats)> =
-            stats.iter().map(|(k, s)| (k.clone(), s.clone())).collect();
+        let mut full: Vec<(String, PathStats)> = stats
+            .iter()
+            .map(|(&k, s)| (paths.resolve(k).to_string(), s.clone()))
+            .collect();
         full.sort_by(|a, b| b.1.bytes.cmp(&a.1.bytes).then_with(|| a.0.cmp(&b.0)));
         for n in [0, 1, 5, 39, 40, 100] {
-            let top = top_by_bytes(&stats, n);
+            let top: Vec<(String, PathStats)> = top_by_bytes_interned(&stats, &paths, n)
+                .into_iter()
+                .map(|(k, s)| (paths.resolve(k).to_string(), s))
+                .collect();
             assert_eq!(top, full[..n.min(full.len())].to_vec(), "n={n}");
         }
     }
 
     #[test]
-    fn iot2_frame_fold_matches_record_fold() {
-        use iotrace_model::event::{Trace, TraceMeta};
-        let mut t = Trace::new(TraceMeta::new("/app", 0, 0, "t"));
-        t.records = vec![
-            rec(
+    fn merge_remaps_into_the_receiving_keyspace() {
+        let open = |path: &str, rank: u32| {
+            let mut r = rec(
                 IoCall::Open {
-                    path: "/data/a".into(),
+                    path: path.into(),
                     flags: 0,
                     mode: 0,
                 },
                 3,
-            ),
-            rec(IoCall::Write { fd: 3, len: 100 }, 100),
-            rec(
-                IoCall::Lseek {
-                    fd: 3,
-                    offset: -5,
-                    whence: 1,
-                },
-                0,
-            ),
-            rec(IoCall::Fcntl { fd: 3, cmd: 1 }, 0), // NOT fd-attributed
-            rec(IoCall::Close { fd: 3 }, 0),
-            rec(
-                IoCall::Open {
-                    path: "/data/b".into(),
-                    flags: 0,
-                    mode: 0,
-                },
-                3, // fd 3 reused
-            ),
-            rec(
-                IoCall::Pread {
-                    fd: 3,
-                    offset: 0,
-                    len: 9,
-                },
-                9,
-            ),
-            rec(
-                IoCall::Rename {
-                    from: "/data/a".into(),
-                    to: "/data/c".into(),
-                },
-                0, // attributes to `from` only
-            ),
-            rec(IoCall::Mmap { len: 4096 }, 0), // unattributed
-        ];
-        let plain = by_path(&t.records);
-        let bytes = iotrace_model::iot2::encode_iot2(&t).unwrap();
-        let view = iotrace_model::iot2::Iot2View::open(&bytes).unwrap();
-        let mut paths = Interner::new();
-        let framed = by_path_iot2(&view, &mut paths).unwrap();
-        assert_eq!(framed.len(), plain.len());
-        for (sym, s) in &framed {
-            assert_eq!(plain[paths.resolve(*sym)], *s, "{}", paths.resolve(*sym));
-        }
-    }
-
-    #[test]
-    fn v1_fold_decoder_feeds_fold_frames_identically() {
-        use iotrace_model::binary::{decode_binary_fold, encode_binary, BinaryOptions};
-        use iotrace_model::event::{Trace, TraceMeta};
-        let mut t = Trace::new(TraceMeta::new("/app", 0, 0, "t"));
-        t.records = vec![
-            rec(
-                IoCall::Open {
-                    path: "/data/a".into(),
-                    flags: 0,
-                    mode: 0,
-                },
-                3,
-            ),
-            rec(IoCall::Write { fd: 3, len: 100 }, 100),
-            rec(IoCall::Close { fd: 3 }, 0),
-            rec(
-                IoCall::Stat {
-                    path: "/data/b".into(),
-                },
-                0,
-            ),
-        ];
-        let plain = by_path(&t.records);
-        let bytes = encode_binary(&t, &BinaryOptions::default());
-        let mut paths = Interner::new();
-        let mut fold = PathFold::default();
-        decode_binary_fold(&bytes, None, &mut paths, |f| {
-            fold.fold_frames(std::iter::once(f))
-        })
-        .unwrap();
-        assert_eq!(fold.stats.len(), plain.len());
-        for (sym, s) in &fold.stats {
-            assert_eq!(plain[paths.resolve(*sym)], *s);
-        }
-    }
-
-    #[test]
-    fn interned_aggregation_matches_string_keyed() {
-        let recs = vec![
-            rec(
-                IoCall::Open {
-                    path: "/data/a".into(),
-                    flags: 0,
-                    mode: 0,
-                },
-                3,
-            ),
-            rec(IoCall::Write { fd: 3, len: 100 }, 100),
-            rec(
-                IoCall::Stat {
-                    path: "/data/b".into(),
-                },
-                0,
-            ),
-            rec(IoCall::Close { fd: 3 }, 0),
-        ];
-        let plain = by_path(&recs);
-        let mut paths = Interner::new();
-        let interned = by_path_interned(&recs, &mut paths);
-        assert_eq!(plain.len(), interned.len());
-        for (sym, s) in &interned {
-            assert_eq!(plain[paths.resolve(*sym)], *s);
-        }
-        let top_plain = top_by_bytes(&plain, 2);
-        let top_interned = top_by_bytes_interned(&interned, &paths, 2);
-        assert_eq!(top_plain.len(), top_interned.len());
-        for (p, i) in top_plain.iter().zip(&top_interned) {
-            assert_eq!(p.0, paths.resolve(i.0));
-            assert_eq!(p.1, i.1);
-        }
+            );
+            r.rank = rank;
+            r
+        };
+        let mut w1 = rec(IoCall::Write { fd: 3, len: 9 }, 9);
+        w1.rank = 1;
+        let (a, b) = (
+            vec![open("/a", 0)],
+            vec![open("/b", 1), open("/a", 1), w1.clone()],
+        );
+        let (mut pa, mut pb) = (Interner::new(), Interner::new());
+        let mut fa = PathFold::default();
+        fa.fold(&a, &mut pa);
+        let mut fb = PathFold::default();
+        fb.fold(&b, &mut pb);
+        let remap = pa.absorb(&pb);
+        fa.merge(&fb, &remap);
+        // rank 1's open fd 3 (-> /a) carried over: later writes attribute
+        fa.fold(std::slice::from_ref(&w1), &mut pa);
+        let all: Vec<TraceRecord> = a.into_iter().chain(b).chain([w1]).collect();
+        let merged: HashMap<String, PathStats> = fa
+            .stats
+            .iter()
+            .map(|(&k, s)| (pa.resolve(k).to_string(), s.clone()))
+            .collect();
+        assert_eq!(merged, by_path(&all));
     }
 }

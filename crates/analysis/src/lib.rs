@@ -12,6 +12,12 @@
 //!   rank-aware descriptor tracking;
 //! * [`phases`] — barrier-delimited phase decomposition with bottleneck
 //!   and load-imbalance attribution.
+//!
+//! Each of stats, hotspots and phases is one fold with `push`, `merge`
+//! and `finish` ([`stats::StreamingStats`], [`hotspots::PathFold`],
+//! [`phases::PhaseFold`]); stats and hotspots push
+//! [`iotrace_model::iot2::Frame`]s, and every batch entry point is its
+//! fold run over the whole input.
 
 pub mod hotspots;
 pub mod merge;
@@ -20,9 +26,7 @@ pub mod skew;
 pub mod stats;
 
 pub mod prelude {
-    pub use crate::hotspots::{
-        by_path, by_path_interned, by_path_iot2, top_by_bytes, top_by_bytes_interned, PathStats,
-    };
+    pub use crate::hotspots::{by_path_interned, top_by_bytes_interned, PathStats};
     pub use crate::merge::{
         merge_by_sort, merge_corrected, merge_partial, merge_strict, parse_parallel, MergeError,
         RankCoverage,

@@ -56,61 +56,39 @@ impl Phase {
 
 /// Decompose per-rank traces (which include `MPI_Barrier` records, as
 /// LANL-Trace and //TRACE captures do) into phases. Ranks with differing
-/// barrier counts are truncated to the common count.
-///
-/// Each rank is attributed independently (and on its own scoped thread,
-/// via [`iotrace_model::par`]): when its records are time-sorted and its
-/// phase windows are disjoint — the normal shape of a captured trace —
-/// one pass over the records fills every phase, instead of re-scanning
-/// all records once per phase. Out-of-order records or overlapping
-/// barrier windows fall back to the per-phase scan, which also counts a
-/// record into every window containing it, exactly as before.
+/// barrier counts are truncated to the common count. One [`PhaseFold`]
+/// per rank, each on its own scoped thread (via [`iotrace_model::par`]),
+/// merged in rank order.
 pub fn phases(traces: &[Trace]) -> Vec<Phase> {
-    // Per rank: barrier boundaries (enter, exit) in observed time.
-    type RankBounds<'a> = (u32, Vec<(SimTime, SimTime)>, &'a Trace);
-    let mut rank_bounds: Vec<RankBounds> = Vec::new();
-    for t in traces {
-        let bounds: Vec<(SimTime, SimTime)> = t
-            .records
-            .iter()
-            .filter(|r| matches!(r.call, IoCall::MpiBarrier))
-            .map(|r| (r.ts, r.end()))
-            .collect();
-        rank_bounds.push((t.meta.rank, bounds, t));
+    let per_rank = iotrace_model::par::par_map(traces, |t| {
+        let mut fold = PhaseFold::new();
+        fold.push(t);
+        fold
+    });
+    let mut all = PhaseFold::new();
+    for fold in per_rank {
+        all.merge(fold);
     }
-    let n_phases = rank_bounds
-        .iter()
-        .map(|(_, b, _)| b.len())
-        .min()
-        .unwrap_or(0);
-    if n_phases < 2 {
-        return Vec::new();
-    }
-    let n = n_phases - 1;
-
-    let per_rank: Vec<Vec<RankPhase>> =
-        iotrace_model::par::par_map(&rank_bounds, |(rank, bounds, trace)| {
-            rank_phases(*rank, bounds, trace, n)
-        });
-    (0..n)
-        .map(|p| Phase {
-            index: p,
-            ranks: per_rank.iter().map(|r| r[p].clone()).collect(),
-        })
-        .collect()
+    all.finish()
 }
 
-/// Streaming phase decomposition: feed one rank's trace at a time, then
+/// The phase fold: push one rank's whole trace at a time, then
 /// [`PhaseFold::finish`]. Only the per-phase accumulators survive each
-/// `add_rank` call — never a second rank's records — so phase analysis
-/// fits the bounded-RSS envelope at the 4096-rank tier.
+/// `push` — never a rank's records — so phase analysis fits the
+/// bounded-RSS envelope at the 4096-rank tier. Phases fold whole
+/// traces, not frames, because the out-of-order fallback below needs
+/// every record of the rank.
 ///
 /// Each rank's phases are attributed against its *own* barrier windows
 /// (each `RankPhase` depends only on that rank's trace), so the fold can
 /// run before the cross-rank common barrier count is known; `finish`
-/// truncates every rank to the common minimum, exactly as [`phases`]
-/// does. Feeding the same traces in the same order yields an identical
-/// result.
+/// truncates every rank to the common minimum. When a rank's records
+/// are time-sorted and its phase windows are disjoint — the normal shape
+/// of a captured trace — one pass over the records fills every phase.
+/// Out-of-order records or overlapping barrier windows fall back to a
+/// per-phase scan, which counts a record into every window containing
+/// it. Pushing and merging the same ranks in the same order yields an
+/// identical result.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseFold {
     per_rank: Vec<Vec<RankPhase>>,
@@ -122,7 +100,8 @@ impl PhaseFold {
         Self::default()
     }
 
-    pub fn add_rank(&mut self, trace: &Trace) {
+    /// Fold one rank's trace.
+    pub fn push(&mut self, trace: &Trace) {
         let bounds: Vec<(SimTime, SimTime)> = trace
             .records
             .iter()
@@ -133,6 +112,17 @@ impl PhaseFold {
         let n_own = bounds.len().saturating_sub(1);
         self.per_rank
             .push(rank_phases(trace.meta.rank, &bounds, trace, n_own));
+    }
+
+    /// [`PhaseFold::push`], by its earlier name.
+    pub fn add_rank(&mut self, trace: &Trace) {
+        self.push(trace);
+    }
+
+    /// Append `other`'s ranks after this fold's: exact, order-preserving.
+    pub fn merge(&mut self, other: PhaseFold) {
+        self.per_rank.extend(other.per_rank);
+        self.barrier_counts.extend(other.barrier_counts);
     }
 
     pub fn finish(self) -> Vec<Phase> {

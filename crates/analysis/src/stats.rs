@@ -2,8 +2,9 @@
 //! percentiles, and bandwidth — the quantitative half of "constructive
 //! use of the trace data collected" (paper §3.1, "analysis tools").
 
-use iotrace_model::event::{CallLayer, Trace, TraceRecord};
-use iotrace_model::iot2::{Frame, Iot2Error, Iot2View};
+use iotrace_model::event::{CallLayer, TraceRecord};
+use iotrace_model::intern::Interner;
+use iotrace_model::iot2::Frame;
 use iotrace_sim::time::SimDur;
 
 /// Summary statistics over a set of records.
@@ -24,147 +25,29 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Accumulate one record's counts, layer, bytes and call time —
-    /// everything except the duration-distribution bookkeeping, which
-    /// differs between the exact (sorted-`Vec`) and streaming
-    /// (histogram) folds.
-    fn tally_record(&mut self, r: &TraceRecord) {
-        self.records += 1;
-        if r.is_error() {
-            self.errors += 1;
-        }
-        match r.call.layer() {
-            CallLayer::Mpi => self.mpi_calls += 1,
-            CallLayer::Sys => self.sys_calls += 1,
-            CallLayer::Vfs => self.vfs_ops += 1,
-        }
-        use iotrace_model::event::IoCall::*;
-        match &r.call {
-            Read { .. } | Pread { .. } | MpiFileReadAt { .. } | VfsReadPage { .. } => {
-                self.bytes_read += r.call.bytes()
-            }
-            Write { .. } | Pwrite { .. } | MpiFileWriteAt { .. } | VfsWritePage { .. } => {
-                self.bytes_written += r.call.bytes()
-            }
-            _ => {}
-        }
-        self.call_time += r.dur;
-    }
-
-    /// [`TraceStats::tally_record`] for zero-copy frames.
-    fn tally_frame(&mut self, f: &Frame) {
-        self.records += 1;
-        if f.is_error() {
-            self.errors += 1;
-        }
-        match f.layer() {
-            CallLayer::Mpi => self.mpi_calls += 1,
-            CallLayer::Sys => self.sys_calls += 1,
-            CallLayer::Vfs => self.vfs_ops += 1,
-        }
-        if f.is_read() {
-            self.bytes_read += f.bytes_moved();
-        } else if f.is_write() {
-            self.bytes_written += f.bytes_moved();
-        }
-        self.call_time += f.dur;
-    }
-
+    /// Exact statistics over resident records: the [`StreamingStats`]
+    /// fold, with p50/p95 then taken exactly from the durations in memory.
     pub fn from_records<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Self {
-        let mut s = TraceStats::default();
-        let mut durs: Vec<u64> = Vec::new();
-        for r in records {
-            s.tally_record(r);
-            durs.push(r.dur.as_nanos());
-        }
-        durs.sort_unstable();
-        let pick = |q: f64| -> SimDur {
-            if durs.is_empty() {
+        let mut durs = Vec::new();
+        let mut fold = StreamingStats::new();
+        fold.push_records(records.into_iter().inspect(|r| durs.push(r.dur.as_nanos())));
+        fold.finish().with_exact_percentiles(&mut durs)
+    }
+
+    /// Replace p50/p95 with the exact order statistics of `durs`, the
+    /// durations of the folded records: the value at sorted index
+    /// `round((n - 1) * q)`, found by selection rather than a full sort.
+    fn with_exact_percentiles(mut self, durs: &mut [u64]) -> Self {
+        let mut pick = |q: f64| {
+            let Some(last) = durs.len().checked_sub(1) else {
                 return SimDur::ZERO;
-            }
-            let idx = ((durs.len() - 1) as f64 * q).round() as usize;
-            SimDur::from_nanos(durs[idx])
+            };
+            let idx = (last as f64 * q).round() as usize;
+            SimDur::from_nanos(*durs.select_nth_unstable(idx).1)
         };
-        s.dur_p50 = pick(0.50);
-        s.dur_p95 = pick(0.95);
-        s.dur_max = pick(1.0);
-        s
-    }
-
-    pub fn from_trace(t: &Trace) -> Self {
-        Self::from_records(&t.records)
-    }
-
-    /// Fold statistics over zero-copy [`Frame`]s — same classification
-    /// as [`TraceStats::from_records`], no `TraceRecord`
-    /// materialization. This is what lets a stats pass run over a
-    /// borrowed/mmap'd IOT2 body (or the v1 streaming fold decoder)
-    /// allocation-free.
-    pub fn from_frames(frames: impl IntoIterator<Item = Frame>) -> Self {
-        let mut s = TraceStats::default();
-        let mut durs: Vec<u64> = Vec::new();
-        for f in frames {
-            s.tally_frame(&f);
-            durs.push(f.dur.as_nanos());
-        }
-        durs.sort_unstable();
-        let pick = |q: f64| -> SimDur {
-            if durs.is_empty() {
-                return SimDur::ZERO;
-            }
-            let idx = ((durs.len() - 1) as f64 * q).round() as usize;
-            SimDur::from_nanos(durs[idx])
-        };
-        s.dur_p50 = pick(0.50);
-        s.dur_p95 = pick(0.95);
-        s.dur_max = pick(1.0);
-        s
-    }
-
-    /// Statistics straight off an opened IOT2 view, without building a
-    /// `Vec<TraceRecord>`. A structurally bad frame is an error.
-    pub fn from_iot2(view: &Iot2View<'_>) -> Result<Self, Iot2Error> {
-        let mut err = None;
-        let s = Self::from_frames(view.frames().map_while(|f| match f {
-            Ok(f) => Some(f),
-            Err(e) => {
-                err = Some(e);
-                None
-            }
-        }));
-        match err {
-            Some(e) => Err(e),
-            None => Ok(s),
-        }
-    }
-
-    /// Per-rank statistics computed on scoped threads, then folded with
-    /// [`TraceStats::merge`]. Counts and byte totals are exact; the
-    /// percentile fields inherit `merge`'s documented max-approximation,
-    /// exactly as if callers had merged per-rank stats by hand.
-    pub fn from_traces_parallel(traces: &[Trace]) -> Self {
-        let per_rank = iotrace_model::par::par_map(traces, Self::from_trace);
-        let mut total = TraceStats::default();
-        for s in &per_rank {
-            total.merge(s);
-        }
-        total
-    }
-
-    /// Combine statistics from several ranks (percentiles are merged
-    /// approximately by max).
-    pub fn merge(&mut self, other: &TraceStats) {
-        self.records += other.records;
-        self.errors += other.errors;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.mpi_calls += other.mpi_calls;
-        self.sys_calls += other.sys_calls;
-        self.vfs_ops += other.vfs_ops;
-        self.call_time += other.call_time;
-        self.dur_p50 = self.dur_p50.max(other.dur_p50);
-        self.dur_p95 = self.dur_p95.max(other.dur_p95);
-        self.dur_max = self.dur_max.max(other.dur_max);
+        self.dur_p50 = pick(0.50);
+        self.dur_p95 = pick(0.95);
+        self
     }
 
     /// Render a short human-readable report.
@@ -193,19 +76,21 @@ impl TraceStats {
 /// records, bucket `k >= 1` holds durations in `[2^(k-1), 2^k)`.
 const DUR_BUCKETS: usize = 65;
 
-/// Bounded-memory statistics fold for the streaming analysis path.
+/// The statistics fold: every stats entry point pushes [`Frame`]s
+/// through it, in memory bounded by a fixed histogram.
 ///
-/// [`TraceStats::from_records`] keeps every duration in a `Vec` to sort
-/// for exact percentiles — unacceptable at the 4096-rank / 100M-event
-/// tier. `StreamingStats` instead keeps a fixed 65-bucket log2 duration
-/// histogram: counts, byte totals, call time and `dur_max` are **exact**,
-/// and percentiles are approximated to within one power-of-two bracket
-/// (the reported value is the upper bound of the bucket containing the
-/// true percentile, clamped to the observed max).
+/// Counts, byte totals, call time and `dur_max` are **exact**. Duration
+/// percentiles come from a 65-bucket log2 histogram, approximated to
+/// within one power-of-two bracket (the reported value is the upper
+/// bound of the bucket containing the true percentile, clamped to the
+/// observed max). [`TraceStats::from_records`] runs this fold over
+/// resident records and then takes exact percentiles from the
+/// durations it holds.
 ///
 /// Folds merge **exactly**: merging per-rank folds yields the same
 /// result as folding the concatenated stream, in any grouping or order
-/// — which is what lets per-shard engines fold locally and combine.
+/// — which is what lets per-shard engines, per-segment collectors and
+/// per-collector federation queries fold locally and combine.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamingStats {
     base: TraceStats,
@@ -236,29 +121,36 @@ impl StreamingStats {
         }
     }
 
-    fn push_dur(&mut self, dur_ns: u64) {
+    /// Fold one frame: its layer, error bit, bytes moved and duration.
+    #[inline]
+    pub fn push(&mut self, f: &Frame) {
+        let s = &mut self.base;
+        s.records += 1;
+        if f.is_error() {
+            s.errors += 1;
+        }
+        match f.layer() {
+            CallLayer::Mpi => s.mpi_calls += 1,
+            CallLayer::Sys => s.sys_calls += 1,
+            CallLayer::Vfs => s.vfs_ops += 1,
+        }
+        if f.is_read() {
+            s.bytes_read += f.bytes_moved();
+        } else if f.is_write() {
+            s.bytes_written += f.bytes_moved();
+        }
+        s.call_time += f.dur;
+        let dur_ns = f.dur.as_nanos();
         self.hist[Self::bucket(dur_ns)] += 1;
         self.dur_max_ns = self.dur_max_ns.max(dur_ns);
     }
 
-    pub fn push_record(&mut self, r: &TraceRecord) {
-        self.base.tally_record(r);
-        self.push_dur(r.dur.as_nanos());
-    }
-
-    pub fn push_frame(&mut self, f: &Frame) {
-        self.base.tally_frame(f);
-        self.push_dur(f.dur.as_nanos());
-    }
-
+    /// Record adapter: fold each record as its [`Frame`].
     pub fn push_records<'a>(&mut self, records: impl IntoIterator<Item = &'a TraceRecord>) {
+        let mut paths = Interner::new();
         for r in records {
-            self.push_record(r);
+            self.push(&Frame::from_record(r, &mut paths));
         }
-    }
-
-    pub fn records(&self) -> usize {
-        self.base.records
     }
 
     /// Exact merge: fold grouping and order never change the result.
@@ -353,14 +245,24 @@ mod tests {
                 3,
                 -2,
             ),
+            rec(IoCall::Mmap { len: 4096 }, 2, 0), // moves no read/write bytes
+            rec(
+                IoCall::MpiFileReadAt {
+                    fd: 9,
+                    offset: 0,
+                    len: 77,
+                },
+                4,
+                77,
+            ),
         ];
         let s = TraceStats::from_records(&recs);
-        assert_eq!(s.records, 5);
+        assert_eq!(s.records, 7);
         assert_eq!(s.errors, 1);
         assert_eq!(s.bytes_written, 200);
-        assert_eq!(s.bytes_read, 40);
-        assert_eq!(s.mpi_calls, 1);
-        assert_eq!(s.sys_calls, 3);
+        assert_eq!(s.bytes_read, 117);
+        assert_eq!(s.mpi_calls, 2);
+        assert_eq!(s.sys_calls, 4);
         assert_eq!(s.vfs_ops, 1);
         assert_eq!(s.dur_max, SimDur::from_micros(1000));
     }
@@ -381,61 +283,6 @@ mod tests {
         let s = TraceStats::from_records([]);
         assert_eq!(s.records, 0);
         assert_eq!(s.dur_max, SimDur::ZERO);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let a = TraceStats::from_records(&[rec(IoCall::Write { fd: 1, len: 5 }, 10, 5)]);
-        let mut b = TraceStats::from_records(&[rec(IoCall::Read { fd: 1, len: 7 }, 20, 7)]);
-        b.merge(&a);
-        assert_eq!(b.records, 2);
-        assert_eq!(b.bytes_written, 5);
-        assert_eq!(b.bytes_read, 7);
-        assert_eq!(b.dur_max, SimDur::from_micros(20));
-    }
-
-    #[test]
-    fn frame_fold_matches_record_fold() {
-        use iotrace_model::event::{Trace, TraceMeta};
-        let calls = vec![
-            (IoCall::Write { fd: 3, len: 100 }, 100),
-            (IoCall::Read { fd: 3, len: 40 }, 40),
-            (IoCall::MpiBarrier, 0),
-            (
-                IoCall::VfsWritePage {
-                    path: "/x".into(),
-                    offset: 0,
-                    len: 100,
-                },
-                100,
-            ),
-            (
-                IoCall::Open {
-                    path: "/x".into(),
-                    flags: 0,
-                    mode: 0,
-                },
-                -2,
-            ),
-            (IoCall::Mmap { len: 4096 }, 0),
-            (
-                IoCall::MpiFileReadAt {
-                    fd: 9,
-                    offset: 0,
-                    len: 77,
-                },
-                77,
-            ),
-        ];
-        let mut t = Trace::new(TraceMeta::new("/app", 0, 0, "t"));
-        for (i, (call, result)) in calls.into_iter().enumerate() {
-            t.records.push(rec(call, 3 + i as u64 * 7, result));
-        }
-        let from_records = TraceStats::from_trace(&t);
-        let bytes = iotrace_model::iot2::encode_iot2(&t).unwrap();
-        let view = iotrace_model::iot2::Iot2View::open(&bytes).unwrap();
-        let from_frames = TraceStats::from_iot2(&view).unwrap();
-        assert_eq!(from_frames, from_records);
     }
 
     #[test]
@@ -507,32 +354,6 @@ mod tests {
         let out = z.finish();
         assert_eq!(out.dur_p50, SimDur::ZERO);
         assert_eq!(out.dur_max, SimDur::ZERO);
-    }
-
-    #[test]
-    fn streaming_frame_fold_matches_record_fold() {
-        use iotrace_model::event::{Trace, TraceMeta};
-        let mut t = Trace::new(TraceMeta::new("/app", 0, 0, "t"));
-        for i in 0..50u64 {
-            t.records.push(rec(
-                IoCall::Pwrite {
-                    fd: 3,
-                    offset: i * 8,
-                    len: 8,
-                },
-                i * 3,
-                8,
-            ));
-        }
-        let mut from_recs = StreamingStats::new();
-        from_recs.push_records(&t.records);
-        let bytes = iotrace_model::iot2::encode_iot2(&t).unwrap();
-        let view = iotrace_model::iot2::Iot2View::open(&bytes).unwrap();
-        let mut from_frames = StreamingStats::new();
-        for f in view.frames() {
-            from_frames.push_frame(&f.unwrap());
-        }
-        assert_eq!(from_frames, from_recs);
     }
 
     #[test]

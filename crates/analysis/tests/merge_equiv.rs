@@ -3,83 +3,14 @@
 //! clone+global-sort reference on *every* input shape — sorted captures,
 //! shuffled (unsorted) captures that force the fallback, partial rank
 //! sets, skew-corrected timestamps, and pathological skew fits that
-//! invert record order. Likewise, interned-path hotspot aggregation must
-//! agree exactly with the `String`-keyed variant.
+//! invert record order.
 
-use iotrace_analysis::hotspots::{by_path, by_path_interned, top_by_bytes, top_by_bytes_interned};
+mod common;
+
+use common::{build_traces, xorshift};
 use iotrace_analysis::merge::{merge_by_sort, merge_corrected, merge_partial, merge_strict};
 use iotrace_analysis::skew::{ClockFit, SkewEstimate};
-use iotrace_model::event::{IoCall, Trace, TraceMeta, TraceRecord};
-use iotrace_model::intern::Interner;
-use iotrace_sim::time::{SimDur, SimTime};
 use proptest::prelude::*;
-
-fn xorshift(state: &mut u64) -> u64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    *state
-}
-
-/// Deterministic trace set: `ranks` per-rank traces (every third rank
-/// dropped when `gaps`, modelling lost files), small timestamp steps so
-/// cross-rank ties by `(ts, rank)` — the interesting ordering case —
-/// occur constantly. `shuffle` reverses half of each trace so records
-/// are *not* time-sorted, forcing the merge onto its fallback path.
-fn build_traces(seed: u64, ranks: u32, records: usize, shuffle: bool, gaps: bool) -> Vec<Trace> {
-    const PATHS: [&str; 4] = ["/pfs/a", "/pfs/b", "/scratch/c", "/pfs/a/deep/file"];
-    let mut state = seed | 1;
-    let mut out = Vec::new();
-    for rank in 0..ranks {
-        if gaps && ranks > 1 && rank % 3 == 1 {
-            continue;
-        }
-        let mut t = Trace::new(TraceMeta::new("/app", rank, rank, "t"));
-        if xorshift(&mut state).is_multiple_of(4) {
-            t.meta.record_loss(1, 10);
-        }
-        let mut ts = xorshift(&mut state) % 50;
-        for i in 0..records {
-            // Step 0..=2 µs: zero steps create intra- and cross-rank ties.
-            ts += xorshift(&mut state) % 3;
-            let call = match xorshift(&mut state) % 5 {
-                0 => IoCall::Open {
-                    path: PATHS[(xorshift(&mut state) % 4) as usize].to_string(),
-                    flags: 0,
-                    mode: 0o600,
-                },
-                1 => IoCall::Write {
-                    fd: 3,
-                    len: xorshift(&mut state) % 4096,
-                },
-                2 => IoCall::Pread {
-                    fd: 3,
-                    offset: xorshift(&mut state) % (1 << 20),
-                    len: 128,
-                },
-                3 => IoCall::Close { fd: 3 },
-                _ => IoCall::MpiBarrier,
-            };
-            t.records.push(TraceRecord {
-                ts: SimTime::from_micros(ts),
-                dur: SimDur::from_nanos(xorshift(&mut state) % 5_000),
-                rank,
-                node: rank,
-                pid: 1,
-                uid: 0,
-                gid: 0,
-                call,
-                result: (i % 7) as i64,
-            });
-        }
-        if shuffle {
-            let half = t.records.len() / 2;
-            t.records[..half].reverse();
-        }
-        out.push(t);
-    }
-    out
-}
 
 /// Random skew estimate; `pathological` adds a fit whose drift is strong
 /// enough to invert record order within its rank, which must knock the
@@ -151,37 +82,6 @@ proptest! {
         prop_assert_eq!(&timeline, &merge_by_sort(&traces, &est));
         if let Ok(strict) = merge_strict(&traces, &est) {
             prop_assert_eq!(strict, timeline);
-        }
-    }
-
-    /// Interned-path hotspot aggregation matches the String-keyed
-    /// results exactly, including the top-N ranking with its
-    /// lexicographic tie-break.
-    #[test]
-    fn interned_hotspots_match_string_keyed(
-        seed in 1u64..u64::MAX,
-        ranks in 1u32..6,
-        records in 0usize..120,
-        n in 0usize..12,
-    ) {
-        let traces = build_traces(seed, ranks, records, false, false);
-        let est = build_skew(seed, ranks, false);
-        let timeline = merge_corrected(&traces, &est);
-
-        let plain = by_path(&timeline);
-        let mut paths = Interner::new();
-        let interned = by_path_interned(&timeline, &mut paths);
-        prop_assert_eq!(plain.len(), interned.len());
-        for (sym, stats) in &interned {
-            prop_assert_eq!(plain.get(paths.resolve(*sym)), Some(stats));
-        }
-
-        let top_plain = top_by_bytes(&plain, n);
-        let top_interned = top_by_bytes_interned(&interned, &paths, n);
-        prop_assert_eq!(top_plain.len(), top_interned.len());
-        for (p, i) in top_plain.iter().zip(&top_interned) {
-            prop_assert_eq!(&p.0, paths.resolve(i.0));
-            prop_assert_eq!(&p.1, &i.1);
         }
     }
 

@@ -35,7 +35,7 @@ use std::time::Instant;
 use iotrace_analysis::hotspots::{by_path_interned, top_by_bytes_interned};
 use iotrace_analysis::merge::{merge_by_sort, merge_corrected};
 use iotrace_analysis::skew::{ClockFit, SkewEstimate};
-use iotrace_analysis::stats::TraceStats;
+use iotrace_analysis::stats::StreamingStats;
 use iotrace_collector::{run_federation, run_soak, FederationConfig, SoakConfig};
 use iotrace_lint::{LintConfig, LintInput, Linter};
 use iotrace_model::binary::{decode_binary, encode_binary, BinaryOptions};
@@ -166,12 +166,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
     // stats folded straight over borrowed frames — no TraceRecord ever
     // materializes, which is the format's whole point
     let (scan_stats, scan2_s) = timed_best(REPS, || {
-        let mut all = TraceStats::default();
+        let mut all = StreamingStats::new();
         for b in &blobs2 {
-            let view = Iot2View::open(b).expect("opens");
-            all.merge(&TraceStats::from_iot2(&view).expect("scans"));
+            for f in Iot2View::open(b).expect("opens").frames() {
+                all.push(&f.expect("scans"));
+            }
         }
-        all
+        all.finish()
     });
     stages.push(Stage::new("scan-v2", total, scan2_s));
     let scan2_ok = scan_stats.records == total;

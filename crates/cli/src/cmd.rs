@@ -1,6 +1,6 @@
 //! Subcommand implementations.
 
-use iotrace_analysis::hotspots::{by_path, top_by_bytes};
+use iotrace_analysis::hotspots::{by_path_interned, top_by_bytes_interned};
 use iotrace_analysis::merge::RankCoverage;
 use iotrace_analysis::phases::{phases as phase_split, render as render_phases};
 use iotrace_analysis::stats::TraceStats;
@@ -12,6 +12,7 @@ use iotrace_lint::{LintConfig, LintInput, Linter};
 use iotrace_model::anonymize::{Anonymizer, Mode, Selection};
 use iotrace_model::binary::{decode_binary, encode_binary, BinaryOptions, FieldSel};
 use iotrace_model::event::Trace;
+use iotrace_model::intern::Interner;
 use iotrace_model::iot2::{decode_iot2, encode_iot2};
 use iotrace_model::summary::CallSummary;
 use iotrace_model::text::format_text;
@@ -175,10 +176,7 @@ pub fn stats(args: &[String]) -> Result<(), String> {
     let traces = load_traces(&paths, key_from(&flags, "key").as_ref())?;
     lint_gate(&traces, None, &flags)?;
     let cov = coverage_report(&traces);
-    let mut all = TraceStats::default();
-    for t in &traces {
-        all.merge(&TraceStats::from_trace(t));
-    }
+    let all = TraceStats::from_records(traces.iter().flat_map(|t| &t.records));
     println!("traces: {} (ranks: {:?})", traces.len(), cov.present);
     if !cov.missing.is_empty() {
         println!(
@@ -203,15 +201,16 @@ pub fn hotspots(args: &[String]) -> Result<(), String> {
     let traces = load_traces(&paths, key_from(&flags, "key").as_ref())?;
     lint_gate(&traces, None, &flags)?;
     coverage_report(&traces);
-    let stats = by_path(traces.iter().flat_map(|t| t.records.iter()));
+    let mut interner = Interner::new();
+    let stats = by_path_interned(traces.iter().flat_map(|t| &t.records), &mut interner);
     println!(
         "{:<48} {:>10} {:>14} {:>12}",
         "path", "ops", "bytes", "time (s)"
     );
-    for (path, s) in top_by_bytes(&stats, top_n) {
+    for (sym, s) in top_by_bytes_interned(&stats, &interner, top_n) {
         println!(
             "{:<48} {:>10} {:>14} {:>12.6}",
-            path,
+            interner.resolve(sym),
             s.ops,
             s.bytes,
             s.time.as_secs_f64()

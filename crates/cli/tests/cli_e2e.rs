@@ -270,6 +270,45 @@ fn stats_on_partial_rank_set_reports_missing_ranks() {
     );
 }
 
+/// A one-rank text trace: open, `writes` writes, close, every call
+/// lasting `dur_us` microseconds.
+fn uniform_trace(rank: u32, writes: usize, dur_us: u32) -> String {
+    let mut t = format!(
+        "# tracer: lanl-trace\n# app: /app.exe\n# rank: {rank}\n# node: {rank}\n\
+         # host: host0{rank}.lanl.gov\n# epoch: 1159808385\n# pid: 10000 uid: 1000 gid: 100\n"
+    );
+    let dur = format!("<0.{dur_us:06}>");
+    t.push_str(&format!(
+        "1159808385.000100 SYS_open(\"/pfs/r{rank}.bin\", 66, 0o644) = 3 {dur}\n"
+    ));
+    for i in 0..writes {
+        t.push_str(&format!(
+            "1159808385.{:06} SYS_write(3, 4096) = 4096 {dur}\n",
+            200 + 100 * i
+        ));
+    }
+    t.push_str(&format!("1159808385.900000 SYS_close(3) = 0 {dur}\n"));
+    t
+}
+
+#[test]
+fn stats_over_several_files_reports_percentiles_of_the_union() {
+    // rank 0: 5 calls of 10 µs (p50 10 µs); rank 1: 7 calls of 1 µs
+    // (p50 1 µs). The union's p50 is 1 µs, not the larger per-file p50.
+    let d = tmpdir("union_p50");
+    let (a, b) = (d.join("r0.txt"), d.join("r1.txt"));
+    std::fs::write(&a, uniform_trace(0, 3, 10)).unwrap();
+    std::fs::write(&b, uniform_trace(1, 5, 1)).unwrap();
+    let out = run(&["stats", a.to_str().unwrap(), b.to_str().unwrap()]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("records: 12"), "{stdout}");
+    assert!(
+        stdout.contains("(p50 0.000001, p95 0.000010, max 0.000010)"),
+        "{stdout}"
+    );
+}
+
 /// Write a plan file that kills the demo's capture mid-run.
 fn kill_plan(d: &Path, at_event: u64) -> PathBuf {
     let base = run(&["faults", "lossy-tracer", "--seed", "5", "--text"]);

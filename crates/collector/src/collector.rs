@@ -19,8 +19,10 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use iotrace_analysis::hotspots::{top_by_bytes_interned, PathFold, PathStats};
-use iotrace_analysis::stats::TraceStats;
+use iotrace_analysis::stats::{StreamingStats, TraceStats};
+use iotrace_model::event::TraceRecord;
 use iotrace_model::intern::Interner;
+use iotrace_model::iot2;
 
 use iotrace_model::journal::{fsck_journal, JournalWriter};
 
@@ -85,7 +87,7 @@ pub struct Collector {
     /// client id -> session id, for routing frames after `Hello`.
     client_session: BTreeMap<u32, u32>,
     next_session: u32,
-    stats: TraceStats,
+    stats: StreamingStats,
     paths: Interner,
     path_fold: PathFold,
     folded_records: u64,
@@ -120,7 +122,7 @@ impl Collector {
             sessions: BTreeMap::new(),
             client_session: BTreeMap::new(),
             next_session,
-            stats: TraceStats::default(),
+            stats: StreamingStats::new(),
             paths: Interner::new(),
             path_fold: PathFold::default(),
             folded_records: 0,
@@ -435,9 +437,7 @@ impl Collector {
             sess.state = SessionState::Streaming;
             // Fold the shipped records into this collector's live stats
             // so `stats`/`hotspots` cover the whole session from here on.
-            self.stats.merge(&TraceStats::from_records(&trace.records));
-            self.path_fold.fold(&trace.records, &mut self.paths);
-            self.folded_records += records;
+            self.fold_records(&trace.records);
         }
         let sess = &self.sessions[&session];
         self.persist_card(sess)?;
@@ -618,15 +618,24 @@ impl Collector {
             sess.folded = sealed;
             (batch, sealed)
         };
-        self.stats.merge(&TraceStats::from_records(&delta));
-        self.path_fold.fold(&delta, &mut self.paths);
-        self.folded_records += delta.len() as u64;
+        self.fold_records(&delta);
         let sess = &self.sessions[&sid];
         if !sess.state.is_terminal() {
             self.persist_journal(sess)?;
             self.persist_card(sess)?;
         }
         Ok(Some(watermark))
+    }
+
+    /// Fold sealed records into the live stats and hotspot table,
+    /// converting each to one [`iot2::Frame`] that both folds push.
+    fn fold_records(&mut self, records: &[TraceRecord]) {
+        for r in records {
+            let f = iot2::Frame::from_record(r, &mut self.paths);
+            self.stats.push(&f);
+            self.path_fold.push(&f);
+        }
+        self.folded_records += records.len() as u64;
     }
 
     /// Flush the sealed journal prefix. While streaming this is the
@@ -650,7 +659,7 @@ impl Collector {
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             folded_records: self.folded_records,
-            stats: self.stats.clone(),
+            stats: self.stats.finish(),
         }
     }
 

@@ -33,10 +33,11 @@ use std::path::{Path, PathBuf};
 use iotrace_analysis::hotspots::{top_by_bytes_interned, PathFold, PathStats};
 use iotrace_analysis::merge::merge_corrected;
 use iotrace_analysis::skew::SkewEstimate;
-use iotrace_analysis::stats::TraceStats;
+use iotrace_analysis::stats::{StreamingStats, TraceStats};
 use iotrace_fs::params::RetryPolicy;
 use iotrace_model::event::Trace;
 use iotrace_model::intern::Interner;
+use iotrace_model::iot2::Frame;
 use iotrace_model::journal::{fsck_journal, journal_version, read_journal, records_digest};
 use iotrace_model::par::par_map;
 use iotrace_sim::fault::FaultPlan;
@@ -783,18 +784,19 @@ pub fn render_federation_sessions(rows: &[FederationSessionRow]) -> String {
 }
 
 /// The merged `stats` query: per-collector folds run in parallel over
-/// *local* interners (no shared keyspace, no locks), then each local
-/// path table is absorbed into one global interner —
-/// [`Interner::absorb`] returns the local→global symbol remap — in
-/// sorted collector order, so the merged hotspot table is deterministic
-/// regardless of worker count.
+/// *local* interners (no shared keyspace, no locks), then merge in
+/// sorted collector order. Each local path table is absorbed into one
+/// global interner — [`Interner::absorb`] returns the local→global
+/// symbol remap [`PathFold::merge`] takes — so the merged hotspot table
+/// is deterministic regardless of worker count. The stats merge is
+/// exact: the result equals one fold over every collector's records.
 pub fn federation_stats(
     root: &Path,
     top: usize,
 ) -> Result<(TraceStats, Vec<(String, PathStats)>), String> {
     let dirs = federation_spools(root)?;
-    let locals: Vec<Result<(TraceStats, Interner, PathFold), String>> = par_map(&dirs, |dir| {
-        let mut stats = TraceStats::default();
+    let locals: Vec<Result<(StreamingStats, Interner, PathFold), String>> = par_map(&dirs, |dir| {
+        let mut stats = StreamingStats::new();
         let mut paths = Interner::new();
         let mut fold = PathFold::default();
         for name in spool_journals(dir)? {
@@ -806,32 +808,28 @@ pub fn federation_stats(
             let Ok((t, _)) = fsck_journal(&bytes) else {
                 continue;
             };
-            stats.merge(&TraceStats::from_records(&t.records));
-            fold.fold(&t.records, &mut paths);
+            for r in &t.records {
+                let f = Frame::from_record(r, &mut paths);
+                stats.push(&f);
+                fold.push(&f);
+            }
         }
         Ok((stats, paths, fold))
     });
-    let mut global_stats = TraceStats::default();
+    let mut global_stats = StreamingStats::new();
     let mut global_paths = Interner::new();
-    let mut global_fold: std::collections::HashMap<_, PathStats> = Default::default();
+    let mut global_fold = PathFold::default();
     for local in locals {
         let (stats, paths, fold) = local?;
         global_stats.merge(&stats);
-        let remap = global_paths.absorb(&paths);
-        for (sym, ps) in fold.stats {
-            let e = global_fold
-                .entry(remap[sym.id() as usize])
-                .or_insert_with(PathStats::default);
-            e.ops += ps.ops;
-            e.bytes += ps.bytes;
-            e.time += ps.time;
-        }
+        global_fold.merge(&fold, &global_paths.absorb(&paths));
     }
+    let global_fold = global_fold.finish();
     let hotspots = top_by_bytes_interned(&global_fold, &global_paths, top)
         .into_iter()
         .map(|(sym, s)| (global_paths.resolve(sym).to_string(), s))
         .collect();
-    Ok((global_stats, hotspots))
+    Ok((global_stats.finish(), hotspots))
 }
 
 #[cfg(test)]
@@ -1076,8 +1074,8 @@ mod tests {
         std::fs::create_dir_all(&sroot).unwrap();
         std::fs::rename(&ds, sroot.join("only")).unwrap();
         let (bstats, bhot) = federation_stats(&sroot, 5).unwrap();
-        assert_eq!(stats.records, bstats.records);
-        assert_eq!(stats.bytes_written, bstats.bytes_written);
+        // exact merge: percentiles included, not just the counts
+        assert_eq!(stats, bstats);
         let hot_named: Vec<_> = hot.iter().map(|(p, s)| (p.clone(), s.clone())).collect();
         let bhot_named: Vec<_> = bhot.iter().map(|(p, s)| (p.clone(), s.clone())).collect();
         assert_eq!(hot_named, bhot_named);

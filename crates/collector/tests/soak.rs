@@ -4,11 +4,12 @@
 
 use std::collections::BTreeMap;
 
-use iotrace_analysis::hotspots::by_path;
-use iotrace_analysis::stats::TraceStats;
+use iotrace_analysis::hotspots::by_path_interned;
+use iotrace_analysis::stats::{StreamingStats, TraceStats};
 use iotrace_collector::proto::{encode_frame, Frame};
 use iotrace_collector::soak::{run_soak, synth_client_traces, SoakConfig, SoakOutcome};
 use iotrace_collector::{Collector, CollectorConfig};
+use iotrace_model::intern::Interner;
 use iotrace_model::journal::{read_journal, records_digest};
 use iotrace_sim::fault::FaultPlan;
 
@@ -226,13 +227,23 @@ fn incremental_stats_match_batch_over_sealed_records() {
     assert_eq!(snap.stats.sys_calls, batch.sys_calls);
     assert_eq!(snap.stats.vfs_ops, batch.vfs_ops);
     assert_eq!(snap.stats.call_time, batch.call_time);
+    // per-segment folds merge exactly: the live percentiles are those of
+    // one fold over every sealed record, not a max over segments
+    let mut whole = StreamingStats::new();
+    whole.push_records(&all);
+    let whole = whole.finish();
+    assert_eq!(snap.stats.dur_p50, whole.dur_p50);
+    assert_eq!(snap.stats.dur_p95, whole.dur_p95);
+    assert_eq!(snap.stats.dur_max, whole.dur_max);
 
     // hotspot attribution matches a batch fold exactly, per path
-    let batch_paths = by_path(&all);
+    let mut paths = Interner::new();
+    let batch_paths = by_path_interned(&all, &mut paths);
     let hot = c.hotspots(usize::MAX);
     assert_eq!(hot.len(), batch_paths.len());
     for (path, stats) in &hot {
-        assert_eq!(&batch_paths[path], stats, "path {path}");
+        let sym = paths.get(path).expect("batch fold saw the path");
+        assert_eq!(&batch_paths[&sym], stats, "path {path}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -120,6 +120,7 @@ const FLAG_ENC: u8 = 4;
 
 /// The wire tag for each call variant — shared with the IOT2 frame
 /// format, which reuses the same numbering for its op field.
+#[inline]
 pub(crate) fn call_tag(c: &IoCall) -> u8 {
     use IoCall::*;
     match c {

@@ -153,8 +153,8 @@ impl std::fmt::Display for Iot2Error {
 }
 impl std::error::Error for Iot2Error {}
 
-/// The per-call scalar fields of the frame layout, shared by encode and
-/// decode so the two sides cannot drift.
+/// The per-call scalar fields of the frame layout, shared by encode,
+/// decode and [`Frame::from_record`] so they cannot drift.
 struct Parts<'r> {
     fd: i64,
     offset: u64,
@@ -165,6 +165,7 @@ struct Parts<'r> {
     path_b: Option<&'r str>,
 }
 
+#[inline]
 fn call_parts(c: &IoCall) -> Parts<'_> {
     use IoCall::*;
     let mut p = Parts {
@@ -389,6 +390,34 @@ impl Frame {
 
     pub fn is_error(&self) -> bool {
         self.result < 0
+    }
+
+    /// The frame of an owned record, its paths interned into `paths`.
+    /// Uses the same `call_parts` field layout as encode and decode, so
+    /// a record folds identically whether it arrives owned or framed.
+    /// Always inlined, so a fold that reads a few fields of the frame
+    /// pays only for converting those.
+    #[inline(always)]
+    pub fn from_record(r: &TraceRecord, paths: &mut Interner) -> Frame {
+        let p = call_parts(&r.call);
+        Frame {
+            op: crate::binary::call_tag(&r.call),
+            rank: r.rank,
+            node: r.node,
+            fd: p.fd,
+            ts: r.ts,
+            dur: r.dur,
+            result: r.result,
+            offset: p.offset,
+            len: p.len,
+            path: p.path_a.map(|s| paths.intern(s)),
+            path2: p.path_b.map(|s| paths.intern(s)),
+            x: p.x,
+            y: p.y,
+            pid: r.pid,
+            uid: r.uid,
+            gid: r.gid,
+        }
     }
 
     /// Materialize as an owned [`TraceRecord`]; `resolve` maps the

@@ -65,7 +65,7 @@ fn main() {
     // Consistency: the same original path always maps to the same
     // pseudonym, so access-pattern analysis still works on the shared
     // trace.
-    let by_path = by_path(&rnd.records);
+    let by_path = by_path_interned(&rnd.records, &mut Interner::new());
     println!(
         "[randomize]  anonymized trace still analyzable: {} distinct paths",
         by_path.len()

@@ -39,9 +39,10 @@ fn capture_share_aggregate_analyze_replay() {
     // ltrace captures both layers: each write appears as the MPI library
     // call *and* the syscall it issues — 2x the application bytes.
     assert_eq!(stats.bytes_written, 2 * w.total_bytes());
-    let hot = by_path(unified.records());
+    let mut paths = Interner::new();
+    let hot = by_path_interned(unified.records(), &mut paths);
     assert!(!hot.is_empty());
-    let top = top_by_bytes(&hot, 1);
+    let top = top_by_bytes_interned(&hot, &paths, 1);
     // Hotspot attribution also sees both layers (MPI + syscall) of every
     // write to the one shared file.
     assert_eq!(
