@@ -239,14 +239,19 @@ pub fn sessions(args: &[String]) -> Result<(), String> {
             Some((_, Err(e))) => format!("unreadable: {e}"),
             None => "missing".to_string(),
         };
+        let sealed = match journals.get(stem) {
+            Some((_, Ok((_, rep)))) => Some(rep.records_recovered as u64),
+            _ => None,
+        };
+        let (records, completeness) = card.standing(sealed);
         println!(
             "{:<8} {:<4} {:<9} {:<8} {:<10} {:<13.6} {}",
             card.session,
             fmt,
             card.expected,
-            card.records,
+            records,
             card.state.to_string(),
-            card.completeness,
+            completeness,
             journal
         );
     }

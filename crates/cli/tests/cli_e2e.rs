@@ -613,6 +613,61 @@ fn serve_kill_then_restart_recovers_the_spool() {
     assert!(!s.contains("orphaned session(s)"), "{s}");
 }
 
+/// The live card of a killed session was last written at `Hello`, so
+/// `sessions` must take its record count and completeness from the
+/// journal's sealed prefix. The table is pinned byte for byte, before
+/// and after recovery.
+#[test]
+fn sessions_table_of_a_killed_spool_is_pinned() {
+    let d = tmpdir("sessionspin");
+    let spool = d.join("spool");
+    let spool_arg = spool.to_str().unwrap();
+    let out = run(&[
+        "serve",
+        spool_arg,
+        "--clients",
+        "4",
+        "--records",
+        "200",
+        "--kill-at-frame",
+        "20",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let header = "session  fmt  expected  records  state      completeness  journal\n";
+    let live = (0..4)
+        .map(|s| {
+            format!(
+                "{s}        v1   200       64       streaming  0.320000      \
+                 torn (64 records salvageable, 1 tail bytes)\n"
+            )
+        })
+        .collect::<String>();
+    let out = run(&["sessions", spool_arg]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!(
+            "{header}{live}4 orphaned session(s) — run `iotrace serve {spool_arg} --recover-only`\n"
+        )
+    );
+
+    let out = run(&["serve", spool_arg, "--recover-only"]);
+    assert!(out.status.success(), "{out:?}");
+    let recovered = (0..4)
+        .map(|s| {
+            format!(
+                "{s}        v1   200       64       degraded   0.320000      clean (64 records)\n"
+            )
+        })
+        .collect::<String>();
+    let out = run(&["sessions", spool_arg]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("{header}{recovered}")
+    );
+}
+
 #[test]
 fn fsck_recovers_a_whole_spool_directory() {
     let d = tmpdir("fsckdir");

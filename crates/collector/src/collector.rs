@@ -7,15 +7,22 @@
 //! that kill the collector mid-segment — bit-for-bit reproducible.
 //!
 //! Durability contract: a record is *durable* once its segment seals,
-//! at which point the sealed journal prefix is flushed to
-//! `sessNNN.iotj` and the sealed count lands in `sessNNN.card`. A
-//! collector kill loses at most the unsealed tail of each session, and
-//! the torn journal left behind is exactly what
-//! [`fsck_journal`] recovers. Stats fold incrementally as segments
-//! seal, so `stats` and `hotspots` answers are available mid-capture
-//! without re-reading any spool file.
+//! at which point the new segment is appended to `sessNNN.iotj`. Every
+//! write to a live session's journal is an append, so a sealed prefix
+//! once written is never rewritten, and the journal's sealed prefix is
+//! the durable watermark. "Durable" here means handed to the OS: it
+//! survives a process kill, not a power loss — nothing is fsynced.
+//! `sessNNN.card` is written on state transitions only (handshake,
+//! drain and its abort, each handoff chunk, close), so a live card's
+//! `records` is its count at the last transition. A collector kill
+//! loses at most the unsealed tail of each session, and the torn
+//! journal left behind is exactly what [`fsck_journal`] recovers.
+//! Stats fold incrementally as segments seal, so `stats` and `hotspots`
+//! answers are available mid-capture without re-reading any spool file.
 
 use std::collections::BTreeMap;
+use std::fs::OpenOptions;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use iotrace_analysis::hotspots::{top_by_bytes_interned, PathFold, PathStats};
@@ -241,7 +248,7 @@ impl Collector {
                 // Persist the expectation *before* any record lands: the
                 // card is what makes post-crash completeness exact.
                 self.persist_card(&sess)?;
-                self.persist_journal(&sess)?;
+                persist_journal(&self.dir, &mut sess)?;
                 self.sessions.insert(id, sess);
                 self.client_session.insert(client, id);
                 self.outbox.push((client, Frame::HelloAck { session: id }));
@@ -301,9 +308,7 @@ impl Collector {
                     };
                     sess.sealed()
                 };
-                let sess = &self.sessions[&sid];
-                self.persist_journal(sess)?;
-                self.persist_card(sess)?;
+                self.persist_card(&self.sessions[&sid])?;
                 self.client_session.remove(&client);
                 self.outbox.push((client, Frame::ByeAck { records }));
                 Ok(())
@@ -363,15 +368,16 @@ impl Collector {
             Err(ProtoError::Truncated | ProtoError::BadCrc) => {
                 self.disconnect(client, "torn frame")
             }
-            Err(e) => self.disconnect(client, Box::leak(e.to_string().into_boxed_str())),
+            Err(e) => self.disconnect(client, &e.to_string()),
         }
     }
 
     /// Apply one handoff chunk to a `Migrating` stand-in session.
     /// Chunks ship along journal structure, so the accumulated buffer is
-    /// a valid sealed journal after every chunk; it is persisted (with
-    /// its card) before the ack goes out — the exactly-once durability
-    /// the source relies on when it deletes its copy.
+    /// a valid sealed journal after every chunk; the chunk is appended
+    /// to the spool (and the card rewritten) before the ack goes out —
+    /// the exactly-once durability the source relies on when it deletes
+    /// its copy.
     fn apply_handoff(
         &mut self,
         client: u32,
@@ -424,11 +430,13 @@ impl Collector {
                 records, recv.promised
             ));
         }
-        // Persist the (always-valid) prefix before acking.
-        let path = self.dir.join(format!("{}.iotj", session_stem(session)));
-        std::fs::write(&path, &recv.buf).map_err(|e| format!("write {}: {e}", path.display()))?;
+        // Extend the (always-valid) on-disk prefix before acking.
+        append_spool(&journal_path(&self.dir, session), chunk, seq == 1)?;
         if done {
             let buf = std::mem::take(&mut recv.buf);
+            // The shipped bytes are already on disk: the next seal
+            // appends past them, not over them.
+            sess.persisted = buf.len();
             sess.writer = JournalWriter::resume(buf, self.cfg.segment_records)
                 .map_err(|e| format!("resume migrated session {session}: {e:?}"))?;
             sess.appended = records;
@@ -473,9 +481,7 @@ impl Collector {
         let sess = self.sessions.get_mut(&sid).expect("routed session exists");
         sess.state = SessionState::Draining;
         let bytes = sess.writer.sealed_bytes().to_vec();
-        let sess = &self.sessions[&sid];
-        self.persist_journal(sess)?;
-        self.persist_card(sess)?;
+        self.persist_card(&self.sessions[&sid])?;
         Ok(Some((sid, bytes)))
     }
 
@@ -547,7 +553,7 @@ impl Collector {
     /// A client vanished (torn frame, protocol violation, or idle
     /// sweep): seal whatever arrived, mark the session `Degraded`
     /// (or `Closed` when everything expected had already landed), and
-    /// persist both spool files.
+    /// append the last segment and write the terminal card.
     pub fn disconnect(&mut self, client: u32, _why: &str) -> Result<(), String> {
         let Some(sid) = self.client_session.remove(&client) else {
             return Ok(());
@@ -564,9 +570,7 @@ impl Collector {
         } else {
             SessionState::Degraded
         };
-        let sess = &self.sessions[&sid];
-        self.persist_journal(sess)?;
-        self.persist_card(sess)?;
+        self.persist_card(&self.sessions[&sid])?;
         Ok(())
     }
 
@@ -580,32 +584,35 @@ impl Collector {
         Ok(())
     }
 
-    /// Simulate the collector process dying right now: flush each live
-    /// session's journal in its torn on-disk form (sealed prefix + the
-    /// dangling tail a crash leaves) and stop accepting work. Cards are
-    /// deliberately *not* rewritten — a crash doesn't get to tidy up.
+    /// Simulate the collector process dying right now: append to each
+    /// live session's journal the dangling tail a crash leaves, so the
+    /// file holds exactly [`JournalWriter::torn`], and stop accepting
+    /// work. Cards are deliberately *not* rewritten — a crash doesn't
+    /// get to tidy up.
     pub fn kill(&mut self) -> Result<(), String> {
         for sess in self.sessions.values() {
             // A Migrating stand-in's writer is a placeholder — its real
             // durable state is the handoff prefix already persisted per
-            // chunk. Writing the placeholder's torn form would clobber
-            // shipped data, so the crash leaves the prefix alone.
-            if sess.state == SessionState::Migrating {
+            // chunk. Tearing the placeholder would corrupt shipped data,
+            // so the crash leaves the prefix alone.
+            if sess.state == SessionState::Migrating || sess.state.is_terminal() {
                 continue;
             }
-            if !sess.state.is_terminal() {
-                let path = self.dir.join(format!("{}.iotj", session_stem(sess.id)));
-                std::fs::write(&path, sess.writer.torn())
-                    .map_err(|e| format!("write {}: {e}", path.display()))?;
-            }
+            // Every seal is appended as it happens.
+            debug_assert_eq!(sess.persisted, sess.writer.sealed_bytes().len());
+            append_spool(
+                &journal_path(&self.dir, sess.id),
+                &sess.writer.torn_tail(),
+                false,
+            )?;
         }
         self.killed = true;
         Ok(())
     }
 
     /// Fold any newly sealed records of session `sid` into the running
-    /// stats and flush the sealed journal prefix. Returns the new
-    /// durable watermark if it moved.
+    /// stats and append the new segments to its journal. Returns the
+    /// new durable watermark if it moved.
     fn fold_sealed(&mut self, sid: u32) -> Result<Option<u64>, String> {
         let (delta, watermark) = {
             let sess = self.sessions.get_mut(&sid).expect("session exists");
@@ -619,11 +626,9 @@ impl Collector {
             (batch, sealed)
         };
         self.fold_records(&delta);
-        let sess = &self.sessions[&sid];
-        if !sess.state.is_terminal() {
-            self.persist_journal(sess)?;
-            self.persist_card(sess)?;
-        }
+        let dir = &self.dir;
+        let sess = self.sessions.get_mut(&sid).expect("session exists");
+        persist_journal(dir, sess)?;
         Ok(Some(watermark))
     }
 
@@ -636,16 +641,6 @@ impl Collector {
             self.path_fold.push(&f);
         }
         self.folded_records += records.len() as u64;
-    }
-
-    /// Flush the sealed journal prefix. While streaming this is the
-    /// durable prefix a crash preserves; once a session seals its final
-    /// segment the same bytes *are* the finished, strictly readable
-    /// journal.
-    fn persist_journal(&self, sess: &Session) -> Result<(), String> {
-        let path = self.dir.join(format!("{}.iotj", session_stem(sess.id)));
-        std::fs::write(&path, sess.writer.sealed_bytes())
-            .map_err(|e| format!("write {}: {e}", path.display()))
     }
 
     fn persist_card(&self, sess: &Session) -> Result<(), String> {
@@ -698,6 +693,41 @@ impl Collector {
     pub fn all_terminal(&self) -> bool {
         self.sessions.values().all(|s| s.state.is_terminal())
     }
+}
+
+fn journal_path(dir: &Path, id: u32) -> PathBuf {
+    dir.join(format!("{}.iotj", session_stem(id)))
+}
+
+/// Append the sealed journal bytes not yet on disk. While streaming the
+/// file is the durable prefix a crash preserves; once a session seals
+/// its final segment the same bytes *are* the finished, strictly
+/// readable journal. The first persist — the header, at `Hello` —
+/// creates the file.
+fn persist_journal(dir: &Path, sess: &mut Session) -> Result<(), String> {
+    let sealed = sess.writer.sealed_bytes();
+    append_spool(
+        &journal_path(dir, sess.id),
+        &sealed[sess.persisted..],
+        sess.persisted == 0,
+    )?;
+    sess.persisted = sealed.len();
+    Ok(())
+}
+
+/// Append `bytes` to the spool file at `path`. With `create` the file
+/// must not exist yet: a new session never appends to bytes it did not
+/// write.
+fn append_spool(path: &Path, bytes: &[u8], create: bool) -> Result<(), String> {
+    let mut opts = OpenOptions::new();
+    if create {
+        opts.write(true).create_new(true);
+    } else {
+        opts.append(true);
+    }
+    opts.open(path)
+        .and_then(|mut f| f.write_all(bytes))
+        .map_err(|e| format!("write {}: {e}", path.display()))
 }
 
 #[cfg(test)]

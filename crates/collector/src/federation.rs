@@ -733,12 +733,13 @@ pub fn federation_sessions(root: &Path) -> Result<Vec<FederationSessionRow>, Str
             let bytes =
                 std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
             let card = read_card(&dir, &name);
-            let fsck = fsck_journal(&bytes).ok();
-            let records = card
-                .as_ref()
-                .map(|c| c.records)
-                .or_else(|| fsck.as_ref().map(|(_, r)| r.records_recovered as u64))
-                .unwrap_or(0);
+            let sealed = fsck_journal(&bytes)
+                .ok()
+                .map(|(_, r)| r.records_recovered as u64);
+            let (records, completeness) = match &card {
+                Some(c) => c.standing(sealed),
+                None => (sealed.unwrap_or(0), 0.0),
+            };
             rows.push(FederationSessionRow {
                 collector: coll.clone(),
                 file: name,
@@ -749,7 +750,7 @@ pub fn federation_sessions(root: &Path) -> Result<Vec<FederationSessionRow>, Str
                     .as_ref()
                     .map(|c| c.state.to_string())
                     .unwrap_or_else(|| "unknown".into()),
-                completeness: card.as_ref().map(|c| c.completeness).unwrap_or(0.0),
+                completeness,
                 origin: card.and_then(|c| c.origin),
             });
         }

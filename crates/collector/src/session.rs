@@ -24,6 +24,13 @@
 //! intends to stream. The card is what makes post-crash completeness
 //! *exact*: recovery divides recovered records by the card's
 //! expectation instead of guessing from the tear.
+//!
+//! The journal only ever grows by appends, and its sealed prefix is the
+//! durable watermark. The card is rewritten on state transitions only
+//! (handshake, drain and its abort, each handoff chunk, close), never
+//! on a seal, so a live card's `records` is its count at the last
+//! transition; [`SessionCard::standing`] reads the current count from
+//! the journal instead.
 
 use iotrace_model::event::TraceMeta;
 use iotrace_model::journal::JournalWriter;
@@ -94,17 +101,19 @@ pub fn parse_state(s: &str) -> Option<SessionState> {
 }
 
 /// The crash-survivable sidecar: one line, written at handshake and
-/// rewritten on every state transition that must outlive the process.
+/// rewritten on every state transition that must outlive the process —
+/// but not on seals, which only append to the journal.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionCard {
     pub session: u32,
     /// Records the client declared it would stream (0 = unknown).
     pub expected: u64,
     pub state: SessionState,
-    /// Durable records at the time the card was written (only current
-    /// for terminal states; a `streaming` card's count is a floor).
+    /// Durable records at the last transition. Exact for terminal
+    /// states; a live card's count is a floor — the journal's sealed
+    /// prefix is the watermark (see [`SessionCard::standing`]).
     pub records: u64,
-    /// Completeness stamped at close/recovery; 1.0 while streaming.
+    /// Completeness at the last transition, in step with `records`.
     pub completeness: f64,
     /// Set on a migrated-in session: `<collector>/<stem>` naming the
     /// source spool copy. Federated recovery uses it to reunite a
@@ -152,6 +161,25 @@ impl SessionCard {
             origin,
         })
     }
+
+    /// Records and completeness as they stand on disk. A terminal card
+    /// is exact. A live card was last written at a transition, so when
+    /// the journal is readable its sealed prefix — `sealed` records, as
+    /// fsck counts them — is the watermark.
+    pub fn standing(&self, sealed: Option<u64>) -> (u64, f64) {
+        match sealed {
+            Some(n) if !self.state.is_terminal() => (n, completeness(n, self.expected)),
+            _ => (self.records, self.completeness),
+        }
+    }
+}
+
+/// `records / expected`, clamped to 1.0; 1.0 when nothing was declared.
+fn completeness(records: u64, expected: u64) -> f64 {
+    if expected == 0 {
+        return 1.0;
+    }
+    (records as f64 / expected as f64).clamp(0.0, 1.0)
 }
 
 /// The spool file stem for session `id`: `sess007` → `sess007.iotj` +
@@ -167,6 +195,9 @@ pub struct Session {
     pub expected: u64,
     pub state: SessionState,
     pub writer: JournalWriter,
+    /// Journal bytes already appended to `sessNNN.iotj`: the next
+    /// persist writes only `writer.sealed_bytes()[persisted..]`.
+    pub(crate) persisted: usize,
     /// Records appended (acked) so far.
     pub appended: u64,
     /// Highest `Records.seq` applied; frames must arrive in order.
@@ -222,6 +253,7 @@ impl Session {
             expected,
             state: SessionState::Handshake,
             writer,
+            persisted: 0,
             appended: 0,
             last_seq: 0,
             unfolded: Vec::new(),
@@ -261,10 +293,7 @@ impl Session {
     /// Completeness against the declared expectation: exact when the
     /// client declared one, 1.0 while nothing says otherwise.
     pub fn completeness(&self) -> f64 {
-        if self.expected == 0 {
-            return 1.0;
-        }
-        (self.durable() as f64 / self.expected as f64).clamp(0.0, 1.0)
+        completeness(self.durable(), self.expected)
     }
 }
 

@@ -237,6 +237,19 @@ pub fn run_soak(
     plan: &FaultPlan,
     inputs: Option<&[Trace]>,
 ) -> Result<SoakReport, String> {
+    run_soak_observed(dir, cfg, plan, inputs, &mut |_| {})
+}
+
+/// [`run_soak`], calling `observe` after every drain tick (the kill
+/// tick included) and once more after the final idle sweep — the points
+/// at which the spool directory can have changed.
+pub fn run_soak_observed(
+    dir: &std::path::Path,
+    cfg: &SoakConfig,
+    plan: &FaultPlan,
+    inputs: Option<&[Trace]>,
+    observe: &mut dyn FnMut(&Collector),
+) -> Result<SoakReport, String> {
     let synthesized;
     let traces: &[Trace] = match inputs {
         Some(t) => {
@@ -299,6 +312,7 @@ pub fn run_soak(
             }
         }
         let killed = collector.drain(budget, kill_at)?;
+        observe(&collector);
         for (to, frame) in collector.take_outbox() {
             if let Some(cl) = clients.get_mut(&to) {
                 cl.deliver(&frame);
@@ -325,6 +339,7 @@ pub fn run_soak(
                 .map(|c| c.id)
                 .collect();
             collector.sweep_idle(&dead)?;
+            observe(&collector);
             outcome = Some(SoakOutcome::Completed);
             break;
         }

@@ -297,6 +297,14 @@ impl JournalWriter {
     /// tail — a killed writer was, by construction, mid-append.
     pub fn torn(&self) -> Vec<u8> {
         let mut out = self.buf.clone();
+        out.extend_from_slice(&self.torn_tail());
+        out
+    }
+
+    /// The bytes [`JournalWriter::torn`] leaves past the sealed prefix:
+    /// what an append-only spool gains when its writer dies mid-append.
+    pub fn torn_tail(&self) -> Vec<u8> {
+        let mut out = Vec::new();
         if self.pending.is_empty() {
             // Killed before any payload of the next frame landed: only a
             // dangling length prefix made it out.
