@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use iotrace_model::event::Trace;
+use iotrace_model::event::{IoCall, Trace};
 use iotrace_model::intern::{Interner, Sym};
 use iotrace_model::par::{par_map_with, workers_for};
 use iotrace_partrace::deps::DependencyMap;
@@ -117,10 +117,12 @@ pub struct LineageGraph {
     hb: HbIndex,
     /// Final contents attribution per path: byte range -> writer node.
     finals: BTreeMap<Sym, RangeMap>,
-    in_edges: Vec<Vec<u32>>,
-    out_edges: Vec<Vec<u32>>,
+    in_edges: Csr,
+    out_edges: Csr,
     /// Read / write / dep-target / dep-source node ids per rank, sorted
-    /// by record index (the rank-local traversal indexes).
+    /// by record index (the rank-local traversal indexes). Node order is
+    /// (epoch, timestamp), which is not program order when a rank's
+    /// clock steps back; the query cursors need program order.
     reads_by_rank: BTreeMap<u32, Vec<NodeId>>,
     writes_by_rank: BTreeMap<u32, Vec<NodeId>>,
     dep_targets_by_rank: BTreeMap<u32, Vec<NodeId>>,
@@ -161,7 +163,8 @@ impl LineageGraph {
         // 2. Serial: remap local symbols into one global interner, in
         //    input trace order — deterministic ids.
         let mut paths = Interner::new();
-        let mut accesses: Vec<(Access, &'static str)> = Vec::new();
+        let total = extracted.iter().map(|(acc, _, _)| acc.len()).sum();
+        let mut accesses: Vec<(Access, &'static str)> = Vec::with_capacity(total);
         for (acc, strings, names) in &extracted {
             let remap: Vec<Sym> = strings.iter().map(|s| paths.intern(s)).collect();
             accesses.extend(acc.iter().zip(names).map(|(a, &name)| {
@@ -209,13 +212,15 @@ impl LineageGraph {
     }
 
     pub fn in_edges(&self, id: NodeId) -> impl Iterator<Item = &LineageEdge> {
-        self.in_edges[id as usize]
+        self.in_edges
+            .of(id)
             .iter()
             .map(|&i| &self.edges[i as usize])
     }
 
     pub fn out_edges(&self, id: NodeId) -> impl Iterator<Item = &LineageEdge> {
-        self.out_edges[id as usize]
+        self.out_edges
+            .of(id)
             .iter()
             .map(|&i| &self.edges[i as usize])
     }
@@ -383,6 +388,44 @@ impl GraphFold {
     }
 }
 
+/// Edge ids grouped by one endpoint, in compressed sparse row form:
+/// the edges at node `n` are `items[offsets[n]..offsets[n + 1]]`, in
+/// ascending edge id order.
+#[derive(Clone, Debug, Default)]
+struct Csr {
+    offsets: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    /// Group `edges` by the node `end` picks (counting sort).
+    fn index(nodes: usize, edges: &[LineageEdge], end: impl Fn(&LineageEdge) -> NodeId) -> Self {
+        // Count per node, then prefix-sum into each group's end offset;
+        // filling backwards walks every offset down to its group start.
+        let mut offsets = vec![0u32; nodes + 1];
+        for e in edges {
+            offsets[end(e) as usize] += 1;
+        }
+        let mut sum = 0;
+        for o in &mut offsets {
+            sum += *o;
+            *o = sum;
+        }
+        let mut items = vec![0u32; edges.len()];
+        for (i, e) in edges.iter().enumerate().rev() {
+            let o = &mut offsets[end(e) as usize];
+            *o -= 1;
+            items[*o as usize] = i as u32;
+        }
+        Csr { offsets, items }
+    }
+
+    fn of(&self, id: NodeId) -> &[u32] {
+        let id = id as usize;
+        &self.items[self.offsets[id] as usize..self.offsets[id + 1] as usize]
+    }
+}
+
 /// Steps 3–6 of graph construction, shared by the batch and streaming
 /// builders: happens-before-consistent ordering, node creation, dep
 /// endpoint resolution (batch only), interval replay, traversal indexes.
@@ -394,17 +437,17 @@ fn assemble(
 ) -> LineageGraph {
     // 3. Happens-before-consistent build order: epoch-major when the
     //    barrier structure is aligned, merged-timeline order inside.
+    //    (rank, record) names one access, so either key is unique and
+    //    an unstable sort yields the one order a stable sort would.
     if hb.aligned() {
-        accesses.sort_by_key(|(a, _)| (a.epoch, a.ts_ns, a.rank, a.record));
+        accesses.sort_unstable_by_key(|(a, _)| (a.epoch, a.ts_ns, a.rank, a.record));
     } else {
-        accesses.sort_by_key(|(a, _)| (a.ts_ns, a.rank, a.record));
+        accesses.sort_unstable_by_key(|(a, _)| (a.ts_ns, a.rank, a.record));
     }
 
-    let mut nodes: Vec<LineageNode> = Vec::with_capacity(accesses.len());
-    let mut by_loc: HashMap<(u32, usize), NodeId> = HashMap::with_capacity(accesses.len());
-    for (a, op) in &accesses {
-        let id = nodes.len() as NodeId;
-        nodes.push(LineageNode {
+    let mut nodes: Vec<LineageNode> = accesses
+        .into_iter()
+        .map(|(a, op)| LineageNode {
             rank: a.rank,
             record: a.record,
             epoch: a.epoch,
@@ -418,14 +461,18 @@ fn assemble(
             start: a.start,
             end: a.end,
             op,
-        });
-        by_loc.insert((a.rank, a.record), id);
-    }
+        })
+        .collect();
 
     // 4. Dependency endpoints that are not access nodes become `Op`
     //    nodes, in sorted (rank, record) order for stable ids.
     let mut edges: Vec<LineageEdge> = Vec::new();
     if let Some((deps, traces)) = deps_ctx {
+        let mut by_loc: HashMap<(u32, usize), NodeId> = nodes
+            .iter()
+            .enumerate()
+            .map(|(id, n)| ((n.rank, n.record), id as NodeId))
+            .collect();
         let rank_index: BTreeMap<u32, usize> = traces
             .iter()
             .enumerate()
@@ -444,15 +491,18 @@ fn assemble(
         }
         extra.sort_unstable();
         extra.dedup();
+        // Record indices of each rank's non-failed barriers, computed
+        // once per rank: an `Op` node's epoch is how many precede it.
+        let mut barriers: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         for (rank, record) in extra {
             let Some(&ti) = rank_index.get(&rank) else {
                 continue;
             };
             let t = &traces[ti];
-            let epoch = t.records[..record]
-                .iter()
-                .filter(|r| !r.is_error() && r.call == iotrace_model::event::IoCall::MpiBarrier)
-                .count();
+            let epoch = barriers
+                .entry(rank)
+                .or_insert_with(|| barrier_positions(t))
+                .partition_point(|&b| b < record);
             let id = nodes.len() as NodeId;
             nodes.push(LineageNode {
                 rank,
@@ -490,39 +540,35 @@ fn assemble(
     //    produce are orphan spans.
     let mut finals: BTreeMap<Sym, RangeMap> = BTreeMap::new();
     let mut orphans: Vec<OrphanSpan> = Vec::new();
-    for (i, (a, _)) in accesses.iter().enumerate() {
+    for (i, n) in nodes.iter().enumerate() {
         let id = i as NodeId;
-        let map = finals.entry(a.path).or_default();
-        if a.write {
-            map.write(a.start, a.end, id);
-        } else {
-            if map.is_empty() {
-                continue; // pre-existing input file: no producers expected
-            }
-            for (s, e, owner) in map.covered(a.start, a.end) {
-                edges.push(LineageEdge {
-                    from: owner,
+        let Some(path) = n.path else {
+            continue; // an `Op` node: no bytes
+        };
+        let map = finals.entry(path).or_default();
+        if n.kind == NodeKind::Write {
+            map.write(n.start, n.end, id);
+        } else if !map.is_empty() {
+            // An empty map is a pre-existing input file: no producers
+            // expected, so its reads are not orphans.
+            map.read(n.start, n.end, |start, end, owner| match owner {
+                Some(from) => edges.push(LineageEdge {
+                    from,
                     to: id,
-                    kind: EdgeKind::Flow { start: s, end: e },
-                });
-            }
-            for (s, e) in map.gaps(a.start, a.end) {
-                orphans.push(OrphanSpan {
+                    kind: EdgeKind::Flow { start, end },
+                }),
+                None => orphans.push(OrphanSpan {
                     read: id,
-                    start: s,
-                    end: e,
-                });
-            }
+                    start,
+                    end,
+                }),
+            });
         }
     }
 
     // 6. Traversal indexes.
-    let mut in_edges: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
-    let mut out_edges: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
-    for (i, e) in edges.iter().enumerate() {
-        out_edges[e.from as usize].push(i as u32);
-        in_edges[e.to as usize].push(i as u32);
-    }
+    let in_edges = Csr::index(nodes.len(), &edges, |e| e.to);
+    let out_edges = Csr::index(nodes.len(), &edges, |e| e.from);
     let mut reads_by_rank: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
     let mut writes_by_rank: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
     for (i, n) in nodes.iter().enumerate() {
@@ -545,15 +591,14 @@ fn assemble(
                 .push(e.from);
         }
     }
-    let by_record = |nodes: &[LineageNode], v: &mut Vec<NodeId>| {
-        v.sort_by_key(|&id| nodes[id as usize].record);
+    for v in reads_by_rank
+        .values_mut()
+        .chain(writes_by_rank.values_mut())
+        .chain(dep_targets_by_rank.values_mut())
+        .chain(dep_sources_by_rank.values_mut())
+    {
+        v.sort_unstable_by_key(|&id| nodes[id as usize].record);
         v.dedup();
-    };
-    for v in dep_targets_by_rank.values_mut() {
-        by_record(&nodes, v);
-    }
-    for v in dep_sources_by_rank.values_mut() {
-        by_record(&nodes, v);
     }
 
     LineageGraph {
@@ -570,6 +615,16 @@ fn assemble(
         dep_targets_by_rank,
         dep_sources_by_rank,
     }
+}
+
+/// Record indices of a trace's non-failed barriers, ascending.
+fn barrier_positions(t: &Trace) -> Vec<usize> {
+    t.records
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| !r.is_error() && r.call == IoCall::MpiBarrier)
+        .map(|(i, _)| i)
+        .collect()
 }
 
 #[cfg(test)]
@@ -798,35 +853,6 @@ mod tests {
         assert_eq!((segs[1].0, segs[1].1), (50, 150));
         assert_eq!(g.nodes[segs[1].2 as usize].rank, 1);
         assert_eq!(g.known_paths(), vec!["/f"]);
-    }
-
-    #[test]
-    fn streaming_fold_matches_batch_build() {
-        let mut traces = Vec::new();
-        for rank in 0..4u32 {
-            traces.push(trace_of(
-                rank,
-                rank as u64,
-                vec![
-                    open("/shared"),
-                    pwrite(rank as u64 * 100, 100),
-                    (IoCall::MpiBarrier, 0),
-                    pread(0, 400),
-                    open("/private"),
-                    pwrite(rank as u64 * 8, 8),
-                ],
-            ));
-        }
-        let batch = LineageGraph::build(&traces, None);
-        let mut fold = GraphFold::new();
-        for t in &traces {
-            fold.add_rank(t);
-        }
-        let streamed = fold.finish();
-        assert_eq!(streamed.render_full(), batch.render_full());
-        assert_eq!(streamed.nodes, batch.nodes);
-        assert_eq!(streamed.edges, batch.edges);
-        assert_eq!(streamed.orphans, batch.orphans);
     }
 
     #[test]

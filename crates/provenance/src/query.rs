@@ -387,6 +387,91 @@ mod tests {
     }
 
     #[test]
+    fn rank_lists_follow_program_order_when_clocks_step_back() {
+        // Records carry explicit timestamps; each tuple is (ts µs, call).
+        let at = |rank: u32, calls: Vec<(u64, IoCall)>| {
+            let mut t = trace_of(rank, 0, Vec::new());
+            for (ts, call) in calls {
+                let result = match &call {
+                    IoCall::Open { .. } => 3 + t.records.len() as i64,
+                    _ => 100,
+                };
+                t.records.push(TraceRecord {
+                    ts: SimTime::from_micros(ts),
+                    dur: SimDur::from_nanos(100),
+                    rank,
+                    node: rank,
+                    pid: 1,
+                    uid: 0,
+                    gid: 0,
+                    call,
+                    result,
+                });
+            }
+            t
+        };
+        let open = |path: &str| IoCall::Open {
+            path: path.into(),
+            flags: 0,
+            mode: 0,
+        };
+        let pread = |fd, offset| IoCall::Pread {
+            fd,
+            offset,
+            len: 100,
+        };
+        let pwrite = |fd, offset| IoCall::Pwrite {
+            fd,
+            offset,
+            len: 100,
+        };
+
+        // Rank 0's clock steps back before its last read: the record-1
+        // read precedes the /out write in program order but follows the
+        // record-4 read in timestamp order.
+        let producer = at(1, vec![(0, open("/in")), (10, pwrite(3, 0))]);
+        let consumer = at(
+            0,
+            vec![
+                (100, open("/in")),
+                (200, pread(3, 0)),
+                (300, open("/out")),
+                (500, pwrite(5, 0)),
+                (50, pread(3, 0)),
+            ],
+        );
+        let g = LineageGraph::build(&[producer, consumer], None);
+        let l = upstream(&g, "/out");
+        let got: Vec<(u32, usize)> = l
+            .nodes
+            .iter()
+            .map(|&id| (g.nodes[id as usize].rank, g.nodes[id as usize].record))
+            .collect();
+        assert_eq!(got, vec![(1, 1), (0, 1), (0, 3)]);
+
+        // Mirror image for taint: the record-3 read precedes the
+        // record-4 write, whose timestamp is earlier than record 2's.
+        let t = at(
+            0,
+            vec![
+                (100, open("/in")),
+                (110, open("/out")),
+                (500, pwrite(4, 0)),
+                (120, pread(3, 0)),
+                (130, pwrite(4, 100)),
+            ],
+        );
+        let g = LineageGraph::build(&[t], None);
+        let l = taint(&g, &TaintSource::Path("/in".into()));
+        let got: Vec<usize> = l
+            .nodes
+            .iter()
+            .map(|&id| g.nodes[id as usize].record)
+            .collect();
+        assert_eq!(got, vec![3, 4]);
+    }
+
+    #[test]
     fn taint_source_parsing() {
         assert_eq!(TaintSource::parse("rank:3").unwrap(), TaintSource::Rank(3));
         assert_eq!(

@@ -6,11 +6,13 @@
 //! * **Build determinism**: the canonical dump ([`LineageGraph::render_full`])
 //!   is byte-identical across repeated builds and under extraction
 //!   worker-count variation (`par_map` fan-out must be invisible).
+//! * **Fold equivalence**: feeding the same traces rank by rank through
+//!   [`GraphFold`] yields the batch graph.
 
 use proptest::prelude::*;
 
 use iotrace_model::event::{IoCall, Trace, TraceMeta, TraceRecord};
-use iotrace_provenance::{EdgeKind, LineageGraph, NodeKind};
+use iotrace_provenance::{EdgeKind, GraphFold, LineageGraph, NodeKind};
 use iotrace_sim::time::{SimDur, SimTime};
 
 /// Abstract op drawn by proptest: which rank, in which barrier epoch,
@@ -20,6 +22,8 @@ use iotrace_sim::time::{SimDur, SimTime};
 type RawOp = (u8, u8, u8, u8, u8, u8, u8);
 
 const RANKS: u32 = 3;
+/// File size the generator's ranges stay within.
+const BYTES: usize = 64;
 const EPOCHS: usize = 3;
 
 /// One materialized access, mirrored into both the traces and the
@@ -116,14 +120,20 @@ fn materialize(raw: &[RawOp]) -> (Vec<Trace>, Vec<AbstractOp>) {
 
 /// Brute-force per-byte last-writer replay: O(ops × bytes). Returns
 /// (flow edges as `(from, to, start, end)`, orphans as `(read, start,
-/// end)`), with node ids = positions in happens-before-consistent
-/// sorted order — the same ids the graph assigns.
+/// end)`, each file's final writer per byte), with node ids = positions
+/// in happens-before-consistent sorted order — the same ids the graph
+/// assigns.
 #[allow(clippy::type_complexity)]
-fn oracle(ops: &[AbstractOp]) -> (Vec<(u32, u32, u64, u64)>, Vec<(u32, u64, u64)>) {
+fn oracle(
+    ops: &[AbstractOp],
+) -> (
+    Vec<(u32, u32, u64, u64)>,
+    Vec<(u32, u64, u64)>,
+    Vec<[Option<u32>; BYTES]>,
+) {
     let mut sorted: Vec<&AbstractOp> = ops.iter().collect();
     sorted.sort_by_key(|o| (o.epoch, o.ts_ns, o.rank, o.record));
 
-    const BYTES: usize = 64;
     let mut owner: Vec<[Option<u32>; BYTES]> = vec![[None; BYTES]; 3];
     let mut written: [bool; 3] = [false; 3];
     let mut flows: Vec<(u32, u32, u64, u64)> = Vec::new();
@@ -164,7 +174,7 @@ fn oracle(ops: &[AbstractOp]) -> (Vec<(u32, u32, u64, u64)>, Vec<(u32, u64, u64)
     }
     flows.sort_unstable();
     orphans.sort_unstable();
-    (flows, orphans)
+    (flows, orphans, owner)
 }
 
 proptest! {
@@ -204,9 +214,20 @@ proptest! {
             .collect();
         got_orphans.sort_unstable();
 
-        let (want_flows, want_orphans) = oracle(&ops);
+        let (want_flows, want_orphans, want_finals) = oracle(&ops);
         prop_assert_eq!(got_flows, want_flows);
         prop_assert_eq!(got_orphans, want_orphans);
+
+        // Final contents: the surviving segments, expanded per byte.
+        for (path, want) in want_finals.iter().enumerate() {
+            let mut got = [None; BYTES];
+            for (s, e, w) in g.final_segments(&format!("/p{path}")) {
+                for b in s..e {
+                    got[b as usize] = Some(w);
+                }
+            }
+            prop_assert_eq!(&got, want);
+        }
     }
 
     #[test]
@@ -223,5 +244,31 @@ proptest! {
             let dump = LineageGraph::build_with_workers(&traces, None, workers).render_full();
             prop_assert!(dump == baseline, "graph differs with {workers} worker(s)");
         }
+    }
+
+    #[test]
+    fn streaming_fold_matches_batch_build(
+        raw in prop::collection::vec(
+            (0u8..6, 0u8..6, 0u8..6, 0u8..4, 0u8..48, 0u8..16, 0u8..8),
+            0..24,
+        ),
+        torn in 0u8..6,
+    ) {
+        let (mut traces, _) = materialize(&raw);
+        // In half the cases fail one rank's first barrier: a torn
+        // collective, so both builders take the timestamp order.
+        if let Some(t) = traces.get_mut(usize::from(torn)) {
+            if let Some(b) = t.records.iter_mut().find(|r| r.call == IoCall::MpiBarrier) {
+                b.result = -1;
+            }
+        }
+        let batch = LineageGraph::build(&traces, None);
+        let mut fold = GraphFold::new();
+        for t in &traces {
+            fold.add_rank(t);
+        }
+        let streamed = fold.finish();
+        prop_assert_eq!(streamed.render_full(), batch.render_full());
+        prop_assert_eq!(streamed.final_segments("/p0"), batch.final_segments("/p0"));
     }
 }
