@@ -31,6 +31,13 @@ impl WritePayload {
     }
 }
 
+/// An extent that an append outgrows grows by at least 1/4 of its
+/// length: appends stay amortized O(1) per byte, and unused capacity
+/// stays under a quarter of the file. `Vec`'s own doubling can leave a
+/// whole file's worth of slack, and on perfbench's lanl-capture it kept
+/// ~55 MiB more resident through slack and heap fragments.
+const EXTENT_GROWTH_DIV: usize = 4;
+
 /// Sparse byte store: extents keyed by offset, always non-adjacent and
 /// non-overlapping (writes coalesce).
 #[derive(Clone, Debug, Default)]
@@ -60,6 +67,11 @@ impl SparseData {
 
     /// Apply a write at `offset`. Synthetic writes only grow the logical
     /// size (and punch no holes in stored data).
+    ///
+    /// A write that starts exactly where the last extent ends (a trace
+    /// file's append) extends that extent in place; nothing after it can
+    /// touch the new range, so this is the coalescing insert without
+    /// re-copying the extent. Either way the payload is copied once.
     pub fn write(&mut self, offset: u64, payload: &WritePayload) {
         let len = payload.len();
         self.size = self.size.max(offset + len);
@@ -67,6 +79,16 @@ impl SparseData {
             WritePayload::Bytes(b) if !b.is_empty() => b,
             _ => return,
         };
+        if let Some(mut last) = self.extents.last_entry() {
+            if *last.key() + last.get().len() as u64 == offset {
+                let extent = last.get_mut();
+                if extent.capacity() - extent.len() < bytes.len() {
+                    extent.reserve_exact(bytes.len().max(extent.len() / EXTENT_GROWTH_DIV));
+                }
+                extent.extend_from_slice(bytes);
+                return;
+            }
+        }
         self.insert_bytes(offset, bytes.clone());
     }
 
@@ -159,6 +181,7 @@ impl SparseData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn wb(data: &[u8]) -> WritePayload {
         WritePayload::Bytes(data.to_vec())
@@ -254,5 +277,52 @@ mod tests {
         d.write(0, &wb(b"xxxxxxxx"));
         d.write(2, &wb(b"YY"));
         assert_eq!(d.to_vec(), b"xxYYxxxx");
+    }
+
+    /// The coalescing insert alone, as every write went before the
+    /// in-place append: the oracle for [`SparseData::write`].
+    fn write_by_insert(d: &mut SparseData, offset: u64, payload: &WritePayload) {
+        d.size = d.size.max(offset + payload.len());
+        if let WritePayload::Bytes(b) = payload {
+            if !b.is_empty() {
+                d.insert_bytes(offset, b.clone());
+            }
+        }
+    }
+
+    /// A write sequence biased towards appends: `kind` 0-1 appends at
+    /// the end of the last extent, 2 at the logical size, 3 anywhere, 4
+    /// a synthetic write.
+    fn arb_writes() -> impl Strategy<Value = Vec<(u8, u64, Vec<u8>)>> {
+        prop::collection::vec(
+            (0u8..5, 0u64..96, prop::collection::vec(any::<u8>(), 0..24)),
+            0..40,
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn in_place_append_matches_the_coalescing_insert(writes in arb_writes()) {
+            let mut fast = SparseData::new();
+            let mut slow = SparseData::new();
+            for (kind, at, bytes) in writes {
+                let last_end = fast
+                    .extents
+                    .iter()
+                    .next_back()
+                    .map_or(0, |(s, d)| s + d.len() as u64);
+                let (offset, payload) = match kind {
+                    0 | 1 => (last_end, WritePayload::Bytes(bytes)),
+                    2 => (fast.size(), WritePayload::Bytes(bytes)),
+                    3 => (at, WritePayload::Bytes(bytes)),
+                    _ => (at, WritePayload::Synthetic(bytes.len() as u64)),
+                };
+                fast.write(offset, &payload);
+                write_by_insert(&mut slow, offset, &payload);
+                prop_assert_eq!(fast.size(), slow.size());
+                prop_assert_eq!(&fast.extents, &slow.extents);
+            }
+            prop_assert_eq!(fast.to_vec(), slow.to_vec());
+        }
     }
 }

@@ -12,7 +12,7 @@ use crate::cost::FsKind;
 use crate::data::WritePayload;
 use crate::error::{FsError, FsResult};
 use crate::fs::{FileSystem, IoReply, OpenFlags};
-use crate::inode::{FileMeta, FileStat, InodeId};
+use crate::inode::{FileMeta, FileStat, InodeId, Namespace};
 use crate::path;
 
 /// A VFS-level file handle: which mount, which inode within it.
@@ -393,18 +393,41 @@ impl Vfs {
 
     /// Uncharged write of a whole file (fixtures).
     pub fn put_file(&mut self, node: NodeId, p: &str, data: &[u8]) -> FsResult<()> {
+        let (ns, ino) = self.put_target(node, p)?;
+        ns.truncate(ino, 0, SimTime::ZERO)?;
+        ns.write(ino, 0, &WritePayload::Bytes(data.to_vec()), SimTime::ZERO)?;
+        Ok(())
+    }
+
+    /// Uncharged write of `data` at `offset` (creating the file if
+    /// needed), stamping the file's `mtime` with `now`. Unlike
+    /// [`Vfs::put_file`] it keeps the file's existing contents, so
+    /// appending at the current size is a true append.
+    pub fn put_file_at(
+        &mut self,
+        node: NodeId,
+        p: &str,
+        offset: u64,
+        data: Vec<u8>,
+        now: SimTime,
+    ) -> FsResult<()> {
+        let (ns, ino) = self.put_target(node, p)?;
+        ns.write(ino, offset, &WritePayload::Bytes(data), now)?;
+        Ok(())
+    }
+
+    /// The namespace behind `p` on `node`'s view and `p`'s inode,
+    /// created with its parent directories if missing (uncharged).
+    fn put_target(&mut self, node: NodeId, p: &str) -> FsResult<(&mut Namespace, InodeId)> {
         let p = path::normalize(p);
         let (mount, rel) = self.resolve_mount(&p)?;
         let rel = rel.to_string();
-        let fs = self.backend(mount, node)?;
-        let ns = fs.namespace_mut();
+        let ns = self.backend(mount, node)?.namespace_mut();
         if let Some((parent, _)) = path::split_parent(&rel) {
             ns.mkdir_all(&parent, FileMeta::default())?;
         }
         let ino = ns.create_file(&rel, FileMeta::default(), false)?;
-        ns.truncate(ino, 0, SimTime::ZERO)?;
-        ns.write(ino, 0, &WritePayload::Bytes(data.to_vec()), SimTime::ZERO)?;
-        Ok(())
+        Ok((ns, ino))
     }
 
     /// All file paths under `p` on `node`'s view (uncharged), with the

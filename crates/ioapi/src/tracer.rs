@@ -57,14 +57,11 @@ impl<'a> TracerCtx<'a> {
     }
 
     /// Append real bytes to a tracer output file; returns time charged.
-    pub fn append(&mut self, vn: VnodeId, offset: u64, data: &[u8]) -> FsResult<SimDur> {
-        let rep = self.vfs.write(
-            self.node,
-            vn,
-            offset,
-            &WritePayload::Bytes(data.to_vec()),
-            self.now,
-        )?;
+    /// Takes the buffer by value: the file copies it once, into place.
+    pub fn append(&mut self, vn: VnodeId, offset: u64, data: Vec<u8>) -> FsResult<SimDur> {
+        let rep = self
+            .vfs
+            .write(self.node, vn, offset, &WritePayload::Bytes(data), self.now)?;
         Ok(rep.finish.since(self.now))
     }
 }

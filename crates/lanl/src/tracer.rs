@@ -193,42 +193,37 @@ impl IoTracer for LanlTracer {
         if keep {
             sink.records.push(rec.clone());
         }
-        // Format the raw text line exactly as the text codec does.
-        let ns = rec.ts.as_nanos();
-        sink.buffer.push_str(&format!(
-            "{}.{:06} {} = {} <{:.6}>\n",
-            epoch + ns / 1_000_000_000,
-            (ns % 1_000_000_000) / 1_000,
-            text::format_call(&rec.call),
-            rec.result,
-            rec.dur.as_secs_f64(),
-        ));
+        text::write_record_line(&mut sink.buffer, epoch, rec);
 
-        // Flush to node-local disk when the buffer fills (charged).
+        // Flush to node-local disk when the buffer fills (charged). The
+        // buffer itself becomes the write payload; its replacement keeps
+        // the capacity, so a steady state never regrows it.
         let mut extra = SimDur::ZERO;
         if sink.buffer.len() >= flush_bytes {
             if let Some(vn) = sink.file {
-                let data = std::mem::take(&mut sink.buffer);
-                if let Ok(d) = ctx.append(vn, sink.written, data.as_bytes()) {
+                let cap = sink.buffer.capacity();
+                let data = std::mem::replace(&mut sink.buffer, String::with_capacity(cap));
+                let len = data.len() as u64;
+                if let Ok(d) = ctx.append(vn, sink.written, data.into_bytes()) {
                     extra += d;
                 }
-                sink.written += data.len() as u64;
+                sink.written += len;
             }
         }
         extra
     }
 
-    fn end_run(&mut self, vfs: &mut Vfs, _now: SimTime) {
+    fn end_run(&mut self, vfs: &mut Vfs, now: SimTime) {
         // Final flush of every rank's buffer (uncharged: job has ended;
-        // the wrapper script does this after the app exits).
+        // the wrapper script does this after the app exits). Only the
+        // buffered tail is appended, stamped with the end of the run.
         for sink in self.sinks.values_mut() {
             if !sink.buffer.is_empty() {
-                let data = std::mem::take(&mut sink.buffer);
+                let data = std::mem::take(&mut sink.buffer).into_bytes();
+                let len = data.len() as u64;
                 let node = iotrace_sim::ids::NodeId(sink.node);
-                let mut all = vfs.fetch_file(node, &sink.path).unwrap_or_default();
-                all.extend_from_slice(data.as_bytes());
-                let _ = vfs.put_file(node, &sink.path, &all);
-                sink.written += data.len() as u64;
+                let _ = vfs.put_file_at(node, &sink.path, sink.written, data, now);
+                sink.written += len;
             }
         }
         // Write the aggregate outputs to the shared directory.

@@ -30,8 +30,8 @@ use crate::intern::Interner;
 use crate::iot2::Frame;
 use crate::lzss;
 use crate::salvage::{SalvageReport, TraceError};
-use crate::varint::{put_bytes, put_i64, put_str, put_u64, Cursor, VarintError};
-use crate::xtea::{decrypt_cbc, encrypt_cbc, CipherError, Key};
+use crate::varint::{put_i64, put_str, put_u64, Cursor, VarintError};
+use crate::xtea::{cbc_len, decrypt_cbc, encrypt_cbc_into, CipherError, Key};
 
 /// Which sensitive fields to encrypt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -164,10 +164,17 @@ impl<'a> FieldCipher<'a> {
         (self.seq << 8) | field as u64
     }
 
+    /// Append `plain` encrypted, length-prefixed exactly as
+    /// `put_bytes(out, &encrypt_cbc(..))` would, without the temporary.
+    fn put_encrypted(&self, out: &mut Vec<u8>, k: &Key, field: u8, plain: &[u8]) {
+        put_u64(out, cbc_len(plain.len()) as u64);
+        encrypt_cbc_into(k, self.iv(field), plain, out);
+    }
+
     fn put_path(&self, out: &mut Vec<u8>, field: u8, s: &str) {
         match self.key {
             Some(k) if self.sel.contains(FieldSel::PATH) => {
-                put_bytes(out, &encrypt_cbc(k, self.iv(field), s.as_bytes()))
+                self.put_encrypted(out, k, field, s.as_bytes())
             }
             _ => put_str(out, s),
         }
@@ -191,7 +198,7 @@ impl<'a> FieldCipher<'a> {
     fn put_id(&self, out: &mut Vec<u8>, field: u8, v: u32, which: FieldSel) {
         match self.key {
             Some(k) if self.sel.contains(which) => {
-                put_bytes(out, &encrypt_cbc(k, self.iv(field), &v.to_le_bytes()))
+                self.put_encrypted(out, k, field, &v.to_le_bytes())
             }
             _ => put_u64(out, v as u64),
         }
@@ -464,6 +471,16 @@ pub(crate) fn decode_record_plain(
 
 /// Encode a trace to the binary format.
 pub fn encode_binary(trace: &Trace, opts: &BinaryOptions) -> Vec<u8> {
+    encode_binary_records(&trace.meta, &trace.records, opts)
+}
+
+/// [`encode_binary`] over a trace's parts, for callers that hold the
+/// records somewhere other than a [`Trace`] and need not clone them.
+pub fn encode_binary_records(
+    meta: &TraceMeta,
+    records: &[TraceRecord],
+    opts: &BinaryOptions,
+) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
@@ -479,28 +496,27 @@ pub fn encode_binary(trace: &Trace, opts: &BinaryOptions) -> Vec<u8> {
     }
     out.push(flags);
     out.push(opts.encrypt.map(|(_, s)| s.0).unwrap_or(0));
-    let m = &trace.meta;
-    put_str(&mut out, &m.app);
-    put_u64(&mut out, m.rank as u64);
-    put_u64(&mut out, m.node as u64);
-    put_str(&mut out, &m.host);
-    put_str(&mut out, &m.tracer);
-    put_u64(&mut out, m.base_epoch);
-    put_u64(&mut out, m.anonymized as u64);
+    put_str(&mut out, &meta.app);
+    put_u64(&mut out, meta.rank as u64);
+    put_u64(&mut out, meta.node as u64);
+    put_str(&mut out, &meta.host);
+    put_str(&mut out, &meta.tracer);
+    put_u64(&mut out, meta.base_epoch);
+    put_u64(&mut out, meta.anonymized as u64);
     // Completeness travels as parts-per-million so the header stays
     // integer-only (and bit-exact across platforms).
     put_u64(
         &mut out,
-        (m.completeness.clamp(0.0, 1.0) * 1_000_000.0).round() as u64,
+        (meta.completeness.clamp(0.0, 1.0) * 1_000_000.0).round() as u64,
     );
-    put_u64(&mut out, trace.records.len() as u64);
+    put_u64(&mut out, records.len() as u64);
 
     let sel = opts.encrypt.map(|(_, s)| s).unwrap_or(FieldSel::NONE);
     let key = opts.encrypt.as_ref().map(|(k, _)| k);
     let block_n = opts.block_records.max(1);
     let mut prev_ts = 0u64;
     let mut seq = 0u64;
-    for chunk in trace.records.chunks(block_n) {
+    for chunk in records.chunks(block_n) {
         let mut payload = Vec::new();
         for r in chunk {
             let fc = FieldCipher { key, sel, seq };

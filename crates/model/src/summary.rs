@@ -34,13 +34,18 @@ impl CallSummary {
         s
     }
 
+    /// Count one call. The name is allocated only on its first call.
     pub fn add(&mut self, r: &TraceRecord) {
-        let e = self
-            .entries
-            .entry(r.call.name().to_string())
-            .or_insert((0, SimDur::ZERO));
-        e.0 += 1;
-        e.1 += r.dur;
+        let name = r.call.name();
+        match self.entries.get_mut(name) {
+            Some(e) => {
+                e.0 += 1;
+                e.1 += r.dur;
+            }
+            None => {
+                self.entries.insert(name.to_string(), (1, r.dur));
+            }
+        }
     }
 
     /// Merge another summary in (aggregating across ranks).

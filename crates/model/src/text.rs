@@ -32,64 +32,195 @@ impl std::fmt::Display for ParseError {
 }
 impl std::error::Error for ParseError {}
 
-fn fmt_epoch(meta: &TraceMeta, ts: SimTime) -> String {
-    let ns = ts.as_nanos();
-    let secs = meta.base_epoch + ns / 1_000_000_000;
-    let micros = (ns % 1_000_000_000) / 1_000;
-    format!("{secs}.{micros:06}")
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
+/// Append the digits of `v` in `radix` (8 or 10), most significant
+/// first. ASCII goes in char by char, cheaper than a UTF-8 check of a
+/// few bytes.
+#[inline]
+fn push_radix(out: &mut String, mut v: u64, radix: u64) {
+    let mut buf = [0u8; 22];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % radix) as u8;
+        v /= radix;
+        if v == 0 {
+            break;
         }
     }
-    out.push('"');
-    out
+    out.extend(buf[i..].iter().map(|&b| char::from(b)));
 }
 
-/// Format one call as `name(arg, arg, ...)`.
-pub fn format_call(call: &IoCall) -> String {
-    use IoCall::*;
-    let args = match call {
-        Open { path, flags, mode } => format!("{}, {}, {:#o}", quote(path), flags, mode),
-        Close { fd } | Fsync { fd } | MpiFileClose { fd } => format!("{fd}"),
-        Read { fd, len } | Write { fd, len } => format!("{fd}, {len}"),
-        Pread { fd, offset, len } | Pwrite { fd, offset, len } => {
-            format!("{fd}, {offset}, {len}")
+fn push_u64(out: &mut String, v: u64) {
+    push_radix(out, v, 10);
+}
+
+fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// Append `v` (< 10^6) as exactly six digits, zero-padded.
+fn push_frac6(out: &mut String, v: u64) {
+    for pad in [100_000, 10_000, 1_000, 100, 10] {
+        if v < pad {
+            out.push('0');
         }
-        Lseek { fd, offset, whence } => format!("{fd}, {offset}, {whence}"),
+    }
+    push_u64(out, v);
+}
+
+/// Append `v` the way `{:#o}` prints it (`0o` prefix).
+fn push_octal(out: &mut String, v: u32) {
+    out.push_str("0o");
+    push_radix(out, u64::from(v), 8);
+}
+
+/// Append `s` double-quoted, escaping `"`, `\` and newlines. The three
+/// specials are ASCII, so unescaped runs are copied as whole slices.
+fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(esc);
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Durations from here (10^6 s) up print through `{:.6}`. Below it the
+/// f64 seconds value is within 1.1×10⁻¹⁰ s of `ns / 10^9`, well inside
+/// the 10⁻⁹ s that separates any non-tie remainder from the half-µs
+/// rounding boundary; above it that margin is not proven.
+const DUR_EXACT_LIMIT_NS: u64 = 1_000_000_000_000_000;
+
+/// Append `dur` in seconds with six decimals, exactly as
+/// `format!("{:.6}", dur.as_secs_f64())` prints it.
+///
+/// Below [`DUR_EXACT_LIMIT_NS`], `{:.6}` rounds the sub-µs remainder
+/// half-up, except at a remainder of exactly 500 ns: that lands on the
+/// boundary, where the quotient's own rounding error picks the side.
+/// Only those ties and huge durations take the float path.
+fn push_secs6(out: &mut String, dur: SimDur) {
+    let ns = dur.as_nanos();
+    let rem = ns % 1_000;
+    if rem == 500 || ns >= DUR_EXACT_LIMIT_NS {
+        use std::fmt::Write as _;
+        let _ = write!(out, "{:.6}", dur.as_secs_f64());
+        return;
+    }
+    let micros = ns / 1_000 + u64::from(rem > 500);
+    push_u64(out, micros / 1_000_000);
+    out.push('.');
+    push_frac6(out, micros % 1_000_000);
+}
+
+/// Append one call as `name(arg, arg, ...)`.
+fn write_call(out: &mut String, call: &IoCall) {
+    use IoCall::*;
+    out.push_str(call.name());
+    out.push('(');
+    match call {
+        Open { path, flags, mode } => {
+            push_quoted(out, path);
+            out.push_str(", ");
+            push_u64(out, u64::from(*flags));
+            out.push_str(", ");
+            push_octal(out, *mode);
+        }
+        Close { fd } | Fsync { fd } | MpiFileClose { fd } => push_i64(out, *fd),
+        Read { fd, len } | Write { fd, len } => {
+            push_i64(out, *fd);
+            out.push_str(", ");
+            push_u64(out, *len);
+        }
+        Pread { fd, offset, len }
+        | Pwrite { fd, offset, len }
+        | MpiFileWriteAt { fd, offset, len }
+        | MpiFileReadAt { fd, offset, len } => {
+            push_i64(out, *fd);
+            out.push_str(", ");
+            push_u64(out, *offset);
+            out.push_str(", ");
+            push_u64(out, *len);
+        }
+        Lseek { fd, offset, whence } => {
+            push_i64(out, *fd);
+            out.push_str(", ");
+            push_i64(out, *offset);
+            out.push_str(", ");
+            push_u64(out, u64::from(*whence));
+        }
         Stat { path }
         | Statfs { path }
         | Unlink { path }
         | Readdir { path }
-        | VfsLookup { path } => quote(path),
-        Mkdir { path, mode } => format!("{}, {:#o}", quote(path), mode),
-        Rename { from, to } => format!("{}, {}", quote(from), quote(to)),
-        Fcntl { fd, cmd } => format!("{fd}, {cmd}"),
-        Mmap { len } => format!("{len}"),
-        MpiFileOpen { path, amode } => format!("{}, {}", quote(path), amode),
-        MpiFileWriteAt { fd, offset, len } | MpiFileReadAt { fd, offset, len } => {
-            format!("{fd}, {offset}, {len}")
+        | VfsLookup { path } => push_quoted(out, path),
+        Mkdir { path, mode } => {
+            push_quoted(out, path);
+            out.push_str(", ");
+            push_octal(out, *mode);
         }
-        MpiBarrier | MpiCommRank | MpiWait => String::new(),
+        Rename { from, to } => {
+            push_quoted(out, from);
+            out.push_str(", ");
+            push_quoted(out, to);
+        }
+        Fcntl { fd, cmd } => {
+            push_i64(out, *fd);
+            out.push_str(", ");
+            push_u64(out, u64::from(*cmd));
+        }
+        Mmap { len } => push_u64(out, *len),
+        MpiFileOpen { path, amode } => {
+            push_quoted(out, path);
+            out.push_str(", ");
+            push_u64(out, u64::from(*amode));
+        }
+        MpiBarrier | MpiCommRank | MpiWait => {}
         VfsWritePage { path, offset, len } | VfsReadPage { path, offset, len } => {
-            format!("{}, {offset}, {len}", quote(path))
+            push_quoted(out, path);
+            out.push_str(", ");
+            push_u64(out, *offset);
+            out.push_str(", ");
+            push_u64(out, *len);
         }
-    };
-    format!("{}({})", call.name(), args)
+    }
+    out.push(')');
+}
+
+/// Append one record line, newline included:
+/// `SECS.MICROS name(args) = RESULT <DUR>`, with the timestamp shifted
+/// by `base_epoch` seconds. This is the only record-line writer: the
+/// text codec and LANL-Trace's raw trace files both use it, and it
+/// writes straight into `out` with no intermediate `String`.
+pub fn write_record_line(out: &mut String, base_epoch: u64, r: &TraceRecord) {
+    let ns = r.ts.as_nanos();
+    push_u64(out, base_epoch + ns / 1_000_000_000);
+    out.push('.');
+    push_frac6(out, (ns % 1_000_000_000) / 1_000);
+    out.push(' ');
+    write_call(out, &r.call);
+    out.push_str(" = ");
+    push_i64(out, r.result);
+    out.push_str(" <");
+    push_secs6(out, r.dur);
+    out.push_str(">\n");
 }
 
 /// Serialize a whole trace to the human-readable format.
 ///
-/// Builds one pre-sized buffer and formats into it directly (no per-line
-/// intermediate `String`s), so writing a trace is a single allocation in
+/// Builds one pre-sized buffer and appends every line to it with
+/// [`write_record_line`], so writing a trace is a single allocation in
 /// the common case.
 pub fn format_text(trace: &Trace) -> String {
     use std::fmt::Write as _;
@@ -116,14 +247,7 @@ pub fn format_text(trace: &Trace) -> String {
         );
     }
     for r in &trace.records {
-        let _ = writeln!(
-            out,
-            "{} {} = {} <{:.6}>",
-            fmt_epoch(m, r.ts),
-            format_call(&r.call),
-            r.result,
-            r.dur.as_secs_f64(),
-        );
+        write_record_line(&mut out, m.base_epoch, r);
     }
     out
 }
@@ -556,6 +680,240 @@ pub fn parse_text_salvage(input: &str) -> SalvagedText {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The line formatter as it was before [`write_record_line`]: a
+    /// `format!` per line over `String`-returning helpers and `{:.6}`
+    /// float formatting of the duration. Kept as the oracle the integer
+    /// writer must match byte for byte.
+    mod oracle {
+        use super::*;
+
+        fn quote(s: &str) -> String {
+            let mut out = String::with_capacity(s.len() + 2);
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+
+        pub fn format_call(call: &IoCall) -> String {
+            use IoCall::*;
+            let args = match call {
+                Open { path, flags, mode } => format!("{}, {}, {:#o}", quote(path), flags, mode),
+                Close { fd } | Fsync { fd } | MpiFileClose { fd } => format!("{fd}"),
+                Read { fd, len } | Write { fd, len } => format!("{fd}, {len}"),
+                Pread { fd, offset, len } | Pwrite { fd, offset, len } => {
+                    format!("{fd}, {offset}, {len}")
+                }
+                Lseek { fd, offset, whence } => format!("{fd}, {offset}, {whence}"),
+                Stat { path }
+                | Statfs { path }
+                | Unlink { path }
+                | Readdir { path }
+                | VfsLookup { path } => quote(path),
+                Mkdir { path, mode } => format!("{}, {:#o}", quote(path), mode),
+                Rename { from, to } => format!("{}, {}", quote(from), quote(to)),
+                Fcntl { fd, cmd } => format!("{fd}, {cmd}"),
+                Mmap { len } => format!("{len}"),
+                MpiFileOpen { path, amode } => format!("{}, {}", quote(path), amode),
+                MpiFileWriteAt { fd, offset, len } | MpiFileReadAt { fd, offset, len } => {
+                    format!("{fd}, {offset}, {len}")
+                }
+                MpiBarrier | MpiCommRank | MpiWait => String::new(),
+                VfsWritePage { path, offset, len } | VfsReadPage { path, offset, len } => {
+                    format!("{}, {offset}, {len}", quote(path))
+                }
+            };
+            format!("{}({})", call.name(), args)
+        }
+
+        pub fn line(base_epoch: u64, r: &TraceRecord) -> String {
+            let ns = r.ts.as_nanos();
+            format!(
+                "{}.{:06} {} = {} <{:.6}>\n",
+                base_epoch + ns / 1_000_000_000,
+                (ns % 1_000_000_000) / 1_000,
+                format_call(&r.call),
+                r.result,
+                r.dur.as_secs_f64(),
+            )
+        }
+    }
+
+    /// Path characters, the three escaped specials and a multi-byte
+    /// character among them.
+    const PATH_CHARS: [char; 10] = ['/', 'a', 'z', '0', '.', ' ', '"', '\\', '\n', 'é'];
+
+    fn arb_path() -> impl Strategy<Value = String> {
+        prop::collection::vec(0usize..PATH_CHARS.len(), 0..12)
+            .prop_map(|ix| ix.into_iter().map(|i| PATH_CHARS[i]).collect())
+    }
+
+    /// Every one of the 26 `IoCall` variants, with full-range integers.
+    fn arb_call() -> impl Strategy<Value = IoCall> {
+        (
+            0u8..26,
+            arb_path(),
+            arb_path(),
+            any::<i64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u32>(),
+            any::<u32>(),
+        )
+            .prop_map(|(v, p, q, fd, a, b, x, y)| {
+                use IoCall::*;
+                match v {
+                    0 => Open {
+                        path: p,
+                        flags: x,
+                        mode: y,
+                    },
+                    1 => Close { fd },
+                    2 => Read { fd, len: a },
+                    3 => Write { fd, len: a },
+                    4 => Pread {
+                        fd,
+                        offset: a,
+                        len: b,
+                    },
+                    5 => Pwrite {
+                        fd,
+                        offset: a,
+                        len: b,
+                    },
+                    6 => Lseek {
+                        fd,
+                        offset: a as i64,
+                        whence: x as u8,
+                    },
+                    7 => Fsync { fd },
+                    8 => Stat { path: p },
+                    9 => Statfs { path: p },
+                    10 => Mkdir { path: p, mode: y },
+                    11 => Unlink { path: p },
+                    12 => Readdir { path: p },
+                    13 => Rename { from: p, to: q },
+                    14 => Fcntl { fd, cmd: x },
+                    15 => Mmap { len: a },
+                    16 => MpiFileOpen { path: p, amode: x },
+                    17 => MpiFileClose { fd },
+                    18 => MpiFileWriteAt {
+                        fd,
+                        offset: a,
+                        len: b,
+                    },
+                    19 => MpiFileReadAt {
+                        fd,
+                        offset: a,
+                        len: b,
+                    },
+                    20 => MpiBarrier,
+                    21 => MpiCommRank,
+                    22 => MpiWait,
+                    23 => VfsLookup { path: p },
+                    24 => VfsWritePage {
+                        path: p,
+                        offset: a,
+                        len: b,
+                    },
+                    _ => VfsReadPage {
+                        path: p,
+                        offset: a,
+                        len: b,
+                    },
+                }
+            })
+    }
+
+    /// Durations that stress the rounding: any sub-µs remainder, exact
+    /// 500 ns ties, the carry into the next second, and the float
+    /// fallback at and above 10^15 ns.
+    fn arb_dur_ns() -> impl Strategy<Value = u64> {
+        (0u8..6, any::<u64>(), 0u64..1_000).prop_map(|(kind, x, rem)| match kind {
+            0 => x % 1_000_000_000,
+            1 => x % DUR_EXACT_LIMIT_NS,
+            2 => (x % 10_000_000_000) / 1_000 * 1_000 + 500,
+            3 => (x % 1_000) * 1_000_000_000 + 999_999_000 + rem,
+            4 => DUR_EXACT_LIMIT_NS - 1_000 + rem * 2,
+            _ => DUR_EXACT_LIMIT_NS + x % (u64::MAX - DUR_EXACT_LIMIT_NS),
+        })
+    }
+
+    fn secs6(ns: u64) -> String {
+        let mut out = String::new();
+        push_secs6(&mut out, SimDur::from_nanos(ns));
+        out
+    }
+
+    #[test]
+    fn integer_durations_match_float_formatting_at_the_edges() {
+        for ns in [
+            0,
+            1,
+            499,
+            500,
+            501,
+            999,
+            1_000,
+            999_999_499,
+            999_999_500,
+            999_999_501,
+            1_999_999_500,
+            123_456_789_500,
+            DUR_EXACT_LIMIT_NS - 501,
+            DUR_EXACT_LIMIT_NS - 500,
+            DUR_EXACT_LIMIT_NS - 1,
+            DUR_EXACT_LIMIT_NS,
+            DUR_EXACT_LIMIT_NS + 500,
+            u64::MAX,
+        ] {
+            let d = SimDur::from_nanos(ns);
+            assert_eq!(secs6(ns), format!("{:.6}", d.as_secs_f64()), "{ns} ns");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn record_line_matches_the_format_oracle(
+            call in arb_call(),
+            ts in any::<u64>(),
+            dur in arb_dur_ns(),
+            result in any::<i64>(),
+            base_epoch in 0u64..4_000_000_000,
+        ) {
+            let r = TraceRecord {
+                ts: SimTime::from_nanos(ts),
+                dur: SimDur::from_nanos(dur),
+                rank: 0,
+                node: 0,
+                pid: 1,
+                uid: 2,
+                gid: 3,
+                call,
+                result,
+            };
+            let mut line = String::from("prefix ");
+            write_record_line(&mut line, base_epoch, &r);
+            let want = oracle::line(base_epoch, &r);
+            prop_assert_eq!(&line["prefix ".len()..], want.as_str());
+        }
+
+        #[test]
+        fn integer_durations_match_float_formatting(ns in arb_dur_ns()) {
+            prop_assert_eq!(secs6(ns), format!("{:.6}", SimDur::from_nanos(ns).as_secs_f64()));
+        }
+    }
 
     fn sample_trace() -> Trace {
         let meta = TraceMeta::new("/mpi_io_test.exe -type 1", 7, 13, "lanl-trace");
@@ -687,7 +1045,9 @@ mod tests {
 
     #[test]
     fn quoting_handles_specials() {
-        assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        let mut out = String::new();
+        push_quoted(&mut out, "a\"b\\c\nd");
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

@@ -84,18 +84,33 @@ fn from_block(v: [u32; 2]) -> [u8; 8] {
 
 /// Encrypt with CBC + PKCS#7. Output is `ceil((len+1)/8)*8` bytes.
 pub fn encrypt_cbc(key: &Key, iv: u64, plain: &[u8]) -> Vec<u8> {
-    let pad = 8 - plain.len() % 8;
-    let mut data = plain.to_vec();
-    data.extend(std::iter::repeat_n(pad as u8, pad));
-    let mut out = Vec::with_capacity(data.len());
-    let mut chain = [(iv & 0xFFFF_FFFF) as u32, (iv >> 32) as u32];
-    for chunk in data.chunks(8) {
-        let b = to_block(chunk);
-        let x = [b[0] ^ chain[0], b[1] ^ chain[1]];
-        chain = encrypt_block(key, x);
-        out.extend_from_slice(&from_block(chain));
-    }
+    let mut out = Vec::with_capacity(cbc_len(plain.len()));
+    encrypt_cbc_into(key, iv, plain, &mut out);
     out
+}
+
+/// Ciphertext length of a `plain_len`-byte message under CBC + PKCS#7.
+pub(crate) fn cbc_len(plain_len: usize) -> usize {
+    (plain_len / 8 + 1) * 8
+}
+
+/// Append the [`encrypt_cbc`] ciphertext of `plain` to `out`. Full
+/// blocks are read straight from `plain` and the padded last block is
+/// built on the stack, so nothing is allocated beyond `out`'s growth.
+pub fn encrypt_cbc_into(key: &Key, iv: u64, plain: &[u8], out: &mut Vec<u8>) {
+    out.reserve(cbc_len(plain.len()));
+    let mut chain = [(iv & 0xFFFF_FFFF) as u32, (iv >> 32) as u32];
+    let mut seal = |block: &[u8]| {
+        let b = to_block(block);
+        chain = encrypt_block(key, [b[0] ^ chain[0], b[1] ^ chain[1]]);
+        out.extend_from_slice(&from_block(chain));
+    };
+    let full = plain.chunks_exact(8);
+    let tail = full.remainder();
+    full.for_each(&mut seal);
+    let mut last = [(8 - tail.len()) as u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    seal(&last);
 }
 
 /// CBC decryption error.
@@ -207,7 +222,41 @@ mod tests {
         assert_eq!(Key::from_passphrase("x"), Key::from_passphrase("x"));
     }
 
+    /// `encrypt_cbc` as it was before `encrypt_cbc_into`: pad into a
+    /// copy, then encrypt into a second buffer.
+    fn encrypt_cbc_oracle(key: &Key, iv: u64, plain: &[u8]) -> Vec<u8> {
+        let pad = 8 - plain.len() % 8;
+        let mut data = plain.to_vec();
+        data.extend(std::iter::repeat_n(pad as u8, pad));
+        let mut out = Vec::with_capacity(data.len());
+        let mut chain = [(iv & 0xFFFF_FFFF) as u32, (iv >> 32) as u32];
+        for chunk in data.chunks(8) {
+            let b = to_block(chunk);
+            let x = [b[0] ^ chain[0], b[1] ^ chain[1]];
+            chain = encrypt_block(key, x);
+            out.extend_from_slice(&from_block(chain));
+        }
+        out
+    }
+
     proptest! {
+        #[test]
+        fn encrypt_into_matches_the_oracle(
+            prefix in prop::collection::vec(any::<u8>(), 0..16),
+            data in prop::collection::vec(any::<u8>(), 0..64),
+            iv: u64,
+            k in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        ) {
+            let key = Key([k.0, k.1, k.2, k.3]);
+            let want = encrypt_cbc_oracle(&key, iv, &data);
+            prop_assert_eq!(encrypt_cbc(&key, iv, &data), want.clone());
+            prop_assert_eq!(want.len(), cbc_len(data.len()));
+            let mut out = prefix.clone();
+            encrypt_cbc_into(&key, iv, &data, &mut out);
+            prop_assert_eq!(&out[..prefix.len()], prefix.as_slice());
+            prop_assert_eq!(&out[prefix.len()..], want.as_slice());
+        }
+
         #[test]
         fn cbc_roundtrip_arbitrary(data in prop::collection::vec(any::<u8>(), 0..256), iv: u64) {
             let k = key();

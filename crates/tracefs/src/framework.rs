@@ -6,7 +6,7 @@ use std::sync::Arc;
 use iotrace_fs::cost::FsKind;
 use iotrace_fs::error::{FsError, FsResult};
 use iotrace_fs::vfs::Vfs;
-use iotrace_model::binary::{encode_binary, BinaryOptions};
+use iotrace_model::binary::{encode_binary_records, BinaryOptions};
 use iotrace_model::event::{Trace, TraceMeta};
 use iotrace_sim::fault::{Fault, FaultPlan};
 
@@ -133,12 +133,8 @@ impl Tracefs {
     /// one trace for the whole mount).
     pub fn trace(&self, app: &str) -> Trace {
         let cap = self.capture.lock();
-        let mut meta = TraceMeta::new(app, 0, 0, "tracefs");
-        if cap.dropped > 0 {
-            meta.record_loss(cap.records.len(), cap.records.len() + cap.dropped as usize);
-        }
         Trace {
-            meta,
+            meta: trace_meta(&cap, app),
             records: cap.records.clone(),
         }
     }
@@ -157,7 +153,8 @@ impl Tracefs {
     }
 
     /// Encode the captured trace in Tracefs's binary format with the
-    /// mount's options (checksum/compress/encrypt/buffering).
+    /// mount's options (checksum/compress/encrypt/buffering). Encodes
+    /// straight from the locked capture; no record is cloned.
     pub fn encode(&self, app: &str) -> Vec<u8> {
         let opts = BinaryOptions {
             checksum: self.opts.checksum,
@@ -165,8 +162,18 @@ impl Tracefs {
             encrypt: self.opts.encrypt,
             block_records: (self.opts.buffer_bytes / 32).max(1),
         };
-        encode_binary(&self.trace(app), &opts)
+        let cap = self.capture.lock();
+        encode_binary_records(&trace_meta(&cap, app), &cap.records, &opts)
     }
+}
+
+/// The harvested trace's metadata, with any overflow loss stamped in.
+fn trace_meta(cap: &Capture, app: &str) -> TraceMeta {
+    let mut meta = TraceMeta::new(app, 0, 0, "tracefs");
+    if cap.dropped > 0 {
+        meta.record_loss(cap.records.len(), cap.records.len() + cap.dropped as usize);
+    }
+    meta
 }
 
 #[cfg(test)]
