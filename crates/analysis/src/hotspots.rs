@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 
 use iotrace_model::event::TraceRecord;
+use iotrace_model::fasthash::FxHashMap;
 use iotrace_model::intern::{Interner, Sym};
 use iotrace_model::iot2::Frame;
 use iotrace_sim::time::SimDur;
@@ -22,7 +23,7 @@ pub struct PathStats {
 pub fn by_path_interned<'a>(
     records: impl IntoIterator<Item = &'a TraceRecord>,
     paths: &mut Interner,
-) -> HashMap<Sym, PathStats> {
+) -> FxHashMap<Sym, PathStats> {
     let mut fold = PathFold::default();
     fold.fold(records, paths);
     fold.finish()
@@ -34,11 +35,18 @@ pub fn by_path_interned<'a>(
 /// the same rank. The table survives batch boundaries (an `open` in one
 /// journal segment names the I/O of the next), so pushing a stream in
 /// any batching yields the same map as one pass over the whole stream.
+///
+/// Both tables hash with [`FxHashMap`]: their keys are small integers
+/// (interned symbol ids, and rank/fd pairs from the trace), SipHash was
+/// most of the per-record cost, and — as in the lint passes that key fds
+/// the same way — traces are not treated as hash-flooding input.
+/// Iteration order never reaches output: [`top_by_bytes_interned`]
+/// ranks by a total order.
 #[derive(Clone, Debug, Default)]
 pub struct PathFold {
-    pub stats: HashMap<Sym, PathStats>,
+    pub stats: FxHashMap<Sym, PathStats>,
     /// (rank, fd) -> path of the most recent successful open.
-    open_fds: HashMap<(u32, i64), Sym>,
+    open_fds: FxHashMap<(u32, i64), Sym>,
 }
 
 impl PathFold {
@@ -99,7 +107,7 @@ impl PathFold {
     }
 
     /// The per-path table; rank it with [`top_by_bytes_interned`].
-    pub fn finish(self) -> HashMap<Sym, PathStats> {
+    pub fn finish(self) -> FxHashMap<Sym, PathStats> {
         self.stats
     }
 }
@@ -113,8 +121,8 @@ impl PathFold {
 /// n log n) instead of sorting the whole map. The comparator is a total
 /// order (paths are unique map keys), so the unstable selection cannot
 /// perturb the result.
-pub fn top_by_bytes_interned(
-    stats: &HashMap<Sym, PathStats>,
+pub fn top_by_bytes_interned<S>(
+    stats: &HashMap<Sym, PathStats, S>,
     paths: &Interner,
     n: usize,
 ) -> Vec<(Sym, PathStats)> {

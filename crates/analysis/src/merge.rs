@@ -10,6 +10,7 @@
 
 use iotrace_model::event::{Trace, TraceRecord};
 use iotrace_model::text::{parse_text, ParseError};
+use iotrace_sim::time::SimTime;
 
 use crate::skew::SkewEstimate;
 
@@ -116,46 +117,52 @@ pub fn merge_partial(traces: &[Trace], est: &SkewEstimate) -> (Vec<TraceRecord>,
 }
 
 /// Merge per-rank traces into one timeline ordered by corrected
-/// timestamps.
+/// timestamps — bit-for-bit the stable global sort of [`merge_by_sort`],
+/// in O(N log n) per trace plus O(N log k) across k traces.
 ///
-/// Per-rank tracers emit records in capture order, so each corrected
-/// trace is almost always already sorted by `(ts, rank)`; this merges
-/// those sorted runs with a binary heap in O(N log k) for k traces,
-/// instead of re-sorting the whole world in O(N log N). A sortedness
-/// pre-check guards the fast path: a pathological skew fit (e.g. a
-/// drift estimate that inverts record order within a rank) drops the
-/// merge back to the stable global sort of [`merge_by_sort`], so the
-/// output is bit-for-bit identical either way.
+/// Pass 1 clones nothing: each trace becomes a run of small
+/// `(corrected ts, rank, index)` keys, sorted. The index makes every key
+/// unique, so the (unstable) sort keeps equal `(ts, rank)` records in
+/// capture order, exactly as the stable sort does; a run that is already
+/// in order — the usual capture — is recognised in one linear scan.
+/// Runs are not assumed sorted: a nested MPI call's record follows the
+/// syscall records it wraps but starts before them, so LANL-Trace
+/// captures hold inverted neighbours in every rank. Pass 2 merges the
+/// runs (see [`merge_runs`]), cloning each record once.
 pub fn merge_corrected(traces: &[Trace], est: &SkewEstimate) -> Vec<TraceRecord> {
-    // Pass 1 (cheap, no cloning): corrected timestamps per record, plus
-    // the per-trace sortedness check that guards the streaming path.
-    let mut keys: Vec<Vec<iotrace_sim::time::SimTime>> = Vec::with_capacity(traces.len());
-    let mut sorted = true;
-    for t in traces {
-        let mut ks = Vec::with_capacity(t.records.len());
-        let mut prev: Option<(iotrace_sim::time::SimTime, u32)> = None;
-        for r in &t.records {
-            let ts = est.correct(r.rank, r.ts);
-            if let Some(p) = prev {
-                if (ts, r.rank) < p {
-                    sorted = false;
-                }
-            }
-            prev = Some((ts, r.rank));
-            ks.push(ts);
-        }
-        keys.push(ks);
-    }
-    if !sorted {
-        return merge_by_sort(traces, est);
-    }
-    merge_runs(traces, &keys)
+    let runs: Vec<Vec<RunKey>> = traces
+        .iter()
+        .map(|t| {
+            let mut fit = None;
+            let mut keys: Vec<RunKey> = t
+                .records
+                .iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    // Records of one trace share a rank: look its fit up once.
+                    let f = match fit {
+                        Some((rank, f)) if rank == r.rank => f,
+                        _ => {
+                            let f = est.fit(r.rank);
+                            fit = Some((r.rank, f));
+                            f
+                        }
+                    };
+                    let ts = f.map_or(r.ts, |f| f.correct(r.ts));
+                    (ts, r.rank, i)
+                })
+                .collect();
+            keys.sort_unstable();
+            keys
+        })
+        .collect();
+    merge_runs(traces, &runs)
 }
 
 /// The pre-k-way merge: clone every record, correct it, and stable-sort
-/// the concatenation by `(ts, rank)`. Kept as the documented fallback
-/// (and the reference implementation the equivalence property tests and
-/// `bench-pipeline` compare [`merge_corrected`] against).
+/// the concatenation by `(ts, rank)`. Kept as the reference
+/// implementation the equivalence property tests and `bench-pipeline`
+/// compare [`merge_corrected`] against.
 pub fn merge_by_sort(traces: &[Trace], est: &SkewEstimate) -> Vec<TraceRecord> {
     let mut all: Vec<TraceRecord> =
         Vec::with_capacity(traces.iter().map(|t| t.records.len()).sum());
@@ -170,37 +177,36 @@ pub fn merge_by_sort(traces: &[Trace], est: &SkewEstimate) -> Vec<TraceRecord> {
     all
 }
 
-/// K-way merge of per-trace runs, each already sorted by corrected
-/// `(ts, rank)` (with `keys[i][j]` the corrected timestamp of record `j`
-/// of trace `i`).
+/// One record's merge key within its trace: corrected timestamp, rank,
+/// and index into the trace's records.
+type RunKey = (SimTime, u32, usize);
+
+/// K-way merge of per-trace key runs, each sorted.
 ///
-/// The heap holds only small `(ts, rank, run)` keys and the traces are
-/// read through per-run cursors, so each record is cloned exactly once,
-/// straight into its final output slot — no staging pass, and heap sifts
-/// shuffle 24-byte keys, never whole records. The trailing run index in
-/// the key reproduces the stable sort's tie-break: records with equal
-/// `(ts, rank)` keep concatenation (= input trace) order.
-fn merge_runs(traces: &[Trace], keys: &[Vec<iotrace_sim::time::SimTime>]) -> Vec<TraceRecord> {
+/// The heap holds one `(ts, rank, run, position)` entry per live run and
+/// the traces are read through the runs' indexes, so each record is
+/// cloned exactly once, straight into its final output slot. The run
+/// index in the heap key reproduces the stable sort's tie-break across
+/// traces: records with equal `(ts, rank)` keep concatenation (= input
+/// trace) order; within a trace the run's own order already holds it.
+fn merge_runs(traces: &[Trace], runs: &[Vec<RunKey>]) -> Vec<TraceRecord> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    type Key = (iotrace_sim::time::SimTime, u32, usize);
-    let mut cursors = vec![0usize; traces.len()];
-    let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(traces.len());
-    for (run, t) in traces.iter().enumerate() {
-        if let Some(r) = t.records.first() {
-            heap.push(Reverse((keys[run][0], r.rank, run)));
+    let mut heap: BinaryHeap<Reverse<(SimTime, u32, usize, usize)>> =
+        BinaryHeap::with_capacity(runs.len());
+    for (run, keys) in runs.iter().enumerate() {
+        if let Some(&(ts, rank, _)) = keys.first() {
+            heap.push(Reverse((ts, rank, run, 0)));
         }
     }
-    let mut out: Vec<TraceRecord> =
-        Vec::with_capacity(traces.iter().map(|t| t.records.len()).sum());
-    while let Some(Reverse((ts, _, run))) = heap.pop() {
-        let i = cursors[run];
-        let mut rec = traces[run].records[i].clone();
+    let mut out: Vec<TraceRecord> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    while let Some(Reverse((ts, _, run, pos))) = heap.pop() {
+        let keys = &runs[run];
+        let mut rec = traces[run].records[keys[pos].2].clone();
         rec.ts = ts;
         out.push(rec);
-        cursors[run] = i + 1;
-        if let Some(r) = traces[run].records.get(i + 1) {
-            heap.push(Reverse((keys[run][i + 1], r.rank, run)));
+        if let Some(&(ts, rank, _)) = keys.get(pos + 1) {
+            heap.push(Reverse((ts, rank, run, pos + 1)));
         }
     }
     out
@@ -208,7 +214,7 @@ fn merge_runs(traces: &[Trace], keys: &[Vec<iotrace_sim::time::SimTime>]) -> Vec
 
 /// Parse many trace documents concurrently; results keep input order.
 /// Errors are reported per document. Fan-out and chunking live in
-/// [`iotrace_model::par`], shared with the parallel journal decode.
+/// [`iotrace_model::par`], shared with the per-file trace loaders.
 pub fn parse_parallel(docs: &[String]) -> Vec<Result<Trace, ParseError>> {
     iotrace_model::par::par_map(docs, |d| parse_text(d))
 }

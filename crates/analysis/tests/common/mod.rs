@@ -14,7 +14,7 @@ pub fn xorshift(state: &mut u64) -> u64 {
 /// dropped when `gaps`, modelling lost files), small timestamp steps so
 /// cross-rank ties by `(ts, rank)` — the interesting ordering case —
 /// occur constantly. `shuffle` reverses half of each trace so records
-/// are *not* time-sorted, forcing the merge onto its fallback path.
+/// are *not* time-sorted, so every run needs its key sort.
 pub fn build_traces(
     seed: u64,
     ranks: u32,

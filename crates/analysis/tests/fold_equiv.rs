@@ -20,7 +20,10 @@ use iotrace_sim::time::{SimDur, SimTime};
 use proptest::prelude::*;
 
 /// A hotspot table with owned, sorted keys: comparable across interners.
-fn resolved(stats: &HashMap<Sym, PathStats>, paths: &Interner) -> BTreeMap<String, PathStats> {
+fn resolved<S>(
+    stats: &HashMap<Sym, PathStats, S>,
+    paths: &Interner,
+) -> BTreeMap<String, PathStats> {
     stats
         .iter()
         .map(|(&k, s)| (paths.resolve(k).to_string(), s.clone()))

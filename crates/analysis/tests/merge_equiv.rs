@@ -1,20 +1,22 @@
 //! Equivalence properties for the fast analysis pipeline: the k-way
-//! streaming merge must be bit-for-bit interchangeable with the
+//! key merge must be bit-for-bit interchangeable with the
 //! clone+global-sort reference on *every* input shape — sorted captures,
-//! shuffled (unsorted) captures that force the fallback, partial rank
-//! sets, skew-corrected timestamps, and pathological skew fits that
-//! invert record order.
+//! shuffled (unsorted) captures, LANL-Trace-shaped nested calls whose
+//! records follow their syscalls' records but start before them,
+//! partial rank sets, skew-corrected timestamps, and pathological skew
+//! fits that invert record order.
 
 mod common;
 
 use common::{build_traces, xorshift};
 use iotrace_analysis::merge::{merge_by_sort, merge_corrected, merge_partial, merge_strict};
 use iotrace_analysis::skew::{ClockFit, SkewEstimate};
+use iotrace_model::event::{IoCall, Trace, TraceMeta, TraceRecord};
+use iotrace_sim::time::{SimDur, SimTime};
 use proptest::prelude::*;
 
 /// Random skew estimate; `pathological` adds a fit whose drift is strong
-/// enough to invert record order within its rank, which must knock the
-/// merge off the streaming fast path (detected by the sortedness check).
+/// enough to invert record order within its rank.
 fn build_skew(seed: u64, ranks: u32, pathological: bool) -> SkewEstimate {
     let mut state = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
     let mut est = SkewEstimate::default();
@@ -43,6 +45,56 @@ fn build_skew(seed: u64, ranks: u32, pathological: bool) -> SkewEstimate {
         );
     }
     est
+}
+
+/// LANL-Trace-shaped captures: every rank issues nested MPI-IO calls,
+/// and each call's record is emitted when the call *returns* — after the
+/// records of the syscalls it made, although it started before them. So
+/// every rank holds inverted neighbours, like a real dual-layer capture.
+/// Calls start on a coarse grid shared by all ranks (cross-rank ties),
+/// and `calls` of them per rank may overlap the previous call's tail.
+pub fn build_nested_traces(seed: u64, ranks: u32, calls: usize) -> Vec<Trace> {
+    let mut state = seed | 1;
+    (0..ranks)
+        .map(|rank| {
+            let mut t = Trace::new(TraceMeta::new("/mpi_io_test.exe", rank, rank, "lanl-trace"));
+            let rec = |ts: u64, dur: u64, call: IoCall| TraceRecord {
+                ts: SimTime::from_micros(ts),
+                dur: SimDur::from_micros(dur),
+                rank,
+                node: rank,
+                pid: 100 + rank,
+                uid: 0,
+                gid: 0,
+                call,
+                result: 0,
+            };
+            let mut start = xorshift(&mut state) % 4;
+            for i in 0..calls as u64 {
+                let inner = 1 + xorshift(&mut state) % 3;
+                let mut ts = start;
+                for _ in 0..inner {
+                    // Zero offsets put a syscall at its caller's start.
+                    ts += xorshift(&mut state) % 3;
+                    let dur = xorshift(&mut state) % 4;
+                    let call = IoCall::Pwrite {
+                        fd: 3,
+                        offset: i << 16,
+                        len: 4096,
+                    };
+                    t.records.push(rec(ts, dur, call));
+                }
+                let mpi = IoCall::MpiFileWriteAt {
+                    fd: 3,
+                    offset: i << 16,
+                    len: 4096 * inner,
+                };
+                t.records.push(rec(start, ts + 4 - start, mpi));
+                start += 2 * (xorshift(&mut state) % 4);
+            }
+            t
+        })
+        .collect()
 }
 
 proptest! {
@@ -85,6 +137,24 @@ proptest! {
         }
     }
 
+    /// Nested MPI calls (a call's record after its syscalls' records but
+    /// timestamped before them): every rank's run is out of order before
+    /// any correction, and the merge still equals the stable sort.
+    #[test]
+    fn nested_call_inversions_merge_like_the_sort(
+        seed in 1u64..u64::MAX,
+        ranks in 1u32..9,
+        calls in 0usize..40,
+        patho in 0u8..2,
+    ) {
+        let traces = build_nested_traces(seed, ranks, calls);
+        let est = build_skew(seed, ranks, patho == 1);
+        let sorted = merge_by_sort(&traces, &est);
+        let kway = merge_corrected(&traces, &est);
+        prop_assert_eq!(kway.len(), sorted.len());
+        prop_assert_eq!(kway, sorted);
+    }
+
     /// Determinism: merging the same input twice yields identical output
     /// (the heap tie-break is total, so no run-to-run wobble).
     #[test]
@@ -96,5 +166,14 @@ proptest! {
         let traces = build_traces(seed, ranks, records, false, false);
         let est = build_skew(seed, ranks, false);
         prop_assert_eq!(merge_corrected(&traces, &est), merge_corrected(&traces, &est));
+    }
+}
+
+#[test]
+fn nested_generator_inverts_neighbours_in_every_rank() {
+    // The generator must really produce the LANL shape it models.
+    for t in build_nested_traces(7, 4, 30) {
+        let inverted = t.records.windows(2).filter(|w| w[1].ts < w[0].ts).count();
+        assert!(inverted > 0, "rank {} is already sorted", t.meta.rank);
     }
 }

@@ -121,7 +121,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         .zip(&traces)
         .all(|(d, t)| records_digest(&d.trace.records) == records_digest(&t.records));
 
-    // journal decode (IOTJ, parallel per-segment CRC + decode)
+    // journal decode (IOTJ: per-segment CRC + decode, one pass)
     let journals: Vec<Vec<u8>> = traces
         .iter()
         .map(|t| encode_journal(t, JOURNAL_SEGMENT_RECORDS))

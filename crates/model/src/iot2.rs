@@ -1086,11 +1086,14 @@ pub(crate) fn encode_segment_frames(records: &[TraceRecord]) -> Result<Vec<u8>, 
     Ok(out)
 }
 
-/// Decode an [`encode_segment_frames`] payload; `meta` supplies node.
+/// Decode an [`encode_segment_frames`] payload onto `out`; `meta`
+/// supplies node. `out` grows by the bounds-checked frame count; on
+/// error it may hold part of the segment (the caller truncates).
 pub(crate) fn decode_segment_frames(
     bytes: &[u8],
     meta: &TraceMeta,
-) -> Result<Vec<TraceRecord>, String> {
+    out: &mut Vec<TraceRecord>,
+) -> Result<(), String> {
     let mut c = Cursor::new(bytes);
     let count = c.get_u64().map_err(|_| "truncated v2 segment table")? as usize;
     if count > bytes.len() {
@@ -1108,18 +1111,17 @@ pub(crate) fn decode_segment_frames(
     if !c.is_empty() {
         return Err("trailing bytes after v2 segment frames".into());
     }
-    let mut records = Vec::with_capacity(n);
+    out.reserve(n);
     let mut prev_ts = 0u64;
-    for i in 0..n {
-        let chunk = &frames[i * FRAME_STRIDE..(i + 1) * FRAME_STRIDE];
+    for (i, chunk) in frames.chunks_exact(FRAME_STRIDE).enumerate() {
         let f = parse_frame(chunk, &mut prev_ts, table.len(), meta.node)
             .map_err(|e| format!("bad frame {i}: {e}"))?;
         let rec = f
             .to_record(|sym| table.get(sym.id() as usize).map(|s| s.to_string()))
             .ok_or_else(|| format!("bad frame {i}: unresolvable path"))?;
-        records.push(rec);
+        out.push(rec);
     }
-    Ok(records)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1438,10 +1440,11 @@ mod tests {
     fn segment_frames_roundtrip() {
         let t = sample();
         let payload = encode_segment_frames(&t.records).unwrap();
-        let back = decode_segment_frames(&payload, &t.meta).unwrap();
+        let mut back = Vec::new();
+        decode_segment_frames(&payload, &t.meta, &mut back).unwrap();
         assert_eq!(back, t.records);
         assert_eq!(
-            decode_segment_frames(&[], &t.meta).unwrap_err(),
+            decode_segment_frames(&[], &t.meta, &mut back).unwrap_err(),
             "truncated v2 segment table"
         );
     }

@@ -46,6 +46,11 @@ const SEAL: &[u8; 4] = b"SEAL";
 const SEG_FMT_V1: u8 = 1;
 const SEG_FMT_IOT2: u8 = 2;
 
+/// The fewest payload bytes one record can occupy: a plain record is at
+/// least seven one-byte varints (call tag, timestamp delta, duration,
+/// pid, uid, gid, result), an IOT2 frame is far wider.
+const MIN_RECORD_BYTES: usize = 7;
+
 /// Peek at a journal's version byte (`None` if `bytes` is not an IOTJ
 /// container at all). The collector's spool recovery uses this to
 /// rewrite orphaned journals in the same version they were captured in.
@@ -201,17 +206,28 @@ pub fn encode_segment_payload(records: &[TraceRecord]) -> Vec<u8> {
 
 /// Decode a [`encode_segment_payload`] buffer; `meta` supplies rank/node.
 pub fn decode_segment_payload(bytes: &[u8], meta: &TraceMeta) -> Result<Vec<TraceRecord>, String> {
-    let mut pc = Cursor::new(bytes);
     let mut recs = Vec::new();
+    decode_plain_into(bytes, meta, &mut recs)?;
+    Ok(recs)
+}
+
+/// [`decode_segment_payload`] appending to `out`. On error `out` may
+/// hold part of the payload; the caller truncates.
+fn decode_plain_into(
+    bytes: &[u8],
+    meta: &TraceMeta,
+    out: &mut Vec<TraceRecord>,
+) -> Result<(), String> {
+    let mut pc = Cursor::new(bytes);
     let mut prev_ts = 0u64;
     while !pc.is_empty() {
         match decode_record_plain(&mut pc, &mut prev_ts, meta) {
-            Ok(r) => recs.push(r),
+            Ok(r) => out.push(r),
             Err(BinError::UnknownTag(t)) => return Err(format!("unknown call tag {t}")),
             Err(_) => return Err("undecodable record".into()),
         }
     }
-    Ok(recs)
+    Ok(())
 }
 
 impl JournalWriter {
@@ -351,15 +367,10 @@ impl JournalWriter {
 /// holding a spool [`fsck_journal`] reads back without loss.
 pub fn split_journal(bytes: &[u8]) -> Result<Vec<Vec<u8>>, JournalError> {
     let (_meta, body, _version) = read_header(bytes)?;
-    let (frames, damage) = scan_frames(bytes, body);
-    let consumed = frames.last().map(|f| f.end).unwrap_or(body);
-    if damage.is_some() || consumed != bytes.len() {
-        return Err(JournalError::Torn { offset: consumed });
-    }
-    let mut chunks = Vec::with_capacity(frames.len() + 1);
-    chunks.push(bytes[..body].to_vec());
+    let mut chunks = vec![bytes[..body].to_vec()];
     let mut start = body;
-    for f in &frames {
+    for frame in Frames::new(bytes, body) {
+        let f = frame.map_err(|_| JournalError::Torn { offset: start })?;
         chunks.push(bytes[start..f.end].to_vec());
         start = f.end;
     }
@@ -393,11 +404,23 @@ pub fn decode_segment_payload_v2(
     bytes: &[u8],
     meta: &TraceMeta,
 ) -> Result<Vec<TraceRecord>, String> {
+    let mut recs = Vec::new();
+    decode_v2_into(bytes, meta, &mut recs)?;
+    Ok(recs)
+}
+
+/// [`decode_segment_payload_v2`] appending to `out`, with the same
+/// partial-output contract as [`decode_plain_into`].
+fn decode_v2_into(
+    bytes: &[u8],
+    meta: &TraceMeta,
+    out: &mut Vec<TraceRecord>,
+) -> Result<(), String> {
     match bytes.split_first() {
-        Some((&SEG_FMT_IOT2, rest)) => crate::iot2::decode_segment_frames(rest, meta),
-        Some((&SEG_FMT_V1, rest)) => decode_segment_payload(rest, meta),
+        Some((&SEG_FMT_IOT2, rest)) => crate::iot2::decode_segment_frames(rest, meta, out),
+        Some((&SEG_FMT_V1, rest)) => decode_plain_into(rest, meta, out),
         Some((&t, _)) => Err(format!("unknown v2 segment payload format {t}")),
-        None => Ok(Vec::new()),
+        None => Ok(()),
     }
 }
 
@@ -453,9 +476,9 @@ fn read_header(bytes: &[u8]) -> Result<(TraceMeta, usize, u8), JournalError> {
     Ok((meta, 5 + c.position(), version))
 }
 
-/// One fully framed segment found by the scan pass: where its payload
-/// sits, the CRC its footer stores, the record count it promises, and
-/// the container offset just past its footer.
+/// One fully framed segment: where its payload sits, the CRC its footer
+/// stores, the record count it promises, and the container offset just
+/// past its footer.
 struct SegFrame<'a> {
     payload: &'a [u8],
     stored_crc: u32,
@@ -463,96 +486,108 @@ struct SegFrame<'a> {
     end: usize,
 }
 
-/// Scan segment *framing* from `offset` without touching payloads:
-/// lengths, seal magic, footers. Returns the complete frames plus the
-/// damage message (if anything stopped the scan). CRC verification and
-/// record decode are deferred so they can run in parallel — except for
-/// a frame whose footer is cut off mid-way, whose CRC is checked here
-/// so the damage message matches what a serial walk would report
-/// (checksum failures outrank a missing record count).
-fn scan_frames(bytes: &[u8], offset: usize) -> (Vec<SegFrame<'_>>, Option<String>) {
-    let mut frames = Vec::new();
-    let mut c = Cursor::new(&bytes[offset..]);
-    loop {
-        if c.is_empty() {
-            return (frames, None);
+/// Segment *framing* from a container offset onwards — lengths, seal
+/// magic, footers — without verifying or decoding payloads. Yields each
+/// complete frame, then at most one damage message (what stopped the
+/// scan) and nothing after it.
+struct Frames<'a> {
+    c: Cursor<'a>,
+    offset: usize,
+    done: bool,
+}
+
+impl<'a> Frames<'a> {
+    fn new(bytes: &'a [u8], offset: usize) -> Self {
+        Frames {
+            c: Cursor::new(&bytes[offset..]),
+            offset,
+            done: false,
         }
-        let damage = (|| -> Result<SegFrame<'_>, String> {
-            let plen = c.get_u64().map_err(|_| "truncated segment frame")? as usize;
-            let payload = c.take(plen).map_err(|_| "segment payload cut short")?;
-            let seal = c.take(4).map_err(|_| "segment footer missing")?;
-            if seal != SEAL {
-                return Err("segment seal magic missing".into());
+    }
+
+    fn frame(&mut self) -> Result<SegFrame<'a>, String> {
+        let c = &mut self.c;
+        let plen = c.get_u64().map_err(|_| "truncated segment frame")? as usize;
+        let payload = c.take(plen).map_err(|_| "segment payload cut short")?;
+        let seal = c.take(4).map_err(|_| "segment footer missing")?;
+        if seal != SEAL {
+            return Err("segment seal magic missing".into());
+        }
+        let stored = c.take(4).map_err(|_| "segment footer missing")?;
+        let stored = u32::from_le_bytes([stored[0], stored[1], stored[2], stored[3]]);
+        // The CRC comes before the record count in the footer, so a
+        // footer torn after its CRC on a corrupt payload reports the
+        // corruption, not the tear.
+        let promised = c.get_u64().map_err(|_| {
+            if crc32(payload) != stored {
+                "segment payload fails its checksum"
+            } else {
+                "segment footer missing"
             }
-            let footer_missing = |payload: &[u8], stored: Option<u32>| -> String {
-                // A serial walk checks the CRC before reading the record
-                // count, so a torn footer on a corrupt payload reports
-                // the corruption, not the tear.
-                match stored {
-                    Some(crc) if crc32(payload) != crc => "segment payload fails its checksum",
-                    _ => "segment footer missing",
-                }
-                .to_string()
-            };
-            let stored = c.take(4).map_err(|_| footer_missing(payload, None))?;
-            let stored = u32::from_le_bytes([stored[0], stored[1], stored[2], stored[3]]);
-            let promised =
-                c.get_u64()
-                    .map_err(|_| footer_missing(payload, Some(stored)))? as usize;
-            Ok(SegFrame {
-                payload,
-                stored_crc: stored,
-                promised,
-                end: offset + c.position(),
-            })
-        })();
-        match damage {
-            Ok(f) => frames.push(f),
-            Err(d) => return (frames, Some(d)),
-        }
+        })? as usize;
+        Ok(SegFrame {
+            payload,
+            stored_crc: stored,
+            promised,
+            end: self.offset + c.position(),
+        })
     }
 }
 
-/// Verify and decode one sealed segment. Timestamp deltas reset at every
-/// segment boundary, which is exactly what makes this independently
-/// callable per segment (and therefore parallelizable).
+impl<'a> Iterator for Frames<'a> {
+    type Item = Result<SegFrame<'a>, String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done || self.c.is_empty() {
+            return None;
+        }
+        let f = self.frame();
+        self.done = f.is_err();
+        Some(f)
+    }
+}
+
+/// Verify one sealed segment and decode it onto `out`. Timestamp deltas
+/// reset at every segment boundary, so a segment decodes independently
+/// of its neighbours. On error `out` is left as it was.
 fn decode_frame(
     f: &SegFrame<'_>,
     meta: &TraceMeta,
     version: u8,
-) -> Result<Vec<TraceRecord>, String> {
+    out: &mut Vec<TraceRecord>,
+) -> Result<(), String> {
     if crc32(f.payload) != f.stored_crc {
         return Err("segment payload fails its checksum".into());
     }
-    let recs = if version >= VERSION_V2 {
-        decode_segment_payload_v2(f.payload, meta)
+    let start = out.len();
+    let decoded = if version >= VERSION_V2 {
+        decode_v2_into(f.payload, meta, out)
     } else {
-        decode_segment_payload(f.payload, meta)
-    }
-    .map_err(|e| format!("{e} inside sealed segment"))?;
-    if recs.len() != f.promised {
-        return Err(format!(
+        decode_plain_into(f.payload, meta, out)
+    };
+    let err = match decoded {
+        Err(e) => format!("{e} inside sealed segment"),
+        Ok(()) if out.len() - start == f.promised => return Ok(()),
+        Ok(()) => format!(
             "segment footer promises {} records, payload holds {}",
             f.promised,
-            recs.len()
-        ));
-    }
-    Ok(recs)
+            out.len() - start
+        ),
+    };
+    out.truncate(start);
+    Err(err)
 }
-
-/// Fewer sealed segments than this decode serially: below it, thread
-/// spawn overhead outweighs the per-segment CRC + decode work.
-const PARALLEL_SEGMENT_THRESHOLD: usize = 8;
 
 /// Walk segments from `offset`, appending decoded records. Returns the
 /// sealed-segment count and the byte offset just past the last sealed
 /// segment, plus what (if anything) stopped the scan.
 ///
-/// Framing is scanned serially (it is a pointer walk over lengths), then
-/// CRC verification and record decode fan out across segments. Damage
-/// semantics match a serial walk exactly: segments are accepted in order
-/// up to the first bad one, and nothing after it counts — the parallel
-/// pass merely wastes a little work on segments past the damage.
+/// One pass, on the calling thread: each segment is framed, checked and
+/// decoded straight onto `records`, and the walk stops at the first
+/// damage — segments are accepted in order up to the first bad one and
+/// nothing after it counts. A segment verifies and decodes in a few
+/// microseconds, so a thread fan-out per journal cost more in spawns and
+/// staging vectors than it saved (DESIGN.md §9.3 has the size sweep).
 fn walk_segments(
     bytes: &[u8],
     offset: usize,
@@ -560,29 +595,27 @@ fn walk_segments(
     version: u8,
     records: &mut Vec<TraceRecord>,
 ) -> (usize, usize, Option<String>) {
-    let (frames, scan_damage) = scan_frames(bytes, offset);
-    let decoded: Vec<Result<Vec<TraceRecord>, String>> =
-        if frames.len() >= PARALLEL_SEGMENT_THRESHOLD {
-            crate::par::par_map(&frames, |f| decode_frame(f, meta, version))
-        } else {
-            frames
-                .iter()
-                .map(|f| decode_frame(f, meta, version))
-                .collect()
-        };
     let mut segments = 0usize;
     let mut consumed = offset;
-    for (f, d) in frames.iter().zip(decoded) {
-        match d {
-            Ok(mut recs) => {
-                records.append(&mut recs);
+    // One exact allocation for the whole journal: a framing-only pass
+    // sums the footers' record counts, each capped by what its payload
+    // can hold, so a damaged footer cannot inflate the reservation.
+    records.reserve_exact(
+        Frames::new(bytes, offset)
+            .map_while(Result::ok)
+            .map(|f| f.promised.min(f.payload.len() / MIN_RECORD_BYTES))
+            .sum(),
+    );
+    for frame in Frames::new(bytes, offset) {
+        match frame.and_then(|f| decode_frame(&f, meta, version, records).map(|()| f.end)) {
+            Ok(end) => {
                 segments += 1;
-                consumed = f.end;
+                consumed = end;
             }
             Err(d) => return (segments, consumed, Some(d)),
         }
     }
-    (segments, consumed, scan_damage)
+    (segments, consumed, None)
 }
 
 /// Strict decode: every segment must be sealed and consistent.
@@ -977,13 +1010,28 @@ mod tests {
     }
 
     #[test]
-    fn v2_parallel_and_serial_segment_decode_agree() {
-        // ≥ 8 sealed segments exercises the par_map path.
+    fn v2_journals_of_many_and_few_segments_roundtrip() {
         let t = sample(100);
         let bytes = encode_journal_versioned(&t, 5, 2); // 20 segments
         assert_eq!(read_journal(&bytes).unwrap(), t);
         let few = encode_journal_versioned(&t, 50, 2); // 2 segments (serial)
         assert_eq!(read_journal(&few).unwrap(), t);
+    }
+
+    #[test]
+    fn smallest_plain_record_is_min_record_bytes() {
+        let r = TraceRecord {
+            ts: SimTime::ZERO,
+            dur: SimDur::ZERO,
+            rank: 0,
+            node: 0,
+            pid: 0,
+            uid: 0,
+            gid: 0,
+            call: IoCall::MpiBarrier,
+            result: 0,
+        };
+        assert_eq!(encode_segment_payload(&[r]).len(), MIN_RECORD_BYTES);
     }
 
     #[test]

@@ -1,12 +1,18 @@
-//! Scoped-thread fan-out shared by every parallel decode path.
+//! Scoped-thread fan-out across independent trace units.
 //!
 //! Trace analysis is embarrassingly parallel across *independent* units
-//! — per-rank files, journal segments, text documents — and every
-//! consumer needs the same shape: split a slice into one contiguous
-//! chunk per worker, run a pure function over each element, and collect
-//! results in input order. [`par_map`] is that shape, built on
-//! `std::thread::scope` (no extra dependencies, no work stealing: trace
-//! units are uniform enough that static chunking wins).
+//! — per-rank files, text documents, per-collector spools, per-rank
+//! lineage extraction — and every consumer needs the same shape: split
+//! a slice into one contiguous chunk per worker, run a pure function
+//! over each element, and collect results in input order. [`par_map`]
+//! is that shape, built on `std::thread::scope` (no extra dependencies,
+//! no work stealing: trace units are uniform enough that static
+//! chunking wins).
+//!
+//! The segments of *one* journal are not such units any more: with the
+//! folding CRC a segment verifies and decodes in microseconds, so
+//! spawning threads per journal cost more than it saved, and
+//! [`crate::journal`] walks its segments inline (DESIGN.md §9.3).
 
 /// Number of worker threads for `len` independent items: one per
 /// available core, never more than there are items, at least one.
@@ -20,7 +26,7 @@ pub fn workers_for(len: usize) -> usize {
 
 /// Contiguous chunk length that spreads `len` items over `workers`
 /// threads (the last chunk may be short). This is the single chunking
-/// rule every parallel decode path shares.
+/// rule every fan-out shares.
 pub fn chunk_len(len: usize, workers: usize) -> usize {
     len.div_ceil(workers.max(1)).max(1)
 }
