@@ -133,24 +133,11 @@ pub fn merge_corrected(traces: &[Trace], est: &SkewEstimate) -> Vec<TraceRecord>
     let runs: Vec<Vec<RunKey>> = traces
         .iter()
         .map(|t| {
-            let mut fit = None;
             let mut keys: Vec<RunKey> = t
                 .records
                 .iter()
                 .enumerate()
-                .map(|(i, r)| {
-                    // Records of one trace share a rank: look its fit up once.
-                    let f = match fit {
-                        Some((rank, f)) if rank == r.rank => f,
-                        _ => {
-                            let f = est.fit(r.rank);
-                            fit = Some((r.rank, f));
-                            f
-                        }
-                    };
-                    let ts = f.map_or(r.ts, |f| f.correct(r.ts));
-                    (ts, r.rank, i)
-                })
+                .map(|(i, r)| (est.correct(r.rank, r.ts), r.rank, i))
                 .collect();
             keys.sort_unstable();
             keys
