@@ -235,8 +235,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
     });
     stages.push(Stage::new("hotspots", total, hot_s));
 
-    // provenance (lineage graph build + one upstream query)
-    let (graph, prov_s) = timed(|| LineageGraph::build(&traces, None));
+    // provenance (lineage graph build + one upstream query), best of
+    // REPS like the merge it is gated against
+    let (graph, prov_s) = timed_best(REPS, || LineageGraph::build(&traces, None));
     stages.push(Stage::new("provenance", total, prov_s));
     let lineage = upstream(&graph, "/pfs/out/result.dat");
     // The graph must be byte-identical regardless of how many extraction

@@ -539,14 +539,15 @@ fn demo_aborted(
     run: &iotrace_lanl::run::LanlRun,
     samples: &[iotrace_ioapi::harness::CheckpointSample],
 ) -> Result<(), String> {
-    use iotrace_model::journal::JournalWriter;
+    use iotrace_model::journal::{JournalWriter, VERSION_V1};
     use iotrace_sim::checkpoint::Checkpoint;
 
     let events = run.report.run.events;
     eprintln!("iotrace: run-abort fault killed the capture at event {events}");
     if let Some(t) = run.traces.first() {
-        let mut w = JournalWriter::new(&t.meta, DEMO_SEGMENT_RECORDS);
-        w.append_all(&t.records);
+        let mut w = JournalWriter::new(&t.meta, VERSION_V1, DEMO_SEGMENT_RECORDS);
+        w.append_all(t.records.iter().cloned())
+            .map_err(|e| e.to_string())?;
         let p = format!("{dir}/lanl_rank{:02}.iotj", t.meta.rank);
         std::fs::write(&p, w.torn()).map_err(|e| e.to_string())?;
         println!(

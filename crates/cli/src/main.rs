@@ -112,7 +112,7 @@ commands:
                                             sessions split mid-handoff first
   serve     <spool-dir> [--clients N] [--records N] [--queue-capacity N]
             [--segment-records N] [--kill-at-frame N] [--fault-plan <name|file>]
-            [--seed N] [--status-every N] [--recover-only] [--v2-spool]
+            [--seed N] [--status-every N] [--recover-only]
             [--peer <dir>] [--kill-peer-at-frame N] [--out <file>]
                                             run the collector daemon soak: N
                                             capture clients stream sessions into

@@ -91,7 +91,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
             segment_records,
             queue_capacity: parse_flag(&flags, "queue-capacity", 8usize)?,
             drain_per_tick: parse_flag(&flags, "drain-per-tick", 4usize)?,
-            v2_spool: flag(&flags, "v2-spool").is_some(),
         },
         kill_at_frame: match flag(&flags, "kill-at-frame").and_then(|v| v.as_deref()) {
             Some(v) => Some(

@@ -6,12 +6,14 @@
 //! bounded ingest queue, which makes every soak — including the ones
 //! that kill the collector mid-segment — bit-for-bit reproducible.
 //!
-//! Durability contract: a record is *durable* once its segment seals,
-//! at which point the new segment is appended to `sessNNN.iotj`. Every
-//! write to a live session's journal is an append, so a sealed prefix
-//! once written is never rewritten, and the journal's sealed prefix is
-//! the durable watermark. "Durable" here means handed to the OS: it
-//! survives a process kill, not a power loss — nothing is fsynced.
+//! Durability contract: a record is *durable* once its segment seals.
+//! Each live session owns its open `sessNNN.iotj` and the seal writes
+//! the segment through before the `Sealed` ack goes out; no copy of the
+//! journal is kept in memory. Every write is an append, so a sealed
+//! prefix once written is never rewritten, and the journal's sealed
+//! prefix is the durable watermark. "Durable" here means handed to the
+//! OS: it survives a process kill, not a power loss — nothing is
+//! fsynced.
 //! `sessNNN.card` is written on state transitions only (handshake,
 //! drain and its abort, each handoff chunk, close), so a live card's
 //! `records` is its count at the last transition. A collector kill
@@ -21,8 +23,8 @@
 //! answers are available mid-capture without re-reading any spool file.
 
 use std::collections::BTreeMap;
-use std::fs::OpenOptions;
-use std::io::Write;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use iotrace_analysis::hotspots::{top_by_bytes_interned, PathFold, PathStats};
@@ -31,7 +33,7 @@ use iotrace_model::event::TraceRecord;
 use iotrace_model::intern::Interner;
 use iotrace_model::iot2;
 
-use iotrace_model::journal::{fsck_journal, JournalWriter};
+use iotrace_model::journal::{fsck_journal, journal_version, JournalWriter, VERSION_V1};
 
 use crate::proto::{decode_frame, Frame, ProtoError};
 use crate::queue::BoundedQueue;
@@ -46,10 +48,6 @@ pub struct CollectorConfig {
     pub queue_capacity: usize,
     /// Frames the collector drains per tick when healthy.
     pub drain_per_tick: usize,
-    /// Spool new sessions as version-2 journals (IOT2 fixed-stride
-    /// segment payloads). Off by default: v1 spools stay byte-identical
-    /// to what older collectors wrote, and recovery handles either.
-    pub v2_spool: bool,
 }
 
 impl Default for CollectorConfig {
@@ -58,7 +56,6 @@ impl Default for CollectorConfig {
             segment_records: 64,
             queue_capacity: 8,
             drain_per_tick: 4,
-            v2_spool: false,
         }
     }
 }
@@ -94,10 +91,7 @@ pub struct Collector {
     /// client id -> session id, for routing frames after `Hello`.
     client_session: BTreeMap<u32, u32>,
     next_session: u32,
-    stats: StreamingStats,
-    paths: Interner,
-    path_fold: PathFold,
-    folded_records: u64,
+    folds: LiveFolds,
     frames_drained: u64,
     outbox: Vec<(u32, Frame)>,
     killed: bool,
@@ -129,10 +123,7 @@ impl Collector {
             sessions: BTreeMap::new(),
             client_session: BTreeMap::new(),
             next_session,
-            stats: StreamingStats::new(),
-            paths: Interner::new(),
-            path_fold: PathFold::default(),
-            folded_records: 0,
+            folds: LiveFolds::default(),
             frames_drained: 0,
             outbox: Vec::new(),
             killed: false,
@@ -237,18 +228,21 @@ impl Collector {
                 }
                 let id = self.next_session;
                 self.next_session += 1;
-                let mut sess = Session::new(
-                    id,
-                    meta,
-                    expected_records,
-                    self.cfg.segment_records,
-                    self.cfg.v2_spool,
-                );
+                let mut sess = Session::new(id, meta, expected_records);
                 sess.state = SessionState::Streaming;
                 // Persist the expectation *before* any record lands: the
                 // card is what makes post-crash completeness exact.
                 self.persist_card(&sess)?;
-                persist_journal(&self.dir, &mut sess)?;
+                // The collector always spools v1: v2's fixed-stride
+                // frames cost 3.6x the bytes per record on this path.
+                let path = journal_path(&self.dir, id);
+                let journal = create_new(&path)
+                    .and_then(|f| {
+                        let seg = self.cfg.segment_records;
+                        JournalWriter::create(f, &sess.meta, VERSION_V1, seg, seg)
+                    })
+                    .map_err(|e| write_err(&path, e))?;
+                sess.journal = Some(journal);
                 self.sessions.insert(id, sess);
                 self.client_session.insert(client, id);
                 self.outbox.push((client, Frame::HelloAck { session: id }));
@@ -258,27 +252,36 @@ impl Collector {
                 let Some(&sid) = self.client_session.get(&client) else {
                     return self.disconnect(client, "Records without session");
                 };
-                {
-                    let sess = self.sessions.get_mut(&sid).expect("routed session exists");
-                    if sess.state == SessionState::Draining {
-                        // Mid-handoff: the session is sealed and on its
-                        // way to the partner. Answer Busy — the client
-                        // backs off and re-offers, by which time it has
-                        // been rebound to the destination.
-                        self.outbox.push((client, Frame::Busy { queue_len: 0 }));
-                        return Ok(());
-                    }
-                    if sess.state != SessionState::Streaming || seq != sess.last_seq + 1 {
-                        return self.disconnect(client, "out-of-order frame");
-                    }
-                    sess.last_seq = seq;
-                    sess.appended += records.len() as u64;
-                    sess.unfolded.extend_from_slice(&records);
-                    sess.writer.append_all(&records);
+                let sess = self.sessions.get_mut(&sid).expect("routed session exists");
+                if sess.state == SessionState::Draining {
+                    // Mid-handoff: the session is sealed and on its
+                    // way to the partner. Answer Busy — the client
+                    // backs off and re-offers, by which time it has
+                    // been rebound to the destination.
+                    self.outbox.push((client, Frame::Busy { queue_len: 0 }));
+                    return Ok(());
                 }
-                let sealed = self.fold_sealed(sid)?;
+                if sess.state != SessionState::Streaming || seq != sess.last_seq + 1 {
+                    return self.disconnect(client, "out-of-order frame");
+                }
+                sess.last_seq = seq;
+                sess.appended += records.len() as u64;
+                // Records move into the writer; each segment they
+                // complete is written through, then folded.
+                let w = sess
+                    .journal
+                    .as_mut()
+                    .expect("streaming session has its journal");
+                for rec in records {
+                    let sealed = w
+                        .append(rec)
+                        .map_err(|e| write_err(&journal_path(&self.dir, sid), e))?;
+                    self.folds.push(sealed);
+                }
                 self.outbox.push((client, Frame::Ack { seq }));
-                if let Some(records) = sealed {
+                if w.sealed_records() as u64 > sess.sealed {
+                    sess.sealed = w.sealed_records() as u64;
+                    let records = sess.sealed;
                     self.outbox.push((client, Frame::Sealed { records }));
                 }
                 Ok(())
@@ -291,21 +294,21 @@ impl Collector {
                     self.outbox.push((client, Frame::Busy { queue_len: 0 }));
                     return Ok(());
                 }
-                let clean = {
-                    let sess = self.sessions.get_mut(&sid).expect("routed session exists");
-                    sess.state = SessionState::Sealing;
-                    sess.writer.seal_segment();
-                    frames_sent == sess.last_seq
-                };
-                self.fold_sealed(sid)?;
+                self.sessions
+                    .get_mut(&sid)
+                    .expect("routed session exists")
+                    .state = SessionState::Sealing;
+                self.seal_session(sid)?;
                 let records = {
                     let sess = self.sessions.get_mut(&sid).expect("routed session exists");
+                    let clean = frames_sent == sess.last_seq;
                     let complete = sess.expected == 0 || sess.sealed() >= sess.expected;
                     sess.state = if clean && complete {
                         SessionState::Closed
                     } else {
                         SessionState::Degraded
                     };
+                    sess.journal = None;
                     sess.sealed()
                 };
                 self.persist_card(&self.sessions[&sid])?;
@@ -329,22 +332,18 @@ impl Collector {
                 // source spool whole.
                 let id = self.next_session;
                 self.next_session += 1;
-                let mut sess = Session::new(
-                    id,
-                    meta,
-                    expected,
-                    self.cfg.segment_records,
-                    self.cfg.v2_spool,
-                );
+                let mut sess = Session::new(id, meta, expected);
                 sess.state = SessionState::Migrating;
                 sess.last_seq = last_seq;
                 sess.origin = Some(origin);
                 sess.recv = Some(HandoffRecv {
-                    buf: Vec::new(),
+                    header: Vec::new(),
+                    file: None,
                     next_chunk: 1,
                     total_chunks: chunks,
                     promised: sealed_records,
-                    records: 0,
+                    segments: 0,
+                    shipped: Vec::new(),
                 });
                 self.sessions.insert(id, sess);
                 self.outbox.push((
@@ -373,11 +372,14 @@ impl Collector {
     }
 
     /// Apply one handoff chunk to a `Migrating` stand-in session.
-    /// Chunks ship along journal structure, so the accumulated buffer is
-    /// a valid sealed journal after every chunk; the chunk is appended
-    /// to the spool (and the card rewritten) before the ack goes out —
-    /// the exactly-once durability the source relies on when it deletes
-    /// its copy.
+    /// Chunks ship along journal structure — the header, then one
+    /// sealed segment each — so the stand-in's journal is a valid sealed
+    /// journal after every chunk. Each chunk is checked on its own
+    /// behind the header (a clean prefix plus a self-contained segment
+    /// fscks exactly as the whole buffer would) and appended to the
+    /// spool, and the card rewritten, before the ack goes out — the
+    /// exactly-once durability the source relies on when it deletes its
+    /// copy. A damaged chunk is refused with the spool left as it was.
     fn apply_handoff(
         &mut self,
         client: u32,
@@ -395,7 +397,7 @@ impl Collector {
         if seq + 1 == recv.next_chunk {
             // Duplicate of the chunk we just persisted (retried offer):
             // re-ack, don't re-append.
-            let records = recv.records;
+            let records = sess.sealed;
             self.outbox.push((
                 client,
                 Frame::HandoffAck {
@@ -412,18 +414,15 @@ impl Collector {
                 recv.next_chunk
             ));
         }
-        recv.buf.extend_from_slice(chunk);
-        recv.next_chunk += 1;
-        let (trace, rep) = fsck_journal(&recv.buf)
+        let (trace, rep) = fsck_journal(&[&recv.header[..], chunk].concat())
             .map_err(|e| format!("handoff chunk {seq} is not a journal prefix: {e}"))?;
-        if rep.is_damaged() || rep.torn_tail_bytes > 0 {
+        if rep.is_damaged() || (seq == 1 && rep.segments_recovered > 0) {
             return Err(format!(
                 "handoff chunk {seq} left a damaged prefix on session {session}"
             ));
         }
-        recv.records = rep.records_recovered as u64;
-        let records = recv.records;
-        let done = recv.next_chunk > recv.total_chunks;
+        let records = sess.sealed + rep.records_recovered as u64;
+        let done = seq >= recv.total_chunks;
         if done && records != recv.promised {
             return Err(format!(
                 "handoff complete but {} records arrived, {} promised",
@@ -431,21 +430,38 @@ impl Collector {
             ));
         }
         // Extend the (always-valid) on-disk prefix before acking.
-        append_spool(&journal_path(&self.dir, session), chunk, seq == 1)?;
+        let path = journal_path(&self.dir, session);
+        if seq == 1 {
+            recv.file = Some(create_new(&path).map_err(|e| write_err(&path, e))?);
+            recv.header = chunk.to_vec();
+        }
+        recv.file
+            .as_mut()
+            .expect("header chunk created the journal")
+            .write_all(chunk)
+            .map_err(|e| write_err(&path, e))?;
+        recv.next_chunk += 1;
+        recv.segments += rep.segments_recovered;
+        recv.shipped.extend(trace.records);
+        sess.sealed = records;
         if done {
-            let buf = std::mem::take(&mut recv.buf);
+            let recv = sess.recv.take().expect("migrating session has recv");
+            let version = journal_version(&recv.header).expect("fsck read the header");
+            let file = recv.file.expect("header chunk created the journal");
             // The shipped bytes are already on disk: the next seal
             // appends past them, not over them.
-            sess.persisted = buf.len();
-            sess.writer = JournalWriter::resume(buf, self.cfg.segment_records)
-                .map_err(|e| format!("resume migrated session {session}: {e:?}"))?;
+            sess.journal = Some(JournalWriter::resume(
+                file,
+                version,
+                recv.segments,
+                records as usize,
+                self.cfg.segment_records,
+            ));
             sess.appended = records;
-            sess.folded = records;
-            sess.recv = None;
             sess.state = SessionState::Streaming;
             // Fold the shipped records into this collector's live stats
             // so `stats`/`hotspots` cover the whole session from here on.
-            self.fold_records(&trace.records);
+            self.folds.push(&recv.shipped);
         }
         let sess = &self.sessions[&session];
         self.persist_card(sess)?;
@@ -460,11 +476,11 @@ impl Collector {
         Ok(())
     }
 
-    /// Source side of a handoff: seal `client`'s live session, fold and
-    /// persist the now-final spool, and put the session into `Draining`.
-    /// Returns the session id and the complete sealed journal bytes for
-    /// the migration driver to ship, or `None` when the client has no
-    /// streaming session.
+    /// Source side of a handoff: seal `client`'s live session, write the
+    /// last segment through, and put the session into `Draining`.
+    /// Returns the session id and the complete sealed journal bytes,
+    /// read back from the spool, for the migration driver to ship, or
+    /// `None` when the client has no streaming session.
     pub fn begin_drain(&mut self, client: u32) -> Result<Option<(u32, Vec<u8>)>, String> {
         let Some(&sid) = self.client_session.get(&client) else {
             return Ok(None);
@@ -472,16 +488,12 @@ impl Collector {
         if self.sessions[&sid].state != SessionState::Streaming {
             return Ok(None);
         }
-        self.sessions
-            .get_mut(&sid)
-            .expect("routed session exists")
-            .writer
-            .seal_segment();
-        self.fold_sealed(sid)?;
+        self.seal_session(sid)?;
         let sess = self.sessions.get_mut(&sid).expect("routed session exists");
         sess.state = SessionState::Draining;
-        let bytes = sess.writer.sealed_bytes().to_vec();
         self.persist_card(&self.sessions[&sid])?;
+        let path = journal_path(&self.dir, sid);
+        let bytes = std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         Ok(Some((sid, bytes)))
     }
 
@@ -558,11 +570,7 @@ impl Collector {
         let Some(sid) = self.client_session.remove(&client) else {
             return Ok(());
         };
-        {
-            let sess = self.sessions.get_mut(&sid).expect("routed session exists");
-            sess.writer.seal_segment();
-        }
-        self.fold_sealed(sid)?;
+        self.seal_session(sid)?;
         let sess = self.sessions.get_mut(&sid).expect("routed session exists");
         let complete = sess.expected > 0 && sess.sealed() >= sess.expected;
         sess.state = if complete {
@@ -570,6 +578,7 @@ impl Collector {
         } else {
             SessionState::Degraded
         };
+        sess.journal = None;
         self.persist_card(&self.sessions[&sid])?;
         Ok(())
     }
@@ -585,62 +594,36 @@ impl Collector {
     }
 
     /// Simulate the collector process dying right now: append to each
-    /// live session's journal the dangling tail a crash leaves, so the
-    /// file holds exactly [`JournalWriter::torn`], and stop accepting
-    /// work. Cards are deliberately *not* rewritten — a crash doesn't
-    /// get to tidy up.
+    /// open journal the dangling tail a crash leaves, so the file holds
+    /// exactly [`JournalWriter::torn`], and stop accepting work. Cards
+    /// are deliberately *not* rewritten — a crash doesn't get to tidy
+    /// up. A `Migrating` stand-in has no journal open: its durable state
+    /// is the handoff prefix already persisted per chunk, which a real
+    /// crash could only tear mid-`write`.
     pub fn kill(&mut self) -> Result<(), String> {
-        for sess in self.sessions.values() {
-            // A Migrating stand-in's writer is a placeholder — its real
-            // durable state is the handoff prefix already persisted per
-            // chunk. Tearing the placeholder would corrupt shipped data,
-            // so the crash leaves the prefix alone.
-            if sess.state == SessionState::Migrating || sess.state.is_terminal() {
-                continue;
+        for sess in self.sessions.values_mut() {
+            if let Some(journal) = sess.journal.take() {
+                journal
+                    .tear()
+                    .map_err(|e| write_err(&journal_path(&self.dir, sess.id), e))?;
             }
-            // Every seal is appended as it happens.
-            debug_assert_eq!(sess.persisted, sess.writer.sealed_bytes().len());
-            append_spool(
-                &journal_path(&self.dir, sess.id),
-                &sess.writer.torn_tail(),
-                false,
-            )?;
         }
         self.killed = true;
         Ok(())
     }
 
-    /// Fold any newly sealed records of session `sid` into the running
-    /// stats and append the new segments to its journal. Returns the
-    /// new durable watermark if it moved.
-    fn fold_sealed(&mut self, sid: u32) -> Result<Option<u64>, String> {
-        let (delta, watermark) = {
-            let sess = self.sessions.get_mut(&sid).expect("session exists");
-            let sealed = sess.sealed();
-            let delta = (sealed - sess.folded) as usize;
-            if delta == 0 {
-                return Ok(None);
-            }
-            let batch: Vec<_> = sess.unfolded.drain(..delta).collect();
-            sess.folded = sealed;
-            (batch, sealed)
-        };
-        self.fold_records(&delta);
-        let dir = &self.dir;
+    /// Seal session `sid`'s open records early, writing the short
+    /// segment through and folding it into the live stats.
+    fn seal_session(&mut self, sid: u32) -> Result<(), String> {
         let sess = self.sessions.get_mut(&sid).expect("session exists");
-        persist_journal(dir, sess)?;
-        Ok(Some(watermark))
-    }
-
-    /// Fold sealed records into the live stats and hotspot table,
-    /// converting each to one [`iot2::Frame`] that both folds push.
-    fn fold_records(&mut self, records: &[TraceRecord]) {
-        for r in records {
-            let f = iot2::Frame::from_record(r, &mut self.paths);
-            self.stats.push(&f);
-            self.path_fold.push(&f);
+        if let Some(w) = sess.journal.as_mut() {
+            let sealed = w
+                .seal_segment()
+                .map_err(|e| write_err(&journal_path(&self.dir, sid), e))?;
+            self.folds.push(sealed);
+            sess.sealed = w.sealed_records() as u64;
         }
-        self.folded_records += records.len() as u64;
+        Ok(())
     }
 
     fn persist_card(&self, sess: &Session) -> Result<(), String> {
@@ -653,17 +636,18 @@ impl Collector {
     /// exactly the sealed (durable) records.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            folded_records: self.folded_records,
-            stats: self.stats.finish(),
+            folded_records: self.folds.records,
+            stats: self.folds.stats.finish(),
         }
     }
 
     /// Top-`n` hotspot paths by bytes over the sealed records, resolved
     /// to owned strings.
     pub fn hotspots(&self, n: usize) -> Vec<(String, PathStats)> {
-        top_by_bytes_interned(&self.path_fold.stats, &self.paths, n)
+        let f = &self.folds;
+        top_by_bytes_interned(&f.path_fold.stats, &f.paths, n)
             .into_iter()
-            .map(|(sym, s)| (self.paths.resolve(sym).to_string(), s))
+            .map(|(sym, s)| (f.paths.resolve(sym).to_string(), s))
             .collect()
     }
 
@@ -676,7 +660,7 @@ impl Collector {
                 state: s.state,
                 expected: s.expected,
                 appended: s.appended,
-                sealed: s.durable(),
+                sealed: s.sealed(),
                 completeness: s.completeness(),
             })
             .collect()
@@ -695,39 +679,41 @@ impl Collector {
     }
 }
 
+/// The incrementally folded stats and hotspot table, covering exactly
+/// the sealed records of every session.
+#[derive(Default)]
+struct LiveFolds {
+    stats: StreamingStats,
+    paths: Interner,
+    path_fold: PathFold,
+    records: u64,
+}
+
+impl LiveFolds {
+    /// Fold sealed records, converting each to one [`iot2::Frame`] that
+    /// both folds push.
+    fn push(&mut self, records: &[TraceRecord]) {
+        for r in records {
+            let f = iot2::Frame::from_record(r, &mut self.paths);
+            self.stats.push(&f);
+            self.path_fold.push(&f);
+        }
+        self.records += records.len() as u64;
+    }
+}
+
 fn journal_path(dir: &Path, id: u32) -> PathBuf {
     dir.join(format!("{}.iotj", session_stem(id)))
 }
 
-/// Append the sealed journal bytes not yet on disk. While streaming the
-/// file is the durable prefix a crash preserves; once a session seals
-/// its final segment the same bytes *are* the finished, strictly
-/// readable journal. The first persist — the header, at `Hello` —
-/// creates the file.
-fn persist_journal(dir: &Path, sess: &mut Session) -> Result<(), String> {
-    let sealed = sess.writer.sealed_bytes();
-    append_spool(
-        &journal_path(dir, sess.id),
-        &sealed[sess.persisted..],
-        sess.persisted == 0,
-    )?;
-    sess.persisted = sealed.len();
-    Ok(())
+/// Create a session's journal file. It must not exist yet: a new session
+/// never appends to bytes it did not write.
+fn create_new(path: &Path) -> io::Result<File> {
+    OpenOptions::new().write(true).create_new(true).open(path)
 }
 
-/// Append `bytes` to the spool file at `path`. With `create` the file
-/// must not exist yet: a new session never appends to bytes it did not
-/// write.
-fn append_spool(path: &Path, bytes: &[u8], create: bool) -> Result<(), String> {
-    let mut opts = OpenOptions::new();
-    if create {
-        opts.write(true).create_new(true);
-    } else {
-        opts.append(true);
-    }
-    opts.open(path)
-        .and_then(|mut f| f.write_all(bytes))
-        .map_err(|e| format!("write {}: {e}", path.display()))
+fn write_err(path: &Path, e: io::Error) -> String {
+    format!("write {}: {e}", path.display())
 }
 
 #[cfg(test)]
@@ -769,7 +755,6 @@ mod tests {
                 segment_records: 4,
                 queue_capacity: 4,
                 drain_per_tick: 8,
-                ..CollectorConfig::default()
             },
         )
         .unwrap();
@@ -824,7 +809,6 @@ mod tests {
                 segment_records: 4,
                 queue_capacity: 2,
                 drain_per_tick: 1,
-                ..CollectorConfig::default()
             },
         )
         .unwrap();
@@ -848,7 +832,6 @@ mod tests {
                 segment_records: 4,
                 queue_capacity: 8,
                 drain_per_tick: 16,
-                ..CollectorConfig::default()
             },
         )
         .unwrap();
@@ -892,42 +875,26 @@ mod tests {
     }
 
     #[test]
-    fn v2_spool_writes_v2_journals_and_recovery_preserves_version() {
+    fn recovery_preserves_a_v2_journal_from_an_older_collector() {
         let dir = tmpdir("v2spool");
-        let mut c = Collector::open(
-            &dir,
-            CollectorConfig {
-                segment_records: 4,
-                queue_capacity: 8,
-                drain_per_tick: 16,
-                v2_spool: true,
-            },
-        )
-        .unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
         let meta = TraceMeta::new("/app", 0, 0, "sim");
-        c.offer(
-            1,
-            encode_frame(&Frame::Hello {
-                meta,
-                expected_records: 12,
-            }),
-        )
-        .unwrap();
         let all = recs(12);
-        for (i, chunk) in all.chunks(6).enumerate() {
-            c.offer(
-                1,
-                encode_frame(&Frame::Records {
-                    seq: i as u64 + 1,
-                    records: chunk.to_vec(),
-                }),
-            )
-            .unwrap();
-        }
-        // die after Hello + one Records frame: a torn v2 journal remains
-        let killed = c.drain(16, Some(2)).unwrap();
-        assert!(killed);
+        // What a v2-spooling collector killed after 6 of 12 records
+        // left: one sealed segment of 4, a torn one behind it.
+        let mut w = JournalWriter::new(&meta, 2, 4);
+        w.append_all(all[..6].to_vec()).unwrap();
         let path = dir.join("sess000.iotj");
+        std::fs::write(&path, w.torn()).unwrap();
+        let card = crate::session::SessionCard {
+            session: 0,
+            expected: 12,
+            state: SessionState::Streaming,
+            records: 0,
+            completeness: 0.0,
+            origin: None,
+        };
+        std::fs::write(dir.join("sess000.card"), format!("{}\n", card.to_line())).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(iotrace_model::journal::journal_version(&bytes), Some(2));
         let (t, rep) = iotrace_model::journal::fsck_journal(&bytes).unwrap();
@@ -941,6 +908,88 @@ mod tests {
         let t = iotrace_model::journal::read_journal(&bytes).unwrap();
         assert_eq!(t.records, all[..4]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_handoff_chunk_is_refused_and_the_prefix_kept() {
+        let meta = TraceMeta::new("/app", 0, 0, "sim");
+        let mut w = JournalWriter::new(&meta, 1, 4);
+        w.append_all(recs(12)).unwrap();
+        let chunks = iotrace_model::journal::split_journal(&w.finish().unwrap()).unwrap();
+        assert_eq!(chunks.len(), 4, "header + three segments");
+        // (damage, seq it lands at, why it is refused): a flipped or
+        // truncated segment mid-handoff; a header chunk with bad magic,
+        // torn, or smuggling a segment along.
+        for (tag, at, why) in [
+            ("flip", 3u64, "damaged prefix"),
+            ("cut", 3, "damaged prefix"),
+            ("bad-magic", 1, "IOTJ magic missing"),
+            ("torn-header", 1, "header truncated or corrupt"),
+            ("fat-header", 1, "damaged prefix"),
+        ] {
+            let dir = tmpdir(&format!("handoff-{tag}"));
+            let mut c = Collector::open(
+                &dir,
+                CollectorConfig {
+                    segment_records: 4,
+                    queue_capacity: 8,
+                    drain_per_tick: 16,
+                },
+            )
+            .unwrap();
+            c.offer(
+                99,
+                encode_frame(&Frame::Migrate {
+                    origin_session: 0,
+                    meta: meta.clone(),
+                    expected: 12,
+                    sealed_records: 12,
+                    last_seq: 3,
+                    chunks: chunks.len() as u64,
+                    origin: "a/sess000".to_string(),
+                }),
+            )
+            .unwrap();
+            c.drain(16, None).unwrap();
+            let handoff = |seq: u64, bytes: Vec<u8>| {
+                encode_frame(&Frame::Handoff {
+                    session: 0,
+                    seq,
+                    bytes,
+                })
+            };
+            for seq in 1..at {
+                c.offer(99, handoff(seq, chunks[seq as usize - 1].clone()))
+                    .unwrap();
+            }
+            c.drain(16, None).unwrap();
+            let path = dir.join("sess000.iotj");
+            let before = std::fs::read(&path).ok();
+            let mut bad = chunks[at as usize - 1].clone();
+            match tag {
+                "flip" => {
+                    let mid = bad.len() / 2;
+                    bad[mid] ^= 0x40;
+                }
+                "cut" | "torn-header" => bad.truncate(bad.len() - 3),
+                "bad-magic" => bad[..4].copy_from_slice(b"IOTK"),
+                _ => bad.extend_from_slice(&chunks[1]),
+            }
+            c.offer(99, handoff(at, bad)).unwrap();
+            c.take_outbox();
+            let err = c.drain(16, None).expect_err(tag);
+            assert!(
+                err.contains(why),
+                "{tag}: refused for the wrong reason: {err}"
+            );
+            assert!(c.take_outbox().is_empty(), "{tag}: damaged chunk acked");
+            assert_eq!(std::fs::read(&path).ok(), before, "{tag}: prefix changed");
+            assert_eq!(
+                c.session(0).unwrap().sealed(),
+                4 * (at - 1).saturating_sub(1)
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

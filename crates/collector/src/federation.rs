@@ -861,7 +861,6 @@ mod tests {
                     segment_records: 8,
                     queue_capacity: 8,
                     drain_per_tick: 4,
-                    ..CollectorConfig::default()
                 },
                 ..SoakConfig::default()
             },

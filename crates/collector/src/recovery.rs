@@ -20,15 +20,22 @@
 //! Recovery is idempotent and deterministic: running it twice — or on
 //! two copies of the same torn spool — produces byte-identical
 //! journals, cards, and `merged.digest`.
+//!
+//! Recovery never truncates the only copy: a rewrite goes to
+//! `<name>.tmp` beside the original and is renamed over it, so a crash
+//! mid-rewrite leaves the orphan whole plus a stale `.tmp`, which the
+//! next pass deletes before it starts.
 
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::Path;
 
 use iotrace_analysis::merge::merge_corrected;
 use iotrace_analysis::skew::SkewEstimate;
 use iotrace_model::event::Trace;
 use iotrace_model::journal::{
-    encode_journal_versioned, fsck_journal, journal_version, read_journal, records_digest,
+    fsck_journal, journal_version, read_journal, records_digest, JournalWriter,
 };
 
 use crate::session::{session_stem, SessionCard, SessionState};
@@ -169,6 +176,7 @@ pub(crate) fn read_card(dir: &Path, journal_name: &str) -> Option<SessionCard> {
 /// their cards updated. Writes `merged.digest` describing the merged
 /// record stream of the whole spool.
 pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryReport, String> {
+    remove_stale_tmp(dir)?;
     let names = spool_journals(dir)?;
     let mut rows = Vec::new();
     let mut traces: BTreeMap<u32, Trace> = BTreeMap::new();
@@ -231,11 +239,13 @@ pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryRepor
             // Rewrite the orphan in the same container version it was
             // spooled with, so a v2 spool stays v2 across recovery.
             let version = journal_version(&bytes).unwrap_or(1);
-            std::fs::write(
-                &path,
-                encode_journal_versioned(&trace, segment_records, version),
-            )
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
+            replace(&path, |f| {
+                let seg = segment_records;
+                let f = io::BufWriter::new(f);
+                let mut w = JournalWriter::create(f, &trace.meta, version, seg, seg)?;
+                w.append_all(trace.records.iter().cloned())?;
+                w.finish().map(drop)
+            })?;
             let new_card = SessionCard {
                 session,
                 expected,
@@ -245,8 +255,9 @@ pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryRepor
                 origin: origin.clone(),
             };
             let card_path = dir.join(format!("{}.card", session_stem(session)));
-            std::fs::write(&card_path, format!("{}\n", new_card.to_line()))
-                .map_err(|e| format!("write {}: {e}", card_path.display()))?;
+            replace(&card_path, |mut f| {
+                f.write_all(format!("{}\n", new_card.to_line()).as_bytes())
+            })?;
             (true, state, completeness)
         };
         rows.push(RecoveryRow {
@@ -297,6 +308,31 @@ pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryRepor
     })
 }
 
+/// Rewrite `path` without truncating it: `write` fills `<name>.tmp`,
+/// which is then renamed over the original. Nothing is fsynced.
+fn replace(path: &Path, write: impl FnOnce(File) -> io::Result<()>) -> Result<(), String> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    File::create(&tmp)
+        .and_then(write)
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| format!("write {}: {e}", path.display()))
+}
+
+/// Delete the `.tmp` files a recovery killed mid-rewrite left behind:
+/// only the two names [`replace`] produces, never another `.tmp` that
+/// happens to share the spool directory.
+fn remove_stale_tmp(dir: &Path) -> Result<(), String> {
+    for entry in std::fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))? {
+        let path = entry.map_err(|e| e.to_string())?.path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        if name.ends_with(".iotj.tmp") || name.ends_with(".card.tmp") {
+            std::fs::remove_file(&path).map_err(|e| format!("remove {}: {e}", path.display()))?;
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,8 +372,8 @@ mod tests {
         let dir = tmpdir("orphan");
         let meta = TraceMeta::new("/app", 1, 0, "sim");
         let all = recs(20);
-        let mut w = JournalWriter::new(&meta, 8);
-        w.append_all(&all); // 16 sealed, 4 pending
+        let mut w = JournalWriter::new(&meta, 1, 8);
+        w.append_all(all.clone()).unwrap(); // 16 sealed, 4 pending
         std::fs::write(dir.join("sess000.iotj"), w.torn()).unwrap();
         let card = SessionCard {
             session: 0,
@@ -375,13 +411,70 @@ mod tests {
     }
 
     #[test]
+    fn stale_tmp_from_a_killed_recovery_is_removed_and_changes_nothing() {
+        let meta = TraceMeta::new("/app", 1, 0, "sim");
+        let mut w = JournalWriter::new(&meta, 1, 8);
+        w.append_all(recs(20)).unwrap(); // 16 sealed, 4 pending
+        let card = SessionCard {
+            session: 0,
+            expected: 20,
+            state: SessionState::Streaming,
+            records: 16,
+            completeness: 0.8,
+            origin: None,
+        };
+        let spool = |tag: &str| {
+            let dir = tmpdir(tag);
+            std::fs::write(dir.join("sess000.iotj"), w.torn()).unwrap();
+            std::fs::write(dir.join("sess000.card"), format!("{}\n", card.to_line())).unwrap();
+            // Not recovery's: a `.tmp` it never wrote must survive.
+            std::fs::write(dir.join("notes.tmp"), "keep me").unwrap();
+            dir
+        };
+        let clean = spool("tmp-clean");
+        recover_spool(&clean, 8).unwrap();
+        // A recovery killed mid-rewrite: half a journal and a card in
+        // their `.tmp` files, the originals untouched — plus the `.tmp`
+        // of a journal federation reunite has since deleted, which no
+        // rewrite will reuse.
+        let killed = spool("tmp-killed");
+        std::fs::write(killed.join("sess000.iotj.tmp"), &w.torn()[..9]).unwrap();
+        std::fs::write(killed.join("sess000.card.tmp"), "session=0 exp").unwrap();
+        std::fs::write(killed.join("sess007.iotj.tmp"), &w.torn()[..9]).unwrap();
+        recover_spool(&killed, 8).unwrap();
+        let listing = |dir: &Path| {
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| {
+                    let p = e.unwrap().path();
+                    let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, std::fs::read(&p).unwrap())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        assert_eq!(listing(&killed), listing(&clean), "same files, same bytes");
+        let tmps: Vec<String> = listing(&killed)
+            .into_iter()
+            .map(|(n, _)| n)
+            .filter(|n| n.ends_with(".tmp"))
+            .collect();
+        assert_eq!(tmps, ["notes.tmp"], "only recovery's own .tmp files go");
+        assert_eq!(std::fs::read(killed.join("notes.tmp")).unwrap(), b"keep me");
+        for d in [clean, killed] {
+            let _ = std::fs::remove_dir_all(&d);
+        }
+    }
+
+    #[test]
     fn clean_closed_journal_is_left_untouched() {
         let dir = tmpdir("clean");
         let meta = TraceMeta::new("/app", 1, 0, "sim");
         let all = recs(8);
-        let mut w = JournalWriter::new(&meta, 8);
-        w.append_all(&all);
-        let bytes = w.finish();
+        let mut w = JournalWriter::new(&meta, 1, 8);
+        w.append_all(all.clone()).unwrap();
+        let bytes = w.finish().unwrap();
         std::fs::write(dir.join("sess003.iotj"), &bytes).unwrap();
         let card = SessionCard {
             session: 3,
@@ -404,8 +497,8 @@ mod tests {
     fn journal_without_card_is_recovered_with_fsck_stamp() {
         let dir = tmpdir("nocard");
         let meta = TraceMeta::new("/app", 1, 0, "sim");
-        let mut w = JournalWriter::new(&meta, 4);
-        w.append_all(&recs(10)); // 8 sealed, 2 pending
+        let mut w = JournalWriter::new(&meta, 1, 4);
+        w.append_all(recs(10)).unwrap(); // 8 sealed, 2 pending
         std::fs::write(dir.join("sess001.iotj"), w.torn()).unwrap();
         let rep = recover_spool(&dir, 4).unwrap();
         assert_eq!(rep.rows[0].recovered, 8);

@@ -25,14 +25,18 @@
 //! *exact*: recovery divides recovered records by the card's
 //! expectation instead of guessing from the tear.
 //!
-//! The journal only ever grows by appends, and its sealed prefix is the
-//! durable watermark. The card is rewritten on state transitions only
+//! A live session owns its open journal file and writes every segment
+//! through as it seals, so the journal only ever grows by appends and
+//! its sealed prefix is the durable watermark — there is no in-memory
+//! copy of it. The card is rewritten on state transitions only
 //! (handshake, drain and its abort, each handoff chunk, close), never
 //! on a seal, so a live card's `records` is its count at the last
 //! transition; [`SessionCard::standing`] reads the current count from
 //! the journal instead.
 
-use iotrace_model::event::TraceMeta;
+use std::fs::File;
+
+use iotrace_model::event::{TraceMeta, TraceRecord};
 use iotrace_model::journal::JournalWriter;
 
 /// Where a session is in its life. `Display` renders the lowercase
@@ -194,19 +198,16 @@ pub struct Session {
     pub meta: TraceMeta,
     pub expected: u64,
     pub state: SessionState,
-    pub writer: JournalWriter,
-    /// Journal bytes already appended to `sessNNN.iotj`: the next
-    /// persist writes only `writer.sealed_bytes()[persisted..]`.
-    pub(crate) persisted: usize,
+    /// The open `sessNNN.iotj`. Present while records can still seal
+    /// into it; `None` on a migrating stand-in until its last chunk
+    /// lands, and released once the session is terminal.
+    pub(crate) journal: Option<JournalWriter<File>>,
+    /// Durable records: sealed into the journal on disk.
+    pub(crate) sealed: u64,
     /// Records appended (acked) so far.
     pub appended: u64,
     /// Highest `Records.seq` applied; frames must arrive in order.
     pub last_seq: u64,
-    /// Appended records not yet folded into the incremental stats —
-    /// drained as their segments seal.
-    pub unfolded: Vec<iotrace_model::event::TraceRecord>,
-    /// Records already folded (== sealed records already durable).
-    pub folded: u64,
     /// Set on a migrated-in session: where the source copy lives
     /// (`<collector>/<stem>`), persisted into the card.
     pub origin: Option<String>,
@@ -214,68 +215,52 @@ pub struct Session {
     pub recv: Option<HandoffRecv>,
 }
 
-/// Destination-side handoff accumulator: the chunk bytes received so
-/// far. Because chunks arrive along journal structure (header, then one
-/// sealed segment each), `buf` is a valid journal after every chunk —
-/// it is persisted verbatim, so a kill between chunks tears nothing.
+/// Destination-side handoff state. Chunks arrive along journal
+/// structure (header, then one sealed segment each) and each is
+/// appended to the stand-in's journal as it lands, so the file is a
+/// valid sealed journal after every chunk and a kill between chunks
+/// tears nothing.
 pub struct HandoffRecv {
-    /// Concatenated chunk bytes: always a sealed, fsck-clean journal.
-    pub buf: Vec<u8>,
+    /// The header chunk: every later chunk is checked as `header ++
+    /// chunk`, so each shipped byte is decoded once.
+    pub header: Vec<u8>,
+    /// The stand-in's journal, created when the header chunk lands.
+    pub(crate) file: Option<File>,
     /// Next chunk seq expected (1-based; 1 is the header chunk).
     pub next_chunk: u64,
     /// Total chunks the source announced.
     pub total_chunks: u64,
     /// Sealed record count the source promised for the full spool.
     pub promised: u64,
-    /// Records recovered from `buf` after the latest chunk.
-    pub records: u64,
+    /// Sealed segments received so far.
+    pub segments: usize,
+    /// Records received so far, folded into the collector's live
+    /// stats once the handoff completes.
+    pub shipped: Vec<TraceRecord>,
 }
 
 impl Session {
-    /// `v2_spool` selects the journal container version for this
-    /// session's spool file: `false` writes classic v1 varint segments,
-    /// `true` writes v2 (IOT2 fixed-stride frame payloads).
-    pub fn new(
-        id: u32,
-        meta: TraceMeta,
-        expected: u64,
-        segment_records: usize,
-        v2_spool: bool,
-    ) -> Self {
-        let writer = if v2_spool {
-            JournalWriter::new_v2(&meta, segment_records)
-        } else {
-            JournalWriter::new(&meta, segment_records)
-        };
+    /// A session with no journal yet: the collector opens one at
+    /// `Hello`, or resumes the shipped one when a handoff completes.
+    pub fn new(id: u32, meta: TraceMeta, expected: u64) -> Self {
         Session {
             id,
             meta,
             expected,
             state: SessionState::Handshake,
-            writer,
-            persisted: 0,
+            journal: None,
+            sealed: 0,
             appended: 0,
             last_seq: 0,
-            unfolded: Vec::new(),
-            folded: 0,
             origin: None,
             recv: None,
         }
     }
 
-    /// Durable (sealed) record count.
+    /// Durable (sealed) record count: on disk in the journal, or, while
+    /// `Migrating`, in the handoff prefix received so far.
     pub fn sealed(&self) -> u64 {
-        self.writer.sealed_records() as u64
-    }
-
-    /// Durable record count for the card: while `Migrating` the writer
-    /// is a placeholder and durability is what the handoff buffer holds;
-    /// otherwise it is the writer's sealed watermark.
-    pub fn durable(&self) -> u64 {
-        match (&self.state, &self.recv) {
-            (SessionState::Migrating, Some(recv)) => recv.records,
-            _ => self.sealed(),
-        }
+        self.sealed
     }
 
     /// The card describing this session's current persistent state.
@@ -284,7 +269,7 @@ impl Session {
             session: self.id,
             expected: self.expected,
             state: self.state,
-            records: self.durable(),
+            records: self.sealed,
             completeness: self.completeness(),
             origin: self.origin.clone(),
         }
@@ -293,7 +278,7 @@ impl Session {
     /// Completeness against the declared expectation: exact when the
     /// client declared one, 1.0 while nothing says otherwise.
     pub fn completeness(&self) -> f64 {
-        completeness(self.durable(), self.expected)
+        completeness(self.sealed, self.expected)
     }
 }
 
@@ -364,12 +349,10 @@ mod tests {
     #[test]
     fn completeness_tracks_sealed_over_expected() {
         let meta = TraceMeta::new("/a", 0, 0, "t");
-        let s = Session::new(1, meta, 100, 8, false);
+        let s = Session::new(1, meta, 100);
         assert_eq!(s.completeness(), 0.0);
         let meta2 = TraceMeta::new("/a", 0, 0, "t");
-        let s2 = Session::new(2, meta2, 0, 8, true);
+        let s2 = Session::new(2, meta2, 0);
         assert_eq!(s2.completeness(), 1.0, "unknown expectation claims 1.0");
-        assert_eq!(s.writer.version(), 1);
-        assert_eq!(s2.writer.version(), 2);
     }
 }

@@ -51,7 +51,7 @@ fn spool_digest(spool: &Spool) -> u64 {
     h
 }
 
-fn cfg(clients: u32, kill_at_frame: Option<u64>, v2_spool: bool) -> SoakConfig {
+fn cfg(clients: u32, kill_at_frame: Option<u64>) -> SoakConfig {
     SoakConfig {
         clients,
         records_per_client: 200,
@@ -60,7 +60,6 @@ fn cfg(clients: u32, kill_at_frame: Option<u64>, v2_spool: bool) -> SoakConfig {
             segment_records: 32,
             queue_capacity: 8,
             drain_per_tick: 4,
-            v2_spool,
         },
         kill_at_frame,
         ..SoakConfig::default()
@@ -120,19 +119,7 @@ fn clean_and_killed_soaks_only_append() {
     ];
     for (kill, digest) in golden {
         let tag = format!("k{kill:?}");
-        let got = append_only_soak(&tag, &cfg(4, kill, false), &FaultPlan::clean());
-        assert_eq!(got, digest, "{tag}: journal bytes changed: {got:#018x}");
-    }
-}
-
-#[test]
-fn v2_spools_only_append() {
-    for (kill, digest) in [
-        (None, 0xf9b6_ef7a_cd92_ce33),
-        (Some(20), 0xc932_d5f3_b76a_1a1d),
-    ] {
-        let tag = format!("v2-k{kill:?}");
-        let got = append_only_soak(&tag, &cfg(4, kill, true), &FaultPlan::clean());
+        let got = append_only_soak(&tag, &cfg(4, kill), &FaultPlan::clean());
         assert_eq!(got, digest, "{tag}: journal bytes changed: {got:#018x}");
     }
 }
@@ -163,7 +150,7 @@ fn chaos_soaks_only_append() {
         (Some(40), 0x7d20_da59_29a5_dc3d),
     ] {
         let tag = format!("chaos-k{kill:?}");
-        let got = append_only_soak(&tag, &cfg(4, kill, false), &plan);
+        let got = append_only_soak(&tag, &cfg(4, kill), &plan);
         assert_eq!(got, digest, "{tag}: journal bytes changed: {got:#018x}");
     }
 }

@@ -65,7 +65,6 @@ fn fed_cfg(seed: u64) -> FederationConfig {
                 segment_records: SEGMENT_RECORDS,
                 queue_capacity: 8,
                 drain_per_tick: 4,
-                ..CollectorConfig::default()
             },
             ..SoakConfig::default()
         },

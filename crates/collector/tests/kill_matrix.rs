@@ -33,7 +33,6 @@ fn cfg() -> SoakConfig {
             segment_records: SEGMENT_RECORDS,
             queue_capacity: 8,
             drain_per_tick: 4,
-            ..CollectorConfig::default()
         },
         ..SoakConfig::default()
     }

@@ -34,7 +34,6 @@ fn slow_consumer_soak_completes_without_losing_acked_records() {
             segment_records: 32,
             queue_capacity: 3, // far fewer slots than clients
             drain_per_tick: 4,
-            ..CollectorConfig::default()
         },
         status_every: 50,
         ..SoakConfig::default()
@@ -88,7 +87,6 @@ fn lossy_soak_loses_only_what_the_plan_documents() {
             segment_records: 16,
             queue_capacity: 8,
             drain_per_tick: 4,
-            ..CollectorConfig::default()
         },
         seed,
         ..SoakConfig::default()
@@ -179,7 +177,6 @@ fn incremental_stats_match_batch_over_sealed_records() {
             segment_records: 16,
             queue_capacity: 64,
             drain_per_tick: 64,
-            ..CollectorConfig::default()
         },
     )
     .unwrap();

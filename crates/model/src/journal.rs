@@ -33,13 +33,15 @@ use crate::binary::{decode_record_plain, encode_record_plain, BinError};
 use crate::crc::{crc32, fnv1a64};
 use crate::event::{Trace, TraceMeta, TraceRecord};
 use crate::varint::{put_str, put_u64, Cursor, VarintError};
+use std::io::{self, Write};
 
 const MAGIC: &[u8; 4] = b"IOTJ";
-const VERSION: u8 = 1;
+/// Journal version whose segments carry the plain varint encoding.
+pub const VERSION_V1: u8 = 1;
 /// Journal version whose segment payloads carry a format tag and
 /// default to IOT2 fixed-stride frames (with a per-segment string
 /// table), so sealed segments decode with the zero-copy frame parser.
-pub(crate) const VERSION_V2: u8 = 2;
+pub const VERSION_V2: u8 = 2;
 const SEAL: &[u8; 4] = b"SEAL";
 
 /// v2 segment payload format tags (first payload byte).
@@ -134,22 +136,34 @@ impl std::fmt::Display for FsckReport {
     }
 }
 
-/// Incremental journal writer. Records accumulate in a pending segment;
-/// every `segment_records` appends the segment is sealed into the
-/// durable buffer. Only sealed bytes are ever recoverable — exactly the
-/// guarantee a real incremental tracer gets from fsync-after-seal.
-pub struct JournalWriter {
-    buf: Vec<u8>,
+/// The one IOTJ writer, generic over its sink: `Vec<u8>` for one-shot
+/// encoding and tests, a `File` for spill spools, collector sessions
+/// and recovery rewrites.
+///
+/// Records accumulate in memory until `watermark` of them are open;
+/// then every *full* segment of `segment_records` is sealed to the sink
+/// and the sub-segment remainder waits. Sealing a short segment early
+/// would change the bytes (a one-shot journal only seals a short
+/// segment at the very end), so the resident bound is
+/// `max(watermark, segment_records)` and the finished sink is
+/// byte-identical to [`encode_journal_versioned`] for any watermark.
+/// Only sealed bytes ever reach the sink — exactly the guarantee a real
+/// incremental tracer gets from fsync-after-seal.
+pub struct JournalWriter<W = Vec<u8>> {
+    sink: W,
+    /// `pending[..sealed_front]` are the records the previous call
+    /// sealed and handed back to its caller; the rest are open.
     pending: Vec<TraceRecord>,
+    sealed_front: usize,
     segment_records: usize,
+    watermark: usize,
+    version: u8,
     sealed_segments: usize,
     sealed_records: usize,
-    version: u8,
+    peak_pending: usize,
 }
 
-/// The container prefix a [`JournalWriter`] starts from: magic, version
-/// byte, CRC-framed header. `pub(crate)` for [`crate::spill`].
-pub(crate) fn header_bytes(meta: &TraceMeta, version: u8) -> Vec<u8> {
+fn header_bytes(meta: &TraceMeta, version: u8) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(MAGIC);
     buf.push(version);
@@ -230,27 +244,47 @@ fn decode_plain_into(
     Ok(())
 }
 
-impl JournalWriter {
-    pub fn new(meta: &TraceMeta, segment_records: usize) -> Self {
-        Self::with_version(meta, segment_records, VERSION)
+impl<W: Write> JournalWriter<W> {
+    /// Start a journal on `sink`: write the container header, then seal
+    /// segments of `segment_records` whenever `watermark` records are
+    /// open (`watermark` is clamped up to `segment_records`).
+    pub fn create(
+        mut sink: W,
+        meta: &TraceMeta,
+        version: u8,
+        segment_records: usize,
+        watermark: usize,
+    ) -> io::Result<Self> {
+        sink.write_all(&header_bytes(meta, version))?;
+        let mut w = Self::resume(sink, version, 0, 0, segment_records);
+        w.watermark = watermark.max(w.segment_records);
+        Ok(w)
     }
 
-    /// A v2 journal: sealed segments carry IOT2 fixed-stride frames
-    /// (falling back per segment to the v1 payload encoding for records
-    /// the packed frame word cannot represent, so `append` never fails).
-    pub fn new_v2(meta: &TraceMeta, segment_records: usize) -> Self {
-        Self::with_version(meta, segment_records, VERSION_V2)
-    }
-
-    fn with_version(meta: &TraceMeta, segment_records: usize, version: u8) -> Self {
-        let buf = header_bytes(meta, version);
+    /// Continue a journal whose clean sealed prefix — `sealed_segments`
+    /// segments holding `sealed_records` records, in container
+    /// `version` — is already in `sink`: what a migration destination
+    /// does once the last handoff chunk lands. The caller vouches for
+    /// the prefix; appends continue byte-identically to one writer that
+    /// wrote it all.
+    pub fn resume(
+        sink: W,
+        version: u8,
+        sealed_segments: usize,
+        sealed_records: usize,
+        segment_records: usize,
+    ) -> Self {
+        let segment_records = segment_records.max(1);
         JournalWriter {
-            buf,
+            sink,
             pending: Vec::new(),
-            segment_records: segment_records.max(1),
-            sealed_segments: 0,
-            sealed_records: 0,
+            sealed_front: 0,
+            segment_records,
+            watermark: segment_records,
             version,
+            sealed_segments,
+            sealed_records,
+            peak_pending: 0,
         }
     }
 
@@ -259,30 +293,54 @@ impl JournalWriter {
         self.version
     }
 
-    pub fn append(&mut self, rec: &TraceRecord) {
-        self.pending.push(rec.clone());
-        if self.pending.len() >= self.segment_records {
-            self.seal_segment();
+    /// Append one record, sealing every full segment once `watermark`
+    /// records are open. Returns the records this call sealed (already
+    /// written to the sink), in order.
+    pub fn append(&mut self, rec: TraceRecord) -> io::Result<&[TraceRecord]> {
+        self.release();
+        self.pending.push(rec);
+        let open = self.pending.len();
+        self.peak_pending = self.peak_pending.max(open);
+        if open >= self.watermark {
+            self.seal(open / self.segment_records * self.segment_records)?;
         }
+        Ok(&self.pending[..self.sealed_front])
     }
 
-    pub fn append_all(&mut self, recs: &[TraceRecord]) {
+    pub fn append_all(&mut self, recs: impl IntoIterator<Item = TraceRecord>) -> io::Result<()> {
         for r in recs {
-            self.append(r);
+            self.append(r)?;
+        }
+        Ok(())
+    }
+
+    /// Seal every open record — full segments, then one short segment —
+    /// and return them. A no-op when nothing is open.
+    pub fn seal_segment(&mut self) -> io::Result<&[TraceRecord]> {
+        self.release();
+        self.seal(self.pending.len())?;
+        Ok(&self.pending[..self.sealed_front])
+    }
+
+    /// Drop the records the previous call handed back.
+    fn release(&mut self) {
+        if self.sealed_front > 0 {
+            self.pending.drain(..self.sealed_front);
+            self.sealed_front = 0;
         }
     }
 
-    /// Seal the pending records into a durable segment (no-op when
-    /// nothing is pending).
-    pub fn seal_segment(&mut self) {
-        if self.pending.is_empty() {
-            return;
+    /// Write the first `n` open records to the sink as sealed segments
+    /// of `segment_records` each.
+    fn seal(&mut self, n: usize) -> io::Result<()> {
+        let open = &self.pending[self.sealed_front..self.sealed_front + n];
+        for chunk in open.chunks(self.segment_records) {
+            self.sink.write_all(&segment_bytes(chunk, self.version))?;
+            self.sealed_segments += 1;
+            self.sealed_records += chunk.len();
         }
-        self.buf
-            .extend_from_slice(&segment_bytes(&self.pending, self.version));
-        self.sealed_segments += 1;
-        self.sealed_records += self.pending.len();
-        self.pending.clear();
+        self.sealed_front += n;
+        Ok(())
     }
 
     pub fn sealed_segments(&self) -> usize {
@@ -293,69 +351,69 @@ impl JournalWriter {
         self.sealed_records
     }
 
+    /// Records appended but not yet sealed.
     pub fn pending_records(&self) -> usize {
-        self.pending.len()
+        self.pending.len() - self.sealed_front
+    }
+
+    /// High-water mark of the open records: the writer's actual
+    /// resident footprint, which bounded-RSS tests assert against.
+    pub fn peak_pending(&self) -> usize {
+        self.peak_pending
+    }
+
+    /// Seal everything open, flush, and hand back the sink.
+    pub fn finish(mut self) -> io::Result<W> {
+        self.seal_segment()?;
+        self.sink.flush()?;
+        Ok(self.sink)
+    }
+
+    /// Die mid-append: write what a crash leaves past the sealed prefix
+    /// ([`JournalWriter::torn`]'s tail) and hand back the sink.
+    pub fn tear(mut self) -> io::Result<W> {
+        let tail = self.torn_tail();
+        self.sink.write_all(&tail)?;
+        self.sink.flush()?;
+        Ok(self.sink)
+    }
+
+    /// The first half of the next segment a seal would write. Never
+    /// empty — a killed writer was, by construction, mid-append: with
+    /// nothing open, only a dangling length prefix made it out.
+    fn torn_tail(&self) -> Vec<u8> {
+        let open = &self.pending[self.sealed_front..];
+        if open.is_empty() {
+            let mut tail = Vec::new();
+            put_u64(&mut tail, 57);
+            return tail;
+        }
+        let next = &open[..open.len().min(self.segment_records)];
+        let seg = segment_bytes(next, self.version);
+        let cut = (seg.len() / 2).max(1).min(seg.len() - 1);
+        seg[..cut].to_vec()
+    }
+}
+
+/// Writes to a `Vec<u8>` sink cannot fail.
+const IN_MEMORY: &str = "writing to memory cannot fail";
+
+impl JournalWriter<Vec<u8>> {
+    /// An in-memory journal sealing every `segment_records` appends.
+    pub fn new(meta: &TraceMeta, version: u8, segment_records: usize) -> Self {
+        let seg = segment_records;
+        Self::create(Vec::new(), meta, version, seg, seg).expect(IN_MEMORY)
     }
 
     /// The durable journal bytes: header plus sealed segments only.
     pub fn sealed_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Seal everything pending and return the finished journal.
-    pub fn finish(mut self) -> Vec<u8> {
-        self.seal_segment();
-        self.buf
+        &self.sink
     }
 
     /// The journal as a crash would leave it: sealed segments intact,
-    /// the in-flight segment torn mid-write. Always leaves a non-empty
-    /// tail — a killed writer was, by construction, mid-append.
+    /// the in-flight segment torn mid-write.
     pub fn torn(&self) -> Vec<u8> {
-        let mut out = self.buf.clone();
-        out.extend_from_slice(&self.torn_tail());
-        out
-    }
-
-    /// The bytes [`JournalWriter::torn`] leaves past the sealed prefix:
-    /// what an append-only spool gains when its writer dies mid-append.
-    pub fn torn_tail(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        if self.pending.is_empty() {
-            // Killed before any payload of the next frame landed: only a
-            // dangling length prefix made it out.
-            put_u64(&mut out, 57);
-        } else {
-            let seg = segment_bytes(&self.pending, self.version);
-            let cut = (seg.len() / 2).max(1).min(seg.len() - 1);
-            out.extend_from_slice(&seg[..cut]);
-        }
-        out
-    }
-
-    /// Resume an incremental writer over an existing *clean* sealed
-    /// journal — what a migration destination does once the last handoff
-    /// chunk lands: the shipped bytes become the durable buffer and
-    /// appends continue past the shipped watermark, in the shipped
-    /// container version. Strict by design: torn or damaged bytes are
-    /// refused, because a collector must never vouch for a spool it
-    /// cannot fully verify.
-    pub fn resume(bytes: Vec<u8>, segment_records: usize) -> Result<JournalWriter, JournalError> {
-        let version = journal_version(&bytes).ok_or(JournalError::BadMagic)?;
-        let (_, rep) = fsck_journal(&bytes)?;
-        if rep.is_damaged() {
-            return Err(JournalError::Torn {
-                offset: bytes.len() - rep.torn_tail_bytes,
-            });
-        }
-        Ok(JournalWriter {
-            buf: bytes,
-            pending: Vec::new(),
-            segment_records: segment_records.max(1),
-            sealed_segments: rep.segments_recovered,
-            sealed_records: rep.records_recovered,
-            version,
-        })
+        [&self.sink[..], &self.torn_tail()].concat()
     }
 }
 
@@ -381,7 +439,7 @@ pub fn split_journal(bytes: &[u8]) -> Result<Vec<Vec<u8>>, JournalError> {
 /// then either IOT2 fixed-stride frames (the normal case) or, when any
 /// record cannot be packed into a frame word (rank or fd out of range),
 /// the v1 varint encoding for the whole segment — which is what keeps
-/// [`JournalWriter::append`] infallible.
+/// [`JournalWriter::append`] accepting every record.
 pub fn encode_segment_payload_v2(records: &[TraceRecord]) -> Vec<u8> {
     match crate::iot2::encode_segment_frames(records) {
         Ok(frames) => {
@@ -426,9 +484,8 @@ fn decode_v2_into(
 
 /// Encode one sealed segment: frame length, payload (delta timestamps
 /// reset per segment), then the footer that makes it trustworthy.
-/// `pub(crate)` for [`crate::spill`], whose on-disk spool must be
-/// byte-identical to a one-shot journal of the same records.
-pub(crate) fn segment_bytes(records: &[TraceRecord], version: u8) -> Vec<u8> {
+/// Only [`JournalWriter`] calls it: its seal, and its torn tail.
+fn segment_bytes(records: &[TraceRecord], version: u8) -> Vec<u8> {
     let payload = if version >= VERSION_V2 {
         encode_segment_payload_v2(records)
     } else {
@@ -445,14 +502,15 @@ pub(crate) fn segment_bytes(records: &[TraceRecord], version: u8) -> Vec<u8> {
 
 /// One-shot encoding of a whole trace as a finished journal.
 pub fn encode_journal(trace: &Trace, segment_records: usize) -> Vec<u8> {
-    encode_journal_versioned(trace, segment_records, VERSION)
+    encode_journal_versioned(trace, segment_records, VERSION_V1)
 }
 
 /// [`encode_journal`] with an explicit container version (1 or 2).
 pub fn encode_journal_versioned(trace: &Trace, segment_records: usize, version: u8) -> Vec<u8> {
-    let mut w = JournalWriter::with_version(&trace.meta, segment_records, version);
-    w.append_all(&trace.records);
-    w.finish()
+    let mut w = JournalWriter::new(&trace.meta, version, segment_records);
+    w.append_all(trace.records.iter().cloned())
+        .expect(IN_MEMORY);
+    w.finish().expect(IN_MEMORY)
 }
 
 fn read_header(bytes: &[u8]) -> Result<(TraceMeta, usize, u8), JournalError> {
@@ -460,7 +518,7 @@ fn read_header(bytes: &[u8]) -> Result<(TraceMeta, usize, u8), JournalError> {
         return Err(JournalError::BadMagic);
     }
     let version = bytes[4];
-    if version != VERSION && version != VERSION_V2 {
+    if version != VERSION_V1 && version != VERSION_V2 {
         return Err(JournalError::BadVersion(version));
     }
     let mut c = Cursor::new(&bytes[5..]);
@@ -784,8 +842,8 @@ mod tests {
     #[test]
     fn writer_seals_at_the_configured_cadence() {
         let t = sample(10);
-        let mut w = JournalWriter::new(&t.meta, 4);
-        w.append_all(&t.records);
+        let mut w = JournalWriter::new(&t.meta, VERSION_V1, 4);
+        w.append_all(t.records.clone()).unwrap();
         assert_eq!(w.sealed_segments(), 2);
         assert_eq!(w.sealed_records(), 8);
         assert_eq!(w.pending_records(), 2);
@@ -793,7 +851,7 @@ mod tests {
         let sealed = w.sealed_bytes().to_vec();
         let partial = read_journal(&sealed).unwrap();
         assert_eq!(partial.records.as_slice(), &t.records[..8]);
-        let full = read_journal(&w.finish()).unwrap();
+        let full = read_journal(&w.finish().unwrap()).unwrap();
         assert_eq!(full, t);
     }
 
@@ -822,8 +880,8 @@ mod tests {
     #[test]
     fn split_journal_refuses_torn_bytes() {
         let t = sample(20);
-        let mut w = JournalWriter::new(&t.meta, 8);
-        w.append_all(&t.records);
+        let mut w = JournalWriter::new(&t.meta, VERSION_V1, 8);
+        w.append_all(t.records.clone()).unwrap();
         let err = split_journal(&w.torn()).unwrap_err();
         assert!(matches!(err, JournalError::Torn { .. }));
         assert!(matches!(
@@ -836,21 +894,17 @@ mod tests {
     fn resume_continues_a_sealed_prefix_byte_identically() {
         for version in [1u8, 2] {
             let t = sample(24);
-            let mut first = if version == 2 {
-                JournalWriter::new_v2(&t.meta, 8)
-            } else {
-                JournalWriter::new(&t.meta, 8)
-            };
-            first.append_all(&t.records[..16]);
+            let mut first = JournalWriter::new(&t.meta, version, 8);
+            first.append_all(t.records[..16].to_vec()).unwrap();
             let shipped = first.sealed_bytes().to_vec();
-            let mut resumed = JournalWriter::resume(shipped, 8).expect("clean bytes resume");
+            let mut resumed = JournalWriter::resume(shipped, version, 2, 16, 8);
             assert_eq!(resumed.version(), version);
-            assert_eq!(resumed.sealed_records(), 16);
-            assert_eq!(resumed.sealed_segments(), 2);
-            resumed.append_all(&t.records[16..]);
+            resumed.append_all(t.records[16..].to_vec()).unwrap();
+            assert_eq!(resumed.sealed_records(), 24);
+            assert_eq!(resumed.sealed_segments(), 3);
             let oneshot = encode_journal_versioned(&t, 8, version);
             assert_eq!(
-                resumed.finish(),
+                resumed.finish().unwrap(),
                 oneshot,
                 "v{version}: a resumed writer emits what one writer would have"
             );
@@ -858,25 +912,25 @@ mod tests {
     }
 
     #[test]
-    fn resume_refuses_torn_or_damaged_bytes() {
-        let t = sample(20);
-        let mut w = JournalWriter::new(&t.meta, 8);
-        w.append_all(&t.records);
-        let Err(err) = JournalWriter::resume(w.torn(), 8) else {
-            panic!("resume accepted torn bytes");
-        };
-        assert!(matches!(err, JournalError::Torn { .. }));
-        assert!(matches!(
-            JournalWriter::resume(b"IOTK".to_vec(), 8),
-            Err(JournalError::BadMagic)
-        ));
+    fn append_hands_back_exactly_the_records_it_sealed() {
+        let t = sample(10);
+        let mut w = JournalWriter::new(&t.meta, VERSION_V1, 4);
+        let mut sealed = Vec::new();
+        for r in &t.records {
+            sealed.extend_from_slice(w.append(r.clone()).unwrap());
+        }
+        assert_eq!(sealed.as_slice(), &t.records[..8]);
+        assert_eq!(w.seal_segment().unwrap(), &t.records[8..]);
+        assert!(w.seal_segment().unwrap().is_empty(), "nothing left open");
+        assert_eq!(w.sealed_records(), 10);
+        assert_eq!(read_journal(w.sealed_bytes()).unwrap(), t);
     }
 
     #[test]
     fn torn_journal_keeps_sealed_segments_and_reports_the_tail() {
         let t = sample(11);
-        let mut w = JournalWriter::new(&t.meta, 4);
-        w.append_all(&t.records); // 2 sealed segments, 3 pending
+        let mut w = JournalWriter::new(&t.meta, VERSION_V1, 4);
+        w.append_all(t.records.clone()).unwrap(); // 2 sealed segments, 3 pending
         let torn = w.torn();
         assert!(matches!(
             read_journal(&torn),
@@ -894,8 +948,8 @@ mod tests {
     #[test]
     fn torn_with_empty_pending_still_leaves_a_tail() {
         let t = sample(8);
-        let mut w = JournalWriter::new(&t.meta, 4);
-        w.append_all(&t.records); // exactly two sealed segments, none pending
+        let mut w = JournalWriter::new(&t.meta, VERSION_V1, 4);
+        w.append_all(t.records.clone()).unwrap(); // exactly two sealed segments, none pending
         assert_eq!(w.pending_records(), 0);
         let torn = w.torn();
         let (rec, report) = fsck_journal(&torn).unwrap();
@@ -964,9 +1018,9 @@ mod tests {
     #[test]
     fn v2_torn_journal_fscks_like_v1() {
         let t = sample(11);
-        let mut w = JournalWriter::new_v2(&t.meta, 4);
+        let mut w = JournalWriter::new(&t.meta, VERSION_V2, 4);
         assert_eq!(w.version(), 2);
-        w.append_all(&t.records); // 2 sealed segments, 3 pending
+        w.append_all(t.records.clone()).unwrap(); // 2 sealed segments, 3 pending
         let torn = w.torn();
         assert!(matches!(
             read_journal(&torn),

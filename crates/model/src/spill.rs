@@ -2,12 +2,12 @@
 //! capture buffers to an on-disk spool of IOTJ v2 segments.
 //!
 //! At the 4096-rank tier a capture session produces ~10⁸ records; no
-//! stage may hold them all in memory. A [`SpillWriter`] gives each rank
-//! stream a bounded in-memory buffer: when the buffer crosses the
-//! *watermark*, every full segment's worth of records is sealed and
-//! appended to the rank's spool file, and only the sub-segment remainder
-//! stays resident. Downstream analysis then decodes the spool straight
-//! from disk — segment-parallel, via the ordinary
+//! stage may hold them all in memory. A [`SpillSet`] gives each rank
+//! stream one [`JournalWriter`] over its spool file with a bounded
+//! in-memory buffer: when the buffer crosses the *watermark*, every
+//! full segment's worth of records is sealed and appended to the file,
+//! and only the sub-segment remainder stays resident. Downstream
+//! analysis then decodes the spool straight from disk via the ordinary
 //! [`crate::journal::read_journal`] path, because the spool IS a
 //! journal:
 //!
@@ -16,39 +16,24 @@
 //! [`crate::journal::encode_journal_versioned`] over the full record
 //! sequence at the same segment size. Spilling changes *when* bytes
 //! reach disk, never *which* bytes. That is what lets every existing
-//! journal tool — fsck, split, resume, the collector's spool recovery —
-//! operate on spilled captures unchanged, and it is checked by proptest
-//! across random flush patterns.
+//! journal tool — fsck, split, the collector's spool recovery — operate
+//! on spilled captures unchanged, and it is checked by proptest across
+//! random flush patterns.
 //!
 //! Crash story, inherited from the journal: the writer appends only
 //! sealed segments, so a capture killed mid-run leaves a spool whose
 //! sealed prefix fscks clean; at most the sub-watermark remainder (never
-//! yet written) is lost — the same guarantee the in-memory
-//! [`crate::journal::JournalWriter`] gives, now with bounded RSS.
+//! yet written) is lost.
 
 use std::fs::File;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::event::{Trace, TraceMeta, TraceRecord};
-use crate::journal::{fsck_journal, header_bytes, read_journal, segment_bytes, FsckReport};
+use crate::journal::{fsck_journal, read_journal, FsckReport, JournalWriter, VERSION_V2};
 
 /// Default in-memory watermark (records) before a spill is attempted.
 pub const DEFAULT_WATERMARK: usize = 4096;
-
-/// One rank stream spilling to one spool file. See module docs.
-pub struct SpillWriter {
-    file: File,
-    path: PathBuf,
-    pending: Vec<TraceRecord>,
-    segment_records: usize,
-    watermark: usize,
-    version: u8,
-    spooled_bytes: u64,
-    sealed_segments: u64,
-    sealed_records: u64,
-    peak_pending: usize,
-}
 
 /// What one finished spool file holds.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,120 +47,17 @@ pub struct SpillStats {
     pub peak_pending: usize,
 }
 
-impl SpillWriter {
-    /// Create a v2 spool file at `path` and write the container header.
-    /// `watermark` is clamped up to `segment_records` — below that no
-    /// full segment could ever form and the buffer would grow anyway.
-    pub fn create(
-        path: impl Into<PathBuf>,
-        meta: &TraceMeta,
-        segment_records: usize,
-        watermark: usize,
-    ) -> io::Result<SpillWriter> {
-        let path = path.into();
-        let segment_records = segment_records.max(1);
-        let mut file = File::create(&path)?;
-        let hdr = header_bytes(meta, crate::journal::VERSION_V2);
-        file.write_all(&hdr)?;
-        Ok(SpillWriter {
-            file,
-            path,
-            pending: Vec::new(),
-            segment_records,
-            watermark: watermark.max(segment_records),
-            version: crate::journal::VERSION_V2,
-            spooled_bytes: hdr.len() as u64,
-            sealed_segments: 0,
-            sealed_records: 0,
-            peak_pending: 0,
-        })
-    }
-
-    pub fn append(&mut self, rec: TraceRecord) -> io::Result<()> {
-        self.pending.push(rec);
-        self.peak_pending = self.peak_pending.max(self.pending.len());
-        if self.pending.len() >= self.watermark {
-            self.spill()?;
-        }
-        Ok(())
-    }
-
-    pub fn append_all(&mut self, recs: impl IntoIterator<Item = TraceRecord>) -> io::Result<()> {
-        for r in recs {
-            self.append(r)?;
-        }
-        Ok(())
-    }
-
-    /// Seal every *full* segment in the buffer to disk, keeping the
-    /// sub-segment remainder resident. Sealing partial segments here
-    /// would change the finished bytes (a one-shot journal only seals a
-    /// short segment at the very end), breaking the byte-identity
-    /// invariant — so the remainder waits for more records or `finish`.
-    pub fn spill(&mut self) -> io::Result<()> {
-        let full = (self.pending.len() / self.segment_records) * self.segment_records;
-        if full == 0 {
-            return Ok(());
-        }
-        for chunk in self.pending[..full].chunks(self.segment_records) {
-            let seg = segment_bytes(chunk, self.version);
-            self.file.write_all(&seg)?;
-            self.spooled_bytes += seg.len() as u64;
-            self.sealed_segments += 1;
-            self.sealed_records += chunk.len() as u64;
-        }
-        self.pending.drain(..full);
-        Ok(())
-    }
-
-    /// Records currently resident in memory (always `< watermark` after
-    /// an append returns).
-    pub fn pending_records(&self) -> usize {
-        self.pending.len()
-    }
-
-    pub fn spooled_bytes(&self) -> u64 {
-        self.spooled_bytes
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Seal everything left (including a final short segment), sync the
-    /// file, and report what the spool holds.
-    pub fn finish(mut self) -> io::Result<SpillStats> {
-        self.spill()?;
-        if !self.pending.is_empty() {
-            let seg = segment_bytes(&self.pending, self.version);
-            self.file.write_all(&seg)?;
-            self.spooled_bytes += seg.len() as u64;
-            self.sealed_segments += 1;
-            self.sealed_records += self.pending.len() as u64;
-            self.pending.clear();
-        }
-        self.file.flush()?;
-        self.file.sync_all()?;
-        Ok(SpillStats {
-            path: self.path,
-            bytes: self.spooled_bytes,
-            segments: self.sealed_segments,
-            records: self.sealed_records,
-            peak_pending: self.peak_pending,
-        })
-    }
-}
-
-/// A spool directory: one [`SpillWriter`] per rank stream, files named
-/// `rank-NNNNN.iotj` so a directory listing sorts in rank order.
+/// A spool directory: one v2 [`JournalWriter`] per rank stream, files
+/// named `rank-NNNNN.iotj` so a directory listing sorts in rank order.
 pub struct SpillSet {
-    writers: Vec<SpillWriter>,
+    writers: Vec<(PathBuf, JournalWriter<File>)>,
 }
 
 impl SpillSet {
     /// One spool file per meta (rank stream) under `dir`, created
     /// up-front so a crash at any later point leaves every stream with
-    /// at least a valid empty journal.
+    /// at least a valid empty journal. `watermark` is clamped up to
+    /// `segment_records` — below that no full segment could ever form.
     pub fn create(
         dir: impl AsRef<Path>,
         metas: &[TraceMeta],
@@ -187,7 +69,9 @@ impl SpillSet {
         let mut writers = Vec::with_capacity(metas.len());
         for m in metas {
             let path = dir.join(format!("rank-{:05}.iotj", m.rank));
-            writers.push(SpillWriter::create(path, m, segment_records, watermark)?);
+            let file = File::create(&path)?;
+            let w = JournalWriter::create(file, m, VERSION_V2, segment_records, watermark)?;
+            writers.push((path, w));
         }
         Ok(SpillSet { writers })
     }
@@ -203,17 +87,35 @@ impl SpillSet {
     /// Append to stream `idx` (position in the `metas` slice, not the
     /// global rank id).
     pub fn append(&mut self, idx: usize, rec: TraceRecord) -> io::Result<()> {
-        self.writers[idx].append(rec)
+        self.writers[idx].1.append(rec).map(|_| ())
     }
 
     /// Total records currently resident across every stream — the
     /// set-wide in-memory footprint.
     pub fn pending_records(&self) -> usize {
-        self.writers.iter().map(|w| w.pending_records()).sum()
+        self.writers.iter().map(|(_, w)| w.pending_records()).sum()
     }
 
+    /// Seal everything left in every stream (including each final short
+    /// segment), sync each file, and report what the spools hold.
     pub fn finish(self) -> io::Result<Vec<SpillStats>> {
-        self.writers.into_iter().map(|w| w.finish()).collect()
+        self.writers
+            .into_iter()
+            .map(|(path, mut w)| {
+                w.seal_segment()?;
+                let (segments, records) = (w.sealed_segments() as u64, w.sealed_records() as u64);
+                let peak_pending = w.peak_pending();
+                let file = w.finish()?;
+                file.sync_all()?;
+                Ok(SpillStats {
+                    bytes: file.metadata()?.len(),
+                    path,
+                    segments,
+                    records,
+                    peak_pending,
+                })
+            })
+            .collect()
     }
 }
 
@@ -308,11 +210,13 @@ mod tests {
         let dir = tmp_dir("byteid");
         for (seg, wm) in [(4usize, 4usize), (4, 11), (7, 100), (5, 1)] {
             let t = sample(3, 41);
-            let path = dir.join(format!("s{seg}-w{wm}.iotj"));
-            let mut w = SpillWriter::create(&path, &t.meta, seg, wm).unwrap();
-            w.append_all(t.records.iter().cloned()).unwrap();
-            let stats = w.finish().unwrap();
-            let spooled = std::fs::read(&path).unwrap();
+            let sub = dir.join(format!("s{seg}-w{wm}"));
+            let mut set = SpillSet::create(&sub, std::slice::from_ref(&t.meta), seg, wm).unwrap();
+            for r in &t.records {
+                set.append(0, r.clone()).unwrap();
+            }
+            let stats = set.finish().unwrap().remove(0);
+            let spooled = std::fs::read(&stats.path).unwrap();
             assert_eq!(
                 spooled,
                 encode_journal_versioned(&t, seg, 2),
@@ -329,17 +233,21 @@ mod tests {
     fn watermark_bounds_resident_records() {
         let dir = tmp_dir("bound");
         let t = sample(0, 10_000);
-        let path = dir.join("r.iotj");
-        let mut w = SpillWriter::create(&path, &t.meta, 64, 256).unwrap();
-        w.append_all(t.records.iter().cloned()).unwrap();
-        assert!(w.pending_records() < 256);
-        let stats = w.finish().unwrap();
+        let mut set = SpillSet::create(&dir, std::slice::from_ref(&t.meta), 64, 256).unwrap();
+        for r in &t.records {
+            set.append(0, r.clone()).unwrap();
+        }
+        assert!(set.pending_records() < 256);
+        let stats = set.finish().unwrap().remove(0);
         assert!(
             stats.peak_pending <= 256,
             "peak resident {} exceeded the watermark",
             stats.peak_pending
         );
-        assert_eq!(read_journal(&std::fs::read(&path).unwrap()).unwrap(), t);
+        assert_eq!(
+            read_journal(&std::fs::read(&stats.path).unwrap()).unwrap(),
+            t
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -347,13 +255,14 @@ mod tests {
     fn unfinished_spool_fscks_clean_to_the_sealed_prefix() {
         let dir = tmp_dir("crash");
         let t = sample(1, 100);
-        let path = dir.join("rank-00001.iotj");
         {
-            let mut w = SpillWriter::create(&path, &t.meta, 8, 8).unwrap();
-            w.append_all(t.records.iter().cloned()).unwrap();
+            let mut set = SpillSet::create(&dir, std::slice::from_ref(&t.meta), 8, 8).unwrap();
+            for r in &t.records {
+                set.append(0, r.clone()).unwrap();
+            }
             // 96 records sealed (12 segments), 4 resident — then the
-            // process dies: w is dropped without finish().
-            assert_eq!(w.pending_records(), 4);
+            // process dies: the set is dropped without finish().
+            assert_eq!(set.pending_records(), 4);
         }
         let checked = fsck_spool(&dir).unwrap();
         assert_eq!(checked.len(), 1);

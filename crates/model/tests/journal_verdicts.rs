@@ -329,12 +329,8 @@ proptest! {
         cut in any::<usize>(),
     ) {
         let t = trace(seed, n, false);
-        let mut w = if v2 {
-            JournalWriter::new_v2(&t.meta, seg)
-        } else {
-            JournalWriter::new(&t.meta, seg)
-        };
-        w.append_all(&t.records);
+        let mut w = JournalWriter::new(&t.meta, if v2 { 2 } else { 1 }, seg);
+        w.append_all(t.records.clone()).unwrap();
         let torn = w.torn();
         assert_same_verdicts(&torn);
         // And every shorter tear of the same bytes.

@@ -6,16 +6,21 @@
 //!   not depend on how ranks were grouped into shards. Any shard count
 //!   (1 engine per rank up to 1 engine total) over the same world and
 //!   seed produces byte-identical spool files.
-//! * **Spill equivalence** — a capture streamed through a
-//!   [`SpillWriter`] under any (segment size, watermark) pair finishes
-//!   as exactly the bytes of the one-shot journal encoding, fscks
-//!   undamaged, and decodes to the same records.
+//! * **Spill equivalence** — a capture streamed through a file-backed
+//!   [`JournalWriter`] under any (segment size, watermark, explicit
+//!   seal points) schedule leaves exactly the bytes — finished or torn —
+//!   of the in-memory writer on the same schedule; without explicit
+//!   seals that is the one-shot journal encoding, which decodes to the
+//!   same records.
 
 use std::path::{Path, PathBuf};
 
 use iotrace_model::event::{IoCall, Trace, TraceMeta, TraceRecord};
-use iotrace_model::journal::{encode_journal_versioned, read_journal, records_digest};
-use iotrace_model::spill::{fsck_spool, spool_files, SpillSet, SpillWriter};
+use iotrace_model::journal::{
+    encode_journal_versioned, fsck_journal, read_journal, records_digest, JournalWriter,
+    VERSION_V1, VERSION_V2,
+};
+use iotrace_model::spill::{fsck_spool, spool_files, SpillSet};
 use iotrace_sim::engine::{ClusterConfig, ExecCtx, ExecOutcome, Executor};
 use iotrace_sim::ids::RankId;
 use iotrace_sim::program::{Op, OpResult, RankProgram};
@@ -213,44 +218,84 @@ proptest! {
         let _ = std::fs::remove_dir_all(&reference);
     }
 
-    /// A spill-streamed capture is byte-for-byte the one-shot journal.
+    /// A spill-streamed capture is byte-for-byte the in-memory writer's
+    /// journal, finished or torn. Finished, it is also what a writer
+    /// sealing at every full segment leaves — the watermark never
+    /// changes bytes — and without explicit seals the one-shot journal.
     #[test]
     fn spill_stream_matches_oneshot_journal(
         seed in any::<u64>(),
         n in 0usize..300,
         segment in 1usize..48,
         watermark in 1usize..96,
+        v2 in any::<bool>(),
+        seals in prop::collection::vec(0usize..300, 0..4),
+        torn in any::<bool>(),
     ) {
         let dir = tmp_dir(&format!("spill-{seed:016x}"));
         let mut trace = Trace::new(TraceMeta::new("/app", 2, 0, "scale-prop"));
         for i in 0..n {
             trace.records.push(synth_record(seed, 2, i));
         }
+        let version = if v2 { VERSION_V2 } else { VERSION_V1 };
 
         let path = dir.join("rank-00002.iotj");
-        let mut w = SpillWriter::create(&path, &trace.meta, segment, watermark)
+        let file = std::fs::File::create(&path).expect("spool create");
+        let mut w = JournalWriter::create(file, &trace.meta, version, segment, watermark)
             .expect("spill create");
+        let mut mem = JournalWriter::create(Vec::new(), &trace.meta, version, segment, watermark)
+            .expect("in-memory create");
+        let mut eager = JournalWriter::new(&trace.meta, version, segment);
         // Watermark seals only *full* segments, so the resident bound
         // is max(watermark, segment): a sub-segment remainder must wait
         // for more records to preserve byte identity with the one-shot
         // encoding.
         let bound = watermark.max(segment);
-        for r in &trace.records {
-            w.append(r.clone()).expect("append");
+        let mut handed = Vec::new();
+        for (i, r) in trace.records.iter().enumerate() {
+            if seals.contains(&i) {
+                let sealed = w.seal_segment().expect("seal");
+                prop_assert_eq!(sealed, mem.seal_segment().unwrap());
+                handed.extend_from_slice(sealed);
+                eager.seal_segment().unwrap();
+            }
+            let sealed = w.append(r.clone()).expect("append");
+            prop_assert_eq!(sealed, mem.append(r.clone()).unwrap());
+            handed.extend_from_slice(sealed);
+            eager.append(r.clone()).unwrap();
             prop_assert!(w.pending_records() <= bound);
         }
-        let stats = w.finish().expect("finish");
-        prop_assert!(stats.peak_pending <= bound);
+        prop_assert!(w.peak_pending() <= bound);
+        prop_assert_eq!(w.sealed_records(), mem.sealed_records());
+        prop_assert_eq!(handed.as_slice(), &trace.records[..w.sealed_records()]);
 
+        let sealed = w.sealed_records();
+        let want = if torn {
+            w.tear().expect("tear");
+            mem.torn()
+        } else {
+            w.finish().expect("finish");
+            mem.finish().unwrap()
+        };
         let streamed = std::fs::read(&path).expect("read spool");
-        let oneshot = encode_journal_versioned(&trace, segment, 2);
-        prop_assert_eq!(&streamed, &oneshot);
+        prop_assert_eq!(&streamed, &want);
 
-        let decoded = read_journal(&streamed).expect("decode spool");
-        prop_assert_eq!(
-            records_digest(&decoded.records),
-            records_digest(&trace.records)
-        );
+        if torn {
+            let (salvaged, rep) = fsck_journal(&streamed).expect("fsck torn spool");
+            prop_assert!(rep.torn_tail_bytes > 0);
+            prop_assert_eq!(salvaged.records.as_slice(), &trace.records[..sealed]);
+        } else {
+            prop_assert_eq!(&streamed, &eager.finish().unwrap());
+            if seals.iter().all(|&i| i >= n) {
+                let oneshot = encode_journal_versioned(&trace, segment, version);
+                prop_assert_eq!(&streamed, &oneshot);
+            }
+            let decoded = read_journal(&streamed).expect("decode spool");
+            prop_assert_eq!(
+                records_digest(&decoded.records),
+                records_digest(&trace.records)
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
