@@ -28,8 +28,8 @@ pub mod stats;
 pub mod prelude {
     pub use crate::hotspots::{by_path_interned, top_by_bytes_interned, PathStats};
     pub use crate::merge::{
-        merge_by_sort, merge_corrected, merge_partial, merge_strict, parse_parallel, MergeError,
-        RankCoverage,
+        merge_by_sort, merge_corrected, merge_corrected_each, merge_partial, merge_strict,
+        parse_parallel, MergeError, RankCoverage,
     };
     pub use crate::phases::{phases, render as render_phases, Phase, PhaseFold, RankPhase};
     pub use crate::skew::{estimate, ClockFit, SkewEstimate};

@@ -4,9 +4,10 @@
 //! Merging distributed traces into one global timeline is only meaningful
 //! after skew/drift correction (a record observed "earlier" on a
 //! fast-running clock may actually be later); [`merge_corrected`] applies
-//! a [`crate::skew::SkewEstimate`] first. Parsing hundreds of per-rank
-//! text traces is embarrassingly parallel, so [`parse_parallel`] fans out
-//! across scoped threads.
+//! a [`crate::skew::SkewEstimate`] first, and [`merge_corrected_each`]
+//! visits the same timeline without building it. Parsing hundreds of
+//! per-rank text traces is embarrassingly parallel, so [`parse_parallel`]
+//! fans out across scoped threads.
 
 use iotrace_model::event::{Trace, TraceRecord};
 use iotrace_model::text::{parse_text, ParseError};
@@ -120,6 +121,23 @@ pub fn merge_partial(traces: &[Trace], est: &SkewEstimate) -> (Vec<TraceRecord>,
 /// timestamps — bit-for-bit the stable global sort of [`merge_by_sort`],
 /// in O(N log n) per trace plus O(N log k) across k traces.
 ///
+/// The collect form of [`merge_corrected_each`]: each visited record is
+/// cloned once, restamped, straight into its final output slot.
+pub fn merge_corrected(traces: &[Trace], est: &SkewEstimate) -> Vec<TraceRecord> {
+    let mut out = Vec::with_capacity(traces.iter().map(|t| t.records.len()).sum());
+    merge_corrected_each(traces, est, |rec, ts| {
+        let mut rec = rec.clone();
+        rec.ts = ts;
+        out.push(rec);
+    });
+    out
+}
+
+/// Visit the merged timeline in order, without building it: `visit`
+/// gets each record as captured and its corrected timestamp. Nothing is
+/// cloned, so a caller that only folds the stream (a digest, a count)
+/// holds no copy of it.
+///
 /// Pass 1 clones nothing: each trace becomes a run of small
 /// `(corrected ts, rank, index)` keys, sorted. The index makes every key
 /// unique, so the (unstable) sort keeps equal `(ts, rank)` records in
@@ -128,8 +146,12 @@ pub fn merge_partial(traces: &[Trace], est: &SkewEstimate) -> (Vec<TraceRecord>,
 /// Runs are not assumed sorted: a nested MPI call's record follows the
 /// syscall records it wraps but starts before them, so LANL-Trace
 /// captures hold inverted neighbours in every rank. Pass 2 merges the
-/// runs (see [`merge_runs`]), cloning each record once.
-pub fn merge_corrected(traces: &[Trace], est: &SkewEstimate) -> Vec<TraceRecord> {
+/// runs (see `merge_runs`).
+pub fn merge_corrected_each(
+    traces: &[Trace],
+    est: &SkewEstimate,
+    visit: impl FnMut(&TraceRecord, SimTime),
+) {
     let runs: Vec<Vec<RunKey>> = traces
         .iter()
         .map(|t| {
@@ -143,7 +165,7 @@ pub fn merge_corrected(traces: &[Trace], est: &SkewEstimate) -> Vec<TraceRecord>
             keys
         })
         .collect();
-    merge_runs(traces, &runs)
+    merge_runs(traces, &runs, visit);
 }
 
 /// The pre-k-way merge: clone every record, correct it, and stable-sort
@@ -172,11 +194,15 @@ type RunKey = (SimTime, u32, usize);
 ///
 /// The heap holds one `(ts, rank, run, position)` entry per live run and
 /// the traces are read through the runs' indexes, so each record is
-/// cloned exactly once, straight into its final output slot. The run
-/// index in the heap key reproduces the stable sort's tie-break across
-/// traces: records with equal `(ts, rank)` keep concatenation (= input
-/// trace) order; within a trace the run's own order already holds it.
-fn merge_runs(traces: &[Trace], runs: &[Vec<RunKey>]) -> Vec<TraceRecord> {
+/// handed to `visit` by reference, in timeline order. The run index in
+/// the heap key reproduces the stable sort's tie-break across traces:
+/// records with equal `(ts, rank)` keep concatenation (= input trace)
+/// order; within a trace the run's own order already holds it.
+fn merge_runs(
+    traces: &[Trace],
+    runs: &[Vec<RunKey>],
+    mut visit: impl FnMut(&TraceRecord, SimTime),
+) {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let mut heap: BinaryHeap<Reverse<(SimTime, u32, usize, usize)>> =
@@ -186,17 +212,13 @@ fn merge_runs(traces: &[Trace], runs: &[Vec<RunKey>]) -> Vec<TraceRecord> {
             heap.push(Reverse((ts, rank, run, 0)));
         }
     }
-    let mut out: Vec<TraceRecord> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
     while let Some(Reverse((ts, _, run, pos))) = heap.pop() {
         let keys = &runs[run];
-        let mut rec = traces[run].records[keys[pos].2].clone();
-        rec.ts = ts;
-        out.push(rec);
+        visit(&traces[run].records[keys[pos].2], ts);
         if let Some(&(ts, rank, _)) = keys.get(pos + 1) {
             heap.push(Reverse((ts, rank, run, pos + 1)));
         }
     }
-    out
 }
 
 /// Parse many trace documents concurrently; results keep input order.

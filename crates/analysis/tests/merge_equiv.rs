@@ -4,14 +4,19 @@
 //! shuffled (unsorted) captures, LANL-Trace-shaped nested calls whose
 //! records follow their syscalls' records but start before them,
 //! partial rank sets, skew-corrected timestamps, and pathological skew
-//! fits that invert record order.
+//! fits that invert record order. The visitor form of the merge and the
+//! streamed record digest are pinned against the same oracle.
 
 mod common;
 
 use common::{build_traces, xorshift};
-use iotrace_analysis::merge::{merge_by_sort, merge_corrected, merge_partial, merge_strict};
+use iotrace_analysis::merge::{
+    merge_by_sort, merge_corrected, merge_corrected_each, merge_partial, merge_strict,
+};
 use iotrace_analysis::skew::{ClockFit, SkewEstimate};
+use iotrace_model::crc::fnv1a64;
 use iotrace_model::event::{IoCall, Trace, TraceMeta, TraceRecord};
+use iotrace_model::journal::{encode_segment_payload, RecordsDigest};
 use iotrace_sim::time::{SimDur, SimTime};
 use proptest::prelude::*;
 
@@ -97,6 +102,18 @@ pub fn build_nested_traces(seed: u64, ranks: u32, calls: usize) -> Vec<Trace> {
         .collect()
 }
 
+/// Fold trace `i` onto rank `i / 2`, so traces pair up on one rank and
+/// equal `(ts, rank)` keys tie *across* traces, not only within one.
+fn share_ranks(traces: &mut [Trace]) {
+    for t in traces {
+        let rank = t.meta.rank / 2;
+        t.meta.rank = rank;
+        for r in &mut t.records {
+            r.rank = rank;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -139,20 +156,39 @@ proptest! {
 
     /// Nested MPI calls (a call's record after its syscalls' records but
     /// timestamped before them): every rank's run is out of order before
-    /// any correction, and the merge still equals the stable sort.
+    /// any correction, and the merge still equals the stable sort — also
+    /// when traces share ranks, so `(ts, rank)` keys tie across traces.
+    /// The visitor form visits exactly the merged records at their
+    /// corrected timestamps, and the streamed digest of that visit is
+    /// FNV-1a over the one-buffer encoding of the merged timeline.
     #[test]
     fn nested_call_inversions_merge_like_the_sort(
         seed in 1u64..u64::MAX,
         ranks in 1u32..9,
         calls in 0usize..40,
         patho in 0u8..2,
+        shared in 0u8..2,
     ) {
-        let traces = build_nested_traces(seed, ranks, calls);
+        let mut traces = build_nested_traces(seed, ranks, calls);
+        if shared == 1 {
+            share_ranks(&mut traces);
+        }
         let est = build_skew(seed, ranks, patho == 1);
         let sorted = merge_by_sort(&traces, &est);
         let kway = merge_corrected(&traces, &est);
         prop_assert_eq!(kway.len(), sorted.len());
-        prop_assert_eq!(kway, sorted);
+        prop_assert_eq!(&kway, &sorted);
+
+        let mut visited = Vec::with_capacity(kway.len());
+        let mut digest = RecordsDigest::default();
+        merge_corrected_each(&traces, &est, |rec, ts| {
+            let mut r = rec.clone();
+            r.ts = ts;
+            visited.push(r);
+            digest.push(rec, ts);
+        });
+        prop_assert_eq!(&visited, &kway);
+        prop_assert_eq!(digest.finish(), fnv1a64(&encode_segment_payload(&kway)));
     }
 
     /// Determinism: merging the same input twice yields identical output
@@ -176,4 +212,16 @@ fn nested_generator_inverts_neighbours_in_every_rank() {
         let inverted = t.records.windows(2).filter(|w| w[1].ts < w[0].ts).count();
         assert!(inverted > 0, "rank {} is already sorted", t.meta.rank);
     }
+}
+
+#[test]
+fn shared_ranks_tie_keys_across_traces() {
+    // With ranks shared, some `(ts, rank)` key must occur in two traces,
+    // or the cross-trace tie-break would go untested.
+    let mut traces = build_nested_traces(7, 4, 30);
+    share_ranks(&mut traces);
+    let keys = |t: &Trace| -> std::collections::BTreeSet<(SimTime, u32)> {
+        t.records.iter().map(|r| (r.ts, r.rank)).collect()
+    };
+    assert!(keys(&traces[0]).intersection(&keys(&traces[1])).count() > 0);
 }

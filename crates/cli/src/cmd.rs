@@ -546,8 +546,7 @@ fn demo_aborted(
     eprintln!("iotrace: run-abort fault killed the capture at event {events}");
     if let Some(t) = run.traces.first() {
         let mut w = JournalWriter::new(&t.meta, VERSION_V1, DEMO_SEGMENT_RECORDS);
-        w.append_all(t.records.iter().cloned())
-            .map_err(|e| e.to_string())?;
+        w.append_all(&t.records).map_err(|e| e.to_string())?;
         let p = format!("{dir}/lanl_rank{:02}.iotj", t.meta.rank);
         std::fs::write(&p, w.torn()).map_err(|e| e.to_string())?;
         println!(

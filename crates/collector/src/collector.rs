@@ -883,7 +883,7 @@ mod tests {
         // What a v2-spooling collector killed after 6 of 12 records
         // left: one sealed segment of 4, a torn one behind it.
         let mut w = JournalWriter::new(&meta, 2, 4);
-        w.append_all(all[..6].to_vec()).unwrap();
+        w.append_all(&all[..6]).unwrap();
         let path = dir.join("sess000.iotj");
         std::fs::write(&path, w.torn()).unwrap();
         let card = crate::session::SessionCard {
@@ -914,7 +914,7 @@ mod tests {
     fn damaged_handoff_chunk_is_refused_and_the_prefix_kept() {
         let meta = TraceMeta::new("/app", 0, 0, "sim");
         let mut w = JournalWriter::new(&meta, 1, 4);
-        w.append_all(recs(12)).unwrap();
+        w.append_all(&recs(12)).unwrap();
         let chunks = iotrace_model::journal::split_journal(&w.finish().unwrap()).unwrap();
         assert_eq!(chunks.len(), 4, "header + three segments");
         // (damage, seq it lands at, why it is refused): a flipped or

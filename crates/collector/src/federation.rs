@@ -20,32 +20,35 @@
 //!    collector marks a session that was mid-handoff; whichever copy
 //!    fscks to more records wins (ties keep the destination's), the
 //!    loser is deleted, and the destination directory becomes the
-//!    session's home;
+//!    session's home — a winning source copy lands there through
+//!    `<name>.tmp` and a rename, never an in-place truncating write;
 //! 2. **per-spool recovery** — plain [`recover_spool`] on each
 //!    directory, stamping exact completeness;
 //! 3. **federation digest** — one merged record stream over every
-//!    recovered journal of every collector, so two independent
-//!    recoveries of the same torn federation can be diffed.
+//!    recovered journal of every collector, hashed as it streams out
+//!    of the merge, so two independent recoveries of the same torn
+//!    federation can be diffed.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use iotrace_analysis::hotspots::{top_by_bytes_interned, PathFold, PathStats};
-use iotrace_analysis::merge::merge_corrected;
-use iotrace_analysis::skew::SkewEstimate;
 use iotrace_analysis::stats::{StreamingStats, TraceStats};
 use iotrace_fs::params::RetryPolicy;
 use iotrace_model::event::Trace;
 use iotrace_model::intern::Interner;
 use iotrace_model::iot2::Frame;
-use iotrace_model::journal::{fsck_journal, journal_version, read_journal, records_digest};
+use iotrace_model::journal::{fsck_journal, journal_version, read_journal};
 use iotrace_model::par::par_map;
 use iotrace_sim::fault::FaultPlan;
 
 use crate::client::{ClientPhase, SimClient};
 use crate::collector::Collector;
 use crate::migrate::{Migration, PEER_CLIENT_BASE};
-use crate::recovery::{read_card, recover_spool, spool_journals, RecoveryReport};
+use crate::recovery::{
+    merged_stream_digest, read_card, recover_spool, replace, spool_journals, RecoveryReport,
+};
 use crate::session::SessionState;
 use crate::soak::{SessionOutcome, SoakConfig};
 
@@ -625,8 +628,9 @@ pub fn recover_spools(
                 .map(|(_, r)| r.records_recovered)
                 .unwrap_or(0);
             if src_n > dest_n {
-                std::fs::write(&dest_path, &src_bytes)
-                    .map_err(|e| format!("write {}: {e}", dest_path.display()))?;
+                // Never truncate the destination in place: until the
+                // rename lands it may be the only complete copy.
+                replace(&dest_path, |mut f| f.write_all(&src_bytes))?;
             }
             for ext in ["iotj", "card"] {
                 let p = src_dir.join(format!("{stem}.{ext}"));
@@ -660,18 +664,11 @@ pub fn recover_spools(
             }
         }
     }
-    let merged = merge_corrected(
-        &traces,
-        &SkewEstimate {
-            fits: BTreeMap::new(),
-            reference_rank: 0,
-        },
-    );
-    let merged_digest = records_digest(&merged);
+    let (merged_digest, total_records) = merged_stream_digest(&traces);
     Ok(FederationRecovery {
         collectors,
         reunited,
-        total_records: merged.len() as u64,
+        total_records,
         merged_digest,
     })
 }

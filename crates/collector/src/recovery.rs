@@ -31,11 +31,11 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 
-use iotrace_analysis::merge::merge_corrected;
+use iotrace_analysis::merge::merge_corrected_each;
 use iotrace_analysis::skew::SkewEstimate;
 use iotrace_model::event::Trace;
 use iotrace_model::journal::{
-    fsck_journal, journal_version, read_journal, records_digest, JournalWriter,
+    fsck_journal, journal_version, read_journal, JournalWriter, RecordsDigest,
 };
 
 use crate::session::{session_stem, SessionCard, SessionState};
@@ -243,7 +243,7 @@ pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryRepor
                 let seg = segment_records;
                 let f = io::BufWriter::new(f);
                 let mut w = JournalWriter::create(f, &trace.meta, version, seg, seg)?;
-                w.append_all(trace.records.iter().cloned())?;
+                w.append_all(&trace.records)?;
                 w.finish().map(drop)
             })?;
             let new_card = SessionCard {
@@ -277,15 +277,7 @@ pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryRepor
         traces.insert(session, trace);
     }
     let ordered: Vec<Trace> = traces.into_values().collect();
-    let merged = merge_corrected(
-        &ordered,
-        &SkewEstimate {
-            fits: BTreeMap::new(),
-            reference_rank: 0,
-        },
-    );
-    let merged_digest = records_digest(&merged);
-    let total_records = merged.len() as u64;
+    let (merged_digest, total_records) = merged_stream_digest(&ordered);
     let mut digest_file = String::from("# iotrace spool merged digest v1\n");
     digest_file.push_str(&format!(
         "sessions={} records={} digest={:#018x}\n",
@@ -308,9 +300,25 @@ pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryRepor
     })
 }
 
+/// Digest and length of the merged record stream of `traces` (in
+/// input order, which breaks `(ts, rank)` ties), streamed out of the
+/// merge: no merged copy and no whole-stream encoding is ever built.
+/// Recovery digests are uncorrected — the spool carries no skew fits.
+pub(crate) fn merged_stream_digest(traces: &[Trace]) -> (u64, u64) {
+    let mut digest = RecordsDigest::default();
+    merge_corrected_each(traces, &SkewEstimate::default(), |rec, ts| {
+        digest.push(rec, ts)
+    });
+    let records = traces.iter().map(|t| t.records.len() as u64).sum();
+    (digest.finish(), records)
+}
+
 /// Rewrite `path` without truncating it: `write` fills `<name>.tmp`,
 /// which is then renamed over the original. Nothing is fsynced.
-fn replace(path: &Path, write: impl FnOnce(File) -> io::Result<()>) -> Result<(), String> {
+pub(crate) fn replace(
+    path: &Path,
+    write: impl FnOnce(File) -> io::Result<()>,
+) -> Result<(), String> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     File::create(&tmp)
@@ -373,7 +381,7 @@ mod tests {
         let meta = TraceMeta::new("/app", 1, 0, "sim");
         let all = recs(20);
         let mut w = JournalWriter::new(&meta, 1, 8);
-        w.append_all(all.clone()).unwrap(); // 16 sealed, 4 pending
+        w.append_all(&all).unwrap(); // 16 sealed, 4 pending
         std::fs::write(dir.join("sess000.iotj"), w.torn()).unwrap();
         let card = SessionCard {
             session: 0,
@@ -414,7 +422,7 @@ mod tests {
     fn stale_tmp_from_a_killed_recovery_is_removed_and_changes_nothing() {
         let meta = TraceMeta::new("/app", 1, 0, "sim");
         let mut w = JournalWriter::new(&meta, 1, 8);
-        w.append_all(recs(20)).unwrap(); // 16 sealed, 4 pending
+        w.append_all(&recs(20)).unwrap(); // 16 sealed, 4 pending
         let card = SessionCard {
             session: 0,
             expected: 20,
@@ -473,7 +481,7 @@ mod tests {
         let meta = TraceMeta::new("/app", 1, 0, "sim");
         let all = recs(8);
         let mut w = JournalWriter::new(&meta, 1, 8);
-        w.append_all(all.clone()).unwrap();
+        w.append_all(&all).unwrap();
         let bytes = w.finish().unwrap();
         std::fs::write(dir.join("sess003.iotj"), &bytes).unwrap();
         let card = SessionCard {
@@ -498,7 +506,7 @@ mod tests {
         let dir = tmpdir("nocard");
         let meta = TraceMeta::new("/app", 1, 0, "sim");
         let mut w = JournalWriter::new(&meta, 1, 4);
-        w.append_all(recs(10)).unwrap(); // 8 sealed, 2 pending
+        w.append_all(&recs(10)).unwrap(); // 8 sealed, 2 pending
         std::fs::write(dir.join("sess001.iotj"), w.torn()).unwrap();
         let rep = recover_spool(&dir, 4).unwrap();
         assert_eq!(rep.rows[0].recovered, 8);

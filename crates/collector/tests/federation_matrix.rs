@@ -296,6 +296,69 @@ fn partner_kill_at_every_drained_frame_recovers_one_exact_copy() {
     }
 }
 
+/// Reunite replaces a losing destination copy through `<name>.tmp` and
+/// a rename, never by truncating it in place: until the rename lands,
+/// the destination may hold the only complete copy. A stale `.iotj.tmp`
+/// beside the split session — what a recovery killed mid-reunite leaves
+/// — changes nothing: the result is byte-identical to a clean recovery
+/// of the same bytes, and no `.tmp` survives.
+#[test]
+fn stale_tmp_beside_a_split_session_recovers_like_a_clean_spool() {
+    let seed = 42;
+    let inputs = synth_client_traces(CLIENTS, RECORDS, seed);
+    let (da, db) = (tmpdir("stale-a"), tmpdir("stale-b"));
+    let mut cfg = fed_cfg(seed);
+    // Killed while handoff chunks land: B holds a short copy, A the
+    // full one, so reunite must overwrite B's journal with A's bytes.
+    cfg.kill_partner_at_frame = Some(4);
+    let plan = migrate_plan(MIGRATE_CLIENT, RECORD_FRAMES);
+    let rep = run_federation(&da, &db, &cfg, &plan, Some(&inputs)).unwrap();
+    assert!(matches!(
+        rep.outcome,
+        FederationOutcome::PartnerKilled { .. }
+    ));
+
+    let root = tmpdir("stale-mirror");
+    let (ma, mb) = (mirror(&da, &root), mirror(&db, &root));
+    let split: Vec<String> = journals(&db).into_keys().collect();
+    assert_eq!(split.len(), 1, "{split:?}");
+    let short = std::fs::read(db.join(&split[0])).unwrap();
+    std::fs::write(
+        mb.join(format!("{}.tmp", split[0])),
+        &short[..short.len() / 2],
+    )
+    .unwrap();
+    // A second name for the destination journal's inode: an in-place
+    // rewrite would change what it reads, a rename leaves it alone.
+    let old_inode = root.join("old-dest.iotj");
+    std::fs::hard_link(mb.join(&split[0]), &old_inode).unwrap();
+
+    let clean = recover_spools(&[da.clone(), db.clone()], SEGMENT_RECORDS).unwrap();
+    let stale = recover_spools(&[ma.clone(), mb.clone()], SEGMENT_RECORDS).unwrap();
+    assert_eq!((clean.reunited, stale.reunited), (1, 1));
+    assert_eq!(clean.merged_digest, stale.merged_digest);
+    assert_eq!(dir_contents(&da), dir_contents(&ma));
+    assert_eq!(dir_contents(&db), dir_contents(&mb));
+    assert_ne!(
+        std::fs::read(mb.join(&split[0])).unwrap(),
+        short,
+        "A's copy won"
+    );
+    assert_eq!(
+        std::fs::read(&old_inode).unwrap(),
+        short,
+        "rewritten in place"
+    );
+    for dir in [&da, &db, &ma, &mb] {
+        for (name, _) in dir_contents(dir) {
+            assert!(!name.ends_with(".tmp"), "{name} left in {}", dir.display());
+        }
+    }
+    for d in [da, db, root] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

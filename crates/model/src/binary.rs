@@ -219,10 +219,18 @@ impl<'a> FieldCipher<'a> {
     }
 }
 
-fn encode_record(out: &mut Vec<u8>, r: &TraceRecord, prev_ts: &mut u64, fc: &FieldCipher<'_>) {
+/// Encode `r` stamped `ts` — its own timestamp, or a corrected one a
+/// merged-stream digest supplies without restamping a clone.
+fn encode_record(
+    out: &mut Vec<u8>,
+    r: &TraceRecord,
+    ts: SimTime,
+    prev_ts: &mut u64,
+    fc: &FieldCipher<'_>,
+) {
     put_u64(out, call_tag(&r.call) as u64);
-    put_i64(out, r.ts.as_nanos() as i64 - *prev_ts as i64);
-    *prev_ts = r.ts.as_nanos();
+    put_i64(out, ts.as_nanos() as i64 - *prev_ts as i64);
+    *prev_ts = ts.as_nanos();
     put_u64(out, r.dur.as_nanos());
     put_u64(out, r.pid as u64);
     fc.put_id(out, 1, r.uid, FieldSel::UID);
@@ -444,15 +452,21 @@ fn decode_record(
     decode_record_raw(c, prev_ts, fc)?.into_record(meta)
 }
 
-/// Encode one record with no field encryption (the journal's segment
-/// payload encoding). Timestamps stay delta-coded against `prev_ts`.
-pub(crate) fn encode_record_plain(out: &mut Vec<u8>, r: &TraceRecord, prev_ts: &mut u64) {
+/// Encode one record stamped `ts` with no field encryption (the
+/// journal's segment payload encoding). Timestamps stay delta-coded
+/// against `prev_ts`.
+pub(crate) fn encode_record_plain(
+    out: &mut Vec<u8>,
+    r: &TraceRecord,
+    ts: SimTime,
+    prev_ts: &mut u64,
+) {
     let fc = FieldCipher {
         key: None,
         sel: FieldSel::NONE,
         seq: 0,
     };
-    encode_record(out, r, prev_ts, &fc);
+    encode_record(out, r, ts, prev_ts, &fc);
 }
 
 /// Decode one plain (unencrypted) record; `meta` supplies rank/node.
@@ -520,7 +534,7 @@ pub fn encode_binary_records(
         let mut payload = Vec::new();
         for r in chunk {
             let fc = FieldCipher { key, sel, seq };
-            encode_record(&mut payload, r, &mut prev_ts, &fc);
+            encode_record(&mut payload, r, r.ts, &mut prev_ts, &fc);
             seq += 1;
         }
         let payload = if opts.compress {

@@ -30,9 +30,10 @@
 //! decoder.
 
 use crate::binary::{decode_record_plain, encode_record_plain, BinError};
-use crate::crc::{crc32, fnv1a64};
+use crate::crc::{crc32, Fnv64};
 use crate::event::{Trace, TraceMeta, TraceRecord};
 use crate::varint::{put_str, put_u64, Cursor, VarintError};
+use iotrace_sim::time::SimTime;
 use std::io::{self, Write};
 
 const MAGIC: &[u8; 4] = b"IOTJ";
@@ -213,7 +214,7 @@ pub fn encode_segment_payload(records: &[TraceRecord]) -> Vec<u8> {
     let mut payload = Vec::new();
     let mut prev_ts = 0u64;
     for r in records {
-        encode_record_plain(&mut payload, r, &mut prev_ts);
+        encode_record_plain(&mut payload, r, r.ts, &mut prev_ts);
     }
     payload
 }
@@ -307,10 +308,41 @@ impl<W: Write> JournalWriter<W> {
         Ok(&self.pending[..self.sealed_front])
     }
 
-    pub fn append_all(&mut self, recs: impl IntoIterator<Item = TraceRecord>) -> io::Result<()> {
-        for r in recs {
-            self.append(r)?;
-        }
+    /// Append every record of `recs`, leaving exactly what an
+    /// [`append`](Self::append) loop over clones of them leaves: the
+    /// same sink bytes, seals, open records and peak. Full segments seal
+    /// straight from the borrowed slice; only the records left open are
+    /// cloned, plus — when records were already open — the few that
+    /// complete the segment those started.
+    pub fn append_all(&mut self, recs: &[TraceRecord]) -> io::Result<()> {
+        self.release();
+        let seg = self.segment_records;
+        let open = self.pending.len();
+        let total = open + recs.len();
+        self.peak_pending = self.peak_pending.max(total.min(self.watermark));
+        // The loop seals whenever `watermark` records are open — first
+        // at stream position `watermark`, then every `period` records —
+        // and each time seals every full segment of the stream so far.
+        let period = self.watermark / seg * seg;
+        let sealed = match total.checked_sub(self.watermark) {
+            Some(past) => period * (1 + past / period),
+            None => 0,
+        };
+        // Top up the segment the open records started, so that every
+        // sealed segment lies wholly in `pending` or wholly in `recs`.
+        let topped = if sealed > open {
+            open.next_multiple_of(seg) - open
+        } else {
+            0
+        };
+        self.pending.extend_from_slice(&recs[..topped]);
+        let from_pending = sealed.min(self.pending.len());
+        let (from_recs, left_open) = recs[topped..].split_at(sealed - from_pending);
+        self.seal(from_pending)?;
+        self.release();
+        self.sealed_segments += put_segments(&mut self.sink, from_recs, seg, self.version)?;
+        self.sealed_records += from_recs.len();
+        self.pending.extend_from_slice(left_open);
         Ok(())
     }
 
@@ -334,11 +366,9 @@ impl<W: Write> JournalWriter<W> {
     /// of `segment_records` each.
     fn seal(&mut self, n: usize) -> io::Result<()> {
         let open = &self.pending[self.sealed_front..self.sealed_front + n];
-        for chunk in open.chunks(self.segment_records) {
-            self.sink.write_all(&segment_bytes(chunk, self.version))?;
-            self.sealed_segments += 1;
-            self.sealed_records += chunk.len();
-        }
+        self.sealed_segments +=
+            put_segments(&mut self.sink, open, self.segment_records, self.version)?;
+        self.sealed_records += n;
         self.sealed_front += n;
         Ok(())
     }
@@ -393,6 +423,20 @@ impl<W: Write> JournalWriter<W> {
         let cut = (seg.len() / 2).max(1).min(seg.len() - 1);
         seg[..cut].to_vec()
     }
+}
+
+/// Write `recs` to `sink` as sealed segments of `segment_records` each;
+/// returns how many segments that was.
+fn put_segments<W: Write>(
+    sink: &mut W,
+    recs: &[TraceRecord],
+    segment_records: usize,
+    version: u8,
+) -> io::Result<usize> {
+    for chunk in recs.chunks(segment_records) {
+        sink.write_all(&segment_bytes(chunk, version))?;
+    }
+    Ok(recs.len().div_ceil(segment_records))
 }
 
 /// Writes to a `Vec<u8>` sink cannot fail.
@@ -508,8 +552,7 @@ pub fn encode_journal(trace: &Trace, segment_records: usize) -> Vec<u8> {
 /// [`encode_journal`] with an explicit container version (1 or 2).
 pub fn encode_journal_versioned(trace: &Trace, segment_records: usize, version: u8) -> Vec<u8> {
     let mut w = JournalWriter::new(&trace.meta, version, segment_records);
-    w.append_all(trace.records.iter().cloned())
-        .expect(IN_MEMORY);
+    w.append_all(&trace.records).expect(IN_MEMORY);
     w.finish().expect(IN_MEMORY)
 }
 
@@ -713,12 +756,37 @@ pub fn fsck_journal(bytes: &[u8]) -> Result<(Trace, FsckReport), JournalError> {
 /// plain segment encoding. Two tracers hold identical capture state iff
 /// their digests match — the checkpoint/resume divergence check.
 pub fn records_digest(records: &[TraceRecord]) -> u64 {
-    let mut buf = Vec::new();
-    let mut prev_ts = 0u64;
+    let mut d = RecordsDigest::default();
     for r in records {
-        encode_record_plain(&mut buf, r, &mut prev_ts);
+        d.push(r, r.ts);
     }
-    fnv1a64(&buf)
+    d.finish()
+}
+
+/// [`records_digest`] folded one record at a time: each record is
+/// encoded into one reused scratch buffer and hashed from there, so
+/// digesting a stream never holds the stream's encoding. FNV-1a is
+/// byte-serial, so the fold equals the hash of the one-buffer encoding.
+#[derive(Clone, Debug, Default)]
+pub struct RecordsDigest {
+    fnv: Fnv64,
+    scratch: Vec<u8>,
+    prev_ts: u64,
+}
+
+impl RecordsDigest {
+    /// Fold in `rec` stamped `ts` — its own timestamp, or the corrected
+    /// one a merge visits it with, so nothing is cloned to restamp it.
+    pub fn push(&mut self, rec: &TraceRecord, ts: SimTime) {
+        self.scratch.clear();
+        encode_record_plain(&mut self.scratch, rec, ts, &mut self.prev_ts);
+        self.fnv.update(&self.scratch);
+    }
+
+    /// The digest of every record pushed so far.
+    pub fn finish(&self) -> u64 {
+        self.fnv.finish()
+    }
 }
 
 /// Bytes the records occupy in the plain segment encoding — the honest
@@ -727,7 +795,7 @@ pub fn encoded_size(records: &[TraceRecord]) -> u64 {
     let mut buf = Vec::new();
     let mut prev_ts = 0u64;
     for r in records {
-        encode_record_plain(&mut buf, r, &mut prev_ts);
+        encode_record_plain(&mut buf, r, r.ts, &mut prev_ts);
     }
     buf.len() as u64
 }
@@ -843,7 +911,7 @@ mod tests {
     fn writer_seals_at_the_configured_cadence() {
         let t = sample(10);
         let mut w = JournalWriter::new(&t.meta, VERSION_V1, 4);
-        w.append_all(t.records.clone()).unwrap();
+        w.append_all(&t.records).unwrap();
         assert_eq!(w.sealed_segments(), 2);
         assert_eq!(w.sealed_records(), 8);
         assert_eq!(w.pending_records(), 2);
@@ -881,7 +949,7 @@ mod tests {
     fn split_journal_refuses_torn_bytes() {
         let t = sample(20);
         let mut w = JournalWriter::new(&t.meta, VERSION_V1, 8);
-        w.append_all(t.records.clone()).unwrap();
+        w.append_all(&t.records).unwrap();
         let err = split_journal(&w.torn()).unwrap_err();
         assert!(matches!(err, JournalError::Torn { .. }));
         assert!(matches!(
@@ -895,11 +963,11 @@ mod tests {
         for version in [1u8, 2] {
             let t = sample(24);
             let mut first = JournalWriter::new(&t.meta, version, 8);
-            first.append_all(t.records[..16].to_vec()).unwrap();
+            first.append_all(&t.records[..16]).unwrap();
             let shipped = first.sealed_bytes().to_vec();
             let mut resumed = JournalWriter::resume(shipped, version, 2, 16, 8);
             assert_eq!(resumed.version(), version);
-            resumed.append_all(t.records[16..].to_vec()).unwrap();
+            resumed.append_all(&t.records[16..]).unwrap();
             assert_eq!(resumed.sealed_records(), 24);
             assert_eq!(resumed.sealed_segments(), 3);
             let oneshot = encode_journal_versioned(&t, 8, version);
@@ -930,7 +998,7 @@ mod tests {
     fn torn_journal_keeps_sealed_segments_and_reports_the_tail() {
         let t = sample(11);
         let mut w = JournalWriter::new(&t.meta, VERSION_V1, 4);
-        w.append_all(t.records.clone()).unwrap(); // 2 sealed segments, 3 pending
+        w.append_all(&t.records).unwrap(); // 2 sealed segments, 3 pending
         let torn = w.torn();
         assert!(matches!(
             read_journal(&torn),
@@ -949,7 +1017,7 @@ mod tests {
     fn torn_with_empty_pending_still_leaves_a_tail() {
         let t = sample(8);
         let mut w = JournalWriter::new(&t.meta, VERSION_V1, 4);
-        w.append_all(t.records.clone()).unwrap(); // exactly two sealed segments, none pending
+        w.append_all(&t.records).unwrap(); // exactly two sealed segments, none pending
         assert_eq!(w.pending_records(), 0);
         let torn = w.torn();
         let (rec, report) = fsck_journal(&torn).unwrap();
@@ -1020,7 +1088,7 @@ mod tests {
         let t = sample(11);
         let mut w = JournalWriter::new(&t.meta, VERSION_V2, 4);
         assert_eq!(w.version(), 2);
-        w.append_all(t.records.clone()).unwrap(); // 2 sealed segments, 3 pending
+        w.append_all(&t.records).unwrap(); // 2 sealed segments, 3 pending
         let torn = w.torn();
         assert!(matches!(
             read_journal(&torn),

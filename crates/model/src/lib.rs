@@ -52,7 +52,8 @@ pub mod prelude {
     };
     pub use crate::journal::{
         encode_journal, encode_journal_versioned, encoded_size, fsck_journal, journal_version,
-        read_journal, records_digest, FsckReport, JournalError, JournalWriter, TracerSnapshot,
+        read_journal, records_digest, FsckReport, JournalError, JournalWriter, RecordsDigest,
+        TracerSnapshot,
     };
     pub use crate::par::par_map;
     pub use crate::salvage::{SalvageReport, TraceError};

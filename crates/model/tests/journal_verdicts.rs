@@ -330,7 +330,7 @@ proptest! {
     ) {
         let t = trace(seed, n, false);
         let mut w = JournalWriter::new(&t.meta, if v2 { 2 } else { 1 }, seg);
-        w.append_all(t.records.clone()).unwrap();
+        w.append_all(&t.records).unwrap();
         let torn = w.torn();
         assert_same_verdicts(&torn);
         // And every shorter tear of the same bytes.

@@ -12,6 +12,8 @@
 //!   of the in-memory writer on the same schedule; without explicit
 //!   seals that is the one-shot journal encoding, which decodes to the
 //!   same records.
+//! * **Batch append equivalence** — `append_all` over a borrowed slice
+//!   leaves the writer exactly where a per-record `append` loop would.
 
 use std::path::{Path, PathBuf};
 
@@ -297,5 +299,54 @@ proptest! {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `append_all(&slice)` is an `append` loop over the slice: same sink
+    /// bytes, seals, open records, peak and torn bytes — for any segment
+    /// size, watermark, count of records already open and slice length —
+    /// and the two writers stay in step afterwards.
+    #[test]
+    fn append_all_matches_an_append_loop(
+        seed in any::<u64>(),
+        segment in 1usize..24,
+        watermark in 1usize..64,
+        v2 in any::<bool>(),
+        pre in 0usize..80,
+        n in 0usize..200,
+    ) {
+        let meta = TraceMeta::new("/app", 2, 0, "scale-prop");
+        let recs: Vec<TraceRecord> = (0..pre + n + 1).map(|i| synth_record(seed, 2, i)).collect();
+        let (before, rest) = recs.split_at(pre);
+        let (slice, after) = rest.split_at(n);
+        let version = if v2 { VERSION_V2 } else { VERSION_V1 };
+        let writer = || {
+            let mut w = JournalWriter::create(Vec::new(), &meta, version, segment, watermark)
+                .expect("in-memory create");
+            for r in before {
+                w.append(r.clone()).unwrap();
+            }
+            w
+        };
+        let (mut looped, mut batched) = (writer(), writer());
+        for r in slice {
+            looped.append(r.clone()).unwrap();
+        }
+        batched.append_all(slice).unwrap();
+
+        prop_assert_eq!(batched.sealed_bytes(), looped.sealed_bytes());
+        prop_assert_eq!(batched.sealed_segments(), looped.sealed_segments());
+        prop_assert_eq!(batched.sealed_records(), looped.sealed_records());
+        prop_assert_eq!(batched.pending_records(), looped.pending_records());
+        prop_assert_eq!(batched.peak_pending(), looped.peak_pending());
+        prop_assert_eq!(batched.torn(), looped.torn());
+        prop_assert_eq!(
+            batched.append(after[0].clone()).unwrap(),
+            looped.append(after[0].clone()).unwrap()
+        );
+        prop_assert_eq!(batched.finish().unwrap(), looped.finish().unwrap());
     }
 }
