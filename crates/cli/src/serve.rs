@@ -13,32 +13,37 @@
 //! table of a spool — or of a whole federation root — without touching
 //! it.
 
-use std::collections::BTreeMap;
-
 use iotrace_collector::federation::{
-    federation_sessions, federation_spools, recover_spools, render_federation_sessions,
-    run_federation, FederationConfig, FederationOutcome,
+    recover_spools, run_federation, sessions_table, FederationConfig, FederationOutcome,
 };
 use iotrace_collector::recovery::{needs_recovery, recover_spool};
 use iotrace_collector::soak::{run_soak, SoakConfig, SoakOutcome};
 use iotrace_collector::CollectorConfig;
-use iotrace_model::journal::{fsck_journal, journal_version};
 use iotrace_sim::fault::FaultPlan;
 
 use crate::cmd::fault_plan_from;
 use crate::io::{flag, split_args};
+
+/// `--<name> <n>`, when given.
+fn parse_opt<T: std::str::FromStr>(
+    flags: &[(String, Option<String>)],
+    name: &str,
+) -> Result<Option<T>, String> {
+    flag(flags, name)
+        .and_then(|v| v.as_deref())
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("--{name} wants a number, got `{v}`"))
+        })
+        .transpose()
+}
 
 fn parse_flag<T: std::str::FromStr>(
     flags: &[(String, Option<String>)],
     name: &str,
     default: T,
 ) -> Result<T, String> {
-    match flag(flags, name).and_then(|v| v.as_deref()) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} wants a number, got `{v}`")),
-        None => Ok(default),
-    }
+    Ok(parse_opt(flags, name)?.unwrap_or(default))
 }
 
 /// `iotrace serve <spool-dir>`: recover the spool if needed, then run a
@@ -92,13 +97,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
             queue_capacity: parse_flag(&flags, "queue-capacity", 8usize)?,
             drain_per_tick: parse_flag(&flags, "drain-per-tick", 4usize)?,
         },
-        kill_at_frame: match flag(&flags, "kill-at-frame").and_then(|v| v.as_deref()) {
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| format!("--kill-at-frame wants a number, got `{v}`"))?,
-            ),
-            None => None,
-        },
+        kill_at_frame: parse_opt(&flags, "kill-at-frame")?,
         seed: parse_flag(&flags, "seed", 42u64)?,
         status_every: parse_flag(&flags, "status-every", 0u64)?,
         ..SoakConfig::default()
@@ -107,15 +106,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     if let Some(peer) = peer {
         let fed = FederationConfig {
             soak: cfg,
-            kill_partner_at_frame: match flag(&flags, "kill-peer-at-frame")
-                .and_then(|v| v.as_deref())
-            {
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| format!("--kill-peer-at-frame wants a number, got `{v}`"))?,
-                ),
-                None => None,
-            },
+            kill_partner_at_frame: parse_opt(&flags, "kill-peer-at-frame")?,
             ..FederationConfig::default()
         };
         let rep = run_federation(dir, &peer, &fed, &plan, None)?;
@@ -186,85 +177,6 @@ pub fn sessions(args: &[String]) -> Result<(), String> {
     let [dir] = paths.as_slice() else {
         return Err("sessions needs <spool-dir>".to_string());
     };
-    let dir = std::path::Path::new(dir);
-    let spools = federation_spools(dir)?;
-    if !spools.is_empty() && spools != [dir.to_path_buf()] {
-        let rows = federation_sessions(dir)?;
-        print!("{}", render_federation_sessions(&rows));
-        let orphaned = rows
-            .iter()
-            .filter(|r| !matches!(r.state.as_str(), "closed" | "degraded"))
-            .count();
-        if orphaned > 0 {
-            println!(
-                "{orphaned} orphaned session(s) — run `iotrace fsck {}` to reunite and recover",
-                dir.display()
-            );
-        }
-        return Ok(());
-    }
-    let mut cards = BTreeMap::new();
-    let mut journals = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))? {
-        let entry = entry.map_err(|e| e.to_string())?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(stem) = name.strip_suffix(".card") {
-            let text = std::fs::read_to_string(entry.path()).map_err(|e| format!("{name}: {e}"))?;
-            let card = iotrace_collector::SessionCard::parse_line(text.trim())
-                .ok_or_else(|| format!("{name}: unparseable session card"))?;
-            cards.insert(stem.to_string(), card);
-        } else if let Some(stem) = name.strip_suffix(".iotj") {
-            let bytes = std::fs::read(entry.path()).map_err(|e| format!("{name}: {e}"))?;
-            let version = journal_version(&bytes).unwrap_or(0);
-            journals.insert(stem.to_string(), (version, fsck_journal(&bytes)));
-        }
-    }
-    if cards.is_empty() && journals.is_empty() {
-        println!("{}: no sessions", dir.display());
-        return Ok(());
-    }
-    println!("session  fmt  expected  records  state      completeness  journal");
-    for (stem, card) in &cards {
-        let fmt = match journals.get(stem) {
-            Some((v, _)) if *v > 0 => format!("v{v}"),
-            _ => "?".to_string(),
-        };
-        let journal = match journals.get(stem) {
-            Some((_, Ok((_, rep)))) if rep.is_damaged() => format!(
-                "torn ({} records salvageable, {} tail bytes)",
-                rep.records_recovered, rep.torn_tail_bytes
-            ),
-            Some((_, Ok((_, rep)))) => format!("clean ({} records)", rep.records_recovered),
-            Some((_, Err(e))) => format!("unreadable: {e}"),
-            None => "missing".to_string(),
-        };
-        let sealed = match journals.get(stem) {
-            Some((_, Ok((_, rep)))) => Some(rep.records_recovered as u64),
-            _ => None,
-        };
-        let (records, completeness) = card.standing(sealed);
-        println!(
-            "{:<8} {:<4} {:<9} {:<8} {:<10} {:<13.6} {}",
-            card.session,
-            fmt,
-            card.expected,
-            records,
-            card.state.to_string(),
-            completeness,
-            journal
-        );
-    }
-    for stem in journals.keys() {
-        if !cards.contains_key(stem) {
-            println!("{stem}: journal without a session card");
-        }
-    }
-    let orphaned = cards.values().filter(|c| !c.state.is_terminal()).count();
-    if orphaned > 0 {
-        println!(
-            "{orphaned} orphaned session(s) — run `iotrace serve {} --recover-only`",
-            dir.display()
-        );
-    }
+    print!("{}", sessions_table(std::path::Path::new(dir))?);
     Ok(())
 }

@@ -615,8 +615,9 @@ fn serve_kill_then_restart_recovers_the_spool() {
 
 /// The live card of a killed session was last written at `Hello`, so
 /// `sessions` must take its record count and completeness from the
-/// journal's sealed prefix. The table is pinned byte for byte, before
-/// and after recovery.
+/// journal's sealed prefix. A journal with no card beside it is an
+/// orphan too: recovery rewrites it and gives it a card. The table is
+/// pinned byte for byte, before and after recovery.
 #[test]
 fn sessions_table_of_a_killed_spool_is_pinned() {
     let d = tmpdir("sessionspin");
@@ -633,6 +634,7 @@ fn sessions_table_of_a_killed_spool_is_pinned() {
         "20",
     ]);
     assert!(out.status.success(), "{out:?}");
+    std::fs::copy(spool.join("sess000.iotj"), spool.join("sess004.iotj")).unwrap();
     let header = "session  fmt  expected  records  state      completeness  journal\n";
     let live = (0..4)
         .map(|s| {
@@ -647,7 +649,8 @@ fn sessions_table_of_a_killed_spool_is_pinned() {
     assert_eq!(
         String::from_utf8_lossy(&out.stdout),
         format!(
-            "{header}{live}4 orphaned session(s) — run `iotrace serve {spool_arg} --recover-only`\n"
+            "{header}{live}sess004: journal without a session card\n\
+             5 orphaned session(s) — run `iotrace serve {spool_arg} --recover-only`\n"
         )
     );
 
@@ -660,11 +663,13 @@ fn sessions_table_of_a_killed_spool_is_pinned() {
             )
         })
         .collect::<String>();
+    // No card survived for sess004: fsck's heuristic stamp is 64 / 65.
+    let cardless = "4        v1   0         64       degraded   0.984615      clean (64 records)\n";
     let out = run(&["sessions", spool_arg]);
     assert!(out.status.success(), "{out:?}");
     assert_eq!(
         String::from_utf8_lossy(&out.stdout),
-        format!("{header}{recovered}")
+        format!("{header}{recovered}{cardless}")
     );
 }
 

@@ -37,6 +37,7 @@ use iotrace_model::journal::{fsck_journal, journal_version, JournalWriter, VERSI
 
 use crate::proto::{decode_frame, Frame, ProtoError};
 use crate::queue::BoundedQueue;
+use crate::recovery::{session_id_of, spool_journals};
 use crate::session::{session_stem, HandoffRecv, Session, SessionState};
 
 /// Tuning knobs for a collector instance.
@@ -103,19 +104,12 @@ impl Collector {
     /// restarted collector never overwrites an orphaned journal.
     pub fn open(dir: &Path, cfg: CollectorConfig) -> Result<Self, String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        let mut next_session = 0u32;
-        for entry in std::fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))? {
-            let entry = entry.map_err(|e| e.to_string())?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(num) = name
-                .strip_prefix("sess")
-                .and_then(|r| r.strip_suffix(".iotj"))
-            {
-                if let Ok(id) = num.parse::<u32>() {
-                    next_session = next_session.max(id + 1);
-                }
-            }
-        }
+        let next_session = spool_journals(dir)?
+            .iter()
+            .filter_map(|name| session_id_of(name))
+            .map(|id| id + 1)
+            .max()
+            .unwrap_or(0);
         Ok(Collector {
             dir: dir.to_path_buf(),
             cfg,
@@ -132,16 +126,6 @@ impl Collector {
 
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// This collector's federation name: the spool directory's file
-    /// name. Origin tags (`<name>/<stem>`) and the federation tables
-    /// use it to say which collector a session lives on.
-    pub fn name(&self) -> String {
-        self.dir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "collector".to_string())
     }
 
     /// Look up a session by id.
@@ -672,11 +656,6 @@ impl Collector {
             .get(&client)
             .and_then(|sid| self.sessions.get(sid))
     }
-
-    /// True when every session reached a terminal state.
-    pub fn all_terminal(&self) -> bool {
-        self.sessions.values().all(|s| s.state.is_terminal())
-    }
 }
 
 /// The incrementally folded stats and hotspot table, covering exactly
@@ -700,6 +679,15 @@ impl LiveFolds {
         }
         self.records += records.len() as u64;
     }
+}
+
+/// The federation name of the collector spooling into `dir`: the
+/// directory's file name. Origin tags (`<name>/<stem>`) and the
+/// federation tables use it to say which collector a session lives on.
+pub(crate) fn collector_name(dir: &Path) -> String {
+    dir.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "collector".to_string())
 }
 
 fn journal_path(dir: &Path, id: u32) -> PathBuf {

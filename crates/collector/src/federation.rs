@@ -39,18 +39,18 @@ use iotrace_fs::params::RetryPolicy;
 use iotrace_model::event::Trace;
 use iotrace_model::intern::Interner;
 use iotrace_model::iot2::Frame;
-use iotrace_model::journal::{fsck_journal, journal_version, read_journal};
+use iotrace_model::journal::{fsck_journal, read_journal};
 use iotrace_model::par::par_map;
 use iotrace_sim::fault::FaultPlan;
 
-use crate::client::{ClientPhase, SimClient};
-use crate::collector::Collector;
+use crate::collector::{collector_name, Collector};
 use crate::migrate::{Migration, PEER_CLIENT_BASE};
 use crate::recovery::{
-    merged_stream_digest, read_card, recover_spool, replace, spool_journals, RecoveryReport,
+    dir_names, fmt_version, merged_stream_digest, read_card, recover_spool, replace, scan_spool,
+    spool_journals, RecoveryReport, SpoolSession,
 };
 use crate::session::SessionState;
-use crate::soak::{SessionOutcome, SoakConfig};
+use crate::soak::{require_no_orphans, Harness, SessionOutcome, SoakConfig};
 
 /// Knobs for one federation run: the per-collector soak knobs plus the
 /// handoff retry budget and the two federation-specific kill switches.
@@ -210,63 +210,23 @@ pub fn run_federation(
     inputs: Option<&[Trace]>,
 ) -> Result<FederationReport, String> {
     let soak = &cfg.soak;
-    let synthesized;
-    let traces: &[Trace] = match inputs {
-        Some(t) => {
-            if t.len() != soak.clients as usize {
-                return Err(format!(
-                    "need {} input traces, got {}",
-                    soak.clients,
-                    t.len()
-                ));
-            }
-            t
-        }
-        None => {
-            synthesized =
-                crate::soak::synth_client_traces(soak.clients, soak.records_per_client, soak.seed);
-            &synthesized
-        }
-    };
+    let mut h = Harness::new(soak, plan, inputs)?;
     let mut a = Collector::open(dir_a, soak.collector)?;
     let mut b = Collector::open(dir_b, soak.collector)?;
     let kill_a = soak.kill_at_frame.or_else(|| plan.collector_kill_frame());
     let kill_b = cfg
         .kill_partner_at_frame
         .or_else(|| plan.partner_kill_frame());
-    let stalls = plan.consumer_stalls();
-
-    let mut clients: BTreeMap<u32, SimClient> = BTreeMap::new();
-    let mut lost: Vec<u32> = Vec::new();
-    for (c, trace) in traces.iter().enumerate() {
-        let c = c as u32;
-        if plan.file_lost(c) {
-            lost.push(c);
-            continue;
-        }
-        let expected = trace.records.len() as u64;
-        let keep = plan
-            .truncation(c)
-            .map(|f| ((trace.records.len() as f64) * f).floor() as usize)
-            .unwrap_or(trace.records.len());
-        clients.insert(
-            c,
-            SimClient::new(
-                c,
-                trace.meta.clone(),
-                trace.records[..keep].to_vec(),
-                expected,
-                soak.frame_records,
-                soak.retry,
-                soak.seed ^ (u64::from(c) << 8),
-                plan.disconnect_frame(c),
-            ),
-        );
-    }
 
     // Which collector each client's frames route to. Everyone starts on
     // A; a completed migration re-homes the client to B.
-    let mut home: BTreeMap<u32, bool> = clients.keys().map(|&c| (c, false)).collect();
+    // Lost clients never connect; they count as homed on A.
+    let mut home: BTreeMap<u32, bool> = h
+        .clients
+        .keys()
+        .chain(&h.lost)
+        .map(|&c| (c, false))
+        .collect();
     let mut migrations: BTreeMap<u32, Migration> = BTreeMap::new();
     // One migration attempt per client: an aborted handoff falls back
     // to the source for good rather than flapping.
@@ -278,12 +238,7 @@ pub fn run_federation(
 
     for tick in 0..soak.max_ticks {
         ticks = tick;
-        let mut budget = soak.collector.drain_per_tick;
-        for &(from, until, factor) in &stalls {
-            if tick >= from && tick < until && factor > 1.0 {
-                budget = ((budget as f64) / factor).floor() as usize;
-            }
-        }
+        let budget = h.budget(tick);
         let killed_a = a.drain(budget, kill_a)?;
         let killed_b = b.drain(budget, kill_b)?;
         for (to, frame) in a.take_outbox().into_iter().chain(b.take_outbox()) {
@@ -291,7 +246,7 @@ pub fn run_federation(
                 if let Some(m) = migrations.get_mut(&(to - PEER_CLIENT_BASE)) {
                     m.deliver(&frame, tick);
                 }
-            } else if let Some(cl) = clients.get_mut(&to) {
+            } else if let Some(cl) = h.clients.get_mut(&to) {
                 cl.deliver(&frame);
             }
         }
@@ -310,7 +265,7 @@ pub fn run_federation(
                     let dest = m.dest_session.expect("done implies dest session");
                     a.complete_migration(c)?;
                     b.adopt_client(c, dest);
-                    if let Some(cl) = clients.get_mut(&c) {
+                    if let Some(cl) = h.clients.get_mut(&c) {
                         cl.rebind(dest);
                     }
                     home.insert(c, true);
@@ -353,7 +308,8 @@ pub fn run_federation(
         }
         // Trigger new migrations: a streaming session on A whose client
         // the plan marks for migration, once enough frames have landed.
-        let due: Vec<u32> = clients
+        let due: Vec<u32> = h
+            .clients
             .keys()
             .filter(|&&c| !migrated.contains(&c) && !home[&c])
             .filter(|&&c| {
@@ -371,7 +327,7 @@ pub fn run_federation(
                 migrations.insert(c, m);
             }
         }
-        for cl in clients.values_mut() {
+        for cl in h.clients.values_mut() {
             if home[&cl.id] {
                 cl.step(&mut b);
             } else {
@@ -392,18 +348,10 @@ pub fn run_federation(
                 break;
             }
         }
-        if clients.values().all(|c| c.is_terminal())
-            && a.queue().is_empty()
-            && b.queue().is_empty()
-            && migrations.is_empty()
+        if h.all_terminal() && a.queue().is_empty() && b.queue().is_empty() && migrations.is_empty()
         {
-            let dead: Vec<u32> = clients
-                .values()
-                .filter(|c| matches!(c.phase, ClientPhase::Dead | ClientPhase::GaveUp))
-                .map(|c| c.id)
-                .collect();
-            a.sweep_idle(&dead)?;
-            b.sweep_idle(&dead)?;
+            h.sweep(&mut a)?;
+            h.sweep(&mut b)?;
             outcome = Some(FederationOutcome::Completed);
             break;
         }
@@ -430,63 +378,18 @@ pub fn run_federation(
     }
     finished.sort_by_key(|m| m.client);
 
-    let rows_a: BTreeMap<u32, _> = a
-        .session_rows()
-        .into_iter()
-        .map(|r| (r.session, r))
+    let sessions = h.outcomes(|c, sid| (if home[&c] { &b } else { &a }).session(sid));
+    let homes = home
+        .iter()
+        .map(|(&c, &on_b)| (c, collector_name(if on_b { dir_b } else { dir_a })))
         .collect();
-    let rows_b: BTreeMap<u32, _> = b
-        .session_rows()
-        .into_iter()
-        .map(|r| (r.session, r))
-        .collect();
-    let mut sessions = Vec::new();
-    let mut homes = BTreeMap::new();
-    for (&c, cl) in &clients {
-        let on_b = home[&c];
-        homes.insert(c, if on_b { b.name() } else { a.name() });
-        let row = cl.session.and_then(|sid| {
-            if on_b {
-                rows_b.get(&sid)
-            } else {
-                rows_a.get(&sid)
-            }
-        });
-        sessions.push(SessionOutcome {
-            client: c,
-            session: cl.session,
-            state: row
-                .map(|r| r.state.to_string())
-                .unwrap_or_else(|| "unreached".into()),
-            expected: row.map(|r| r.expected).unwrap_or(0),
-            acked: cl.ledger.acked_records,
-            sealed: row.map(|r| r.sealed).unwrap_or(0),
-            completeness: row.map(|r| r.completeness).unwrap_or(0.0),
-            retries: cl.ledger.retries,
-            gave_up: cl.ledger.exhausted,
-        });
-    }
-    for c in lost {
-        homes.insert(c, a.name());
-        sessions.push(SessionOutcome {
-            client: c,
-            session: None,
-            state: "lost".into(),
-            expected: 0,
-            acked: 0,
-            sealed: 0,
-            completeness: 0.0,
-            retries: 0,
-            gave_up: false,
-        });
-    }
-    sessions.sort_by_key(|s| s.client);
 
     let (merged_records, merged_digest) = if outcome == FederationOutcome::Completed {
         let rec = recover_spools(
             &[dir_a.to_path_buf(), dir_b.to_path_buf()],
             soak.collector.segment_records,
         )?;
+        require_no_orphans(rec.orphans())?;
         (rec.total_records, rec.merged_digest)
     } else {
         (0, 0)
@@ -499,16 +402,10 @@ pub fn run_federation(
         homes,
         migrations: finished,
         aborted_handoffs,
-        retries_exhausted: clients.values().filter(|c| c.ledger.exhausted).count() as u64,
+        retries_exhausted: h.retries_exhausted(),
         merged_records,
         merged_digest,
     })
-}
-
-fn dir_name(dir: &Path) -> String {
-    dir.file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "collector".to_string())
 }
 
 /// The collector spool directories under a federation root: every
@@ -516,27 +413,20 @@ fn dir_name(dir: &Path) -> String {
 /// *itself* holds journals (a plain single spool) federates alone.
 pub fn federation_spools(root: &Path) -> Result<Vec<PathBuf>, String> {
     let mut dirs = Vec::new();
-    for entry in std::fs::read_dir(root).map_err(|e| format!("read {}: {e}", root.display()))? {
-        let entry = entry.map_err(|e| e.to_string())?;
-        let path = entry.path();
+    for name in dir_names(root)? {
+        let path = root.join(name);
         if !path.is_dir() {
             continue;
         }
-        let holds_spool = std::fs::read_dir(&path)
-            .map_err(|e| format!("read {}: {e}", path.display()))?
-            .filter_map(|e| e.ok())
-            .any(|e| {
-                let n = e.file_name().to_string_lossy().into_owned();
-                n.ends_with(".iotj") || n.ends_with(".card")
-            });
-        if holds_spool {
+        let spool_file = |n: &String| n.ends_with(".iotj") || n.ends_with(".card");
+        if dir_names(&path)?.iter().any(spool_file) {
             dirs.push(path);
         }
     }
     if dirs.is_empty() && !spool_journals(root)?.is_empty() {
         dirs.push(root.to_path_buf());
     }
-    dirs.sort_by_key(|d| dir_name(d));
+    dirs.sort_by_key(|d| collector_name(d));
     Ok(dirs)
 }
 
@@ -586,9 +476,11 @@ pub fn recover_spools(
     segment_records: usize,
 ) -> Result<FederationRecovery, String> {
     let mut dirs: Vec<PathBuf> = dirs.to_vec();
-    dirs.sort_by_key(|d| dir_name(d));
-    let by_name: BTreeMap<String, PathBuf> =
-        dirs.iter().map(|d| (dir_name(d), d.clone())).collect();
+    dirs.sort_by_key(|d| collector_name(d));
+    let by_name: BTreeMap<String, PathBuf> = dirs
+        .iter()
+        .map(|d| (collector_name(d), d.clone()))
+        .collect();
 
     // Pass 1: reunite. A card carrying `origin=<collector>/<stem>`
     // marks a migrated-in copy; if the named source collector still
@@ -600,7 +492,7 @@ pub fn recover_spools(
     let mut reunited = 0usize;
     for dir in &dirs {
         for name in spool_journals(dir)? {
-            let Some(card) = read_card(dir, &name) else {
+            let Some(card) = read_card(dir, name.trim_end_matches(".iotj")) else {
                 continue;
             };
             let Some(origin) = card.origin else {
@@ -646,7 +538,7 @@ pub fn recover_spools(
     // orphan rewrites, per-spool digests).
     let mut collectors = Vec::new();
     for dir in &dirs {
-        collectors.push((dir_name(dir), recover_spool(dir, segment_records)?));
+        collectors.push((collector_name(dir), recover_spool(dir, segment_records)?));
     }
 
     // Pass 3: the federation-wide digest over every recovered journal,
@@ -717,38 +609,36 @@ pub struct FederationSessionRow {
     pub state: String,
     pub completeness: f64,
     pub origin: Option<String>,
+    /// Recovery must rewrite this session: the same rule
+    /// [`recover_spool`] applies.
+    pub orphaned: bool,
 }
 
-/// The merged `sessions` query: every session of every collector under
+/// The merged `sessions` query: every journal of every collector under
 /// `root`, sorted by (collector, journal).
 pub fn federation_sessions(root: &Path) -> Result<Vec<FederationSessionRow>, String> {
     let mut rows = Vec::new();
     for dir in federation_spools(root)? {
-        let coll = dir_name(&dir);
-        for name in spool_journals(&dir)? {
-            let path = dir.join(&name);
-            let bytes =
-                std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-            let card = read_card(&dir, &name);
-            let sealed = fsck_journal(&bytes)
-                .ok()
-                .map(|(_, r)| r.records_recovered as u64);
-            let (records, completeness) = match &card {
-                Some(c) => c.standing(sealed),
-                None => (sealed.unwrap_or(0), 0.0),
+        let coll = collector_name(&dir);
+        for s in scan_spool(&dir)? {
+            if s.fsck.is_none() {
+                continue;
+            }
+            let card = s.card.as_ref();
+            let (records, completeness) = match card {
+                Some(c) => c.standing(s.sealed()),
+                None => (s.sealed().unwrap_or(0), 0.0),
             };
             rows.push(FederationSessionRow {
                 collector: coll.clone(),
-                file: name,
-                version: journal_version(&bytes).unwrap_or(0),
-                expected: card.as_ref().map(|c| c.expected).unwrap_or(0),
+                file: format!("{}.iotj", s.stem),
+                version: s.version,
+                expected: card.map_or(0, |c| c.expected),
                 records,
-                state: card
-                    .as_ref()
-                    .map(|c| c.state.to_string())
-                    .unwrap_or_else(|| "unknown".into()),
+                state: card.map_or_else(|| "unknown".into(), |c| c.state.to_string()),
                 completeness,
-                origin: card.and_then(|c| c.origin),
+                origin: card.and_then(|c| c.origin.clone()),
+                orphaned: s.orphaned(),
             });
         }
     }
@@ -766,11 +656,7 @@ pub fn render_federation_sessions(rows: &[FederationSessionRow]) -> String {
             "{:<12} {:<14} {:<4} {:<9} {:<8} {:<10} {:<13.6} {}\n",
             r.collector,
             r.file,
-            if r.version > 0 {
-                format!("v{}", r.version)
-            } else {
-                "?".to_string()
-            },
+            fmt_version(r.version),
             r.expected,
             r.records,
             r.state,
@@ -779,6 +665,68 @@ pub fn render_federation_sessions(rows: &[FederationSessionRow]) -> String {
         ));
     }
     out
+}
+
+/// Render one spool's session table: a row per card, a line per journal
+/// without one.
+fn render_spool_sessions(sessions: &[SpoolSession]) -> String {
+    let mut out =
+        String::from("session  fmt  expected  records  state      completeness  journal\n");
+    for s in sessions {
+        let Some(card) = &s.card else { continue };
+        let journal = match &s.fsck {
+            Some(Ok(r)) if r.is_damaged() => format!(
+                "torn ({} records salvageable, {} tail bytes)",
+                r.records_recovered, r.torn_tail_bytes
+            ),
+            Some(Ok(r)) => format!("clean ({} records)", r.records_recovered),
+            Some(Err(e)) => format!("unreadable: {e}"),
+            None => "missing".to_string(),
+        };
+        let (records, completeness) = card.standing(s.sealed());
+        out.push_str(&format!(
+            "{:<8} {:<4} {:<9} {:<8} {:<10} {:<13.6} {}\n",
+            card.session,
+            fmt_version(s.version),
+            card.expected,
+            records,
+            card.state.to_string(),
+            completeness,
+            journal
+        ));
+    }
+    for s in sessions {
+        if s.card.is_none() && s.fsck.is_some() {
+            out.push_str(&format!("{}: journal without a session card\n", s.stem));
+        }
+    }
+    out
+}
+
+/// The `sessions` query over `dir`, rendered: the cross-collector table
+/// for a federation root, the spool table for a single spool, each
+/// followed by a line counting orphans and naming the command that
+/// recovers them.
+pub fn sessions_table(dir: &Path) -> Result<String, String> {
+    let spools = federation_spools(dir)?;
+    let (mut out, orphans, fix) = if !spools.is_empty() && spools != [dir.to_path_buf()] {
+        let rows = federation_sessions(dir)?;
+        let orphans = rows.iter().filter(|r| r.orphaned).count();
+        let fix = format!("`iotrace fsck {}` to reunite and recover", dir.display());
+        (render_federation_sessions(&rows), orphans, fix)
+    } else {
+        let sessions = scan_spool(dir)?;
+        if sessions.is_empty() {
+            return Ok(format!("{}: no sessions\n", dir.display()));
+        }
+        let orphans = sessions.iter().filter(|s| s.orphaned()).count();
+        let fix = format!("`iotrace serve {} --recover-only`", dir.display());
+        (render_spool_sessions(&sessions), orphans, fix)
+    };
+    if orphans > 0 {
+        out.push_str(&format!("{orphans} orphaned session(s) — run {fix}\n"));
+    }
+    Ok(out)
 }
 
 /// The merged `stats` query: per-collector folds run in parallel over
@@ -834,6 +782,7 @@ pub fn federation_stats(
 mod tests {
     use super::*;
     use crate::collector::CollectorConfig;
+    use crate::recovery::needs_recovery;
     use crate::soak::{run_soak, synth_client_traces, SoakOutcome};
     use iotrace_sim::fault::Fault;
 
@@ -890,8 +839,8 @@ mod tests {
         assert_eq!(m.shipped_chunks, m.total_chunks);
         assert!(m.handoff_ticks.is_some());
         // client 1 ended up homed on B, everyone else stayed on A
-        assert_eq!(rep.homes[&1], dir_name(&db));
-        assert_eq!(rep.homes[&0], dir_name(&da));
+        assert_eq!(rep.homes[&1], collector_name(&db));
+        assert_eq!(rep.homes[&0], collector_name(&da));
         for s in &rep.sessions {
             assert_eq!(s.state, "closed", "client {}: {}", s.client, rep.render());
             assert_eq!(s.completeness, 1.0);
@@ -1078,6 +1027,36 @@ mod tests {
         assert_eq!(hot_named, bhot_named);
         let _ = std::fs::remove_dir_all(&root);
         let _ = std::fs::remove_dir_all(&sroot);
+    }
+
+    #[test]
+    fn spool_table_reads_cards_the_way_recovery_does() {
+        let dir = tmpdir("table");
+        let mut soak = fed_cfg().soak;
+        soak.clients = 2;
+        run_soak(&dir, &soak, &FaultPlan::clean(), None).unwrap();
+        // An unparseable card reads as no card: an orphan, not an error.
+        std::fs::write(dir.join("sess000.card"), "session=0 garbled\n").unwrap();
+        // A card with no journal is shown, but recovery has nothing to
+        // rewrite there, so it is not an orphan.
+        let stray = "session=7 expected=96 state=streaming records=0 completeness=0.000000";
+        std::fs::write(dir.join("sess007.card"), stray).unwrap();
+        let fix = format!("run `iotrace serve {} --recover-only`", dir.display());
+        assert_eq!(
+            sessions_table(&dir).unwrap(),
+            format!(
+                "session  fmt  expected  records  state      completeness  journal\n\
+                 1        v1   96        96       closed     1.000000      clean (96 records)\n\
+                 7        ?    96        0        streaming  0.000000      missing\n\
+                 sess000: journal without a session card\n\
+                 1 orphaned session(s) — {fix}\n"
+            )
+        );
+        assert!(needs_recovery(&dir).unwrap());
+        recover_spool(&dir, 8).unwrap();
+        assert!(!needs_recovery(&dir).unwrap());
+        assert!(!sessions_table(&dir).unwrap().contains("orphaned"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -40,8 +40,9 @@ pub mod soak;
 pub use collector::{Collector, CollectorConfig};
 pub use federation::{
     federation_sessions, federation_spools, federation_stats, recover_federation, recover_spools,
-    render_federation_sessions, run_federation, FederationConfig, FederationOutcome,
-    FederationRecovery, FederationReport, FederationSessionRow, MigrationOutcome,
+    render_federation_sessions, run_federation, sessions_table, FederationConfig,
+    FederationOutcome, FederationRecovery, FederationReport, FederationSessionRow,
+    MigrationOutcome,
 };
 pub use migrate::{peer_id, HandoffAborted, Migration, PEER_CLIENT_BASE};
 pub use proto::{decode_frame, encode_frame, Frame, ProtoError};

@@ -29,7 +29,7 @@ use iotrace_fs::params::RetryPolicy;
 use iotrace_model::journal::split_journal;
 use iotrace_sim::rng::DetRng;
 
-use crate::collector::Collector;
+use crate::collector::{collector_name, Collector};
 use crate::proto::{encode_frame, Frame};
 use crate::session::session_stem;
 
@@ -123,7 +123,7 @@ impl Migration {
         let chunks = split_journal(&bytes)
             .map_err(|e| format!("sealed spool of session {sid} fails to split: {e:?}"))?;
         let sess = source.session(sid).expect("drained session exists");
-        let origin = format!("{}/{}", source.name(), session_stem(sid));
+        let origin = format!("{}/{}", collector_name(source.dir()), session_stem(sid));
         let announce = encode_frame(&Frame::Migrate {
             origin_session: sid,
             meta: sess.meta.clone(),

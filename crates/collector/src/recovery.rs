@@ -35,7 +35,7 @@ use iotrace_analysis::merge::merge_corrected_each;
 use iotrace_analysis::skew::SkewEstimate;
 use iotrace_model::event::Trace;
 use iotrace_model::journal::{
-    fsck_journal, journal_version, read_journal, JournalWriter, RecordsDigest,
+    fsck_journal, journal_version, FsckReport, JournalWriter, RecordsDigest,
 };
 
 use crate::session::{session_stem, SessionCard, SessionState};
@@ -96,11 +96,7 @@ impl RecoveryReport {
                 "{:<14} {:<5} {:<4} {:<9} {:<10} {:<5} {:<7} {:<9} {:.6}{}\n",
                 r.file,
                 r.session,
-                if r.version > 0 {
-                    format!("v{}", r.version)
-                } else {
-                    "?".to_string()
-                },
+                fmt_version(r.version),
                 r.expected,
                 r.recovered,
                 r.segments,
@@ -124,49 +120,137 @@ impl RecoveryReport {
     }
 }
 
-/// List the spool's journal files, sorted by name.
-pub(crate) fn spool_journals(dir: &Path) -> Result<Vec<String>, String> {
+/// A journal version as the tables print it: `v1`, `v2`, or `?` when
+/// the container is unreadable.
+pub(crate) fn fmt_version(version: u8) -> String {
+    if version > 0 {
+        format!("v{version}")
+    } else {
+        "?".to_string()
+    }
+}
+
+/// Every file name in `dir`, sorted.
+pub(crate) fn dir_names(dir: &Path) -> Result<Vec<String>, String> {
     let mut names = Vec::new();
     for entry in std::fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))? {
-        let entry = entry.map_err(|e| e.to_string())?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.ends_with(".iotj") {
-            names.push(name);
-        }
+        let name = entry.map_err(|e| e.to_string())?.file_name();
+        names.push(name.to_string_lossy().into_owned());
     }
     names.sort();
     Ok(names)
 }
 
+/// List the spool's journal files, sorted by name.
+pub(crate) fn spool_journals(dir: &Path) -> Result<Vec<String>, String> {
+    let mut names = dir_names(dir)?;
+    names.retain(|n| n.ends_with(".iotj"));
+    Ok(names)
+}
+
 /// Parse the session id out of `sessNNN.iotj`; journals with foreign
 /// names get ids past every `sessNNN` one, in name order.
-fn session_id_of(name: &str) -> Option<u32> {
+pub(crate) fn session_id_of(name: &str) -> Option<u32> {
     name.strip_prefix("sess")
         .and_then(|r| r.strip_suffix(".iotj"))
         .and_then(|n| n.parse().ok())
 }
 
-/// True when the spool holds any session that did not close cleanly —
-/// i.e. a restarted collector must recover before serving.
-pub fn needs_recovery(dir: &Path) -> Result<bool, String> {
-    for name in spool_journals(dir)? {
-        let path = dir.join(&name);
-        let bytes = std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let card = read_card(dir, &name);
-        let clean_card = card
-            .as_ref()
-            .map(|c| c.state.is_terminal())
-            .unwrap_or(false);
-        if !clean_card || read_journal(&bytes).is_err() {
-            return Ok(true);
-        }
-    }
-    Ok(false)
+/// The one orphan rule. A session closed cleanly only when its card is
+/// terminal and its journal fscks undamaged to exactly the card's record
+/// count. Anything else — no card (or one that does not parse), a live
+/// card, a torn journal, an unreadable container (`fsck` is `None`), a
+/// count that disagrees — is an orphan: the collector died before the
+/// session closed, and recovery must rewrite it. [`recover_spool`],
+/// [`needs_recovery`] and both `sessions` tables all ask this function.
+pub(crate) fn is_orphan(card: Option<&SessionCard>, fsck: Option<&FsckReport>) -> bool {
+    !matches!(
+        (card, fsck),
+        (Some(c), Some(r)) if c.state.is_terminal()
+            && !r.is_damaged()
+            && c.records == r.records_recovered as u64
+    )
 }
 
-pub(crate) fn read_card(dir: &Path, journal_name: &str) -> Option<SessionCard> {
-    let card_name = journal_name.strip_suffix(".iotj")?.to_string() + ".card";
-    let text = std::fs::read_to_string(dir.join(card_name)).ok()?;
+/// One session of a spool as it stands on disk: its card and what fsck
+/// makes of its journal — counts, never records.
+#[derive(Clone, Debug)]
+pub(crate) struct SpoolSession {
+    /// File stem (`sess007`).
+    pub stem: String,
+    /// The card, when one exists and parses.
+    pub card: Option<SessionCard>,
+    /// Journal container version; 0 when the journal is unreadable or
+    /// missing.
+    pub version: u8,
+    /// The journal's fsck report: `None` when there is no journal,
+    /// `Err` when its container is unreadable.
+    pub fsck: Option<Result<FsckReport, String>>,
+}
+
+impl SpoolSession {
+    /// Sealed records on disk, when the journal is readable.
+    pub fn sealed(&self) -> Option<u64> {
+        match &self.fsck {
+            Some(Ok(r)) => Some(r.records_recovered as u64),
+            _ => None,
+        }
+    }
+
+    /// Whether recovery must rewrite this session's journal: true
+    /// unless the card is terminal and the journal fscks undamaged to
+    /// the card's record count. A card with no journal leaves recovery
+    /// nothing to rewrite, so it is never an orphan.
+    pub fn orphaned(&self) -> bool {
+        self.fsck
+            .as_ref()
+            .is_some_and(|f| is_orphan(self.card.as_ref(), f.as_ref().ok()))
+    }
+}
+
+/// Read every session of the spool — each stem with a journal, a card
+/// or both — sorted by stem, without changing anything.
+pub(crate) fn scan_spool(dir: &Path) -> Result<Vec<SpoolSession>, String> {
+    let mut stems = BTreeMap::new();
+    for name in dir_names(dir)? {
+        if let Some(stem) = name.strip_suffix(".iotj") {
+            stems.insert(stem.to_string(), true);
+        } else if let Some(stem) = name.strip_suffix(".card") {
+            stems.entry(stem.to_string()).or_insert(false);
+        }
+    }
+    let mut sessions = Vec::with_capacity(stems.len());
+    for (stem, has_journal) in stems {
+        let (version, fsck) = if has_journal {
+            let path = dir.join(format!("{stem}.iotj"));
+            let bytes =
+                std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+            let fsck = fsck_journal(&bytes)
+                .map(|(_, r)| r)
+                .map_err(|e| e.to_string());
+            (journal_version(&bytes).unwrap_or(0), Some(fsck))
+        } else {
+            (0, None)
+        };
+        sessions.push(SpoolSession {
+            card: read_card(dir, &stem),
+            stem,
+            version,
+            fsck,
+        });
+    }
+    Ok(sessions)
+}
+
+/// True when the spool holds any orphan — i.e. a restarted collector
+/// must recover before serving.
+pub fn needs_recovery(dir: &Path) -> Result<bool, String> {
+    Ok(scan_spool(dir)?.iter().any(SpoolSession::orphaned))
+}
+
+/// `<stem>.card` in `dir`, when it exists and parses.
+pub(crate) fn read_card(dir: &Path, stem: &str) -> Option<SessionCard> {
+    let text = std::fs::read_to_string(dir.join(format!("{stem}.card"))).ok()?;
     SessionCard::parse_line(text.trim())
 }
 
@@ -188,7 +272,9 @@ pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryRepor
             next_foreign += 1;
             next_foreign
         });
-        let card = read_card(dir, &name);
+        let card = read_card(dir, name.trim_end_matches(".iotj"));
+        let expected = card.as_ref().map(|c| c.expected).unwrap_or(0);
+        let origin = card.as_ref().and_then(|c| c.origin.clone());
         let (mut trace, fsck) = match fsck_journal(&bytes) {
             Ok(v) => v,
             Err(e) => {
@@ -198,30 +284,24 @@ pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryRepor
                     file: name,
                     session,
                     version: journal_version(&bytes).unwrap_or(0),
-                    expected: card.as_ref().map(|c| c.expected).unwrap_or(0),
+                    expected,
                     recovered: 0,
                     segments: 0,
                     torn_bytes: bytes.len(),
-                    orphaned: true,
+                    orphaned: is_orphan(card.as_ref(), None),
                     state: SessionState::Degraded,
                     completeness: 0.0,
                     damage: Some(e.to_string()),
-                    origin: card.as_ref().and_then(|c| c.origin.clone()),
+                    origin,
                 });
                 continue;
             }
         };
-        let expected = card.as_ref().map(|c| c.expected).unwrap_or(0);
-        let origin = card.as_ref().and_then(|c| c.origin.clone());
         let recovered = trace.records.len() as u64;
-        let clean_close = card
-            .as_ref()
-            .map(|c| c.state.is_terminal() && c.records == recovered)
-            .unwrap_or(false)
-            && !fsck.is_damaged();
-        let (orphaned, state, completeness) = if clean_close {
-            let c = card.as_ref().expect("clean_close implies card");
-            (false, c.state, c.completeness)
+        let orphaned = is_orphan(card.as_ref(), Some(&fsck));
+        let (state, completeness) = if !orphaned {
+            let c = card.as_ref().expect("a clean session has a card");
+            (c.state, c.completeness)
         } else {
             // Orphan: stamp exact completeness from the handshake-time
             // expectation and rewrite journal + card.
@@ -258,7 +338,7 @@ pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryRepor
             replace(&card_path, |mut f| {
                 f.write_all(format!("{}\n", new_card.to_line()).as_bytes())
             })?;
-            (true, state, completeness)
+            (state, completeness)
         };
         rows.push(RecoveryRow {
             file: name,
@@ -331,10 +411,9 @@ pub(crate) fn replace(
 /// only the two names [`replace`] produces, never another `.tmp` that
 /// happens to share the spool directory.
 fn remove_stale_tmp(dir: &Path) -> Result<(), String> {
-    for entry in std::fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))? {
-        let path = entry.map_err(|e| e.to_string())?.path();
-        let name = path.file_name().unwrap_or_default().to_string_lossy();
+    for name in dir_names(dir)? {
         if name.ends_with(".iotj.tmp") || name.ends_with(".card.tmp") {
+            let path = dir.join(name);
             std::fs::remove_file(&path).map_err(|e| format!("remove {}: {e}", path.display()))?;
         }
     }
@@ -345,7 +424,7 @@ fn remove_stale_tmp(dir: &Path) -> Result<(), String> {
 mod tests {
     use super::*;
     use iotrace_model::event::{IoCall, TraceMeta, TraceRecord};
-    use iotrace_model::journal::JournalWriter;
+    use iotrace_model::journal::{read_journal, JournalWriter};
     use iotrace_sim::time::{SimDur, SimTime};
 
     fn recs(n: usize) -> Vec<TraceRecord> {
@@ -498,6 +577,38 @@ mod tests {
         assert_eq!(rep.orphans(), 0);
         // untouched even though segment_records differs
         assert_eq!(std::fs::read(dir.join("sess003.iotj")).unwrap(), bytes);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn closed_card_that_disagrees_with_its_clean_journal_is_an_orphan() {
+        let dir = tmpdir("miscount");
+        let meta = TraceMeta::new("/app", 1, 0, "sim");
+        let all = recs(8);
+        let mut w = JournalWriter::new(&meta, 1, 8);
+        w.append_all(&all).unwrap();
+        let bytes = w.finish().unwrap();
+        std::fs::write(dir.join("sess003.iotj"), &bytes).unwrap();
+        // The journal is clean but holds 8 records; the card claims 6.
+        let card = SessionCard {
+            session: 3,
+            expected: 8,
+            state: SessionState::Closed,
+            records: 6,
+            completeness: 0.75,
+            origin: None,
+        };
+        std::fs::write(dir.join("sess003.card"), format!("{}\n", card.to_line())).unwrap();
+        assert!(needs_recovery(&dir).unwrap());
+
+        let rep = recover_spool(&dir, 4).unwrap();
+        assert_eq!(rep.orphans(), 1);
+        let rewritten = std::fs::read(dir.join("sess003.iotj")).unwrap();
+        assert_ne!(rewritten, bytes, "rewritten in 4-record segments");
+        assert_eq!(read_journal(&rewritten).unwrap().records, all);
+        let card = read_card(&dir, "sess003").unwrap();
+        assert_eq!((card.records, card.completeness), (8, 1.0));
+        assert!(!needs_recovery(&dir).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -20,6 +20,7 @@ use iotrace_sim::time::{SimDur, SimTime};
 use crate::client::{ClientPhase, SimClient};
 use crate::collector::{Collector, CollectorConfig, StatsSnapshot};
 use crate::recovery::recover_spool;
+use crate::session::Session;
 
 /// Knobs for one soak run.
 #[derive(Clone, Copy, Debug)]
@@ -69,7 +70,7 @@ pub enum SoakOutcome {
 }
 
 /// One client's final standing, joined with its session's.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SessionOutcome {
     pub client: u32,
     /// Session id, `None` when the client never connected.
@@ -250,71 +251,19 @@ pub fn run_soak_observed(
     inputs: Option<&[Trace]>,
     observe: &mut dyn FnMut(&Collector),
 ) -> Result<SoakReport, String> {
-    let synthesized;
-    let traces: &[Trace] = match inputs {
-        Some(t) => {
-            if t.len() != cfg.clients as usize {
-                return Err(format!(
-                    "need {} input traces, got {}",
-                    cfg.clients,
-                    t.len()
-                ));
-            }
-            t
-        }
-        None => {
-            synthesized = synth_client_traces(cfg.clients, cfg.records_per_client, cfg.seed);
-            &synthesized
-        }
-    };
+    let mut h = Harness::new(cfg, plan, inputs)?;
     let mut collector = Collector::open(dir, cfg.collector)?;
     let kill_at = cfg.kill_at_frame.or_else(|| plan.collector_kill_frame());
-    let stalls = plan.consumer_stalls();
-
-    let mut clients: BTreeMap<u32, SimClient> = BTreeMap::new();
-    let mut lost: Vec<u32> = Vec::new();
-    for (c, trace) in traces.iter().enumerate() {
-        let c = c as u32;
-        if plan.file_lost(c) {
-            lost.push(c);
-            continue;
-        }
-        let expected = trace.records.len() as u64;
-        let keep = plan
-            .truncation(c)
-            .map(|f| ((trace.records.len() as f64) * f).floor() as usize)
-            .unwrap_or(trace.records.len());
-        clients.insert(
-            c,
-            SimClient::new(
-                c,
-                trace.meta.clone(),
-                trace.records[..keep].to_vec(),
-                expected,
-                cfg.frame_records,
-                cfg.retry,
-                cfg.seed ^ (u64::from(c) << 8),
-                plan.disconnect_frame(c),
-            ),
-        );
-    }
 
     let mut snapshots = Vec::new();
     let mut outcome = None;
     let mut ticks = 0;
     for tick in 0..cfg.max_ticks {
         ticks = tick;
-        // slow-consumer windows shrink the drain budget
-        let mut budget = cfg.collector.drain_per_tick;
-        for &(from, until, factor) in &stalls {
-            if tick >= from && tick < until && factor > 1.0 {
-                budget = ((budget as f64) / factor).floor() as usize;
-            }
-        }
-        let killed = collector.drain(budget, kill_at)?;
+        let killed = collector.drain(h.budget(tick), kill_at)?;
         observe(&collector);
         for (to, frame) in collector.take_outbox() {
-            if let Some(cl) = clients.get_mut(&to) {
+            if let Some(cl) = h.clients.get_mut(&to) {
                 cl.deliver(&frame);
             }
         }
@@ -324,21 +273,14 @@ pub fn run_soak_observed(
             });
             break;
         }
-        for cl in clients.values_mut() {
+        for cl in h.clients.values_mut() {
             cl.step(&mut collector);
         }
         if cfg.status_every > 0 && tick % cfg.status_every == 0 {
             snapshots.push((tick, collector.snapshot()));
         }
-        if clients.values().all(|c| c.is_terminal()) && collector.queue().is_empty() {
-            // final sweep: sessions of silently-vanished (or given-up)
-            // clients
-            let dead: Vec<u32> = clients
-                .values()
-                .filter(|c| matches!(c.phase, ClientPhase::Dead | ClientPhase::GaveUp))
-                .map(|c| c.id)
-                .collect();
-            collector.sweep_idle(&dead)?;
+        if h.all_terminal() && collector.queue().is_empty() {
+            h.sweep(&mut collector)?;
             observe(&collector);
             outcome = Some(SoakOutcome::Completed);
             break;
@@ -351,49 +293,13 @@ pub fn run_soak_observed(
         )
     })?;
 
-    // join client ledgers with collector session rows
-    let session_rows: BTreeMap<u32, _> = collector
-        .session_rows()
-        .into_iter()
-        .map(|r| (r.session, r))
-        .collect();
-    let mut sessions = Vec::new();
-    for (&c, cl) in &clients {
-        let row = cl.session.and_then(|sid| session_rows.get(&sid));
-        sessions.push(SessionOutcome {
-            client: c,
-            session: cl.session,
-            state: row
-                .map(|r| r.state.to_string())
-                .unwrap_or_else(|| "unreached".into()),
-            expected: row.map(|r| r.expected).unwrap_or(0),
-            acked: cl.ledger.acked_records,
-            sealed: row.map(|r| r.sealed).unwrap_or(0),
-            completeness: row.map(|r| r.completeness).unwrap_or(0.0),
-            retries: cl.ledger.retries,
-            gave_up: cl.ledger.exhausted,
-        });
-    }
-    for c in lost {
-        sessions.push(SessionOutcome {
-            client: c,
-            session: None,
-            state: "lost".into(),
-            expected: 0,
-            acked: 0,
-            sealed: 0,
-            completeness: 0.0,
-            retries: 0,
-            gave_up: false,
-        });
-    }
-    sessions.sort_by_key(|s| s.client);
+    let sessions = h.outcomes(|_, sid| collector.session(sid));
 
     // for completed runs, the spool is a set of clean journals: recovery
     // is a no-op pass that also writes the deterministic merged digest
     let (merged_records, merged_digest) = if outcome == SoakOutcome::Completed {
         let rep = recover_spool(dir, cfg.collector.segment_records)?;
-        debug_assert_eq!(rep.orphans(), 0, "completed soak left orphans");
+        require_no_orphans(rep.orphans())?;
         (rep.total_records, rep.merged_digest)
     } else {
         (0, 0)
@@ -406,12 +312,163 @@ pub fn run_soak_observed(
         queue_capacity: collector.queue().capacity(),
         queue_high_watermark: collector.queue().high_watermark(),
         busy_refusals: collector.queue().refused(),
-        total_retries: clients.values().map(|c| c.ledger.retries).sum(),
-        retries_exhausted: clients.values().filter(|c| c.ledger.exhausted).count() as u64,
+        total_retries: h.clients.values().map(|c| c.ledger.retries).sum(),
+        retries_exhausted: h.retries_exhausted(),
         snapshots,
         merged_records,
         merged_digest,
     })
+}
+
+/// The client side every soak loop shares, over one collector or a
+/// federation: the clients the plan lets connect, the plan's
+/// slow-consumer windows, the dead-client sweep, and the join of
+/// client ledgers with their sessions once the loop ends. Each loop
+/// keeps what is its own: where frames route, its kill switches, and
+/// (for a federation) migrations.
+pub(crate) struct Harness {
+    pub(crate) clients: BTreeMap<u32, SimClient>,
+    /// Clients whose trace file the plan lost: they never connect.
+    pub(crate) lost: Vec<u32>,
+    stalls: Vec<(u64, u64, f64)>,
+    drain_per_tick: usize,
+}
+
+impl Harness {
+    /// One client per input trace (`inputs` defaults to
+    /// [`synth_client_traces`]), minus the plan's lost files, each cut
+    /// to the plan's truncation and set to vanish at its disconnect.
+    pub(crate) fn new(
+        cfg: &SoakConfig,
+        plan: &FaultPlan,
+        inputs: Option<&[Trace]>,
+    ) -> Result<Self, String> {
+        let synthesized;
+        let traces: &[Trace] = match inputs {
+            Some(t) => {
+                if t.len() != cfg.clients as usize {
+                    return Err(format!(
+                        "need {} input traces, got {}",
+                        cfg.clients,
+                        t.len()
+                    ));
+                }
+                t
+            }
+            None => {
+                synthesized = synth_client_traces(cfg.clients, cfg.records_per_client, cfg.seed);
+                &synthesized
+            }
+        };
+        let mut clients = BTreeMap::new();
+        let mut lost = Vec::new();
+        for (c, trace) in traces.iter().enumerate() {
+            let c = c as u32;
+            if plan.file_lost(c) {
+                lost.push(c);
+                continue;
+            }
+            let expected = trace.records.len() as u64;
+            let keep = plan
+                .truncation(c)
+                .map(|f| ((trace.records.len() as f64) * f).floor() as usize)
+                .unwrap_or(trace.records.len());
+            clients.insert(
+                c,
+                SimClient::new(
+                    c,
+                    trace.meta.clone(),
+                    trace.records[..keep].to_vec(),
+                    expected,
+                    cfg.frame_records,
+                    cfg.retry,
+                    cfg.seed ^ (u64::from(c) << 8),
+                    plan.disconnect_frame(c),
+                ),
+            );
+        }
+        Ok(Harness {
+            clients,
+            lost,
+            stalls: plan.consumer_stalls(),
+            drain_per_tick: cfg.collector.drain_per_tick,
+        })
+    }
+
+    /// Frames a collector drains at `tick`: slow-consumer windows shrink
+    /// the healthy budget.
+    pub(crate) fn budget(&self, tick: u64) -> usize {
+        let mut budget = self.drain_per_tick;
+        for &(from, until, factor) in &self.stalls {
+            if tick >= from && tick < until && factor > 1.0 {
+                budget = ((budget as f64) / factor).floor() as usize;
+            }
+        }
+        budget
+    }
+
+    pub(crate) fn all_terminal(&self) -> bool {
+        self.clients.values().all(SimClient::is_terminal)
+    }
+
+    /// The final sweep: close on `collector` the sessions of clients
+    /// that vanished silently or gave up.
+    pub(crate) fn sweep(&self, collector: &mut Collector) -> Result<(), String> {
+        let dead: Vec<u32> = self
+            .clients
+            .values()
+            .filter(|c| matches!(c.phase, ClientPhase::Dead | ClientPhase::GaveUp))
+            .map(|c| c.id)
+            .collect();
+        collector.sweep_idle(&dead)
+    }
+
+    pub(crate) fn retries_exhausted(&self) -> u64 {
+        self.clients.values().filter(|c| c.ledger.exhausted).count() as u64
+    }
+
+    /// Every client's outcome, lost ones included, sorted by client:
+    /// its ledger joined with its session, which `session_of(client,
+    /// session id)` looks up on whichever collector homes it.
+    pub(crate) fn outcomes<'c>(
+        &self,
+        session_of: impl Fn(u32, u32) -> Option<&'c Session>,
+    ) -> Vec<SessionOutcome> {
+        let mut outcomes: Vec<SessionOutcome> = self
+            .clients
+            .values()
+            .map(|cl| {
+                let s = cl.session.and_then(|sid| session_of(cl.id, sid));
+                SessionOutcome {
+                    client: cl.id,
+                    session: cl.session,
+                    state: s.map_or_else(|| "unreached".into(), |s| s.state.to_string()),
+                    expected: s.map_or(0, |s| s.expected),
+                    acked: cl.ledger.acked_records,
+                    sealed: s.map_or(0, Session::sealed),
+                    completeness: s.map_or(0.0, Session::completeness),
+                    retries: cl.ledger.retries,
+                    gave_up: cl.ledger.exhausted,
+                }
+            })
+            .chain(self.lost.iter().map(|&client| SessionOutcome {
+                client,
+                state: "lost".into(),
+                ..SessionOutcome::default()
+            }))
+            .collect();
+        outcomes.sort_by_key(|s| s.client);
+        outcomes
+    }
+}
+
+/// A completed run closed every session, so the recovery pass that
+/// digests it must find no orphan; one that does is a collector bug.
+pub(crate) fn require_no_orphans(orphans: usize) -> Result<(), String> {
+    if orphans > 0 {
+        return Err(format!("completed run left {orphans} orphaned session(s)"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

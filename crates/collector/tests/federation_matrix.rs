@@ -34,8 +34,8 @@ use std::path::{Path, PathBuf};
 
 use iotrace_collector::soak::{run_soak, synth_client_traces, SoakConfig, SoakOutcome};
 use iotrace_collector::{
-    recover_spools, run_federation, CollectorConfig, FederationConfig, FederationOutcome,
-    FederationRecovery,
+    needs_recovery, recover_spools, run_federation, CollectorConfig, FederationConfig,
+    FederationOutcome, FederationRecovery,
 };
 use iotrace_model::event::Trace;
 use iotrace_model::journal::read_journal;
@@ -162,7 +162,21 @@ fn check_recovery(
 ) -> FederationRecovery {
     let mirror_root = tmpdir(&format!("{ctx}-mirror"));
     let (ma, mb) = (mirror(dir_a, &mirror_root), mirror(dir_b, &mirror_root));
+    let before = [dir_a, dir_b].map(|d| (needs_recovery(d).unwrap(), journals(d)));
     let rec = recover_spools(&[dir_a.to_path_buf(), dir_b.to_path_buf()], SEGMENT_RECORDS).unwrap();
+    // Per spool, the startup check and recovery apply the same orphan
+    // rule: a spool needs recovery exactly when recovery rewrote one of
+    // its journals or reunite took one away from it.
+    for (dir, (torn, journals_before)) in [dir_a, dir_b].into_iter().zip(before) {
+        let name = dir.file_name().unwrap().to_string_lossy();
+        let (_, rep) = rec.collectors.iter().find(|(n, _)| *n == name).unwrap();
+        let reunited_away = journals_before.len() > journals(dir).len();
+        assert_eq!(torn, rep.orphans() > 0 || reunited_away, "{ctx}: {name}");
+        assert!(
+            !needs_recovery(dir).unwrap(),
+            "{ctx}: {name} clean after recovery"
+        );
+    }
     let rec2 = recover_spools(&[ma.clone(), mb.clone()], SEGMENT_RECORDS).unwrap();
 
     // independent recoveries: byte-identical spools, same digest

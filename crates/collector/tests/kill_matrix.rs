@@ -99,7 +99,10 @@ fn kill_at_every_frame_point_recovers_exactly() {
         // two independent recoveries of copies of the same torn spool
         let dir2 = tmpdir(&format!("k{kill_at}b"));
         copy_dir(&dir, &dir2);
+        let torn = needs_recovery(&dir).unwrap();
         let rep1 = recover_spool(&dir, SEGMENT_RECORDS).unwrap();
+        // the startup check and recovery apply the same orphan rule
+        assert_eq!(torn, rep1.orphans() > 0, "kill_at={kill_at}");
         let rep2 = recover_spool(&dir2, SEGMENT_RECORDS).unwrap();
         assert_eq!(
             rep1.merged_digest, rep2.merged_digest,
