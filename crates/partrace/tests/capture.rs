@@ -152,3 +152,77 @@ fn mpi_io_test_has_no_cross_node_data_deps() {
         assert_ne!(e.from_node, own_node, "self-edge discovered: {e:?}");
     }
 }
+
+/// Capture output pinned byte for byte: the FNV-1a 64 digest of the
+/// replayable text and the traced, throttled and total capture times of
+/// `pipeline_mk(3)`. Sampling 0.5 runs the per-op `sampled()` coin; the
+/// `degraded-storage` case runs both capture passes over degraded storage.
+#[test]
+fn capture_output_is_pinned() {
+    use iotrace_model::crc::fnv1a64;
+    struct Case {
+        sampling: f64,
+        plan: &'static str,
+        digest: u64,
+        traced_ns: u64,
+        throttled_ns: u64,
+        capture_ns: u64,
+    }
+    let cases = [
+        Case {
+            sampling: 1.0,
+            plan: "clean",
+            digest: 16_750_388_999_352_776_533,
+            traced_ns: 65_857_626,
+            throttled_ns: 156_730_824,
+            capture_ns: 222_588_450,
+        },
+        Case {
+            sampling: 0.5,
+            plan: "clean",
+            digest: 12_550_424_985_591_775_265,
+            traced_ns: 65_857_626,
+            throttled_ns: 142_683_242,
+            capture_ns: 208_540_868,
+        },
+        Case {
+            sampling: 1.0,
+            plan: "degraded-storage",
+            digest: 5_212_221_392_936_116_770,
+            traced_ns: 71_082_592,
+            throttled_ns: 161_955_790,
+            capture_ns: 233_038_382,
+        },
+    ];
+    let got: Vec<_> =
+        cases
+            .iter()
+            .map(|c| {
+                let plan = FaultPlan::named(c.plan, 42).expect("canned plan");
+                let cap = Partrace::new(PartraceConfig::with_sampling(c.sampling))
+                    .capture_with_faults(pipeline_mk(3), "/pipeline.exe", &plan);
+                (
+                    c.sampling,
+                    c.plan,
+                    fnv1a64(cap.replayable.to_text().as_bytes()),
+                    cap.traced_elapsed.as_nanos(),
+                    cap.throttled_elapsed.map(|d| d.as_nanos()),
+                    cap.capture_elapsed.as_nanos(),
+                )
+            })
+            .collect();
+    let want: Vec<_> = cases
+        .iter()
+        .map(|c| {
+            (
+                c.sampling,
+                c.plan,
+                c.digest,
+                c.traced_ns,
+                Some(c.throttled_ns),
+                c.capture_ns,
+            )
+        })
+        .collect();
+    assert_eq!(got, want);
+}

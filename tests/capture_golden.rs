@@ -12,7 +12,11 @@
 //!   charged appends move the timestamps, so the two digests differ);
 //! * `format_text` of the traces LANL-Trace keeps in memory;
 //! * the Tracefs binary blob with checksum, compression and encryption
-//!   of every selectable field all on.
+//!   of every selectable field all on;
+//! * the raw files, kept traces and elapsed time of
+//!   `LanlTrace::run_with_faults` under the canned `lossy-tracer` and
+//!   `degraded-storage` plans. At seed 42 the degraded servers hold none
+//!   of the job's stripes; at seed 13 they do and the job slows down.
 //!
 //! Any change to the line format, the duration rounding, trace-file
 //! appends, LZSS or XTEA-CBC moves a digest.
@@ -24,6 +28,7 @@ use iotrace_model::binary::FieldSel;
 use iotrace_model::crc::fnv1a64;
 use iotrace_model::text::format_text;
 use iotrace_model::xtea::Key;
+use iotrace_sim::fault::FaultPlan;
 use iotrace_sim::ids::NodeId;
 use iotrace_sim::time::SimTime;
 use iotrace_tracefs::framework::Tracefs;
@@ -89,6 +94,61 @@ fn format_text_of_kept_traces_is_pinned() {
     let run = lanl(64 * 1024);
     assert_eq!(run.traces.len(), RANKS as usize);
     assert_eq!(text_digest(&run), 7_805_202_671_364_990_562);
+}
+
+#[test]
+fn faulted_lanl_runs_are_pinned() {
+    let got: Vec<_> = [
+        ("lossy-tracer", 42),
+        ("degraded-storage", 42),
+        ("degraded-storage", 13),
+    ]
+    .into_iter()
+    .map(|(name, seed)| {
+        let w = job();
+        let plan = FaultPlan::named(name, seed).expect("canned plan");
+        let run = LanlTrace::ltrace().run_with_faults(
+            standard_cluster(RANKS as usize, 7),
+            vfs(&w),
+            w.programs(),
+            &w.cmdline(),
+            &plan,
+        );
+        (
+            name,
+            seed,
+            raw_digest(&run),
+            text_digest(&run),
+            run.report.elapsed().as_nanos(),
+        )
+    })
+    .collect();
+    assert_eq!(
+        got,
+        [
+            (
+                "lossy-tracer",
+                42,
+                4_029_875_974_836_627_111,
+                13_643_605_355_272_577_784,
+                454_696_510
+            ),
+            (
+                "degraded-storage",
+                42,
+                4_029_875_974_836_627_111,
+                7_805_202_671_364_990_562,
+                454_696_510
+            ),
+            (
+                "degraded-storage",
+                13,
+                211_698_563_898_521_395,
+                659_931_832_899_175_810,
+                539_643_989
+            ),
+        ]
+    );
 }
 
 #[test]
