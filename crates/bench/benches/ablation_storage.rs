@@ -30,7 +30,6 @@ fn bandwidth(
         vfs,
         Box::new(NullTracer),
         w.programs(),
-        None,
     );
     w.write_bandwidth(&rep.run, false).unwrap_or(0.0) / (1024.0 * 1024.0)
 }

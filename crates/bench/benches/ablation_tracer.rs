@@ -8,47 +8,41 @@
 //! term — the mechanism DESIGN.md §4 claims.
 
 use iotrace_bench::quick_mode;
-use iotrace_ioapi::harness::{
-    bandwidth_overhead, run_job_with_params, standard_cluster, standard_vfs,
-};
+use iotrace_ioapi::executor::IoExecutor;
+use iotrace_ioapi::harness::{bandwidth_overhead, run_executor, standard_cluster, standard_vfs};
 use iotrace_ioapi::params::{IoApiParams, TraceCostParams};
 use iotrace_ioapi::tracer::NullTracer;
 use iotrace_lanl::config::LanlConfig;
 use iotrace_lanl::run::with_timing_jobs;
 use iotrace_lanl::tracer::LanlTracer;
+use iotrace_sim::engine::RunLimits;
 use iotrace_sim::time::SimDur;
 use iotrace_workloads::mpi_io_test::MpiIoTest;
 use iotrace_workloads::pattern::AccessPattern;
 
 fn measure(block: u64, cost: TraceCostParams, aux_stops: u32, ranks: u32, total: u64) -> f64 {
     let w = MpiIoTest::new(AccessPattern::NTo1Strided, ranks, block, 1).with_total_bytes(total);
-    let mk_vfs = || {
+    let exec = |tracer| {
         let mut v = standard_vfs(ranks as usize);
         v.setup_dir(&w.dir).unwrap();
-        v
+        IoExecutor::new(v, tracer).with_params(IoApiParams::lanl_2007(), cost)
     };
-    let base = run_job_with_params(
+    let base = run_executor(
         standard_cluster(ranks as usize, 7),
-        mk_vfs(),
-        Box::new(NullTracer),
+        exec(Box::new(NullTracer)),
         w.programs(),
-        None,
-        IoApiParams::lanl_2007(),
-        cost,
+        RunLimits::default(),
     );
     let cfg = LanlConfig {
         aux_stops,
         keep_records: false,
         ..LanlConfig::ltrace()
     };
-    let traced = run_job_with_params(
+    let traced = run_executor(
         standard_cluster(ranks as usize, 7),
-        mk_vfs(),
-        Box::new(LanlTracer::new(cfg, &w.cmdline())),
+        exec(Box::new(LanlTracer::new(cfg, &w.cmdline()))),
         with_timing_jobs(w.programs()),
-        None,
-        IoApiParams::lanl_2007(),
-        cost,
+        RunLimits::default(),
     );
     let bw_u = w.write_bandwidth(&base.run, false).unwrap_or(0.0);
     let bw_t = w.write_bandwidth(&traced.run, true).unwrap_or(0.0);

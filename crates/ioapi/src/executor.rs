@@ -26,31 +26,14 @@ use crate::params::{IoApiParams, TraceCostParams};
 use crate::proc::{OpenFile, ProcState};
 use crate::tracer::{IoTracer, NullTracer, TracerCtx};
 
-/// //TRACE-style I/O throttling: delay every I/O operation issued from
-/// one node by a fixed amount and watch which other ranks shift.
-#[derive(Clone, Copy, Debug)]
-pub struct Throttle {
-    pub node: NodeId,
-    pub delay: SimDur,
-}
-
-/// A time-sliced throttle: delay I/O ops issued from `node` while the
-/// simulation clock is within `[from, until)`. //TRACE rotates one such
-/// window per node within a single capture run, so every node gets
-/// slowed in turn and cross-node timing shifts expose causal
-/// dependencies.
-#[derive(Clone, Copy, Debug)]
-pub struct ThrottleWindow {
-    pub node: NodeId,
-    pub from: SimTime,
-    pub until: SimTime,
-    pub delay: SimDur,
-}
-
 /// //TRACE's online throttle schedule: time is cut into fixed-length
 /// slices and the probed nodes take turns being slowed, round-robin, for
 /// the whole run. `active_node(t)` is O(1), so this scales to arbitrarily
 /// long captures (unlike an explicit window list).
+///
+/// This is the executor's only throttle. A fixed delay on every I/O op
+/// of one node is the rotation over that node alone: `slots: 1`, any
+/// non-zero `slice`, `probability: 1.0`.
 #[derive(Clone, Debug)]
 pub struct RotatingThrottle {
     /// Nodes being probed, in rotation order.
@@ -114,9 +97,7 @@ pub struct IoExecutor {
     cost: TraceCostParams,
     tracer: Box<dyn IoTracer>,
     procs: Vec<ProcState>,
-    throttle: Option<Throttle>,
-    throttle_plan: Vec<ThrottleWindow>,
-    rotating: Option<RotatingThrottle>,
+    throttle: Option<RotatingThrottle>,
     world: usize,
     pub stats: IoStats,
 }
@@ -130,8 +111,6 @@ impl IoExecutor {
             tracer,
             procs: Vec::new(),
             throttle: None,
-            throttle_plan: Vec::new(),
-            rotating: None,
             world: 0,
             stats: IoStats::default(),
         }
@@ -143,19 +122,9 @@ impl IoExecutor {
         self
     }
 
-    pub fn set_throttle(&mut self, t: Option<Throttle>) {
-        self.throttle = t;
-    }
-
-    /// Install a set of time-sliced throttle windows (cleared by passing
-    /// an empty vec).
-    pub fn set_throttle_plan(&mut self, plan: Vec<ThrottleWindow>) {
-        self.throttle_plan = plan;
-    }
-
     /// Install //TRACE's rotating round-robin throttle.
     pub fn set_rotating_throttle(&mut self, r: Option<RotatingThrottle>) {
-        self.rotating = r;
+        self.throttle = r;
     }
 
     pub fn tracer(&self) -> &dyn IoTracer {
@@ -271,18 +240,7 @@ impl Executor for IoExecutor {
         let mut tracer = std::mem::replace(&mut self.tracer, Box::new(NullTracer));
         let ri = ctx.rank.index();
         let mut start_now = ctx.now;
-        if let Some(t) = self.throttle {
-            if t.node == ctx.node {
-                start_now += t.delay;
-            }
-        }
-        for w in &self.throttle_plan {
-            if w.node == ctx.node && ctx.now >= w.from && ctx.now < w.until {
-                start_now += w.delay;
-                break;
-            }
-        }
-        if let Some(r) = &self.rotating {
+        if let Some(r) = &self.throttle {
             if r.active_node(ctx.now) == Some(ctx.node)
                 && r.sampled(ctx.rank.0, self.procs[ri].ops_issued)
             {

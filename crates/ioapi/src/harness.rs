@@ -1,8 +1,10 @@
-//! Job harness: standard cluster construction and one-call job
-//! execution. Every experiment in the workspace — the LANL overhead
-//! figures, the Tracefs granularity sweep, the //TRACE throttling runs —
-//! is a sequence of [`run_job`] calls differing only in tracer and
-//! workload.
+//! Job harness: standard cluster construction and the one job runner.
+//! Every experiment in the workspace — the LANL overhead figures, the
+//! Tracefs granularity sweep, the //TRACE throttling runs, the demo's
+//! kill-and-resume capture — runs its jobs through [`run_executor`],
+//! differing only in the tracer, cost parameters and throttle installed
+//! on the [`IoExecutor`] and in the [`RunLimits`]. [`run_job`] is its
+//! unlimited form over a default executor.
 
 use iotrace_fs::fs::{local_fs, nfs_fs, striped_fs};
 use iotrace_fs::params::{LocalParams, NfsParams, RetryPolicy, StripedParams};
@@ -12,9 +14,8 @@ use iotrace_sim::fault::FaultPlan;
 use iotrace_sim::program::RankProgram;
 use iotrace_sim::time::SimDur;
 
-use crate::executor::{IoExecutor, IoStats, Throttle, ThrottleWindow};
+use crate::executor::{IoExecutor, IoStats};
 use crate::op::{IoOp, IoRes};
-use crate::params::{IoApiParams, TraceCostParams};
 use crate::tracer::IoTracer;
 
 /// Standard mount layout used by the paper's experiments:
@@ -45,6 +46,9 @@ pub struct JobReport {
     pub stats: IoStats,
     pub vfs: Vfs,
     pub tracer: Box<dyn IoTracer>,
+    /// One sample per `checkpoint_every` events; empty unless the run's
+    /// [`RunLimits`] set it.
+    pub checkpoints: Vec<CheckpointSample>,
 }
 
 impl JobReport {
@@ -82,22 +86,6 @@ pub fn degrade_vfs(vfs: &mut Vfs, plan: &FaultPlan) {
     }
 }
 
-/// [`run_job`] under a fault plan: the plan's storage windows degrade
-/// the VFS before the job starts. Tracer-level faults (overflow, file
-/// loss) are applied by the individual framework front-ends, which know
-/// how their capture path loses data.
-pub fn run_job_faulted(
-    cfg: ClusterConfig,
-    mut vfs: Vfs,
-    tracer: Box<dyn IoTracer>,
-    programs: Vec<Box<dyn RankProgram<IoOp, IoRes>>>,
-    throttle: Option<Throttle>,
-    plan: &FaultPlan,
-) -> JobReport {
-    degrade_vfs(&mut vfs, plan);
-    run_job(cfg, vfs, tracer, programs, throttle)
-}
-
 /// One checkpoint taken during a controlled run: the event cursor, the
 /// simulated time, and each active tracer's frozen capture state (as
 /// [`TracerSnapshot`](iotrace_model::journal::TracerSnapshot) lines).
@@ -108,26 +96,20 @@ pub struct CheckpointSample {
     pub tracer_state: Vec<String>,
 }
 
-/// [`run_job_faulted`] under [`RunLimits`]: aborts after
-/// `limits.max_events` (deterministic kill injection) and pushes one
-/// [`CheckpointSample`] per `limits.checkpoint_every` events. An aborted
-/// job's tracer never sees `end_run`, so its unflushed buffers are lost —
-/// the crash the checkpoint exists to survive.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_controlled(
+/// The job runner: drive `programs` (one per rank) through `exec` under
+/// `limits`, then take the executor apart into a [`JobReport`]. The run
+/// aborts after `limits.max_events` (deterministic kill injection) and
+/// records one [`CheckpointSample`] per `limits.checkpoint_every`
+/// events. An aborted job's tracer never sees `end_run`, so its
+/// unflushed buffers are lost — the crash the checkpoint exists to
+/// survive. Cost parameters and the throttle are set on `exec`.
+pub fn run_executor(
     cfg: ClusterConfig,
-    mut vfs: Vfs,
-    tracer: Box<dyn IoTracer>,
+    exec: IoExecutor,
     programs: Vec<Box<dyn RankProgram<IoOp, IoRes>>>,
-    throttle: Option<Throttle>,
-    plan: &FaultPlan,
     limits: RunLimits,
-    samples: &mut Vec<CheckpointSample>,
 ) -> JobReport {
-    degrade_vfs(&mut vfs, plan);
-    let mut exec = IoExecutor::new(vfs, tracer)
-        .with_params(IoApiParams::lanl_2007(), TraceCostParams::lanl_2007());
-    exec.set_throttle(throttle);
+    let mut checkpoints = Vec::new();
     let mut engine = Engine::new(cfg, exec);
     let run = engine.run_controlled(
         programs,
@@ -140,7 +122,7 @@ pub fn run_job_controlled(
                 .map(|s| s.to_line())
                 .into_iter()
                 .collect();
-            samples.push(CheckpointSample {
+            checkpoints.push(CheckpointSample {
                 events,
                 sim_time_ns: now.as_nanos(),
                 tracer_state,
@@ -155,77 +137,24 @@ pub fn run_job_controlled(
         stats,
         vfs,
         tracer,
+        checkpoints,
     }
 }
 
-/// Run one job: `programs` (one per rank) against `vfs` under `tracer`.
+/// Run one job to completion: `programs` (one per rank) against `vfs`
+/// under `tracer`, with the standard cost parameters and no throttle.
 pub fn run_job(
     cfg: ClusterConfig,
     vfs: Vfs,
     tracer: Box<dyn IoTracer>,
     programs: Vec<Box<dyn RankProgram<IoOp, IoRes>>>,
-    throttle: Option<Throttle>,
 ) -> JobReport {
-    run_job_with_params(
+    run_executor(
         cfg,
-        vfs,
-        tracer,
+        IoExecutor::new(vfs, tracer),
         programs,
-        throttle,
-        IoApiParams::lanl_2007(),
-        TraceCostParams::lanl_2007(),
+        RunLimits::default(),
     )
-}
-
-/// [`run_job`] with explicit cost parameters (ablations).
-pub fn run_job_with_params(
-    cfg: ClusterConfig,
-    vfs: Vfs,
-    tracer: Box<dyn IoTracer>,
-    programs: Vec<Box<dyn RankProgram<IoOp, IoRes>>>,
-    throttle: Option<Throttle>,
-    params: IoApiParams,
-    cost: TraceCostParams,
-) -> JobReport {
-    run_job_full(
-        cfg,
-        vfs,
-        tracer,
-        programs,
-        throttle,
-        Vec::new(),
-        params,
-        cost,
-    )
-}
-
-/// The fully general job runner: static throttle, time-sliced throttle
-/// plan, and explicit cost parameters.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_full(
-    cfg: ClusterConfig,
-    vfs: Vfs,
-    tracer: Box<dyn IoTracer>,
-    programs: Vec<Box<dyn RankProgram<IoOp, IoRes>>>,
-    throttle: Option<Throttle>,
-    plan: Vec<ThrottleWindow>,
-    params: IoApiParams,
-    cost: TraceCostParams,
-) -> JobReport {
-    let mut exec = IoExecutor::new(vfs, tracer).with_params(params, cost);
-    exec.set_throttle(throttle);
-    exec.set_throttle_plan(plan);
-    let mut engine = Engine::new(cfg, exec);
-    let run = engine.run(programs);
-    let exec = engine.into_executor();
-    let stats = exec.stats;
-    let (vfs, tracer) = exec.into_parts();
-    JobReport {
-        run,
-        stats,
-        vfs,
-        tracer,
-    }
 }
 
 /// Elapsed-time overhead as defined in paper §3.1:

@@ -23,11 +23,10 @@ pub mod traced;
 pub mod tracer;
 
 pub mod prelude {
-    pub use crate::executor::{IoExecutor, IoStats, RotatingThrottle, Throttle, ThrottleWindow};
+    pub use crate::executor::{IoExecutor, IoStats, RotatingThrottle};
     pub use crate::harness::{
-        bandwidth_overhead, degrade_vfs, elapsed_overhead, run_job, run_job_controlled,
-        run_job_faulted, run_job_full, run_job_with_params, standard_cluster, standard_vfs,
-        CheckpointSample, JobReport,
+        bandwidth_overhead, degrade_vfs, elapsed_overhead, run_executor, run_job, standard_cluster,
+        standard_vfs, CheckpointSample, JobReport,
     };
     pub use crate::op::{Fd, IoOp, IoRes, Whence};
     pub use crate::params::{Interception, IoApiParams, TraceCostParams};

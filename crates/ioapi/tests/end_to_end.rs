@@ -30,12 +30,14 @@ fn writer(rank: u32, blocks: u64, block: u64) -> P {
     traced(OpList::new(ops))
 }
 
-fn run(n: usize, tracer: Box<dyn IoTracer>, throttle: Option<Throttle>) -> JobReport {
+fn run(n: usize, tracer: Box<dyn IoTracer>, throttle: Option<RotatingThrottle>) -> JobReport {
     let cfg = standard_cluster(n, 42);
     let mut vfs = standard_vfs(n);
     vfs.setup_dir("/pfs/out").unwrap();
     let programs: Vec<P> = (0..n as u32).map(|r| writer(r, 8, 64 * 1024)).collect();
-    run_job(cfg, vfs, tracer, programs, throttle)
+    let mut exec = IoExecutor::new(vfs, tracer);
+    exec.set_rotating_throttle(throttle);
+    run_executor(cfg, exec, programs, RunLimits::default())
 }
 
 #[test]
@@ -104,13 +106,7 @@ fn mmap_data_movement_is_invisible_to_syscall_layer() {
         Op::Exit,
     ];
     let programs: Vec<P> = vec![Box::new(OpList::new(ops))];
-    let rep = run_job(
-        cfg,
-        vfs,
-        Box::new(CollectingTracer::default()),
-        programs,
-        None,
-    );
+    let rep = run_job(cfg, vfs, Box::new(CollectingTracer::default()), programs);
     assert!(rep.run.is_clean());
     let recs = &iotrace_ioapi::tracer::downcast_tracer::<CollectingTracer>(rep.tracer.as_ref())
         .unwrap()
@@ -169,18 +165,26 @@ fn traced_run_is_slower_than_untraced() {
     assert!(traced_rep.stats.tracer_time > SimDur::ZERO);
 }
 
+/// A fixed delay on every I/O op of one node is a rotation over that
+/// node alone: one slot at probability 1.0. The pinned elapsed times
+/// are those of the writer job with no throttle and under the static
+/// one-node throttle this rotation replaced (5 ms per op on node 2).
 #[test]
-fn throttle_delays_only_the_target_node() {
+fn one_node_rotation_matches_the_static_throttle_elapsed() {
     let base = run(4, Box::new(NullTracer), None);
     let thr = run(
         4,
         Box::new(NullTracer),
-        Some(Throttle {
-            node: NodeId(2),
+        Some(RotatingThrottle {
+            nodes: vec![NodeId(2)],
+            slots: 1,
+            slice: SimDur::from_millis(1),
             delay: SimDur::from_millis(5),
+            probability: 1.0,
         }),
     );
-    assert!(thr.elapsed() > base.elapsed());
+    assert_eq!(base.elapsed().as_nanos(), 33_146_136);
+    assert_eq!(thr.elapsed().as_nanos(), 89_146_136);
 }
 
 #[test]
@@ -211,7 +215,7 @@ fn posix_fd_semantics_through_engine() {
         Op::Exit,
     ];
     let programs: Vec<P> = vec![Box::new(OpList::new(ops))];
-    let rep = run_job(cfg, vfs, Box::new(NullTracer), programs, None);
+    let rep = run_job(cfg, vfs, Box::new(NullTracer), programs);
     assert!(rep.run.is_clean());
     assert_eq!(rep.stats.bytes_written, 11);
     assert_eq!(rep.stats.bytes_read, 11);
@@ -233,7 +237,7 @@ fn bad_fd_yields_ebadf_not_panic() {
         Op::Exit,
     ];
     let programs: Vec<P> = vec![Box::new(OpList::new(ops))];
-    let rep = run_job(cfg, vfs, Box::new(NullTracer), programs, None);
+    let rep = run_job(cfg, vfs, Box::new(NullTracer), programs);
     assert!(rep.run.is_clean());
     assert_eq!(rep.stats.bytes_written, 0);
 }
@@ -262,7 +266,7 @@ fn open_missing_file_reports_enoent() {
         }
     };
     let programs: Vec<P> = vec![Box::new(prog)];
-    let rep = run_job(cfg, vfs, Box::new(NullTracer), programs, None);
+    let rep = run_job(cfg, vfs, Box::new(NullTracer), programs);
     assert!(rep.run.is_clean());
     assert_eq!(*seen.borrow(), Some(IoRes::Error(2)));
 }

@@ -7,16 +7,16 @@
 //! skew/drift reference points, then runs the application itself under
 //! the ptrace-based tracer.
 
-use iotrace_fs::params::RetryPolicy;
 use iotrace_fs::vfs::Vfs;
-use iotrace_ioapi::harness::{run_job, run_job_controlled, CheckpointSample, JobReport};
+use iotrace_ioapi::executor::IoExecutor;
+use iotrace_ioapi::harness::{degrade_vfs, run_executor, run_job, CheckpointSample, JobReport};
 use iotrace_ioapi::op::{IoOp, IoRes};
 use iotrace_ioapi::traced::Traced;
-use iotrace_ioapi::tracer::{downcast_tracer, NullTracer};
+use iotrace_ioapi::tracer::NullTracer;
 use iotrace_model::event::Trace;
 use iotrace_model::summary::CallSummary;
 use iotrace_model::timing::AggregateTiming;
-use iotrace_sim::engine::ClusterConfig;
+use iotrace_sim::engine::{ClusterConfig, RunLimits};
 use iotrace_sim::fault::FaultPlan;
 use iotrace_sim::ids::CommId;
 use iotrace_sim::program::{Op, OpList, RankProgram, Seq};
@@ -82,75 +82,6 @@ impl LanlTrace {
         }
     }
 
-    /// [`LanlTrace::run`] under an injected fault plan: storage windows
-    /// degrade the VFS before the job starts, and afterwards the plan's
-    /// trace-level faults are applied the way LANL-Trace actually loses
-    /// data — whole per-rank files vanish, files are truncated, and a
-    /// crashed node's records stop at the crash instant.
-    pub fn run_with_faults(
-        &self,
-        cluster: ClusterConfig,
-        mut vfs: Vfs,
-        programs: Vec<P>,
-        app_cmdline: &str,
-        plan: &FaultPlan,
-    ) -> LanlRun {
-        vfs.degrade_storage(&plan.storage_windows(), RetryPolicy::lanl_2007());
-        let mut run = self.run(cluster, vfs, programs, app_cmdline);
-        apply_fault_plan(&mut run.traces, plan);
-        run
-    }
-
-    /// [`LanlTrace::run_with_faults`] under
-    /// [`RunLimits`](iotrace_sim::engine::RunLimits): the engine
-    /// aborts after `limits.max_events` (the plan's `run-abort` kill) and
-    /// records one [`CheckpointSample`] per `checkpoint_every` events. On
-    /// an aborted run the plan's trace-level faults are *not* applied —
-    /// the run died before the wrapper's collection step — and the traces
-    /// are whatever the tracer held in memory at the kill, unflushed
-    /// buffers included only insofar as they were already captured.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_faults_controlled(
-        &self,
-        cluster: ClusterConfig,
-        vfs: Vfs,
-        programs: Vec<P>,
-        app_cmdline: &str,
-        plan: &FaultPlan,
-        limits: iotrace_sim::engine::RunLimits,
-        samples: &mut Vec<CheckpointSample>,
-    ) -> LanlRun {
-        let tracer = LanlTracer::new(self.cfg.clone(), app_cmdline);
-        let report = run_job_controlled(
-            cluster,
-            vfs,
-            Box::new(tracer),
-            with_timing_jobs(programs),
-            None,
-            plan,
-            limits,
-            samples,
-        );
-        let t =
-            downcast_tracer::<LanlTracer>(report.tracer.as_ref()).expect("tracer is a LanlTracer");
-        let traces = t.traces();
-        let timing = t.timing().clone();
-        let summary = t.summary().clone();
-        let raw_paths = t.raw_paths();
-        let aborted = report.run.aborted;
-        let mut run = LanlRun {
-            report,
-            traces,
-            timing,
-            summary,
-            raw_paths,
-        };
-        if !aborted {
-            apply_fault_plan(&mut run.traces, plan);
-        }
-        run
-    }
-
     /// Run `programs` under LANL-Trace on the given cluster.
     pub fn run(
         &self,
@@ -159,20 +90,88 @@ impl LanlTrace {
         programs: Vec<P>,
         app_cmdline: &str,
     ) -> LanlRun {
-        let tracer = LanlTracer::new(self.cfg.clone(), app_cmdline);
-        let report = run_job(
+        self.run_with_faults(cluster, vfs, programs, app_cmdline, &FaultPlan::clean())
+    }
+
+    /// [`LanlTrace::run`] under an injected fault plan: storage windows
+    /// degrade the VFS before the job starts, and afterwards the plan's
+    /// trace-level faults are applied the way LANL-Trace actually loses
+    /// data — whole per-rank files vanish, files are truncated, and a
+    /// crashed node's records stop at the crash instant.
+    pub fn run_with_faults(
+        &self,
+        cluster: ClusterConfig,
+        vfs: Vfs,
+        programs: Vec<P>,
+        app_cmdline: &str,
+        plan: &FaultPlan,
+    ) -> LanlRun {
+        self.run_under(
             cluster,
             vfs,
-            Box::new(tracer),
+            programs,
+            app_cmdline,
+            plan,
+            RunLimits::default(),
+        )
+    }
+
+    /// [`LanlTrace::run_with_faults`] under [`RunLimits`]: the engine
+    /// aborts after `limits.max_events` (the plan's `run-abort` kill) and
+    /// appends one [`CheckpointSample`] per `checkpoint_every` events to
+    /// `samples`. On an aborted run the plan's trace-level faults are
+    /// *not* applied — the run died before the wrapper's collection step
+    /// — and the traces are whatever the tracer held in memory at the
+    /// kill, unflushed buffers included only insofar as they were already
+    /// captured.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_with_faults_controlled(
+        &self,
+        cluster: ClusterConfig,
+        vfs: Vfs,
+        programs: Vec<P>,
+        app_cmdline: &str,
+        plan: &FaultPlan,
+        limits: RunLimits,
+        samples: &mut Vec<CheckpointSample>,
+    ) -> LanlRun {
+        let mut run = self.run_under(cluster, vfs, programs, app_cmdline, plan, limits);
+        samples.append(&mut run.report.checkpoints);
+        run
+    }
+
+    /// The one LANL-Trace job: degrade storage, run the wrapped programs
+    /// under the tracer, move its outputs out, and apply the plan's
+    /// trace-level faults unless the run was killed.
+    fn run_under(
+        &self,
+        cluster: ClusterConfig,
+        mut vfs: Vfs,
+        programs: Vec<P>,
+        app_cmdline: &str,
+        plan: &FaultPlan,
+        limits: RunLimits,
+    ) -> LanlRun {
+        degrade_vfs(&mut vfs, plan);
+        let tracer = LanlTracer::new(self.cfg.clone(), app_cmdline);
+        let mut report = run_executor(
+            cluster,
+            IoExecutor::new(vfs, Box::new(tracer)),
             with_timing_jobs(programs),
-            None,
+            limits,
         );
-        let t =
-            downcast_tracer::<LanlTracer>(report.tracer.as_ref()).expect("tracer is a LanlTracer");
-        let traces = t.traces();
+        let t = report
+            .tracer
+            .as_any_mut()
+            .downcast_mut::<LanlTracer>()
+            .expect("tracer is a LanlTracer");
+        let mut traces = t.take_traces();
         let timing = t.timing().clone();
         let summary = t.summary().clone();
         let raw_paths = t.raw_paths();
+        if !report.run.aborted {
+            apply_fault_plan(&mut traces, plan);
+        }
         LanlRun {
             report,
             traces,
@@ -186,7 +185,7 @@ impl LanlTrace {
 /// Untraced baseline with the same pre/post jobs absent (the plain app,
 /// as `time ./app` would run it).
 pub fn untraced_baseline(cluster: ClusterConfig, vfs: Vfs, programs: Vec<P>) -> JobReport {
-    run_job(cluster, vfs, Box::new(NullTracer), programs, None)
+    run_job(cluster, vfs, Box::new(NullTracer), programs)
 }
 
 /// Apply a fault plan's trace-level faults to a set of decoded per-rank

@@ -74,19 +74,16 @@ impl LanlTracer {
             .collect()
     }
 
-    /// Decoded per-rank traces (when `keep_records`).
-    pub fn traces(&self) -> Vec<Trace> {
+    /// Decoded per-rank traces (when `keep_records`), moved out of the
+    /// sinks.
+    pub(crate) fn take_traces(&mut self) -> Vec<Trace> {
         self.sinks
-            .iter()
+            .iter_mut()
             .map(|(r, s)| Trace {
-                meta: self.meta_for(*r, s.node),
-                records: s.records.clone(),
+                meta: TraceMeta::new(&self.app, *r, s.node, "lanl-trace"),
+                records: std::mem::take(&mut s.records),
             })
             .collect()
-    }
-
-    fn meta_for(&self, rank: u32, node: u32) -> TraceMeta {
-        TraceMeta::new(&self.app, rank, node, "lanl-trace")
     }
 
     fn sink_for(&mut self, ctx: &TracerCtx<'_>) -> &mut RankSink {
@@ -312,8 +309,8 @@ mod tests {
 
     #[test]
     fn rank_of_sink_is_tracked() {
-        let t = LanlTracer::new(LanlConfig::ltrace(), "/app");
+        let mut t = LanlTracer::new(LanlConfig::ltrace(), "/app");
         assert!(t.raw_paths().is_empty());
-        assert!(t.traces().is_empty());
+        assert!(t.take_traces().is_empty());
     }
 }

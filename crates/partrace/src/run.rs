@@ -10,13 +10,12 @@
 //! 1.0 probes every node (full dependency map, elapsed overhead up to
 //! ~200%).
 
-use iotrace_fs::params::RetryPolicy;
 use iotrace_fs::vfs::Vfs;
 use iotrace_ioapi::executor::{IoExecutor, RotatingThrottle};
+use iotrace_ioapi::harness::{degrade_vfs, run_executor};
 use iotrace_ioapi::op::{IoOp, IoRes};
-use iotrace_ioapi::tracer::downcast_tracer;
 use iotrace_model::event::Trace;
-use iotrace_sim::engine::{ClusterConfig, Engine};
+use iotrace_sim::engine::{ClusterConfig, RunLimits};
 use iotrace_sim::fault::FaultPlan;
 use iotrace_sim::ids::NodeId;
 use iotrace_sim::program::RankProgram;
@@ -150,13 +149,10 @@ impl Partrace {
     where
         F: Fn() -> (ClusterConfig, Vfs, Vec<P>),
     {
-        let windows = plan.storage_windows();
         let mut cap = self.capture(
             || {
                 let (cluster, mut vfs, programs) = mk();
-                if !windows.is_empty() {
-                    vfs.degrade_storage(&windows, RetryPolicy::lanl_2007());
-                }
+                degrade_vfs(&mut vfs, plan);
                 (cluster, vfs, programs)
             },
             app,
@@ -195,17 +191,17 @@ fn run_capture(
 ) -> (Vec<Trace>, SimDur) {
     let mut exec = IoExecutor::new(vfs, Box::new(PartraceTracer::new(app)));
     exec.set_rotating_throttle(rotating);
-    let mut engine = Engine::new(cluster, exec);
-    let report = engine.run(programs);
+    let mut report = run_executor(cluster, exec, programs, RunLimits::default());
     assert!(
-        report.is_clean(),
+        report.run.is_clean(),
         "capture run deadlocked: {:?}",
-        report.deadlocked
+        report.run.deadlocked
     );
-    let exec = engine.into_executor();
-    let (_vfs, tracer) = exec.into_parts();
-    let traces = downcast_tracer::<PartraceTracer>(tracer.as_ref())
+    let traces = report
+        .tracer
+        .as_any_mut()
+        .downcast_mut::<PartraceTracer>()
         .expect("tracer is PartraceTracer")
-        .traces();
-    (traces, report.elapsed)
+        .take_traces();
+    (traces, report.run.elapsed)
 }

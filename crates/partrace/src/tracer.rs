@@ -40,13 +40,13 @@ impl PartraceTracer {
         }
     }
 
-    /// Per-rank captured traces.
-    pub fn traces(&self) -> Vec<Trace> {
+    /// Per-rank captured traces, moved out of the capture buffers.
+    pub(crate) fn take_traces(&mut self) -> Vec<Trace> {
         self.bufs
-            .iter()
+            .iter_mut()
             .map(|(rank, b)| Trace {
                 meta: TraceMeta::new(&self.app, *rank, b.node, "partrace"),
-                records: b.records.clone(),
+                records: std::mem::take(&mut b.records),
             })
             .collect()
     }

@@ -113,7 +113,6 @@ pub fn replay_and_measure(
         vfs,
         Box::new(CollectingTracer::default()),
         programs,
-        None,
     );
     assert!(
         report.run.is_clean(),

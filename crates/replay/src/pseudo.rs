@@ -203,13 +203,16 @@ fn dep_tag(rt: &ReplayableTrace, rank: u32, op: usize) -> u32 {
 }
 
 /// Pre-populate the VFS so reads of files the original application merely
-/// consumed (produced outside the trace window) find data.
+/// consumed (produced outside the trace window) find data. Files are
+/// created in path order: creation order numbers the inodes and the
+/// inode number picks a file's first stripe server, so the order must
+/// not depend on a hash seed.
 pub fn prepare_vfs(rt: &ReplayableTrace, vfs: &mut Vfs) {
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
     for t in &rt.traces {
         // Track fd -> path through the record stream to size read targets.
         let mut fd_path: HashMap<i64, String> = HashMap::new();
-        let mut need: HashMap<String, u64> = HashMap::new();
+        let mut need: BTreeMap<String, u64> = BTreeMap::new();
         let mut pos: HashMap<i64, u64> = HashMap::new();
         for rec in &t.records {
             match &rec.call {

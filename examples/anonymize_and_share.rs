@@ -22,7 +22,6 @@ fn main() {
         vfs,
         Box::new(CollectingTracer::default()),
         w.programs(),
-        None,
     );
     let records = iotrace::ioapi::tracer::downcast_tracer::<CollectingTracer>(rep.tracer.as_ref())
         .unwrap()
