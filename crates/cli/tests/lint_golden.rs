@@ -93,13 +93,19 @@ fn analysis_pipeline_is_gated_too() {
 #[test]
 fn conflict_fixture_trips_the_conflict_pass() {
     // Two ranks write overlapping byte ranges of the same file through
-    // cursor-relative `write` (invisible to the causality pass), and the
-    // dependency map carries no ordering edge between the writes.
+    // cursor-relative `write`, and the dependency map carries no ordering
+    // edge between the writes. Both race passes see the emulated cursor:
+    // `causality` flags the same-epoch overlap, `conflict` the missing
+    // happens-before edge.
     let out = iotrace(&["lint", "--json", &fixture("conflict_replayable.txt")]);
     assert_eq!(out.status.code(), Some(1), "unordered writes must exit 1");
     let got = String::from_utf8(out.stdout).unwrap();
     assert!(got.contains("\"rule\": \"conflict-write-write\""), "{got}");
-    assert!(!got.contains("\"rule\": \"hb-write-race\""), "{got}");
+    assert!(got.contains("\"rule\": \"hb-write-race\""), "{got}");
+    assert!(
+        got.contains("write overlapping bytes [2048, 4096) of /pfs/shared.out"),
+        "{got}"
+    );
     assert!(
         got.contains("[2048, 4096)"),
         "overlap range reported: {got}"

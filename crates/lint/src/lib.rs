@@ -13,7 +13,7 @@
 //! | pass | defect class |
 //! |------|--------------|
 //! | [`passes::fd_lifecycle`] | use-after-close, double-close, leaked fds |
-//! | [`passes::causality`] | torn barriers, unordered overlapping writes |
+//! | [`passes::causality`] | torn barriers, same-epoch overlapping writes and reads |
 //! | [`passes::clock`] | non-monotonic timestamps, skew beyond budget |
 //! | [`passes::depgraph`] | cyclic or dangling dependency maps |
 //! | [`passes::anonleak`] | raw identifiers under an anonymization claim |
@@ -21,10 +21,11 @@
 //! | [`passes::policy_flow`] | lineage flows violating a label policy |
 //! | [`passes::lineage`] | reads whose bytes have no recorded producer |
 //!
-//! The last three are dataflow passes built on the
-//! [`iotrace_provenance`] lineage graph; `policy-flow` only activates
-//! when the caller attaches a [`Policy`](iotrace_provenance::Policy)
-//! via [`LintInput::with_policy`].
+//! `causality` and the last three are dataflow passes built on the
+//! [`iotrace_provenance`] lineage graph, which one run builds at most
+//! once and shares; `policy-flow` only activates when the caller
+//! attaches a [`Policy`](iotrace_provenance::Policy) via
+//! [`LintInput::with_policy`].
 //!
 //! Drive it with [`Linter`]:
 //!
@@ -89,9 +90,10 @@ impl Linter {
     }
 
     pub fn run(&self, input: &LintInput<'_>) -> LintReport {
+        let cx = passes::LintCx::new(input);
         let mut diagnostics = Vec::new();
         for pass in &self.passes {
-            pass.run(input, &self.cfg, &mut diagnostics);
+            pass.run(&cx, &self.cfg, &mut diagnostics);
         }
         downgrade_for_documented_loss(input, &mut diagnostics);
         let mut report = LintReport { diagnostics };
@@ -178,6 +180,17 @@ pub(crate) mod testutil {
 
     use iotrace_model::event::{IoCall, Trace, TraceMeta, TraceRecord};
     use iotrace_sim::time::{SimDur, SimTime};
+
+    use crate::passes::{LintCx, LintInput, LintPass};
+    use crate::{Diagnostic, LintConfig};
+
+    /// Run one pass alone under the default configuration, on its own
+    /// substrate, as [`crate::Linter::run`] would.
+    pub fn run_pass(pass: &dyn LintPass, input: &LintInput<'_>) -> Vec<Diagnostic> {
+        let mut out = Vec::new();
+        pass.run(&LintCx::new(input), &LintConfig::default(), &mut out);
+        out
+    }
 
     /// A record at time zero (fd-lifecycle and anonleak ignore time).
     pub fn rec(rank: u32, call: IoCall, result: i64) -> TraceRecord {

@@ -24,7 +24,7 @@ use iotrace_model::event::{IoCall, Trace};
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
-use crate::passes::{LintInput, LintPass};
+use crate::passes::{LintCx, LintPass};
 
 pub struct AnonLeakage;
 
@@ -185,8 +185,8 @@ impl LintPass for AnonLeakage {
         "anonleak"
     }
 
-    fn run(&self, input: &LintInput<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-        for t in input.traces {
+    fn run(&self, cx: &LintCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        for t in cx.input.traces {
             lint_trace(t, cfg, out);
         }
     }
@@ -195,7 +195,8 @@ impl LintPass for AnonLeakage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::trace_of;
+    use crate::passes::LintInput;
+    use crate::testutil::{run_pass, trace_of};
     use iotrace_model::anonymize::{Anonymizer, Mode, Selection};
 
     fn open(path: &str) -> (IoCall, i64) {
@@ -210,13 +211,7 @@ mod tests {
     }
 
     fn run(traces: &[Trace]) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        AnonLeakage.run(
-            &LintInput::from_traces(traces),
-            &LintConfig::default(),
-            &mut out,
-        );
-        out
+        run_pass(&AnonLeakage, &LintInput::from_traces(traces))
     }
 
     #[test]

@@ -16,105 +16,35 @@
 //! * no rank reads a region another rank concurrently writes
 //!   (`hb-read-race`).
 //!
-//! Only calls with explicit offsets (`pwrite`, `MPI_File_write_at`, VFS
-//! page I/O) are checked; cursor-relative `write` would require lseek
-//! emulation and is out of scope (documented in DESIGN.md).
+//! Accesses come from the run's lineage graph, so the pass sees what
+//! provenance sees: explicit-offset I/O, cursor-relative `read`/`write`
+//! through an emulated file cursor, the returned byte count of a short
+//! transfer, and no access through a descriptor after its `close`.
 
 use std::collections::BTreeSet;
 
-use iotrace_model::event::{IoCall, Trace};
-use iotrace_model::fasthash::FxHashMap;
-use iotrace_model::intern::{Interner, Sym};
+use iotrace_provenance::access::barrier_count;
+use iotrace_provenance::{LineageNode, NodeKind};
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
-use crate::passes::{LintInput, LintPass};
+use crate::passes::{access_ids, overlapping_pairs, LintCx, LintPass};
 
 pub struct Causality;
-
-/// One explicit-offset access, located by (rank, record) and aligned to
-/// its barrier epoch. The path is interned: the overlap scan compares
-/// and groups millions of accesses, so it hashes `u32`s, not strings.
-struct Access {
-    rank: u32,
-    record: usize,
-    epoch: usize,
-    path: Sym,
-    start: u64,
-    end: u64,
-    write: bool,
-}
-
-/// Collect explicit-offset accesses from one rank, resolving fds through
-/// the opens seen so far.
-fn collect_accesses(trace: &Trace, paths: &mut Interner, out: &mut Vec<Access>) {
-    let mut fd_path: FxHashMap<i64, Sym> = FxHashMap::default();
-    let mut epoch = 0usize;
-    for (i, r) in trace.records.iter().enumerate() {
-        if r.is_error() {
-            continue;
-        }
-        let (path, offset, len, write) = match &r.call {
-            IoCall::MpiBarrier => {
-                epoch += 1;
-                continue;
-            }
-            IoCall::Open { path, .. } | IoCall::MpiFileOpen { path, .. } => {
-                fd_path.insert(r.result, paths.intern(path));
-                continue;
-            }
-            IoCall::Pwrite { fd, offset, len } | IoCall::MpiFileWriteAt { fd, offset, len } => {
-                match fd_path.get(fd) {
-                    Some(&p) => (p, *offset, *len, true),
-                    None => continue,
-                }
-            }
-            IoCall::Pread { fd, offset, len } | IoCall::MpiFileReadAt { fd, offset, len } => {
-                match fd_path.get(fd) {
-                    Some(&p) => (p, *offset, *len, false),
-                    None => continue,
-                }
-            }
-            IoCall::VfsWritePage { path, offset, len } => (paths.intern(path), *offset, *len, true),
-            IoCall::VfsReadPage { path, offset, len } => (paths.intern(path), *offset, *len, false),
-            _ => continue,
-        };
-        if len == 0 {
-            continue;
-        }
-        out.push(Access {
-            rank: trace.meta.rank,
-            record: i,
-            epoch,
-            path,
-            start: offset,
-            end: offset.saturating_add(len),
-            write,
-        });
-    }
-}
-
-fn barrier_count(trace: &Trace) -> usize {
-    trace
-        .records
-        .iter()
-        .filter(|r| !r.is_error() && r.call == IoCall::MpiBarrier)
-        .count()
-}
 
 impl LintPass for Causality {
     fn name(&self) -> &'static str {
         "causality"
     }
 
-    fn run(&self, input: &LintInput<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-        if input.traces.len() < 2 {
+    fn run(&self, cx: &LintCx<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        let traces = cx.input.traces;
+        if traces.len() < 2 {
             return; // single-rank traces have no cross-rank ordering to check
         }
 
         // Barrier structure must agree before epochs mean anything.
-        let counts: Vec<(u32, usize)> = input
-            .traces
+        let counts: Vec<(u32, usize)> = traces
             .iter()
             .map(|t| (t.meta.rank, barrier_count(t)))
             .collect();
@@ -143,96 +73,75 @@ impl LintPass for Causality {
             );
         }
 
-        // Overlap scan: one flat sort of all accesses keyed on
-        // (epoch, path, start), then a sweep over group slices —
-        // interned end-to-end, no per-access map node or per-group
-        // `Vec` allocation, no string comparison in the hot key. Group
-        // order must stay (epoch, *lexicographic* path) because the
-        // `seen` dedup keeps whichever pair a group visits first, so
-        // symbols are ranked by their resolved strings once up front
-        // (symbol ids follow first-intern order, not path order).
-        let mut paths = Interner::new();
-        let mut accesses = Vec::new();
-        for t in input.traces {
-            collect_accesses(t, &mut paths, &mut accesses);
-        }
-        let mut by_path: Vec<Sym> = paths.iter().map(|(s, _)| s).collect();
+        // Overlap scan over the graph's access nodes, keyed on (epoch,
+        // path, start). Group order must stay (epoch, *lexicographic*
+        // path) because the `seen` dedup keeps whichever pair a group
+        // visits first, so symbols are ranked by their resolved strings
+        // once up front (symbol ids follow first-intern order, not path
+        // order). Same epoch means concurrent, even on a torn collective.
+        let g = cx.graph();
+        let paths = g.paths();
+        let mut by_path: Vec<_> = paths.iter().map(|(s, _)| s).collect();
         by_path.sort_by_key(|&s| paths.resolve(s));
         let mut path_rank: Vec<u32> = vec![0; paths.len()];
         for (rank, &s) in by_path.iter().enumerate() {
             path_rank[s.id() as usize] = rank as u32;
         }
-        let key = |a: &Access| {
-            (
-                a.epoch,
-                path_rank[a.path.id() as usize],
-                a.start,
-                a.rank,
-                a.record,
-            )
-        };
-        accesses.sort_unstable_by_key(key);
+        let mut ids = access_ids(g);
+        ids.sort_unstable_by_key(|&id| {
+            let n = &g.nodes[id as usize];
+            let path = n.path.map(|p| path_rank[p.id() as usize]);
+            (n.epoch, path, n.start, n.rank, n.record)
+        });
 
         // One diagnostic per (epoch, path, rank pair, kind) so a torn
         // stripe pattern doesn't flood the report.
-        let mut seen: BTreeSet<(usize, Sym, u32, u32, bool)> = BTreeSet::new();
-        let mut lo = 0usize;
-        while lo < accesses.len() {
-            let group_key = (accesses[lo].epoch, accesses[lo].path);
-            let mut hi = lo + 1;
-            while hi < accesses.len() && (accesses[hi].epoch, accesses[hi].path) == group_key {
-                hi += 1;
+        let mut seen = BTreeSet::new();
+        let same_group = |a: &LineageNode, b: &LineageNode| (a.epoch, a.path) == (b.epoch, b.path);
+        for (a, b) in overlapping_pairs(g, &ids, same_group) {
+            let (lo, hi) = if a.rank < b.rank { (a, b) } else { (b, a) };
+            let both_write = a.kind == NodeKind::Write && b.kind == NodeKind::Write;
+            if !seen.insert((a.epoch, a.path, lo.rank, hi.rank, both_write)) {
+                continue;
             }
-            let group = &accesses[lo..hi];
-            let (epoch, path) = (group_key.0, paths.resolve(group_key.1));
-            for (i, a) in group.iter().enumerate() {
-                for b in group.iter().skip(i + 1) {
-                    if b.start >= a.end {
-                        break; // sorted by start: nothing later overlaps a
-                    }
-                    if a.rank == b.rank || (!a.write && !b.write) {
-                        continue;
-                    }
-                    let (lo, hi) = if a.rank < b.rank { (a, b) } else { (b, a) };
-                    let both_write = a.write && b.write;
-                    if !seen.insert((epoch, a.path, lo.rank, hi.rank, both_write)) {
-                        continue;
-                    }
-                    let overlap_start = a.start.max(b.start);
-                    let overlap_end = a.end.min(b.end);
-                    if both_write {
-                        out.push(
-                            Diagnostic::new(
-                                "hb-write-race",
-                                Severity::Error,
-                                format!(
-                                    "rank{}#{} and rank{}#{} write overlapping bytes \
-                                     [{overlap_start}, {overlap_end}) of {path} in barrier \
-                                     epoch {epoch} with no ordering between them",
-                                    lo.rank, lo.record, hi.rank, hi.record
-                                ),
-                            )
-                            .with_hint(
-                                "replay may commit these writes in either order; separate them \
-                                 with a barrier or disjoint offsets",
-                            ),
-                        );
-                    } else {
-                        let (w, r) = if a.write { (a, b) } else { (b, a) };
-                        out.push(Diagnostic::new(
-                            "hb-read-race",
-                            Severity::Warning,
-                            format!(
-                                "rank{}#{} reads bytes [{overlap_start}, {overlap_end}) of \
-                                     {path} while rank{}#{} concurrently writes them \
-                                     (barrier epoch {epoch})",
-                                r.rank, r.record, w.rank, w.record
-                            ),
-                        ));
-                    }
-                }
+            let epoch = a.epoch;
+            let path = a.path.map_or("", |p| paths.resolve(p));
+            let overlap_start = a.start.max(b.start);
+            let overlap_end = a.end.min(b.end);
+            if both_write {
+                out.push(
+                    Diagnostic::new(
+                        "hb-write-race",
+                        Severity::Error,
+                        format!(
+                            "rank{}#{} and rank{}#{} write overlapping bytes \
+                             [{overlap_start}, {overlap_end}) of {path} in barrier \
+                             epoch {epoch} with no ordering between them",
+                            lo.rank, lo.record, hi.rank, hi.record
+                        ),
+                    )
+                    .with_hint(
+                        "replay may commit these writes in either order; separate them \
+                         with a barrier or disjoint offsets",
+                    ),
+                );
+            } else {
+                let (w, r) = if a.kind == NodeKind::Write {
+                    (a, b)
+                } else {
+                    (b, a)
+                };
+                out.push(Diagnostic::new(
+                    "hb-read-race",
+                    Severity::Warning,
+                    format!(
+                        "rank{}#{} reads bytes [{overlap_start}, {overlap_end}) of \
+                             {path} while rank{}#{} concurrently writes them \
+                             (barrier epoch {epoch})",
+                        r.rank, r.record, w.rank, w.record
+                    ),
+                ));
             }
-            lo = hi;
         }
     }
 }
@@ -240,7 +149,9 @@ impl LintPass for Causality {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::trace_of;
+    use crate::passes::LintInput;
+    use crate::testutil::{run_pass, trace_of};
+    use iotrace_model::event::{IoCall, Trace};
 
     fn open(path: &str) -> (IoCall, i64) {
         (
@@ -265,13 +176,7 @@ mod tests {
     }
 
     fn run(traces: &[Trace]) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        Causality.run(
-            &LintInput::from_traces(traces),
-            &LintConfig::default(),
-            &mut out,
-        );
-        out
+        run_pass(&Causality, &LintInput::from_traces(traces))
     }
 
     #[test]
@@ -374,5 +279,67 @@ mod tests {
         let out = run(&[a, b]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, "hb-write-race");
+    }
+
+    #[test]
+    fn cursor_relative_writes_race_through_lseek() {
+        let a = trace_of(
+            0,
+            vec![open("/f"), (IoCall::Write { fd: 3, len: 100 }, 100)],
+        );
+        let b = trace_of(
+            1,
+            vec![
+                open("/f"),
+                (
+                    IoCall::Lseek {
+                        fd: 3,
+                        offset: 50,
+                        whence: 0,
+                    },
+                    50,
+                ),
+                (IoCall::Write { fd: 3, len: 100 }, 100),
+            ],
+        );
+        let out = run(&[a, b]);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, "hb-write-race");
+        assert!(out[0].message.contains("[50, 100)"), "{}", out[0].message);
+    }
+
+    #[test]
+    fn short_writes_race_on_the_returned_range_only() {
+        let short = |off: u64, len: u64, got: i64| {
+            (
+                IoCall::Pwrite {
+                    fd: 3,
+                    offset: off,
+                    len,
+                },
+                got,
+            )
+        };
+        // Asked for [50, 150), wrote [50, 80): the race is [50, 80).
+        let a = trace_of(0, vec![open("/f"), pwrite(0, 100)]);
+        let b = trace_of(1, vec![open("/f"), short(50, 100, 30)]);
+        let out = run(&[a, b]);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("[50, 80)"), "{}", out[0].message);
+
+        // Asked for [50, 150), wrote [50, 90): clear of [100, 200).
+        let a = trace_of(0, vec![open("/f"), pwrite(100, 100)]);
+        let b = trace_of(1, vec![open("/f"), short(50, 100, 40)]);
+        assert!(run(&[a, b]).is_empty());
+    }
+
+    #[test]
+    fn writes_through_a_closed_fd_are_not_attributed() {
+        let a = trace_of(0, vec![open("/f"), pwrite(0, 100)]);
+        let b = trace_of(
+            1,
+            vec![open("/f"), (IoCall::Close { fd: 3 }, 0), pwrite(0, 100)],
+        );
+        assert!(run(&[a, b]).is_empty());
     }
 }

@@ -25,7 +25,7 @@ use iotrace_model::event::{CallLayer, IoCall, Trace, TraceRecord};
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
-use crate::passes::{LintInput, LintPass};
+use crate::passes::{LintCx, LintPass};
 
 pub struct ClockSanity;
 
@@ -102,18 +102,18 @@ impl LintPass for ClockSanity {
         "clock"
     }
 
-    fn run(&self, input: &LintInput<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-        for t in input.traces {
+    fn run(&self, cx: &LintCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        for t in cx.input.traces {
             lint_rank(t, cfg, out);
         }
 
         // Cross-rank: barrier-exit spread per barrier index. Skip when
         // barrier counts disagree (the causality pass reports that).
-        if input.traces.len() < 2 {
+        if cx.input.traces.len() < 2 {
             return;
         }
         let mut exits: BTreeMap<usize, Vec<(u32, u64)>> = BTreeMap::new();
-        for t in input.traces {
+        for t in cx.input.traces {
             let mut k = 0usize;
             for r in &t.records {
                 if !r.is_error() && r.call == IoCall::MpiBarrier {
@@ -125,7 +125,7 @@ impl LintPass for ClockSanity {
                 }
             }
         }
-        let world = input.traces.len();
+        let world = cx.input.traces.len();
         for (k, ranks) in exits {
             if ranks.len() != world {
                 continue;
@@ -165,17 +165,12 @@ impl LintPass for ClockSanity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{rec_at, trace_of_records};
+    use crate::passes::LintInput;
+    use crate::testutil::{rec_at, run_pass, trace_of_records};
     use iotrace_sim::time::SimDur;
 
     fn run(traces: &[Trace]) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        ClockSanity.run(
-            &LintInput::from_traces(traces),
-            &LintConfig::default(),
-            &mut out,
-        );
-        out
+        run_pass(&ClockSanity, &LintInput::from_traces(traces))
     }
 
     #[test]

@@ -12,20 +12,15 @@
 //! one, cross-rank ordering beyond barriers is unknowable and every
 //! same-epoch overlap would be flagged — which is the `causality` pass's
 //! `hb-write-race` finding already. With a map, this pass is strictly
-//! sharper: it exonerates pairs the discovered dependencies do order,
-//! and (unlike `causality`) it also sees cursor-relative I/O via the
-//! provenance access extractor.
+//! sharper: it exonerates pairs the discovered dependencies do order.
 
 use std::collections::BTreeSet;
 
-use iotrace_model::intern::Interner;
-use iotrace_provenance::access::extract_accesses;
-use iotrace_provenance::hb::{HbIndex, Loc};
-use iotrace_provenance::Access;
+use iotrace_provenance::{LineageNode, NodeKind};
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
-use crate::passes::{LintInput, LintPass};
+use crate::passes::{access_ids, overlapping_pairs, LintCx, LintPass};
 
 pub struct Conflict;
 
@@ -34,82 +29,63 @@ impl LintPass for Conflict {
         "conflict"
     }
 
-    fn run(&self, input: &LintInput<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-        let Some(deps) = input.deps else {
+    fn run(&self, cx: &LintCx<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        if cx.input.deps.is_none() {
             return; // no dependency map: causality already covers epochs
-        };
-        let hb = HbIndex::build(input.traces, Some(deps));
-        let mut paths = Interner::new();
-        let mut accesses: Vec<Access> = Vec::new();
-        for t in input.traces {
-            extract_accesses(t, &mut paths, &mut accesses);
         }
+        let g = cx.graph();
+        let hb = g.hb();
         // Per path, sweep accesses in start-offset order so only
         // range-overlapping pairs are compared.
-        accesses.sort_by_key(|a| (a.path.id(), a.start, a.end, a.rank, a.record));
+        let mut ids = access_ids(g);
+        ids.sort_unstable_by_key(|&id| {
+            let n = &g.nodes[id as usize];
+            (n.path, n.start, n.end, n.rank, n.record)
+        });
         // One finding per (path, rank pair, kind): a lock-free pattern
         // repeated over thousands of records is one defect, not thousands.
-        let mut seen: BTreeSet<(u32, u32, u32, bool)> = BTreeSet::new();
-        for (i, a) in accesses.iter().enumerate() {
-            for b in accesses[i + 1..].iter() {
-                if b.path != a.path || b.start >= a.end {
-                    break;
-                }
-                if a.rank == b.rank || (!a.write && !b.write) {
-                    continue;
-                }
-                let ww = a.write && b.write;
-                let (lo, hi) = (a.rank.min(b.rank), a.rank.max(b.rank));
-                if seen.contains(&(a.path.id(), lo, hi, ww)) {
-                    continue;
-                }
-                let la = Loc {
-                    rank: a.rank,
-                    record: a.record,
-                    epoch: a.epoch,
-                };
-                let lb = Loc {
-                    rank: b.rank,
-                    record: b.record,
-                    epoch: b.epoch,
-                };
-                if !hb.concurrent(la, lb) {
-                    continue;
-                }
-                seen.insert((a.path.id(), lo, hi, ww));
-                let path = paths.resolve(a.path);
-                let (s, e) = (a.start.max(b.start), a.end.min(b.end));
-                // Deterministic presentation: lower rank first.
-                let (first, second) = if a.rank <= b.rank { (a, b) } else { (b, a) };
-                let kind = |x: &Access| if x.write { "write" } else { "read" };
-                let (rule, severity) = if ww {
-                    ("conflict-write-write", Severity::Error)
-                } else {
-                    ("conflict-read-write", Severity::Warning)
-                };
-                out.push(
-                    Diagnostic::new(
-                        rule,
-                        severity,
-                        format!(
-                            "rank{}#{} {} and rank{}#{} {} of {path} overlap on \
-                             [{s}, {e}) with no happens-before edge",
-                            first.rank,
-                            first.record,
-                            kind(first),
-                            second.rank,
-                            second.record,
-                            kind(second),
-                        ),
-                    )
-                    .at_record(first.rank, first.record)
-                    .with_hint(
-                        "no barrier, program order, or //TRACE dependency edge orders \
-                         these accesses: the bytes seen depend on scheduling; add \
-                         synchronization or make the ranges disjoint",
-                    ),
-                );
+        let mut seen = BTreeSet::new();
+        let same_path = |a: &LineageNode, b: &LineageNode| a.path == b.path;
+        for (a, b) in overlapping_pairs(g, &ids, same_path) {
+            let write = |x: &LineageNode| x.kind == NodeKind::Write;
+            let ww = write(a) && write(b);
+            let key = (a.path, a.rank.min(b.rank), a.rank.max(b.rank), ww);
+            if seen.contains(&key) || !hb.concurrent(a.loc(), b.loc()) {
+                continue;
             }
+            seen.insert(key);
+            let path = a.path.map_or("", |p| g.paths().resolve(p));
+            let (s, e) = (a.start.max(b.start), a.end.min(b.end));
+            // Deterministic presentation: lower rank first.
+            let (first, second) = if a.rank <= b.rank { (a, b) } else { (b, a) };
+            let kind = |x: &LineageNode| if write(x) { "write" } else { "read" };
+            let (rule, severity) = if ww {
+                ("conflict-write-write", Severity::Error)
+            } else {
+                ("conflict-read-write", Severity::Warning)
+            };
+            out.push(
+                Diagnostic::new(
+                    rule,
+                    severity,
+                    format!(
+                        "rank{}#{} {} and rank{}#{} {} of {path} overlap on \
+                         [{s}, {e}) with no happens-before edge",
+                        first.rank,
+                        first.record,
+                        kind(first),
+                        second.rank,
+                        second.record,
+                        kind(second),
+                    ),
+                )
+                .at_record(first.rank, first.record)
+                .with_hint(
+                    "no barrier, program order, or //TRACE dependency edge orders \
+                     these accesses: the bytes seen depend on scheduling; add \
+                     synchronization or make the ranges disjoint",
+                ),
+            );
         }
     }
 }
@@ -119,23 +95,21 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::testutil::trace_of;
+    use crate::passes::LintInput;
+    use crate::testutil::{run_pass, trace_of};
     use iotrace_model::event::{IoCall, Trace};
     use iotrace_partrace::deps::{DependencyEdge, DependencyMap};
     use iotrace_sim::time::SimDur;
 
     fn run(traces: &[Trace], deps: Option<&DependencyMap>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        Conflict.run(
+        run_pass(
+            &Conflict,
             &LintInput {
                 traces,
                 deps,
                 policy: None,
             },
-            &LintConfig::default(),
-            &mut out,
-        );
-        out
+        )
     }
 
     fn writer(rank: u32, off: u64, len: u64) -> Trace {

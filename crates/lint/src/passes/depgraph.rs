@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
-use crate::passes::{LintInput, LintPass};
+use crate::passes::{LintCx, LintPass};
 
 pub struct DepGraph;
 
@@ -81,13 +81,14 @@ impl LintPass for DepGraph {
         "depgraph"
     }
 
-    fn run(&self, input: &LintInput<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-        let Some(deps) = input.deps else {
+    fn run(&self, cx: &LintCx<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        let Some(deps) = cx.input.deps else {
             return;
         };
         // Rank → record count, for endpoint range checks. Empty when the
         // map is being linted standalone (structural checks only).
-        let rank_len: BTreeMap<u32, usize> = input
+        let rank_len: BTreeMap<u32, usize> = cx
+            .input
             .traces
             .iter()
             .map(|t| (t.meta.rank, t.records.len()))
@@ -198,7 +199,7 @@ impl LintPass for DepGraph {
             // with the call it names, when the traces are at hand — so the
             // deadlock can be read off without re-deriving the walk.
             let call_of = |(rank, op): Node| -> Option<&'static str> {
-                input
+                cx.input
                     .traces
                     .iter()
                     .find(|t| t.meta.rank == rank)
@@ -236,7 +237,8 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::testutil::trace_of;
+    use crate::passes::LintInput;
+    use crate::testutil::{run_pass, trace_of};
     use iotrace_model::event::{IoCall, Trace};
     use iotrace_partrace::deps::{DependencyEdge, DependencyMap};
     use iotrace_sim::time::SimDur;
@@ -265,17 +267,14 @@ mod tests {
     }
 
     fn run(traces: &[Trace], map: &DependencyMap) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        DepGraph.run(
+        run_pass(
+            &DepGraph,
             &LintInput {
                 traces,
                 deps: Some(map),
                 policy: None,
             },
-            &LintConfig::default(),
-            &mut out,
-        );
-        out
+        )
     }
 
     #[test]
@@ -378,12 +377,7 @@ mod tests {
     #[test]
     fn no_map_means_no_findings() {
         let ts = traces(&[2]);
-        let mut out = Vec::new();
-        DepGraph.run(
-            &LintInput::from_traces(&ts),
-            &LintConfig::default(),
-            &mut out,
-        );
+        let out = run_pass(&DepGraph, &LintInput::from_traces(&ts));
         assert!(out.is_empty());
     }
 }

@@ -18,7 +18,7 @@ use iotrace_model::intern::{Interner, Sym};
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
-use crate::passes::{LintInput, LintPass};
+use crate::passes::{LintCx, LintPass};
 
 pub struct FdLifecycle;
 
@@ -191,8 +191,8 @@ impl LintPass for FdLifecycle {
         "fd-lifecycle"
     }
 
-    fn run(&self, input: &LintInput<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-        for trace in input.traces {
+    fn run(&self, cx: &LintCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        for trace in cx.input.traces {
             lint_trace(trace, cfg, out);
         }
     }
@@ -201,17 +201,15 @@ impl LintPass for FdLifecycle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{rec, trace_of};
+    use crate::passes::LintInput;
+    use crate::testutil::{rec, run_pass, trace_of};
 
     fn run(calls: Vec<(IoCall, i64)>) -> Vec<Diagnostic> {
         let t = trace_of(0, calls);
-        let mut out = Vec::new();
-        FdLifecycle.run(
+        run_pass(
+            &FdLifecycle,
             &LintInput::from_traces(std::slice::from_ref(&t)),
-            &LintConfig::default(),
-            &mut out,
-        );
-        out
+        )
     }
 
     #[test]
@@ -302,11 +300,9 @@ mod tests {
         );
         // A failed write on the closed fd is consistent (-EBADF).
         t.records.push(rec(0, IoCall::Write { fd: 3, len: 1 }, -9));
-        let mut out = Vec::new();
-        FdLifecycle.run(
+        let out = run_pass(
+            &FdLifecycle,
             &LintInput::from_traces(std::slice::from_ref(&t)),
-            &LintConfig::default(),
-            &mut out,
         );
         assert!(out.is_empty(), "{out:?}");
     }

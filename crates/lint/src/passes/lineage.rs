@@ -23,11 +23,11 @@
 
 use std::collections::BTreeMap;
 
-use iotrace_provenance::{LineageGraph, NodeKind};
+use iotrace_provenance::NodeKind;
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
-use crate::passes::{LintInput, LintPass};
+use crate::passes::{LintCx, LintPass};
 
 pub struct LineageCompleteness;
 
@@ -36,12 +36,12 @@ impl LintPass for LineageCompleteness {
         "lineage"
     }
 
-    fn run(&self, input: &LintInput<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-        let g = LineageGraph::build(input.traces, input.deps);
+    fn run(&self, cx: &LintCx<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        let g = cx.graph();
         if !g.hb().aligned() {
             return; // torn barriers: causality reports, epochs untrustworthy
         }
-        let documented_loss = input.traces.iter().any(|t| !t.meta.is_complete());
+        let documented_loss = cx.input.traces.iter().any(|t| !t.meta.is_complete());
         // (rank, path) -> (orphan bytes, span count, first record)
         let mut agg: BTreeMap<(u32, String), (u64, usize, usize)> = BTreeMap::new();
         for o in &g.orphans {
@@ -93,21 +93,19 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::testutil::trace_of;
+    use crate::passes::LintInput;
+    use crate::testutil::{run_pass, trace_of};
     use iotrace_model::event::{IoCall, Trace};
 
     fn run(traces: &[Trace]) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        LineageCompleteness.run(
+        run_pass(
+            &LineageCompleteness,
             &LintInput {
                 traces,
                 deps: None,
                 policy: None,
             },
-            &LintConfig::default(),
-            &mut out,
-        );
-        out
+        )
     }
 
     fn open(fd: i64, path: &str) -> (IoCall, i64) {

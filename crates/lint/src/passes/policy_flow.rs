@@ -22,11 +22,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use iotrace_provenance::policy::LabelKind;
-use iotrace_provenance::{upstream_of_nodes, LineageGraph, NodeId, NodeKind};
+use iotrace_provenance::{upstream_of_nodes, NodeId, NodeKind};
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Severity};
-use crate::passes::{LintInput, LintPass};
+use crate::passes::{LintCx, LintPass};
 
 pub struct PolicyFlow;
 
@@ -35,11 +35,11 @@ impl LintPass for PolicyFlow {
         "policy-flow"
     }
 
-    fn run(&self, input: &LintInput<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-        let Some(policy) = input.policy else {
+    fn run(&self, cx: &LintCx<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        let Some(policy) = cx.input.policy else {
             return;
         };
-        let g = LineageGraph::build(input.traces, input.deps);
+        let g = cx.graph();
         // Write nodes grouped by sink path, in node-id (build) order.
         let mut writes_by_path: BTreeMap<&str, Vec<NodeId>> = BTreeMap::new();
         for (i, n) in g.nodes.iter().enumerate() {
@@ -50,7 +50,7 @@ impl LintPass for PolicyFlow {
             }
         }
         for (sink, writes) in &writes_by_path {
-            let lineage = upstream_of_nodes(&g, writes.iter().copied());
+            let lineage = upstream_of_nodes(g, writes.iter().copied());
             let sources: BTreeSet<&str> = lineage
                 .nodes
                 .iter()
@@ -119,22 +119,20 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::testutil::trace_of;
+    use crate::passes::LintInput;
+    use crate::testutil::{run_pass, trace_of};
     use iotrace_model::event::{IoCall, Trace};
     use iotrace_provenance::Policy;
 
     fn run(traces: &[Trace], policy: Option<&Policy>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        PolicyFlow.run(
+        run_pass(
+            &PolicyFlow,
             &LintInput {
                 traces,
                 deps: None,
                 policy,
             },
-            &LintConfig::default(),
-            &mut out,
-        );
-        out
+        )
     }
 
     fn open(fd: i64, path: &str) -> (IoCall, i64) {

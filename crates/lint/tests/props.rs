@@ -1,15 +1,18 @@
-//! Property tests for the fd-lifecycle and dependency-graph passes.
+//! Property tests for the fd-lifecycle and dependency-graph passes, and
+//! for the substrate the passes of one run share.
 //!
 //! * arbitrary open/close/I/O interleavings never panic the linter, and
 //!   linting is deterministic;
 //! * well-formed lifecycles produce no fd diagnostics;
 //! * dependency maps whose edges always point forward in op order are
 //!   never reported cyclic, backward self-edges always are, and any
-//!   reported cycle is confirmed by an independent reachability check.
+//!   reported cycle is confirmed by an independent reachability check;
+//! * a default run, whose passes share one lineage graph, reports
+//!   exactly the union of every pass run alone.
 
 use proptest::prelude::*;
 
-use iotrace_lint::{lint_traces, LintConfig, LintInput, Linter};
+use iotrace_lint::{lint_traces, LintConfig, LintInput, LintReport, Linter};
 use iotrace_model::event::{IoCall, Trace, TraceMeta, TraceRecord};
 use iotrace_partrace::deps::{DependencyEdge, DependencyMap};
 use iotrace_sim::time::{SimDur, SimTime};
@@ -248,5 +251,98 @@ proptest! {
         let a = depgraph_report(&traces, &map);
         let b = depgraph_report(&traces, &map);
         prop_assert_eq!(a, b);
+    }
+}
+
+// ---- shared-substrate property ----
+
+/// One rank of racy multi-file I/O. Each op is (kind, file, offset
+/// seed); file `k` is `/f{k}` on fd `3 + k`, every transfer is 32 bytes.
+/// The rank opens both files first, so most transfers have a path.
+fn racy_trace(rank: u32, ops: &[(u8, u8, u16)]) -> Trace {
+    let mut t = Trace::new(TraceMeta::new("/app", rank, rank, "prop"));
+    let opens = [(0, 0, 0), (0, 1, 0)];
+    for (i, &(kind, file, off)) in opens.iter().chain(ops).enumerate() {
+        let fd = 3 + i64::from(file);
+        let offset = u64::from(off);
+        let (call, result) = match kind % 7 {
+            0 => (
+                IoCall::Open {
+                    path: format!("/f{file}"),
+                    flags: 0,
+                    mode: 0,
+                },
+                fd,
+            ),
+            1 => (
+                IoCall::Pwrite {
+                    fd,
+                    offset,
+                    len: 32,
+                },
+                32,
+            ),
+            2 => (IoCall::Write { fd, len: 32 }, 32),
+            3 => (
+                IoCall::Lseek {
+                    fd,
+                    offset: i64::from(off),
+                    whence: 0,
+                },
+                i64::from(off),
+            ),
+            4 => (IoCall::MpiBarrier, 0),
+            5 => (
+                IoCall::Pread {
+                    fd,
+                    offset,
+                    len: 32,
+                },
+                32,
+            ),
+            _ => (IoCall::Read { fd, len: 32 }, 32),
+        };
+        let mut r = record(i, call, result);
+        r.rank = rank;
+        r.node = rank;
+        t.records.push(r);
+    }
+    t
+}
+
+proptest! {
+    #[test]
+    fn a_shared_run_reports_the_union_of_lone_passes(
+        ranks in prop::collection::vec(
+            prop::collection::vec((0u8..7, 0u8..2, 0u16..128), 0..16),
+            2..5
+        ),
+        with_deps in any::<bool>(),
+        raw in prop::collection::vec((0u32..4, 0usize..16, 0u32..4, 0usize..16), 0..4)
+    ) {
+        let traces: Vec<Trace> = ranks
+            .iter()
+            .enumerate()
+            .map(|(r, ops)| racy_trace(r as u32, ops))
+            .collect();
+        let map = DependencyMap {
+            edges: raw.iter().map(|&(fr, a, tr, b)| edge(fr, a, tr, b)).collect(),
+        };
+        let input = LintInput {
+            traces: &traces,
+            deps: with_deps.then_some(&map),
+            policy: None,
+        };
+        let shared = Linter::new(LintConfig::default()).run(&input);
+        let mut union = LintReport::default();
+        for name in Linter::new(LintConfig::default()).pass_names() {
+            let alone = Linter::new(LintConfig::default())
+                .keep_passes(&[name])
+                .unwrap()
+                .run(&input);
+            union.diagnostics.extend(alone.diagnostics);
+        }
+        union.sort();
+        prop_assert_eq!(shared, union);
     }
 }

@@ -13,11 +13,10 @@
 //!   not carry, so it poisons the cursor and subsequent relative I/O on
 //!   that descriptor is skipped rather than guessed.
 //!
-//! (The `causality` lint pass deliberately restricts itself to the
-//! explicit-offset family; provenance does the emulation because a
-//! lineage graph missing every `write` syscall would be blind to most
-//! POSIX workloads — e.g. the producer/consumer pipeline //TRACE's
-//! dependency discovery is demonstrated on.)
+//! The emulation matters because a lineage graph missing every `write`
+//! syscall would be blind to most POSIX workloads — e.g. the
+//! producer/consumer pipeline //TRACE's dependency discovery is
+//! demonstrated on.
 //!
 //! Failed calls contribute nothing; partial transfers use the *returned*
 //! byte count, never the requested length, so a short read cannot
