@@ -1,8 +1,7 @@
 //! Fold equivalence: stats, hotspots and phases are each one fold, and
 //! must give identical results however the input reaches that fold —
 //! owned records through the record adapters, IOT2 view frames re-keyed
-//! with `map_syms`, v1 fold-decoder frames, or random splits folded
-//! separately and then merged.
+//! with `map_syms`, or random splits folded separately and then merged.
 
 mod common;
 
@@ -12,7 +11,6 @@ use common::{build_traces, xorshift};
 use iotrace_analysis::hotspots::{by_path_interned, top_by_bytes_interned, PathFold, PathStats};
 use iotrace_analysis::phases::{phases, Phase, PhaseFold};
 use iotrace_analysis::stats::{StreamingStats, TraceStats};
-use iotrace_model::binary::{decode_binary_fold, encode_binary, BinaryOptions};
 use iotrace_model::event::{IoCall, Trace, TraceRecord};
 use iotrace_model::intern::{Interner, Sym};
 use iotrace_model::iot2::{encode_iot2, Frame, Iot2View};
@@ -47,19 +45,6 @@ fn iot2_frames(traces: &[Trace], paths: &mut Interner) -> Vec<Vec<Frame>> {
                     f
                 })
                 .collect()
-        })
-        .collect()
-}
-
-/// Each trace's frames as the v1 fold decoder yields them, keyed in `paths`.
-fn v1_frames(traces: &[Trace], paths: &mut Interner) -> Vec<Vec<Frame>> {
-    traces
-        .iter()
-        .map(|t| {
-            let mut out = Vec::new();
-            let bytes = encode_binary(t, &BinaryOptions::default());
-            decode_binary_fold(&bytes, None, paths, |f| out.push(f)).unwrap();
-            out
         })
         .collect()
 }
@@ -161,9 +146,9 @@ fn every_call(fd: i64, offset: u64, len: u64, x: u32, y: u32, p: &str, q: &str) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// (a) record adapters, (b) re-keyed IOT2 view frames, (c) v1 fold
-    /// decoder frames and (d) random splits folded separately then
-    /// merged all give the same stats, hotspots and phases. Stats split
+    /// (a) record adapters, (b) re-keyed IOT2 view frames and (c) random
+    /// splits folded separately then merged all give the same stats,
+    /// hotspots and phases. Stats split
     /// at any record; hotspots and phases split between ranks, because
     /// fd attribution and barrier windows are per-rank state.
     #[test]
@@ -184,17 +169,15 @@ proptest! {
         let hot = resolved(&by_path_interned(&all, &mut paths), &paths);
         let ph = phases(&traces);
 
-        // (b), (c)
-        for route in [iot2_frames, v1_frames] {
-            let mut paths = Interner::new();
-            let frames = route(&traces, &mut paths);
-            let (s, h, p) = analyse_frames(&traces, &frames, &paths);
-            prop_assert_eq!(&s, &stats);
-            prop_assert_eq!(&h, &hot);
-            prop_assert_eq!(&p, &ph);
-        }
+        // (b)
+        let mut paths = Interner::new();
+        let frames = iot2_frames(&traces, &mut paths);
+        let (s, h, p) = analyse_frames(&traces, &frames, &paths);
+        prop_assert_eq!(&s, &stats);
+        prop_assert_eq!(&h, &hot);
+        prop_assert_eq!(&p, &ph);
 
-        // (d)
+        // (c)
         let mut state = seed;
         let mut merged = StreamingStats::new();
         for run in cuts(&mut state, all.len()) {

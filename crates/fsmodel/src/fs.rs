@@ -161,10 +161,6 @@ impl<M: CostModel> ModeledFs<M> {
         &self.model
     }
 
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     fn is_shared(&self, ino: InodeId) -> bool {
         self.open_nodes
             .get(&ino)

@@ -21,14 +21,6 @@ impl DiskParams {
         self.op_latency + SimDur::from_secs_f64(bytes as f64 / self.bandwidth_bps)
     }
 
-    /// A 2006-era 7200rpm SATA disk behind a RAID controller.
-    pub fn sata_2006() -> Self {
-        DiskParams {
-            op_latency: SimDur::from_micros(400),
-            bandwidth_bps: 60.0e6,
-        }
-    }
-
     /// Node-local scratch disk.
     pub fn local_scratch() -> Self {
         DiskParams {

@@ -50,10 +50,6 @@ impl Vfs {
         }
     }
 
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
     /// Mount a shared file system at `prefix` (normalized).
     pub fn mount_shared(&mut self, prefix: &str, fs: Box<dyn FileSystem>) -> FsResult<u16> {
         self.mount(prefix, MountBackend::Shared(fs))

@@ -3,9 +3,9 @@
 //! Everything else in this workspace runs against a simulated cluster;
 //! this crate is the one real-world component: a `cdylib` that, preloaded
 //! into any dynamically linked process, interposes the libc I/O entry
-//! points (`open`, `openat`, `read`, `write`, `close`, `lseek`, `fsync`)
-//! and appends one line per call to the file named by the
-//! `IOTRACE_TRACE_FILE` environment variable.
+//! points (`open`, `open64`, `openat`, `read`, `write`, `close`, `lseek`,
+//! `fsync`) and appends one record per call to the file named by the
+//! `IOTRACE_TRACE_FILE` environment variable, its only setting.
 //!
 //! This is the exact mechanism //TRACE uses ("dynamic library
 //! interposition", Curry '94, paper §2.3/§4.3) and demonstrates its
@@ -14,26 +14,104 @@
 //! calls captured, no granularity control — and the same blind spot: it
 //! cannot see memory-mapped I/O.
 //!
+//! The output is the workspace's text trace format, so
+//! [`iotrace_model::text::parse_text`] and every `iotrace` analysis read
+//! it. A process writes one header before its first record, then one
+//! [`iotrace_model::text::write_record_line`] line per call:
+//!
+//! ```text
+//! # tracer: interpose
+//! # rank: 0
+//! # node: 0
+//! # epoch: 0
+//! # pid: 4242 uid: 1000 gid: 1000
+//! 1792289502.560993 SYS_open("/etc/hostname", 0, 0o0) = 3 <0.000008>
+//! 1792289502.561127 SYS_read(3, 131072) = 3 <0.000006>
+//! ```
+//!
+//! `open64` and `openat` record as `SYS_open` (an `openat` path is
+//! recorded as given). Timestamps are wall-clock (`CLOCK_REALTIME`)
+//! seconds under epoch 0, so processes appending to one file never write
+//! a timestamp before its epoch; `dur` is measured around the real call
+//! and the result is the call's return value. Rank and node are always
+//! 0. A record belongs to the nearest `# pid:` header above it. After a
+//! `fork`, parent and child each write the header again before their
+//! next record. A child started by `vfork` or `posix_spawn` writes its
+//! own header once it execs, but its parent's next records then fall
+//! under that header. Each line is one `write` to an `O_APPEND` file,
+//! so concurrent processes interleave whole lines.
+//!
 //! Build products: the `cdylib` (`libiotrace_interpose.so`) for
-//! preloading, plus this `rlib` with [`reader`] for parsing the output.
+//! preloading, plus this `rlib` with [`shim_path`], which builds the
+//! `cdylib` and says where it is.
 //!
 //! ```text
 //! IOTRACE_TRACE_FILE=/tmp/t.log LD_PRELOAD=target/debug/libiotrace_interpose.so cat /etc/hostname
 //! ```
 
-pub mod reader;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
-#[cfg(unix)]
+/// Path of the preloadable `libiotrace_interpose.so` for the profile
+/// this crate was built in (`target/debug` or `target/release`, under
+/// `CARGO_TARGET_DIR` if set). Runs `cargo build -p iotrace-interpose`
+/// first, which is a no-op when the library is fresh, so a stale shim
+/// is never preloaded. Panics if the build fails.
+pub fn shim_path() -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/interpose sits two levels below the workspace root");
+    let release = !cfg!(debug_assertions);
+    let mut cargo = Command::new(env!("CARGO"));
+    cargo
+        .args(["build", "-p", "iotrace-interpose", "--quiet"])
+        .current_dir(root);
+    if release {
+        cargo.arg("--release");
+    }
+    let status = cargo.status().expect("spawn cargo build");
+    assert!(status.success(), "building the interposition shim failed");
+    std::env::var_os("CARGO_TARGET_DIR")
+        .map_or_else(|| root.join("target"), PathBuf::from)
+        .join(if release { "release" } else { "debug" })
+        .join("libiotrace_interpose.so")
+}
+
+#[cfg(target_os = "linux")]
 mod hooks {
     use core::ffi::{c_char, c_int, c_long, c_void};
-    use std::sync::atomic::{AtomicI32, AtomicPtr, Ordering};
+    use std::cell::{Cell, RefCell};
+    use std::sync::atomic::{AtomicBool, AtomicI32, AtomicPtr, Ordering};
+    use std::sync::Once;
+    use std::time::{SystemTime, UNIX_EPOCH};
+
+    use iotrace_model::event::{IoCall, TraceRecord};
+    use iotrace_model::text::write_record_line;
+    use iotrace_sim::time::{SimDur, SimTime};
 
     /// glibc's `RTLD_NEXT` pseudo-handle.
     const RTLD_NEXT: *mut c_void = -1isize as *mut c_void;
+    const O_CREAT: c_int = 0o100;
+    const O_TMPFILE: c_int = 0o20_200_000;
+    const F_DUPFD_CLOEXEC: c_int = 1030;
+    /// The trace fd is moved to at least this number, clear of the low
+    /// fds a program closes and expects to get back from its next open.
+    const TRACE_FD_FLOOR: c_int = 100;
 
     extern "C" {
         fn dlsym(handle: *mut c_void, symbol: *const c_char) -> *mut c_void;
         fn getenv(name: *const c_char) -> *mut c_char;
+        fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
+        fn getpid() -> c_int;
+        fn getuid() -> u32;
+        fn getgid() -> u32;
+        fn __errno_location() -> *mut c_int;
+        fn pthread_atfork(
+            prepare: Option<unsafe extern "C" fn()>,
+            parent: Option<unsafe extern "C" fn()>,
+            child: Option<unsafe extern "C" fn()>,
+        ) -> c_int;
     }
 
     macro_rules! real {
@@ -50,11 +128,23 @@ mod hooks {
         }};
     }
 
-    /// Trace output fd; 0 = uninitialized, -1 = disabled.
-    static TRACE_FD: AtomicI32 = AtomicI32::new(0);
-    // Re-entrancy guard (our own writes must not be traced).
+    /// [`TRACE_FD`] before the first traced call has looked for the file.
+    const UNOPENED: c_int = -2;
+    /// [`TRACE_FD`] when `IOTRACE_TRACE_FILE` is unset or cannot be opened.
+    const DISABLED: c_int = -1;
+    /// Trace output fd, or [`UNOPENED`] / [`DISABLED`].
+    static TRACE_FD: AtomicI32 = AtomicI32::new(UNOPENED);
+    /// Set by [`header_due`] in both processes of a `fork`: each writes
+    /// the header again (with its own pid) before its next record.
+    static HEADER_DUE: AtomicBool = AtomicBool::new(false);
+    /// Registers [`header_due`]; a forked child inherits it as done.
+    static AT_FORK: Once = Once::new();
+
     thread_local! {
-        static IN_HOOK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        // Re-entrancy guard (our own writes must not be traced).
+        static IN_HOOK: Cell<bool> = const { Cell::new(false) };
+        // Reused line buffer: a traced call allocates nothing for its line.
+        static LINE: RefCell<String> = const { RefCell::new(String::new()) };
     }
 
     fn real_open() -> unsafe extern "C" fn(*const c_char, c_int, c_int) -> c_int {
@@ -71,62 +161,155 @@ mod hooks {
             unsafe extern "C" fn(c_int, *const c_void, usize) -> isize
         )
     }
+    fn real_close() -> unsafe extern "C" fn(c_int) -> c_int {
+        real!(CLOSE, "close", unsafe extern "C" fn(c_int) -> c_int)
+    }
 
+    fn write_out(fd: c_int, bytes: &[u8]) {
+        // SAFETY: valid buffer/len; best-effort, one write per line.
+        unsafe {
+            let _ = (real_write())(fd, bytes.as_ptr() as *const c_void, bytes.len());
+        }
+    }
+
+    /// The trace fd, opening the file and writing this process's header
+    /// on first use; negative when tracing is off.
     fn trace_fd() -> c_int {
         let fd = TRACE_FD.load(Ordering::Relaxed);
-        if fd != 0 {
+        if fd != UNOPENED {
             return fd;
         }
         // SAFETY: getenv with NUL-terminated literal; result checked.
         let path = unsafe { getenv(c"IOTRACE_TRACE_FILE".as_ptr()) };
-        let new_fd = if path.is_null() {
-            -1
-        } else {
-            // O_WRONLY|O_CREAT|O_APPEND = 1 | 0o100 | 0o2000
-            let f = unsafe { (real_open())(path, 0o2101, 0o600) };
-            if f < 0 {
-                -1
-            } else {
-                f
-            }
-        };
-        TRACE_FD.store(new_fd, Ordering::Relaxed);
-        new_fd
+        if path.is_null() {
+            TRACE_FD.store(DISABLED, Ordering::Relaxed);
+            return DISABLED;
+        }
+        // O_WRONLY|O_CREAT|O_APPEND|O_CLOEXEC = 1 | 0o100 | 0o2000 | 0o2000000
+        // SAFETY: `path` is a NUL-terminated C string from the environment.
+        let mut f = unsafe { (real_open())(path, 0o2_002_101, 0o600) };
+        if f < 0 {
+            TRACE_FD.store(DISABLED, Ordering::Relaxed);
+            return DISABLED;
+        }
+        // SAFETY: fcntl and close on the fd just opened, which we own.
+        let high = unsafe { fcntl(f, F_DUPFD_CLOEXEC, TRACE_FD_FLOOR) };
+        if high >= 0 {
+            // SAFETY: as above; `high` now refers to the same file.
+            unsafe { (real_close())(f) };
+            f = high;
+        }
+        // The header goes out before any thread can see the fd, so no
+        // record precedes it.
+        write_header(f);
+        // Another thread may have opened the file meanwhile: keep its fd
+        // (our header is a harmless duplicate). Only the fd number is
+        // published, no memory, so `Relaxed` suffices.
+        if let Err(theirs) =
+            TRACE_FD.compare_exchange(UNOPENED, f, Ordering::Relaxed, Ordering::Relaxed)
+        {
+            // SAFETY: `f` is ours and was never published.
+            unsafe { (real_close())(f) };
+            return theirs;
+        }
+        // SAFETY: registers a handler that only stores an atomic.
+        AT_FORK.call_once(|| unsafe {
+            pthread_atfork(None, Some(header_due), Some(header_due));
+        });
+        f
     }
 
-    fn emit(line: &str) {
+    /// This process's header: what `parse_text` needs before a record.
+    fn write_header(fd: c_int) {
+        // SAFETY: credential getters cannot fail.
+        let (pid, uid, gid) = unsafe { (getpid(), getuid(), getgid()) };
+        let header = format!(
+            "# tracer: interpose\n# rank: 0\n# node: 0\n# epoch: 0\n# pid: {pid} uid: {uid} gid: {gid}\n"
+        );
+        write_out(fd, header.as_bytes());
+    }
+
+    /// Fork handler, in parent and child: records that follow the other
+    /// process's must sit under a header naming their own pid again.
+    extern "C" fn header_due() {
+        HEADER_DUE.store(true, Ordering::Relaxed);
+    }
+
+    /// Run the real call, then append its record unless tracing is off
+    /// or this thread is already inside a hook. `call` builds the record's
+    /// call only when it will be written; the caller's `errno` survives.
+    fn traced(real: impl FnOnce() -> i64, call: impl FnOnce() -> IoCall) -> i64 {
+        if TRACE_FD.load(Ordering::Relaxed) == DISABLED {
+            return real();
+        }
+        let start = SystemTime::now();
+        let ret = real();
+        let dur = SystemTime::now().duration_since(start).unwrap_or_default();
+        // SAFETY: glibc's errno location is valid for the calling thread.
+        let errno = unsafe { *__errno_location() };
+        if !IN_HOOK.with(|g| g.replace(true)) {
+            emit(start, dur, ret, call);
+            IN_HOOK.with(|g| g.set(false));
+        }
+        // SAFETY: as above, on the same thread.
+        unsafe { *__errno_location() = errno };
+        ret
+    }
+
+    /// Append one record to the trace file; a no-op when tracing is off.
+    fn emit(start: SystemTime, dur: std::time::Duration, ret: i64, call: impl FnOnce() -> IoCall) {
         let fd = trace_fd();
         if fd < 0 {
             return;
         }
-        // SAFETY: valid buffer/len; short tracing lines, best-effort.
-        unsafe {
-            let _ = (real_write())(fd, line.as_bytes().as_ptr() as *const c_void, line.len());
+        if HEADER_DUE.load(Ordering::Relaxed) && HEADER_DUE.swap(false, Ordering::Relaxed) {
+            write_header(fd);
+        }
+        let since_epoch = start.duration_since(UNIX_EPOCH).unwrap_or_default();
+        // Credentials live in the header; text lines do not carry them.
+        let record = TraceRecord {
+            ts: SimTime::from_nanos(since_epoch.as_nanos() as u64),
+            dur: SimDur::from_nanos(dur.as_nanos() as u64),
+            rank: 0,
+            node: 0,
+            pid: 0,
+            uid: 0,
+            gid: 0,
+            call: call(),
+            result: ret,
+        };
+        let write_line = |line: &mut String| {
+            line.clear();
+            write_record_line(line, 0, &record);
+            write_out(fd, line.as_bytes());
+        };
+        // After this thread's TLS is torn down (exit-time stdio flushes),
+        // fall back to a fresh buffer rather than drop the record.
+        if LINE.try_with(|l| write_line(&mut l.borrow_mut())).is_err() {
+            write_line(&mut String::new());
         }
     }
 
-    /// Run `f` outside of tracing (guards recursion through allocation
-    /// or our own emit path).
-    fn guarded<R>(f: impl FnOnce() -> R, fallback: impl FnOnce() -> R) -> R {
-        IN_HOOK.with(|g| {
-            if g.get() {
-                return fallback();
-            }
-            g.set(true);
-            let r = f();
-            g.set(false);
-            r
-        })
-    }
-
-    fn cstr_lossy(p: *const c_char) -> String {
-        if p.is_null() {
-            return "<null>".into();
+    fn open_call(path: *const c_char, flags: c_int, mode: c_int) -> IoCall {
+        let path = if path.is_null() {
+            "<null>".into()
+        } else {
+            // SAFETY: caller passed a NUL-terminated C string.
+            unsafe { std::ffi::CStr::from_ptr(path) }
+                .to_string_lossy()
+                .into_owned()
+        };
+        // `mode` is only passed when the flags ask for one.
+        let mode = if flags & O_CREAT != 0 || flags & O_TMPFILE == O_TMPFILE {
+            mode as u32
+        } else {
+            0
+        };
+        IoCall::Open {
+            path,
+            flags: flags as u32,
+            mode,
         }
-        // SAFETY: caller passed a NUL-terminated C string.
-        unsafe { std::ffi::CStr::from_ptr(p) }
-            .to_string_lossy()
-            .into_owned()
     }
 
     // ---- interposed entry points ----
@@ -135,19 +318,10 @@ mod hooks {
     /// Standard libc `open` contract.
     #[no_mangle]
     pub unsafe extern "C" fn open(path: *const c_char, flags: c_int, mode: c_int) -> c_int {
-        let ret = (real_open())(path, flags, mode);
-        guarded(
-            || {
-                emit(&format!(
-                    "open \"{}\" {:#o} = {}\n",
-                    cstr_lossy(path),
-                    flags,
-                    ret
-                ))
-            },
-            || (),
-        );
-        ret
+        traced(
+            || (real_open())(path, flags, mode) as i64,
+            || open_call(path, flags, mode),
+        ) as c_int
     }
 
     /// # Safety
@@ -159,19 +333,10 @@ mod hooks {
             "open64",
             unsafe extern "C" fn(*const c_char, c_int, c_int) -> c_int
         );
-        let ret = real(path, flags, mode);
-        guarded(
-            || {
-                emit(&format!(
-                    "open \"{}\" {:#o} = {}\n",
-                    cstr_lossy(path),
-                    flags,
-                    ret
-                ))
-            },
-            || (),
-        );
-        ret
+        traced(
+            || real(path, flags, mode) as i64,
+            || open_call(path, flags, mode),
+        ) as c_int
     }
 
     /// # Safety
@@ -188,19 +353,10 @@ mod hooks {
             "openat",
             unsafe extern "C" fn(c_int, *const c_char, c_int, c_int) -> c_int
         );
-        let ret = real(dirfd, path, flags, mode);
-        guarded(
-            || {
-                emit(&format!(
-                    "openat \"{}\" {:#o} = {}\n",
-                    cstr_lossy(path),
-                    flags,
-                    ret
-                ))
-            },
-            || (),
-        );
-        ret
+        traced(
+            || real(dirfd, path, flags, mode) as i64,
+            || open_call(path, flags, mode),
+        ) as c_int
     }
 
     /// # Safety
@@ -212,32 +368,41 @@ mod hooks {
             "read",
             unsafe extern "C" fn(c_int, *mut c_void, usize) -> isize
         );
-        let ret = real(fd, buf, count);
-        guarded(|| emit(&format!("read {fd} {count} = {ret}\n")), || ());
-        ret
+        traced(
+            || real(fd, buf, count) as i64,
+            || IoCall::Read {
+                fd: fd.into(),
+                len: count as u64,
+            },
+        ) as isize
     }
 
     /// # Safety
     /// Standard libc `write` contract.
     #[no_mangle]
     pub unsafe extern "C" fn write(fd: c_int, buf: *const c_void, count: usize) -> isize {
-        let ret = (real_write())(fd, buf, count);
-        guarded(|| emit(&format!("write {fd} {count} = {ret}\n")), || ());
-        ret
+        traced(
+            || (real_write())(fd, buf, count) as i64,
+            || IoCall::Write {
+                fd: fd.into(),
+                len: count as u64,
+            },
+        ) as isize
     }
 
     /// # Safety
     /// Standard libc `close` contract.
     #[no_mangle]
     pub unsafe extern "C" fn close(fd: c_int) -> c_int {
-        // Never close our own trace fd out from under ourselves.
-        if fd == TRACE_FD.load(Ordering::Relaxed) {
+        // Never close our own trace fd out from under ourselves; every
+        // other fd, including 0 and invalid ones, reaches libc.
+        if fd >= 0 && fd == TRACE_FD.load(Ordering::Relaxed) {
             return 0;
         }
-        let real = real!(CLOSE, "close", unsafe extern "C" fn(c_int) -> c_int);
-        let ret = real(fd);
-        guarded(|| emit(&format!("close {fd} = {ret}\n")), || ());
-        ret
+        traced(
+            || (real_close())(fd) as i64,
+            || IoCall::Close { fd: fd.into() },
+        ) as c_int
     }
 
     /// # Safety
@@ -249,12 +414,14 @@ mod hooks {
             "lseek",
             unsafe extern "C" fn(c_int, c_long, c_int) -> c_long
         );
-        let ret = real(fd, offset, whence);
-        guarded(
-            || emit(&format!("lseek {fd} {offset} {whence} = {ret}\n")),
-            || (),
-        );
-        ret
+        traced(
+            || real(fd, offset, whence) as i64,
+            || IoCall::Lseek {
+                fd: fd.into(),
+                offset,
+                whence: whence as u8,
+            },
+        ) as c_long
     }
 
     /// # Safety
@@ -262,8 +429,23 @@ mod hooks {
     #[no_mangle]
     pub unsafe extern "C" fn fsync(fd: c_int) -> c_int {
         let real = real!(FSYNC, "fsync", unsafe extern "C" fn(c_int) -> c_int);
-        let ret = real(fd);
-        guarded(|| emit(&format!("fsync {fd} = {ret}\n")), || ());
-        ret
+        traced(|| real(fd) as i64, || IoCall::Fsync { fd: fd.into() }) as c_int
+    }
+
+    #[cfg(test)]
+    mod tests {
+        /// `close` hands an invalid fd to libc whatever state tracing is
+        /// in: the first call settles the trace fd, and the second must
+        /// still fail with `EBADF` instead of matching a disabled
+        /// tracer's sentinel.
+        #[test]
+        fn close_of_an_invalid_fd_fails_even_with_tracing_off() {
+            for _ in 0..2 {
+                // SAFETY: closing -1 touches no open file.
+                assert_eq!(unsafe { super::close(-1) }, -1);
+                let err = std::io::Error::last_os_error().raw_os_error();
+                assert_eq!(err, Some(9), "close(-1) must set EBADF");
+            }
+        }
     }
 }

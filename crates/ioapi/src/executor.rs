@@ -131,10 +131,6 @@ impl IoExecutor {
         self.tracer.as_ref()
     }
 
-    pub fn tracer_mut(&mut self) -> &mut dyn IoTracer {
-        self.tracer.as_mut()
-    }
-
     /// Tear down into (VFS, tracer) to harvest trace output after a run.
     pub fn into_parts(self) -> (Vfs, Box<dyn IoTracer>) {
         (self.vfs, self.tracer)

@@ -65,15 +65,6 @@ impl JobReport {
             self.stats.bytes_written as f64 / secs
         }
     }
-
-    pub fn read_bandwidth(&self) -> f64 {
-        let secs = self.run.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.stats.bytes_read as f64 / secs
-        }
-    }
 }
 
 /// Apply a fault plan's storage degradation windows to a VFS before a

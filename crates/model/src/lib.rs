@@ -41,8 +41,8 @@ pub mod xtea;
 pub mod prelude {
     pub use crate::anonymize::{Anonymizer, Mode as AnonMode, Selection as AnonSelection};
     pub use crate::binary::{
-        decode_binary, decode_binary_fold, decode_binary_salvage, encode_binary, BinError,
-        BinaryOptions, FieldSel, SalvagedBinary,
+        decode_binary, decode_binary_salvage, encode_binary, BinError, BinaryOptions, FieldSel,
+        SalvagedBinary,
     };
     pub use crate::event::{CallLayer, IoCall, Trace, TraceMeta, TraceRecord};
     pub use crate::intern::{Interner, Sym};

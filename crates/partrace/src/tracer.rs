@@ -50,10 +50,6 @@ impl PartraceTracer {
             })
             .collect()
     }
-
-    pub fn record_count(&self) -> usize {
-        self.bufs.values().map(|b| b.records.len()).sum()
-    }
 }
 
 impl IoTracer for PartraceTracer {

@@ -163,10 +163,6 @@ impl ClusterConfig {
     pub fn node_of(&self, rank: RankId) -> NodeId {
         NodeId((rank.0 as usize / self.ranks_per_node % self.clocks.len()) as u32)
     }
-
-    pub fn clock_of(&self, rank: RankId) -> &NodeClock {
-        &self.clocks[self.node_of(rank).index()]
-    }
 }
 
 /// Execution limits for a controlled run: abort after a fixed number of
@@ -289,10 +285,6 @@ impl<E: Executor> Engine<E> {
 
     pub fn executor(&self) -> &E {
         &self.executor
-    }
-
-    pub fn executor_mut(&mut self) -> &mut E {
-        &mut self.executor
     }
 
     /// Consume the engine, returning the executor (to harvest trace state

@@ -86,11 +86,6 @@ impl DetRng {
 }
 
 impl DetRng {
-    /// High 32 bits of the next draw.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Fill a byte slice from the stream (little-endian 64-bit chunks).
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {

@@ -84,9 +84,6 @@ impl SimDur {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
     pub fn saturating_sub(self, other: SimDur) -> SimDur {
         SimDur(self.0.saturating_sub(other.0))
     }

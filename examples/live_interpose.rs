@@ -1,36 +1,20 @@
 //! Trace a *real* process with the `LD_PRELOAD` interposition shim —
 //! the actual mechanism //TRACE uses (Curry '94). Everything else in
-//! this workspace is simulated; this example touches the real OS.
+//! this workspace is simulated; this example touches the real OS, and
+//! reads the live trace back with the same parser the analyses use.
 //!
 //! ```text
-//! cargo build -p iotrace-interpose
 //! cargo run --release --example live_interpose
 //! ```
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
 use std::process::Command;
 
-use iotrace_interpose::reader::{counts, parse};
+use iotrace::model::text::parse_text;
+use iotrace_interpose::shim_path;
 
 fn main() {
-    // Locate (or build) the shim.
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let shim = ["release", "debug"]
-        .iter()
-        .map(|p| root.join("target").join(p).join("libiotrace_interpose.so"))
-        .find(|p| p.exists())
-        .unwrap_or_else(|| {
-            println!("building the shim (cargo build -p iotrace-interpose)...");
-            let ok = Command::new(env!("CARGO"))
-                .args(["build", "-p", "iotrace-interpose", "--quiet"])
-                .current_dir(&root)
-                .status()
-                .map(|s| s.success())
-                .unwrap_or(false);
-            assert!(ok, "failed to build the interposition shim");
-            root.join("target/debug/libiotrace_interpose.so")
-        });
-
+    let shim = shim_path();
     let trace_file = std::env::temp_dir().join(format!("iotrace_demo_{}.log", std::process::id()));
     let _ = std::fs::remove_file(&trace_file);
 
@@ -54,8 +38,13 @@ fn main() {
     println!("\ncaptured I/O calls:");
     print!("{raw}");
 
-    let records = parse(&raw);
-    println!("per-call counts: {:?}", counts(&records));
+    let trace = parse_text(&raw).expect("the shim writes the text trace format");
+    let mut counts = BTreeMap::new();
+    for r in &trace.records {
+        *counts.entry(r.call.name()).or_insert(0) += 1;
+    }
+    let pid = trace.records.first().map_or(0, |r| r.pid);
+    println!("per-call counts of cat (pid {pid}): {counts:?}");
     println!("\ntaxonomy profile demonstrated: passive (zero instrumentation of cat),");
     println!("human readable output, all I/O system calls captured, no granularity control.");
     let _ = std::fs::remove_file(&trace_file);
