@@ -55,7 +55,7 @@ use crate::fasthash::FxHashMap;
 use crate::intern::{Interner, Sym};
 use crate::journal::{get_meta, put_meta};
 use crate::salvage::{SalvageReport, TraceError};
-use crate::varint::{put_str, put_u64, unzigzag, zigzag, Cursor};
+use crate::varint::{put_str, put_u64, unzigzag, varint_len, zigzag, Cursor};
 
 const MAGIC: &[u8; 4] = b"IOT2";
 const VERSION: u8 = 1;
@@ -621,22 +621,6 @@ impl<'r> TableBuilder<'r> {
     }
 }
 
-/// Body bytes plus the string table's entries, borrowed from the records.
-type EncodedBody<'r> = (Vec<u8>, Vec<&'r str>);
-
-/// Encode records as body frames, building the string table inline.
-fn encode_body(records: &[TraceRecord]) -> Result<EncodedBody<'_>, (usize, String)> {
-    let mut body = Vec::with_capacity(records.len() * FRAME_STRIDE);
-    let mut tb = TableBuilder::default();
-    let mut prev_ts = 0u64;
-    for (i, r) in records.iter().enumerate() {
-        push_frame(&mut body, r, &mut prev_ts, &mut |s| tb.id_of(s))
-            .map_err(|reason| (i, reason))?;
-    }
-    tb.check().map_err(|reason| (0usize, reason))?;
-    Ok((body, tb.table))
-}
-
 /// Encode a trace as an IOT2 container (empty envelope).
 pub fn encode_iot2(trace: &Trace) -> Result<Vec<u8>, Iot2Error> {
     encode_iot2_with_envelope(trace, b"")
@@ -1071,22 +1055,54 @@ pub fn decode_iot2_salvage(bytes: &[u8]) -> Result<SalvagedIot2, Iot2Error> {
 // (and therefore in parallel), exactly like v1 segments.
 // ---------------------------------------------------------------------
 
-/// Encode records as a self-contained v2 segment payload:
+/// A self-contained v2 segment payload, sized before it is written:
 /// `varint table count | strings | varint n | n × stride frames`.
-/// Timestamp deltas reset at the segment start, like v1 segments.
-pub(crate) fn encode_segment_frames(records: &[TraceRecord]) -> Result<Vec<u8>, String> {
-    let (body, table) = encode_body(records).map_err(|(_, reason)| reason)?;
-    let mut out = Vec::with_capacity(16 + table.len() * 16 + body.len());
-    put_u64(&mut out, table.len() as u64);
-    for s in &table {
-        put_str(&mut out, s);
-    }
-    put_u64(&mut out, records.len() as u64);
-    out.extend_from_slice(&body);
-    Ok(out)
+/// Timestamp deltas reset at the segment start, like v1 segments. The
+/// string table is scanned up front, so the journal writer can put the
+/// payload's length prefix first and then encode every frame straight
+/// into its seal buffer: each frame is copied once, from the stack.
+pub(crate) struct SegmentFrames<'r> {
+    records: &'r [TraceRecord],
+    table: TableBuilder<'r>,
 }
 
-/// Decode an [`encode_segment_frames`] payload onto `out`; `meta`
+impl<'r> SegmentFrames<'r> {
+    pub(crate) fn scan(records: &'r [TraceRecord]) -> Result<Self, String> {
+        let table = TableBuilder::scan(records);
+        table.check()?;
+        Ok(SegmentFrames { records, table })
+    }
+
+    /// The payload's exact length in bytes.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let strings: usize = (self.table.table.iter())
+            .map(|s| varint_len(s.len() as u64) + s.len())
+            .sum();
+        let n = self.records.len();
+        varint_len(self.table.table.len() as u64)
+            + strings
+            + varint_len(n as u64)
+            + n * FRAME_STRIDE
+    }
+
+    /// Append the payload to `out`. Fails on the first record a frame
+    /// cannot hold (rank or fd out of range); `out` then holds part of
+    /// the payload and the caller truncates.
+    pub(crate) fn put(mut self, out: &mut Vec<u8>) -> Result<(), String> {
+        put_u64(out, self.table.table.len() as u64);
+        for s in &self.table.table {
+            put_str(out, s);
+        }
+        put_u64(out, self.records.len() as u64);
+        let mut prev_ts = 0u64;
+        for r in self.records {
+            push_frame(out, r, &mut prev_ts, &mut |s| self.table.id_of(s))?;
+        }
+        Ok(())
+    }
+}
+
+/// Decode a [`SegmentFrames`] payload onto `out`; `meta`
 /// supplies node. `out` grows by the bounds-checked frame count; on
 /// error it may hold part of the segment (the caller truncates).
 pub(crate) fn decode_segment_frames(
@@ -1439,7 +1455,11 @@ mod tests {
     #[test]
     fn segment_frames_roundtrip() {
         let t = sample();
-        let payload = encode_segment_frames(&t.records).unwrap();
+        let frames = SegmentFrames::scan(&t.records).unwrap();
+        let mut payload = Vec::new();
+        let len = frames.encoded_len();
+        frames.put(&mut payload).unwrap();
+        assert_eq!(payload.len(), len, "sized exactly");
         let mut back = Vec::new();
         decode_segment_frames(&payload, &t.meta, &mut back).unwrap();
         assert_eq!(back, t.records);

@@ -32,6 +32,7 @@
 use crate::binary::{decode_record_plain, encode_record_plain, BinError};
 use crate::crc::{crc32, Fnv64};
 use crate::event::{Trace, TraceMeta, TraceRecord};
+use crate::iot2::{SegmentFrames, FRAME_STRIDE};
 use crate::varint::{put_str, put_u64, Cursor, VarintError};
 use iotrace_sim::time::SimTime;
 use std::io::{self, Write};
@@ -150,6 +151,12 @@ impl std::fmt::Display for FsckReport {
 /// byte-identical to [`encode_journal_versioned`] for any watermark.
 /// Only sealed bytes ever reach the sink — exactly the guarantee a real
 /// incremental tracer gets from fsync-after-seal.
+///
+/// Every call that seals encodes all its segments into one buffer and
+/// hands the sink exactly one `write_all`: a spill seal of four
+/// segments is one system call, not four. The buffer lives for one
+/// seal only, so a set of writers holds none between seals and the
+/// allocator hands the same memory to whichever writer seals next.
 pub struct JournalWriter<W = Vec<u8>> {
     sink: W,
     /// `pending[..sealed_front]` are the records the previous call
@@ -212,11 +219,16 @@ pub fn get_meta(c: &mut Cursor<'_>) -> Result<TraceMeta, VarintError> {
 /// this so a frame decodes independently, exactly like a sealed segment.
 pub fn encode_segment_payload(records: &[TraceRecord]) -> Vec<u8> {
     let mut payload = Vec::new();
+    put_plain(&mut payload, records);
+    payload
+}
+
+/// Append the [`encode_segment_payload`] form of `records` to `out`.
+fn put_plain(out: &mut Vec<u8>, records: &[TraceRecord]) {
     let mut prev_ts = 0u64;
     for r in records {
-        encode_record_plain(&mut payload, r, r.ts, &mut prev_ts);
+        encode_record_plain(out, r, r.ts, &mut prev_ts);
     }
-    payload
 }
 
 /// Decode a [`encode_segment_payload`] buffer; `meta` supplies rank/node.
@@ -338,10 +350,10 @@ impl<W: Write> JournalWriter<W> {
         self.pending.extend_from_slice(&recs[..topped]);
         let from_pending = sealed.min(self.pending.len());
         let (from_recs, left_open) = recs[topped..].split_at(sealed - from_pending);
-        self.seal(from_pending)?;
-        self.release();
-        self.sealed_segments += put_segments(&mut self.sink, from_recs, seg, self.version)?;
-        self.sealed_records += from_recs.len();
+        let parts = [&self.pending[..from_pending], from_recs];
+        self.sealed_segments += write_segments(&mut self.sink, &parts, seg, self.version)?;
+        self.sealed_records += sealed;
+        self.pending.drain(..from_pending);
         self.pending.extend_from_slice(left_open);
         Ok(())
     }
@@ -367,7 +379,7 @@ impl<W: Write> JournalWriter<W> {
     fn seal(&mut self, n: usize) -> io::Result<()> {
         let open = &self.pending[self.sealed_front..self.sealed_front + n];
         self.sealed_segments +=
-            put_segments(&mut self.sink, open, self.segment_records, self.version)?;
+            write_segments(&mut self.sink, &[open], self.segment_records, self.version)?;
         self.sealed_records += n;
         self.sealed_front += n;
         Ok(())
@@ -419,24 +431,82 @@ impl<W: Write> JournalWriter<W> {
             return tail;
         }
         let next = &open[..open.len().min(self.segment_records)];
-        let seg = segment_bytes(next, self.version);
-        let cut = (seg.len() / 2).max(1).min(seg.len() - 1);
-        seg[..cut].to_vec()
+        let mut seg = Vec::new();
+        put_segment(&mut seg, next, self.version);
+        seg.truncate((seg.len() / 2).max(1).min(seg.len() - 1));
+        seg
     }
 }
 
-/// Write `recs` to `sink` as sealed segments of `segment_records` each;
-/// returns how many segments that was.
-fn put_segments<W: Write>(
+/// Framing and string-table bytes a seal buffer allows per segment.
+const SEGMENT_SLACK: usize = 256;
+
+/// One seal: encode each of `parts` in order as sealed segments of
+/// `segment_records` each into one buffer, and hand it to `sink` in one
+/// `write_all` (none when there is nothing to seal). Returns how many
+/// segments that was. The buffer has room for every IOT2 frame plus
+/// [`SEGMENT_SLACK`] per segment, so a v2 seal never regrows it unless
+/// a segment's string table is unusually large; a v1 seal is smaller.
+fn write_segments<W: Write>(
     sink: &mut W,
-    recs: &[TraceRecord],
+    parts: &[&[TraceRecord]],
     segment_records: usize,
     version: u8,
 ) -> io::Result<usize> {
-    for chunk in recs.chunks(segment_records) {
-        sink.write_all(&segment_bytes(chunk, version))?;
+    let records: usize = parts.iter().map(|p| p.len()).sum();
+    if records == 0 {
+        return Ok(0);
     }
-    Ok(recs.len().div_ceil(segment_records))
+    let segments: usize = parts
+        .iter()
+        .map(|p| p.len().div_ceil(segment_records))
+        .sum();
+    let mut buf = Vec::with_capacity(records * FRAME_STRIDE + segments * SEGMENT_SLACK);
+    for chunk in parts.iter().flat_map(|p| p.chunks(segment_records)) {
+        put_segment(&mut buf, chunk, version);
+    }
+    sink.write_all(&buf)?;
+    Ok(segments)
+}
+
+/// Append one sealed segment to `out`: frame length, payload (timestamp
+/// deltas reset per segment), then the footer that makes it
+/// trustworthy. The journal's one segment encoder — seals,
+/// `append_all`, torn tails and [`encode_segment_payload_v2`] all use
+/// it. A v2 frame payload is sized before it is written, so each frame
+/// lands in `out` once; a plain payload's length is known only once it
+/// is encoded, so its length prefix is rotated in front of it.
+fn put_segment(out: &mut Vec<u8>, records: &[TraceRecord], version: u8) {
+    let start = out.len();
+    if version >= VERSION_V2 {
+        if let Ok(frames) = SegmentFrames::scan(records) {
+            put_u64(out, 1 + frames.encoded_len() as u64);
+            let payload = out.len();
+            out.push(SEG_FMT_IOT2);
+            if frames.put(out).is_ok() {
+                return put_footer(out, payload, records.len());
+            }
+            out.truncate(start);
+        }
+        // A record the frame word cannot hold, or a string table too
+        // large for frame ids: the whole segment takes the v1 encoding,
+        // which accepts every record.
+        out.push(SEG_FMT_V1);
+    }
+    put_plain(out, records);
+    let payload_len = out.len() - start;
+    put_u64(out, payload_len as u64);
+    let prefix_len = out.len() - start - payload_len;
+    out[start..].rotate_right(prefix_len);
+    put_footer(out, start + prefix_len, records.len());
+}
+
+/// Seal the payload at `out[payload..]` holding `n` records.
+fn put_footer(out: &mut Vec<u8>, payload: usize, n: usize) {
+    let crc = crc32(&out[payload..]);
+    out.extend_from_slice(SEAL);
+    out.extend_from_slice(&crc.to_le_bytes());
+    put_u64(out, n as u64);
 }
 
 /// Writes to a `Vec<u8>` sink cannot fail.
@@ -483,21 +553,13 @@ pub fn split_journal(bytes: &[u8]) -> Result<Vec<Vec<u8>>, JournalError> {
 /// then either IOT2 fixed-stride frames (the normal case) or, when any
 /// record cannot be packed into a frame word (rank or fd out of range),
 /// the v1 varint encoding for the whole segment — which is what keeps
-/// [`JournalWriter::append`] accepting every record.
+/// [`JournalWriter::append`] accepting every record. This is the
+/// payload of the segment a v2 writer seals.
 pub fn encode_segment_payload_v2(records: &[TraceRecord]) -> Vec<u8> {
-    match crate::iot2::encode_segment_frames(records) {
-        Ok(frames) => {
-            let mut out = Vec::with_capacity(1 + frames.len());
-            out.push(SEG_FMT_IOT2);
-            out.extend_from_slice(&frames);
-            out
-        }
-        Err(_) => {
-            let mut out = vec![SEG_FMT_V1];
-            out.extend_from_slice(&encode_segment_payload(records));
-            out
-        }
-    }
+    let mut seg = Vec::new();
+    put_segment(&mut seg, records, VERSION_V2);
+    let frame = Frames::new(&seg, 0).next().map(|f| f.map(|f| f.payload));
+    frame.expect("one segment").expect("well framed").to_vec()
 }
 
 /// Decode a [`encode_segment_payload_v2`] buffer; `meta` supplies
@@ -524,24 +586,6 @@ fn decode_v2_into(
         Some((&t, _)) => Err(format!("unknown v2 segment payload format {t}")),
         None => Ok(()),
     }
-}
-
-/// Encode one sealed segment: frame length, payload (delta timestamps
-/// reset per segment), then the footer that makes it trustworthy.
-/// Only [`JournalWriter`] calls it: its seal, and its torn tail.
-fn segment_bytes(records: &[TraceRecord], version: u8) -> Vec<u8> {
-    let payload = if version >= VERSION_V2 {
-        encode_segment_payload_v2(records)
-    } else {
-        encode_segment_payload(records)
-    };
-    let mut out = Vec::new();
-    put_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(SEAL);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    put_u64(&mut out, records.len() as u64);
-    out
 }
 
 /// One-shot encoding of a whole trace as a finished journal.
@@ -792,12 +836,7 @@ impl RecordsDigest {
 /// Bytes the records occupy in the plain segment encoding — the honest
 /// "unsynced state" size for in-memory tracers.
 pub fn encoded_size(records: &[TraceRecord]) -> u64 {
-    let mut buf = Vec::new();
-    let mut prev_ts = 0u64;
-    for r in records {
-        encode_record_plain(&mut buf, r, r.ts, &mut prev_ts);
-    }
-    buf.len() as u64
+    encode_segment_payload(records).len() as u64
 }
 
 /// A framework's capture state frozen at a checkpoint: how many records
@@ -976,6 +1015,68 @@ mod tests {
                 oneshot,
                 "v{version}: a resumed writer emits what one writer would have"
             );
+        }
+    }
+
+    /// A sink that counts the `write` calls reaching it. It takes every
+    /// byte it is offered, so each `write_all` is exactly one `write`.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_sealing_call_is_one_write() {
+        for version in [VERSION_V1, VERSION_V2] {
+            let t = sample(103);
+            // Watermark 10 over segments of 4: each seal is two segments.
+            let sink = CountingSink::default();
+            let mut w = JournalWriter::create(sink, &t.meta, version, 4, 10).unwrap();
+            let mut oracle = JournalWriter::create(Vec::new(), &t.meta, version, 4, 10).unwrap();
+            assert_eq!(w.sink.writes, 1, "v{version}: the header");
+            let mut multi_segment_seals = 0;
+            for r in &t.records[..37] {
+                let (writes, segments) = (w.sink.writes, w.sealed_segments());
+                let sealed = w.append(r.clone()).unwrap().len();
+                oracle.append(r.clone()).unwrap();
+                assert_eq!(w.sink.writes - writes, usize::from(sealed > 0));
+                multi_segment_seals += usize::from(w.sealed_segments() - segments > 1);
+            }
+            assert!(multi_segment_seals > 0, "v{version}: a seal spans segments");
+            // Batches that seal from the open records and the borrowed
+            // slice at once, and batches that seal nothing.
+            for chunk in t.records[37..101].chunks(13).chain([&t.records[101..102]]) {
+                let (writes, records) = (w.sink.writes, w.sealed_records());
+                w.append_all(chunk).unwrap();
+                oracle.append_all(chunk).unwrap();
+                let sealed = w.sealed_records() > records;
+                assert_eq!(w.sink.writes - writes, usize::from(sealed), "v{version}");
+            }
+            w.append(t.records[102].clone()).unwrap();
+            oracle.append(t.records[102].clone()).unwrap();
+            assert!(
+                w.pending_records() > 4,
+                "finish seals a full and a short segment"
+            );
+            let writes = w.sink.writes;
+            let sink = w.finish().unwrap();
+            assert_eq!(sink.writes - writes, 1, "v{version}: finish");
+            let oracle = oracle.finish().unwrap();
+            assert_eq!(sink.bytes, oracle, "v{version}: same bytes as a Vec sink");
+            assert_eq!(oracle, encode_journal_versioned(&t, 4, version));
         }
     }
 

@@ -14,6 +14,11 @@ pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`put_u64`] writes for `v`.
+pub fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Append `v` as zigzag-encoded signed LEB128.
 pub fn put_i64(out: &mut Vec<u8>, v: i64) {
     put_u64(out, zigzag(v));
@@ -143,6 +148,7 @@ mod tests {
         for v in [0u64, 127, 128, 16383, 16384, u64::MAX] {
             let mut out = Vec::new();
             put_u64(&mut out, v);
+            assert_eq!(varint_len(v), out.len());
             let mut c = Cursor::new(&out);
             assert_eq!(c.get_u64().unwrap(), v);
             assert!(c.is_empty());
