@@ -9,6 +9,8 @@
 //! per-rank text traces is embarrassingly parallel, so [`parse_parallel`]
 //! fans out across scoped threads.
 
+use std::borrow::Borrow;
+
 use iotrace_model::event::{Trace, TraceRecord};
 use iotrace_model::text::{parse_text, ParseError};
 use iotrace_sim::time::SimTime;
@@ -146,9 +148,11 @@ pub fn merge_corrected(traces: &[Trace], est: &SkewEstimate) -> Vec<TraceRecord>
 /// Runs are not assumed sorted: a nested MPI call's record follows the
 /// syscall records it wraps but starts before them, so LANL-Trace
 /// captures hold inverted neighbours in every rank. Pass 2 merges the
-/// runs (see `merge_runs`).
-pub fn merge_corrected_each(
-    traces: &[Trace],
+/// runs (see `merge_runs`). `traces` may hold the traces or references
+/// to them, so a caller can merge in an order of its own without moving
+/// them.
+pub fn merge_corrected_each<T: Borrow<Trace>>(
+    traces: &[T],
     est: &SkewEstimate,
     visit: impl FnMut(&TraceRecord, SimTime),
 ) {
@@ -156,6 +160,7 @@ pub fn merge_corrected_each(
         .iter()
         .map(|t| {
             let mut keys: Vec<RunKey> = t
+                .borrow()
                 .records
                 .iter()
                 .enumerate()
@@ -198,8 +203,8 @@ type RunKey = (SimTime, u32, usize);
 /// the heap key reproduces the stable sort's tie-break across traces:
 /// records with equal `(ts, rank)` keep concatenation (= input trace)
 /// order; within a trace the run's own order already holds it.
-fn merge_runs(
-    traces: &[Trace],
+fn merge_runs<T: Borrow<Trace>>(
+    traces: &[T],
     runs: &[Vec<RunKey>],
     mut visit: impl FnMut(&TraceRecord, SimTime),
 ) {
@@ -214,7 +219,7 @@ fn merge_runs(
     }
     while let Some(Reverse((ts, _, run, pos))) = heap.pop() {
         let keys = &runs[run];
-        visit(&traces[run].records[keys[pos].2], ts);
+        visit(&traces[run].borrow().records[keys[pos].2], ts);
         if let Some(&(ts, rank, _)) = keys.get(pos + 1) {
             heap.push(Reverse((ts, rank, run, pos + 1)));
         }

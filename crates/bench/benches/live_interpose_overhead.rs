@@ -17,8 +17,8 @@ use std::process::{Command, Stdio};
 use std::time::Instant;
 
 use iotrace_bench::quick_mode;
-use iotrace_interpose::shim_path;
 use iotrace_model::text::parse_text;
+use iotrace_preload::shim_path;
 
 const PAIRS: usize = 5;
 const BLOCK_SIZES: [u64; 3] = [4 << 10, 64 << 10, 1 << 20];

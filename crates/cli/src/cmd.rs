@@ -97,24 +97,7 @@ pub fn lint(args: &[String]) -> Result<(), String> {
     if paths.is_empty() {
         return Err("lint needs <trace>...".to_string());
     }
-    let key = key_from(&flags, "key");
-    let mut traces = Vec::new();
-    let mut deps: Option<DependencyMap> = None;
-    for p in &paths {
-        match load(p, key.as_ref())? {
-            Loaded::Traces(ts) => traces.extend(ts),
-            Loaded::Replayable(rt) => {
-                traces.extend(rt.traces);
-                // Dependency maps refer to one capture's record indices;
-                // audit only a lone replayable document's map.
-                deps = if paths.len() == 1 {
-                    Some(rt.deps)
-                } else {
-                    None
-                };
-            }
-        }
-    }
+    let (traces, deps) = crate::provenance::load_capture(&paths, &flags)?;
 
     let mut linter = Linter::new(LintConfig::default());
     // --pass <name> (repeatable) and --only <name>[,<name>...] both

@@ -33,10 +33,10 @@ pub fn load_policy(flags: &[(String, Option<String>)]) -> Result<Option<Policy>,
         .map_err(|e| format!("{path}: {e}"))
 }
 
-/// Load captures the way `lint` does: flatten traces, keep the
-/// dependency map only when a single replayable document was given
+/// Load the captures `lint` and `provenance` read: flatten traces, keep
+/// the dependency map only when a single replayable document was given
 /// (its record indices are meaningless across captures).
-fn load_capture(
+pub(crate) fn load_capture(
     paths: &[String],
     flags: &[(String, Option<String>)],
 ) -> Result<(Vec<Trace>, Option<DependencyMap>), String> {
@@ -56,9 +56,6 @@ fn load_capture(
             }
         }
     }
-    if traces.is_empty() {
-        return Err("no traces given".to_string());
-    }
     Ok((traces, deps))
 }
 
@@ -70,6 +67,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         );
     }
     let (traces, deps) = load_capture(&paths, &flags)?;
+    if traces.is_empty() {
+        return Err("no traces given".to_string());
+    }
     let g = LineageGraph::build(&traces, deps.as_ref());
     let json = flag(&flags, "json").is_some();
 

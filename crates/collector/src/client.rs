@@ -10,7 +10,7 @@
 //! mid-frame (leaving torn bytes in the channel) or stream only a
 //! truncated prefix before closing early.
 
-use iotrace_fs::params::RetryPolicy;
+use iotrace_fs::params::{RetryExhausted, RetryPolicy};
 use iotrace_model::event::{TraceMeta, TraceRecord};
 use iotrace_sim::rng::DetRng;
 
@@ -53,6 +53,57 @@ pub struct ClientLedger {
     pub exhausted: bool,
 }
 
+/// Jittered exponential backoff against `Busy`, shared by clients and
+/// the migration driver: one tick parked per millisecond of wait (at
+/// least one, so a parked sender always yields), the attempt count
+/// growing with each consecutive refusal.
+pub(crate) struct Backoff {
+    policy: RetryPolicy,
+    rng: DetRng,
+    /// Consecutive `Busy` refusals of the current frame.
+    attempt: u32,
+    /// Ticks left to stay parked.
+    parked: u64,
+}
+
+impl Backoff {
+    pub(crate) fn new(policy: RetryPolicy, rng: DetRng) -> Self {
+        Backoff {
+            policy,
+            rng,
+            attempt: 0,
+            parked: 0,
+        }
+    }
+
+    /// Spend one tick parked, if parked: `true` means do not send.
+    pub(crate) fn park(&mut self) -> bool {
+        if self.parked == 0 {
+            return false;
+        }
+        self.parked -= 1;
+        true
+    }
+
+    /// A frame went through, or the sender moved to a fresh queue: the
+    /// next refusal starts the curve over.
+    pub(crate) fn reset(&mut self) {
+        self.attempt = 0;
+        self.parked = 0;
+    }
+
+    /// A `Busy` refusal: park for the next jittered wait, or report the
+    /// policy's `max_attempts` cap exhausted.
+    pub(crate) fn refused(&mut self) -> Result<(), RetryExhausted> {
+        let wait = self
+            .policy
+            .try_backoff_jittered(self.attempt, &mut self.rng)?;
+        self.parked = (wait.as_nanos() / 1_000_000).max(1);
+        self.attempt = self.attempt.saturating_add(1);
+        Ok(())
+    }
+}
+
 /// One simulated capture client.
 pub struct SimClient {
     pub id: u32,
@@ -75,12 +126,7 @@ pub struct SimClient {
     /// until it's acked (or the send was refused with `Busy`).
     sent: bool,
     next_seq: u64,
-    /// Ticks to stay parked before retrying (backpressure backoff).
-    parked: u64,
-    /// Consecutive `Busy` refusals for the current frame.
-    attempt: u32,
-    policy: RetryPolicy,
-    rng: DetRng,
+    backoff: Backoff,
     /// Vanish (leaving a torn frame) once this many record frames sent.
     disconnect_at: Option<u64>,
 }
@@ -110,10 +156,7 @@ impl SimClient {
             in_flight: None,
             sent: false,
             next_seq: 1,
-            parked: 0,
-            attempt: 0,
-            policy,
-            rng: DetRng::new(seed).fork(0xc11e),
+            backoff: Backoff::new(policy, DetRng::new(seed).fork(0xc11e)),
             disconnect_at,
         }
     }
@@ -132,8 +175,7 @@ impl SimClient {
     pub fn rebind(&mut self, session: u32) {
         self.session = Some(session);
         self.sent = false;
-        self.attempt = 0;
-        self.parked = 0;
+        self.backoff.reset();
     }
 
     /// Record frames fully sent (acked).
@@ -146,8 +188,7 @@ impl SimClient {
         if self.is_terminal() {
             return;
         }
-        if self.parked > 0 {
-            self.parked -= 1;
+        if self.backoff.park() {
             return;
         }
         match self.phase {
@@ -207,34 +248,23 @@ impl SimClient {
         match collector.offer(self.id, bytes.clone()) {
             Ok(()) => {
                 self.sent = true;
-                self.attempt = 0;
+                self.backoff.reset();
             }
             Err(Frame::Busy { .. }) => self.back_off(),
             Err(_) => unreachable!("offer only refuses with Busy"),
         }
     }
 
-    /// Honour a `Busy`: jittered exponential backoff, one tick per
-    /// millisecond (minimum one tick so a parked client always yields).
-    /// When the policy's `max_attempts` cap runs out, give up instead of
-    /// spinning forever.
+    /// Honour a `Busy` with the shared [`Backoff`]. When the policy's
+    /// `max_attempts` cap runs out, give up instead of spinning forever.
     fn back_off(&mut self) {
         self.ledger.busy += 1;
         self.ledger.retries += 1;
-        match self
-            .policy
-            .try_backoff_jittered(self.attempt, &mut self.rng)
-        {
-            Ok(wait) => {
-                self.parked = (wait.as_nanos() / 1_000_000).max(1);
-                self.attempt = self.attempt.saturating_add(1);
-            }
-            Err(_exhausted) => {
-                self.ledger.exhausted = true;
-                self.phase = ClientPhase::GaveUp;
-                self.in_flight = None;
-                self.sent = false;
-            }
+        if self.backoff.refused().is_err() {
+            self.ledger.exhausted = true;
+            self.phase = ClientPhase::GaveUp;
+            self.in_flight = None;
+            self.sent = false;
         }
     }
 
@@ -315,7 +345,7 @@ mod tests {
             ..RetryPolicy::lanl_2007()
         };
         let mut c = SimClient::new(1, meta, Vec::new(), 0, 8, policy, 7, None);
-        c.attempt = 0;
+        c.backoff.reset();
         c.ledger = ClientLedger::default();
         // simulate two refusals by hand
         let w0 = policy.backoff(0).as_nanos() / 1_000_000;

@@ -37,7 +37,7 @@ use iotrace_model::journal::{fsck_journal, journal_version, JournalWriter, VERSI
 
 use crate::proto::{decode_frame, Frame, ProtoError};
 use crate::queue::BoundedQueue;
-use crate::recovery::{session_id_of, spool_journals};
+use crate::recovery::{remove_session, session_id_of, spool_journals, write_replacing};
 use crate::session::{session_stem, HandoffRecv, Session, SessionState};
 
 /// Tuning knobs for a collector instance.
@@ -197,12 +197,17 @@ impl Collector {
     }
 
     fn apply(&mut self, client: u32, bytes: &[u8]) -> Result<(), String> {
-        let meta = self
-            .client_session
-            .get(&client)
-            .and_then(|sid| self.sessions.get(sid))
-            .map(|s| s.meta.clone());
+        let live = self.session_of(client);
+        let meta = live.map(|s| s.meta.clone());
+        let draining = live.is_some_and(|s| s.state == SessionState::Draining);
         match decode_frame(bytes, meta.as_ref()) {
+            // Mid-handoff: the session is sealed and on its way to the
+            // partner. Answer Busy — the client backs off and re-offers,
+            // by which time it has been rebound to the destination.
+            Ok(Frame::Records { .. } | Frame::Bye { .. }) if draining => {
+                self.outbox.push((client, Frame::Busy { queue_len: 0 }));
+                Ok(())
+            }
             Ok(Frame::Hello {
                 meta,
                 expected_records,
@@ -237,14 +242,6 @@ impl Collector {
                     return self.disconnect(client, "Records without session");
                 };
                 let sess = self.sessions.get_mut(&sid).expect("routed session exists");
-                if sess.state == SessionState::Draining {
-                    // Mid-handoff: the session is sealed and on its
-                    // way to the partner. Answer Busy — the client
-                    // backs off and re-offers, by which time it has
-                    // been rebound to the destination.
-                    self.outbox.push((client, Frame::Busy { queue_len: 0 }));
-                    return Ok(());
-                }
                 if sess.state != SessionState::Streaming || seq != sess.last_seq + 1 {
                     return self.disconnect(client, "out-of-order frame");
                 }
@@ -274,29 +271,10 @@ impl Collector {
                 let Some(&sid) = self.client_session.get(&client) else {
                     return self.disconnect(client, "Bye without session");
                 };
-                if self.sessions[&sid].state == SessionState::Draining {
-                    self.outbox.push((client, Frame::Busy { queue_len: 0 }));
-                    return Ok(());
-                }
-                self.sessions
-                    .get_mut(&sid)
-                    .expect("routed session exists")
-                    .state = SessionState::Sealing;
-                self.seal_session(sid)?;
-                let records = {
-                    let sess = self.sessions.get_mut(&sid).expect("routed session exists");
-                    let clean = frames_sent == sess.last_seq;
-                    let complete = sess.expected == 0 || sess.sealed() >= sess.expected;
-                    sess.state = if clean && complete {
-                        SessionState::Closed
-                    } else {
-                        SessionState::Degraded
-                    };
-                    sess.journal = None;
-                    sess.sealed()
-                };
-                self.persist_card(&self.sessions[&sid])?;
-                self.client_session.remove(&client);
+                // A clean Bye with nothing declared closes complete.
+                let records = self.close_session(client, sid, |s| {
+                    frames_sent == s.last_seq && (s.expected == 0 || s.sealed >= s.expected)
+                })?;
                 self.outbox.push((client, Frame::ByeAck { records }));
                 Ok(())
             }
@@ -507,37 +485,18 @@ impl Collector {
             return Ok(());
         };
         self.sessions.remove(&sid);
-        let stem = session_stem(sid);
-        for ext in ["iotj", "card"] {
-            let path = self.dir.join(format!("{stem}.{ext}"));
-            if path.exists() {
-                std::fs::remove_file(&path)
-                    .map_err(|e| format!("remove {}: {e}", path.display()))?;
-            }
-        }
-        Ok(())
+        remove_session(&self.dir, &session_stem(sid))
     }
 
     /// Destination-side cleanup when the source aborts a handoff:
     /// drop the partial stand-in session and its persisted prefix. The
     /// source still holds the complete spool, so nothing is lost.
     pub fn abort_migration(&mut self, session: u32) -> Result<(), String> {
-        let Some(sess) = self.sessions.get(&session) else {
-            return Ok(());
-        };
-        if sess.state != SessionState::Migrating {
+        if self.sessions.get(&session).map(|s| s.state) != Some(SessionState::Migrating) {
             return Ok(());
         }
         self.sessions.remove(&session);
-        let stem = session_stem(session);
-        for ext in ["iotj", "card"] {
-            let path = self.dir.join(format!("{stem}.{ext}"));
-            if path.exists() {
-                std::fs::remove_file(&path)
-                    .map_err(|e| format!("remove {}: {e}", path.display()))?;
-            }
-        }
-        Ok(())
+        remove_session(&self.dir, &session_stem(session))
     }
 
     /// Bind `client` to an adopted (migrated-in) session so its next
@@ -547,24 +506,38 @@ impl Collector {
     }
 
     /// A client vanished (torn frame, protocol violation, or idle
-    /// sweep): seal whatever arrived, mark the session `Degraded`
-    /// (or `Closed` when everything expected had already landed), and
-    /// append the last segment and write the terminal card.
+    /// sweep): close its session `Closed` when everything it declared
+    /// had already landed, `Degraded` otherwise — an undeclared
+    /// expectation proves nothing complete.
     pub fn disconnect(&mut self, client: u32, _why: &str) -> Result<(), String> {
-        let Some(sid) = self.client_session.remove(&client) else {
+        let Some(&sid) = self.client_session.get(&client) else {
             return Ok(());
         };
+        self.close_session(client, sid, |s| s.expected > 0 && s.sealed >= s.expected)
+            .map(drop)
+    }
+
+    /// The one close path, for `Bye` and [`Collector::disconnect`]:
+    /// seal whatever arrived, set the state `closed` picks (`Closed` or
+    /// `Degraded`), release the journal, write the terminal card and
+    /// unbind `client`. Returns the sealed record count.
+    fn close_session(
+        &mut self,
+        client: u32,
+        sid: u32,
+        closed: impl FnOnce(&Session) -> bool,
+    ) -> Result<u64, String> {
         self.seal_session(sid)?;
         let sess = self.sessions.get_mut(&sid).expect("routed session exists");
-        let complete = sess.expected > 0 && sess.sealed() >= sess.expected;
-        sess.state = if complete {
+        sess.state = if closed(sess) {
             SessionState::Closed
         } else {
             SessionState::Degraded
         };
         sess.journal = None;
         self.persist_card(&self.sessions[&sid])?;
-        Ok(())
+        self.client_session.remove(&client);
+        Ok(self.sessions[&sid].sealed)
     }
 
     /// Close every session whose client is in `dead` and still has a
@@ -610,10 +583,11 @@ impl Collector {
         Ok(())
     }
 
+    /// Write `sess`'s card through [`write_replacing`]: a new file
+    /// renamed over the old, never a truncating rewrite of it.
     fn persist_card(&self, sess: &Session) -> Result<(), String> {
         let path = self.dir.join(format!("{}.card", session_stem(sess.id)));
-        std::fs::write(&path, format!("{}\n", sess.card().to_line()))
-            .map_err(|e| format!("write {}: {e}", path.display()))
+        write_replacing(&path, &format!("{}\n", sess.card().to_line()))
     }
 
     /// The incrementally folded stats — valid mid-capture, covering
@@ -628,11 +602,7 @@ impl Collector {
     /// Top-`n` hotspot paths by bytes over the sealed records, resolved
     /// to owned strings.
     pub fn hotspots(&self, n: usize) -> Vec<(String, PathStats)> {
-        let f = &self.folds;
-        top_by_bytes_interned(&f.path_fold.stats, &f.paths, n)
-            .into_iter()
-            .map(|(sym, s)| (f.paths.resolve(sym).to_string(), s))
-            .collect()
+        self.folds.hotspots(n)
     }
 
     /// The live session table, ascending by session id.
@@ -659,10 +629,11 @@ impl Collector {
 }
 
 /// The incrementally folded stats and hotspot table, covering exactly
-/// the sealed records of every session.
+/// the sealed records of every session — or, for `federation_stats`,
+/// of one collector's spool, merged into the next.
 #[derive(Default)]
-struct LiveFolds {
-    stats: StreamingStats,
+pub(crate) struct LiveFolds {
+    pub(crate) stats: StreamingStats,
     paths: Interner,
     path_fold: PathFold,
     records: u64,
@@ -671,13 +642,32 @@ struct LiveFolds {
 impl LiveFolds {
     /// Fold sealed records, converting each to one [`iot2::Frame`] that
     /// both folds push.
-    fn push(&mut self, records: &[TraceRecord]) {
+    pub(crate) fn push(&mut self, records: &[TraceRecord]) {
         for r in records {
             let f = iot2::Frame::from_record(r, &mut self.paths);
             self.stats.push(&f);
             self.path_fold.push(&f);
         }
         self.records += records.len() as u64;
+    }
+
+    /// Fold `other` into this one. The stats merge is exact, and
+    /// `other`'s path table is absorbed into this interner —
+    /// [`Interner::absorb`] returns the symbol remap [`PathFold::merge`]
+    /// takes — so no path round-trips through a string.
+    pub(crate) fn merge(&mut self, other: &LiveFolds) {
+        self.stats.merge(&other.stats);
+        let remap = self.paths.absorb(&other.paths);
+        self.path_fold.merge(&other.path_fold, &remap);
+        self.records += other.records;
+    }
+
+    /// Top-`n` hotspot paths by bytes, resolved to owned strings.
+    pub(crate) fn hotspots(&self, n: usize) -> Vec<(String, PathStats)> {
+        top_by_bytes_interned(&self.path_fold.stats, &self.paths, n)
+            .into_iter()
+            .map(|(sym, s)| (self.paths.resolve(sym).to_string(), s))
+            .collect()
     }
 }
 
@@ -1000,6 +990,37 @@ mod tests {
             c.take_outbox().as_slice(),
             [(1, Frame::HelloAck { session: 5 })]
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn card_transitions_replace_the_card_never_truncate_it() {
+        let dir = tmpdir("card-inode");
+        let mut c = Collector::open(&dir, CollectorConfig::default()).unwrap();
+        let meta = TraceMeta::new("/app", 0, 0, "sim");
+        c.offer(
+            1,
+            encode_frame(&Frame::Hello {
+                meta,
+                expected_records: 4,
+            }),
+        )
+        .unwrap();
+        c.drain(1, None).unwrap();
+        let card = dir.join("sess000.card");
+        let streaming = std::fs::read_to_string(&card).unwrap();
+        assert!(streaming.contains("state=streaming"), "{streaming}");
+        // A second name for the card's inode: a truncating rewrite would
+        // change what it reads, a rename leaves it alone.
+        let old_inode = dir.join("old.card");
+        std::fs::hard_link(&card, &old_inode).unwrap();
+        c.offer(1, encode_frame(&Frame::Bye { frames_sent: 0 }))
+            .unwrap();
+        c.drain(1, None).unwrap();
+        let closed = std::fs::read_to_string(&card).unwrap();
+        assert!(closed.contains("state=degraded"), "{closed}");
+        assert_eq!(std::fs::read_to_string(&old_inode).unwrap(), streaming);
+        assert!(!dir.join("sess000.card.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

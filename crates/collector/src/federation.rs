@@ -22,7 +22,8 @@
 //!    loser is deleted, and the destination directory becomes the
 //!    session's home — a winning source copy lands there through
 //!    `<name>.tmp` and a rename, never an in-place truncating write;
-//! 2. **per-spool recovery** — plain [`recover_spool`] on each
+//! 2. **per-spool recovery** — plain
+//!    [`recover_spool`](crate::recovery::recover_spool) on each
 //!    directory, stamping exact completeness;
 //! 3. **federation digest** — one merged record stream over every
 //!    recovered journal of every collector, hashed as it streams out
@@ -30,24 +31,23 @@
 //!    federation can be diffed.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write;
+use std::fs::File;
+use std::io;
 use std::path::{Path, PathBuf};
 
-use iotrace_analysis::hotspots::{top_by_bytes_interned, PathFold, PathStats};
-use iotrace_analysis::stats::{StreamingStats, TraceStats};
+use iotrace_analysis::hotspots::PathStats;
+use iotrace_analysis::stats::TraceStats;
 use iotrace_fs::params::RetryPolicy;
 use iotrace_model::event::Trace;
-use iotrace_model::intern::Interner;
-use iotrace_model::iot2::Frame;
-use iotrace_model::journal::{fsck_journal, read_journal};
 use iotrace_model::par::par_map;
 use iotrace_sim::fault::FaultPlan;
 
-use crate::collector::{collector_name, Collector};
+use crate::collector::{collector_name, Collector, LiveFolds};
 use crate::migrate::{Migration, PEER_CLIENT_BASE};
 use crate::recovery::{
-    dir_names, fmt_version, merged_stream_digest, read_card, recover_spool, replace, scan_spool,
-    spool_journals, RecoveryReport, SpoolSession,
+    dir_names, fmt_version, merged_stream_digest, read_card, read_session, recover_spool_traces,
+    remove_session, remove_stale_tmp, replace, scan_spool, spool_journals, write_replacing,
+    RecoveryReport, SpoolSession,
 };
 use crate::session::SessionState;
 use crate::soak::{require_no_orphans, Harness, SessionOutcome, SoakConfig};
@@ -276,25 +276,19 @@ pub fn run_federation(
                         b.abort_migration(dest)?;
                     }
                 }
-                finished.push(MigrationOutcome {
-                    client: c,
-                    src_session: m.src_session,
-                    dest_session: m.dest_session,
-                    shipped_chunks: m.shipped_chunks(),
-                    total_chunks: m.total_chunks(),
-                    retries: m.retries,
-                    handoff_ticks: m.finished_tick.map(|t| t - m.started_tick),
-                    aborted: m.is_aborted(),
-                });
+                let handoff_ticks = m.finished_tick.map(|t| t - m.started_tick);
+                finished.push(m.outcome(handoff_ticks));
             }
         }
+        let shipped = finished
+            .iter()
+            .map(|m| m.shipped_chunks)
+            .chain(migrations.values().map(|m| m.shipped_chunks()))
+            .sum();
         if killed_a {
-            let after_chunks = finished
-                .iter()
-                .map(|m| m.shipped_chunks)
-                .chain(migrations.values().map(|m| m.shipped_chunks()))
-                .sum();
-            outcome = Some(FederationOutcome::SourceKilled { after_chunks });
+            outcome = Some(FederationOutcome::SourceKilled {
+                after_chunks: shipped,
+            });
             break;
         }
         if killed_b {
@@ -335,11 +329,6 @@ pub fn run_federation(
             }
         }
         if let Some(k) = cfg.kill_source_after_chunks {
-            let shipped: u64 = finished
-                .iter()
-                .map(|m| m.shipped_chunks)
-                .chain(migrations.values().map(|m| m.shipped_chunks()))
-                .sum();
             if !migrated.is_empty() && shipped >= k {
                 a.kill()?;
                 outcome = Some(FederationOutcome::SourceKilled {
@@ -364,18 +353,7 @@ pub fn run_federation(
     })?;
     // Handoffs still in flight when a collector died: report them too —
     // their shipped-chunk counts are the recovery ground truth.
-    for (c, m) in migrations {
-        finished.push(MigrationOutcome {
-            client: c,
-            src_session: m.src_session,
-            dest_session: m.dest_session,
-            shipped_chunks: m.shipped_chunks(),
-            total_chunks: m.total_chunks(),
-            retries: m.retries,
-            handoff_ticks: None,
-            aborted: m.is_aborted(),
-        });
-    }
+    finished.extend(migrations.values().map(|m| m.outcome(None)));
     finished.sort_by_key(|m| m.client);
 
     let sessions = h.outcomes(|c, sid| (if home[&c] { &b } else { &a }).session(sid));
@@ -492,70 +470,49 @@ pub fn recover_spools(
     let mut reunited = 0usize;
     for dir in &dirs {
         for name in spool_journals(dir)? {
-            let Some(card) = read_card(dir, name.trim_end_matches(".iotj")) else {
+            let stem = name.strip_suffix(".iotj").expect("a journal name");
+            let Some(origin) = read_card(dir, stem).and_then(|c| c.origin) else {
                 continue;
             };
-            let Some(origin) = card.origin else {
+            let Some((src_coll, src_stem)) = origin.split_once('/') else {
                 continue;
             };
-            let Some((src_coll, stem)) = origin.split_once('/') else {
+            let Some(src_dir) = by_name.get(src_coll).filter(|&d| d != dir) else {
                 continue;
             };
-            let Some(src_dir) = by_name.get(src_coll) else {
-                continue;
-            };
-            let src_journal = src_dir.join(format!("{stem}.iotj"));
-            if src_dir == dir || !src_journal.exists() {
+            let (src, _) = read_session(src_dir, src_stem)?;
+            if src.fsck.is_none() {
                 continue;
             }
-            let dest_path = dir.join(&name);
-            let dest_bytes = std::fs::read(&dest_path)
-                .map_err(|e| format!("read {}: {e}", dest_path.display()))?;
-            let src_bytes = std::fs::read(&src_journal)
-                .map_err(|e| format!("read {}: {e}", src_journal.display()))?;
-            let dest_n = fsck_journal(&dest_bytes)
-                .map(|(_, r)| r.records_recovered)
-                .unwrap_or(0);
-            let src_n = fsck_journal(&src_bytes)
-                .map(|(_, r)| r.records_recovered)
-                .unwrap_or(0);
-            if src_n > dest_n {
+            let (dest, _) = read_session(dir, stem)?;
+            if src.sealed().unwrap_or(0) > dest.sealed().unwrap_or(0) {
                 // Never truncate the destination in place: until the
                 // rename lands it may be the only complete copy.
-                replace(&dest_path, |mut f| f.write_all(&src_bytes))?;
+                let src_journal = src_dir.join(format!("{src_stem}.iotj"));
+                replace(&dir.join(&name), |mut f| {
+                    io::copy(&mut File::open(&src_journal)?, &mut f).map(drop)
+                })?;
             }
-            for ext in ["iotj", "card"] {
-                let p = src_dir.join(format!("{stem}.{ext}"));
-                if p.exists() {
-                    std::fs::remove_file(&p).map_err(|e| format!("remove {}: {e}", p.display()))?;
-                }
-            }
+            remove_session(src_dir, src_stem)?;
             reunited += 1;
         }
     }
 
     // Pass 2: ordinary per-spool recovery (exact completeness stamps,
-    // orphan rewrites, per-spool digests).
+    // orphan rewrites, per-spool digests), keeping the traces each
+    // recovery decoded.
     let mut collectors = Vec::new();
+    let mut traces = Vec::new();
     for dir in &dirs {
-        collectors.push((collector_name(dir), recover_spool(dir, segment_records)?));
+        let (report, recovered) = recover_spool_traces(dir, segment_records)?;
+        collectors.push((collector_name(dir), report));
+        traces.extend(recovered);
     }
 
     // Pass 3: the federation-wide digest over every recovered journal,
-    // in (collector, journal) order.
-    let mut traces: Vec<Trace> = Vec::new();
-    for dir in &dirs {
-        for name in spool_journals(dir)? {
-            let path = dir.join(&name);
-            let bytes =
-                std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-            // Journals recovery could not rewrite (unreadable container)
-            // contribute nothing, exactly as in the per-spool digest.
-            if let Ok(t) = read_journal(&bytes) {
-                traces.push(t);
-            }
-        }
-    }
+    // in (collector, journal name) order. Journals recovery could not
+    // rewrite (unreadable container) contribute nothing, exactly as in
+    // the per-spool digest.
     let (merged_digest, total_records) = merged_stream_digest(&traces);
     Ok(FederationRecovery {
         collectors,
@@ -591,8 +548,8 @@ pub fn recover_federation(
             ));
         }
     }
-    std::fs::write(root.join("merged.digest"), digest_file)
-        .map_err(|e| format!("write merged.digest: {e}"))?;
+    remove_stale_tmp(root)?;
+    write_replacing(&root.join("merged.digest"), &digest_file)?;
     Ok(rec)
 }
 
@@ -610,7 +567,7 @@ pub struct FederationSessionRow {
     pub completeness: f64,
     pub origin: Option<String>,
     /// Recovery must rewrite this session: the same rule
-    /// [`recover_spool`] applies.
+    /// [`recover_spool`](crate::recovery::recover_spool) applies.
     pub orphaned: bool,
 }
 
@@ -729,60 +686,42 @@ pub fn sessions_table(dir: &Path) -> Result<String, String> {
     Ok(out)
 }
 
-/// The merged `stats` query: per-collector folds run in parallel over
-/// *local* interners (no shared keyspace, no locks), then merge in
-/// sorted collector order. Each local path table is absorbed into one
-/// global interner — [`Interner::absorb`] returns the local→global
-/// symbol remap [`PathFold::merge`] takes — so the merged hotspot table
-/// is deterministic regardless of worker count. The stats merge is
-/// exact: the result equals one fold over every collector's records.
+/// The merged `stats` query: one collector's `LiveFolds` per spool,
+/// folded in parallel over *local* interners (no shared keyspace, no
+/// locks), then merged in sorted collector order by `LiveFolds::merge`,
+/// which absorbs each local path table into one global interner — so
+/// the merged hotspot table is deterministic regardless of worker
+/// count. The stats merge is exact: the result equals one fold over
+/// every collector's records.
 pub fn federation_stats(
     root: &Path,
     top: usize,
 ) -> Result<(TraceStats, Vec<(String, PathStats)>), String> {
     let dirs = federation_spools(root)?;
-    let locals: Vec<Result<(StreamingStats, Interner, PathFold), String>> = par_map(&dirs, |dir| {
-        let mut stats = StreamingStats::new();
-        let mut paths = Interner::new();
-        let mut fold = PathFold::default();
+    let locals: Vec<Result<LiveFolds, String>> = par_map(&dirs, |dir| {
+        let mut folds = LiveFolds::default();
         for name in spool_journals(dir)? {
-            let path = dir.join(&name);
-            let bytes =
-                std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
             // fsck, not strict read: mid-capture and torn spools still
             // answer queries over their sealed prefixes.
-            let Ok((t, _)) = fsck_journal(&bytes) else {
-                continue;
-            };
-            for r in &t.records {
-                let f = Frame::from_record(r, &mut paths);
-                stats.push(&f);
-                fold.push(&f);
+            let stem = name.strip_suffix(".iotj").expect("a journal name");
+            if let (_, Some(trace)) = read_session(dir, stem)? {
+                folds.push(&trace.records);
             }
         }
-        Ok((stats, paths, fold))
+        Ok(folds)
     });
-    let mut global_stats = StreamingStats::new();
-    let mut global_paths = Interner::new();
-    let mut global_fold = PathFold::default();
+    let mut global = LiveFolds::default();
     for local in locals {
-        let (stats, paths, fold) = local?;
-        global_stats.merge(&stats);
-        global_fold.merge(&fold, &global_paths.absorb(&paths));
+        global.merge(&local?);
     }
-    let global_fold = global_fold.finish();
-    let hotspots = top_by_bytes_interned(&global_fold, &global_paths, top)
-        .into_iter()
-        .map(|(sym, s)| (global_paths.resolve(sym).to_string(), s))
-        .collect();
-    Ok((global_stats.finish(), hotspots))
+    Ok((global.stats.finish(), global.hotspots(top)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collector::CollectorConfig;
-    use crate::recovery::needs_recovery;
+    use crate::recovery::{needs_recovery, recover_spool};
     use crate::soak::{run_soak, synth_client_traces, SoakOutcome};
     use iotrace_sim::fault::Fault;
 
@@ -1081,5 +1020,55 @@ mod tests {
             digest1
         );
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn federation_digest_merges_in_journal_name_order() {
+        use crate::session::SessionCard;
+        use iotrace_model::event::TraceMeta;
+        use iotrace_model::journal::{read_journal, JournalWriter};
+
+        // Three clean closed journals whose records tie on (ts, rank):
+        // the merge breaks ties by input order, so the digest tells the
+        // orders apart. By name: sess1000, sess999, zz-foreign; by
+        // session id: 999, 1000, then the foreign journal.
+        let dir = tmpdir("name-order");
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = synth_client_traces(1, 8, 4).remove(0);
+        for (i, stem) in ["sess999", "sess1000", "zz-foreign"]
+            .into_iter()
+            .enumerate()
+        {
+            let mut records = base.records.clone();
+            for r in &mut records {
+                r.pid = 7 + i as u32;
+            }
+            let mut w = JournalWriter::new(&TraceMeta::new("/app", 0, 0, "t"), 1, 4);
+            w.append_all(&records).unwrap();
+            std::fs::write(dir.join(format!("{stem}.iotj")), w.finish().unwrap()).unwrap();
+            let card = SessionCard {
+                session: 0,
+                expected: 8,
+                state: SessionState::Closed,
+                records: 8,
+                completeness: 1.0,
+                origin: None,
+            };
+            std::fs::write(dir.join(format!("{stem}.card")), card.to_line()).unwrap();
+        }
+        let read = |stem: &str| {
+            read_journal(&std::fs::read(dir.join(format!("{stem}.iotj"))).unwrap()).unwrap()
+        };
+        let by_name = [read("sess1000"), read("sess999"), read("zz-foreign")];
+        let by_id = [read("sess999"), read("sess1000"), read("zz-foreign")];
+        let rec = recover_spools(std::slice::from_ref(&dir), 4).unwrap();
+        assert_eq!(rec.orphans(), 0);
+        assert_eq!(rec.merged_digest, merged_stream_digest(&by_name).0);
+        assert_eq!(
+            rec.collectors[0].1.merged_digest,
+            merged_stream_digest(&by_id).0
+        );
+        assert_ne!(rec.merged_digest, rec.collectors[0].1.merged_digest);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

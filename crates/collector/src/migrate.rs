@@ -29,7 +29,9 @@ use iotrace_fs::params::RetryPolicy;
 use iotrace_model::journal::split_journal;
 use iotrace_sim::rng::DetRng;
 
+use crate::client::Backoff;
 use crate::collector::{collector_name, Collector};
+use crate::federation::MigrationOutcome;
 use crate::proto::{encode_frame, Frame};
 use crate::session::session_stem;
 
@@ -92,10 +94,7 @@ pub struct Migration {
     phase: MigratePhase,
     /// Encoded `Migrate` announcement.
     announce: Vec<u8>,
-    policy: RetryPolicy,
-    rng: DetRng,
-    attempt: u32,
-    parked: u64,
+    backoff: Backoff,
     /// The current frame was accepted by the destination queue and its
     /// ack is still owed.
     in_flight: bool,
@@ -141,10 +140,10 @@ impl Migration {
             acked_chunks: 0,
             phase: MigratePhase::Announce,
             announce,
-            policy,
-            rng: DetRng::new(seed).fork(0x316a).fork(u64::from(client)),
-            attempt: 0,
-            parked: 0,
+            backoff: Backoff::new(
+                policy,
+                DetRng::new(seed).fork(0x316a).fork(u64::from(client)),
+            ),
             in_flight: false,
             retries: 0,
             started_tick: tick,
@@ -178,14 +177,28 @@ impl Migration {
         self.chunks.len() as u64
     }
 
+    /// This handoff's accounting; `handoff_ticks` is the caller's, as
+    /// only a settled handoff has one.
+    pub(crate) fn outcome(&self, handoff_ticks: Option<u64>) -> MigrationOutcome {
+        MigrationOutcome {
+            client: self.client,
+            src_session: self.src_session,
+            dest_session: self.dest_session,
+            shipped_chunks: self.shipped_chunks(),
+            total_chunks: self.total_chunks(),
+            retries: self.retries,
+            handoff_ticks,
+            aborted: self.is_aborted(),
+        }
+    }
+
     /// Advance one tick: honour backoff, then offer at most one frame
     /// to the destination.
     pub fn step(&mut self, dest: &mut Collector) {
         if self.is_settled() || self.in_flight {
             return;
         }
-        if self.parked > 0 {
-            self.parked -= 1;
+        if self.backoff.park() {
             return;
         }
         let bytes = match self.phase {
@@ -203,27 +216,18 @@ impl Migration {
         match dest.offer(peer_id(self.client), bytes) {
             Ok(()) => {
                 self.in_flight = true;
-                self.attempt = 0;
+                self.backoff.reset();
             }
             Err(Frame::Busy { .. }) => {
                 self.retries += 1;
-                match self
-                    .policy
-                    .try_backoff_jittered(self.attempt, &mut self.rng)
-                {
-                    Ok(wait) => {
-                        self.parked = (wait.as_nanos() / 1_000_000).max(1);
-                        self.attempt = self.attempt.saturating_add(1);
-                    }
-                    Err(exhausted) => {
-                        self.phase = MigratePhase::Aborted;
-                        self.aborted = Some(HandoffAborted {
-                            client: self.client,
-                            session: self.src_session,
-                            attempts: exhausted.attempts,
-                            shipped_chunks: self.acked_chunks as u64,
-                        });
-                    }
+                if let Err(exhausted) = self.backoff.refused() {
+                    self.phase = MigratePhase::Aborted;
+                    self.aborted = Some(HandoffAborted {
+                        client: self.client,
+                        session: self.src_session,
+                        attempts: exhausted.attempts,
+                        shipped_chunks: self.acked_chunks as u64,
+                    });
                 }
             }
             Err(_) => unreachable!("offer only refuses with Busy"),

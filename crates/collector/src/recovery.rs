@@ -26,7 +26,8 @@
 //! mid-rewrite leaves the orphan whole plus a stale `.tmp`, which the
 //! next pass deletes before it starts.
 
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
@@ -183,6 +184,8 @@ pub(crate) struct SpoolSession {
     /// Journal container version; 0 when the journal is unreadable or
     /// missing.
     pub version: u8,
+    /// Journal length in bytes; 0 when there is none.
+    pub len: usize,
     /// The journal's fsck report: `None` when there is no journal,
     /// `Err` when its container is unreadable.
     pub fsck: Option<Result<FsckReport, String>>,
@@ -208,38 +211,50 @@ impl SpoolSession {
     }
 }
 
+/// The one session reader: session `stem` of `dir` as it stands, plus
+/// the trace fsck salvaged from its journal (`None` when the journal is
+/// missing or unreadable). The spool tables drop the trace; recovery and
+/// federation reunite keep what they need of it.
+pub(crate) fn read_session(
+    dir: &Path,
+    stem: &str,
+) -> Result<(SpoolSession, Option<Trace>), String> {
+    let path = dir.join(format!("{stem}.iotj"));
+    let mut session = SpoolSession {
+        stem: stem.to_string(),
+        card: read_card(dir, stem),
+        version: 0,
+        len: 0,
+        fsck: None,
+    };
+    let bytes = match std::fs::read(&path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((session, None)),
+        Err(e) => return Err(format!("read {}: {e}", path.display())),
+    };
+    session.version = journal_version(&bytes).unwrap_or(0);
+    session.len = bytes.len();
+    let (fsck, trace) = match fsck_journal(&bytes) {
+        Ok((trace, report)) => (Ok(report), Some(trace)),
+        Err(e) => (Err(e.to_string()), None),
+    };
+    session.fsck = Some(fsck);
+    Ok((session, trace))
+}
+
 /// Read every session of the spool — each stem with a journal, a card
-/// or both — sorted by stem, without changing anything.
+/// or both — sorted by stem, without changing anything. Each decoded
+/// trace is dropped before the next session is read.
 pub(crate) fn scan_spool(dir: &Path) -> Result<Vec<SpoolSession>, String> {
-    let mut stems = BTreeMap::new();
-    for name in dir_names(dir)? {
-        if let Some(stem) = name.strip_suffix(".iotj") {
-            stems.insert(stem.to_string(), true);
-        } else if let Some(stem) = name.strip_suffix(".card") {
-            stems.entry(stem.to_string()).or_insert(false);
-        }
-    }
-    let mut sessions = Vec::with_capacity(stems.len());
-    for (stem, has_journal) in stems {
-        let (version, fsck) = if has_journal {
-            let path = dir.join(format!("{stem}.iotj"));
-            let bytes =
-                std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-            let fsck = fsck_journal(&bytes)
-                .map(|(_, r)| r)
-                .map_err(|e| e.to_string());
-            (journal_version(&bytes).unwrap_or(0), Some(fsck))
-        } else {
-            (0, None)
-        };
-        sessions.push(SpoolSession {
-            card: read_card(dir, &stem),
-            stem,
-            version,
-            fsck,
-        });
-    }
-    Ok(sessions)
+    let stems: BTreeSet<String> = dir_names(dir)?
+        .iter()
+        .filter_map(|n| n.strip_suffix(".iotj").or_else(|| n.strip_suffix(".card")))
+        .map(str::to_string)
+        .collect();
+    stems
+        .iter()
+        .map(|stem| read_session(dir, stem).map(|(s, _)| s))
+        .collect()
 }
 
 /// True when the spool holds any orphan — i.e. a restarted collector
@@ -254,96 +269,113 @@ pub(crate) fn read_card(dir: &Path, stem: &str) -> Option<SessionCard> {
     SessionCard::parse_line(text.trim())
 }
 
+/// Delete session `stem`'s journal and card from `dir`, whichever exist.
+pub(crate) fn remove_session(dir: &Path, stem: &str) -> Result<(), String> {
+    for ext in ["iotj", "card"] {
+        let path = dir.join(format!("{stem}.{ext}"));
+        if path.exists() {
+            std::fs::remove_file(&path).map_err(|e| format!("remove {}: {e}", path.display()))?;
+        }
+    }
+    Ok(())
+}
+
 /// Recover every journal in the spool in one pass. Clean, closed
 /// sessions are left byte-for-byte untouched; orphans are fscked,
 /// rewritten as clean journals with exact completeness stamped, and
 /// their cards updated. Writes `merged.digest` describing the merged
 /// record stream of the whole spool.
 pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryReport, String> {
+    recover_spool_traces(dir, segment_records).map(|(report, _)| report)
+}
+
+/// [`recover_spool`], also handing back the recovered traces in journal
+/// name order — the order the federation digest merges them in. The
+/// spool's own digest merges them in session-id order instead; the two
+/// differ once ids reach 1000 (`sess1000` sorts before `sess999`) or a
+/// journal has a foreign name.
+pub(crate) fn recover_spool_traces(
+    dir: &Path,
+    segment_records: usize,
+) -> Result<(RecoveryReport, Vec<Trace>), String> {
     remove_stale_tmp(dir)?;
     let names = spool_journals(dir)?;
     let mut rows = Vec::new();
-    let mut traces: BTreeMap<u32, Trace> = BTreeMap::new();
+    let mut traces = Vec::new();
+    // session id -> index into `traces`; a later journal with the same
+    // id replaces an earlier one in the spool digest
+    let mut by_id: BTreeMap<u32, usize> = BTreeMap::new();
     let mut next_foreign = names.len() as u32 + 1_000_000;
     for name in names {
-        let path = dir.join(&name);
-        let bytes = std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        let stem = name.strip_suffix(".iotj").expect("a journal name");
+        let (s, mut trace) = read_session(dir, stem)?;
         let session = session_id_of(&name).unwrap_or_else(|| {
             next_foreign += 1;
             next_foreign
         });
-        let card = read_card(dir, name.trim_end_matches(".iotj"));
-        let expected = card.as_ref().map(|c| c.expected).unwrap_or(0);
-        let origin = card.as_ref().and_then(|c| c.origin.clone());
-        let (mut trace, fsck) = match fsck_journal(&bytes) {
-            Ok(v) => v,
-            Err(e) => {
-                // Unreadable container: nothing salvageable, report and
-                // move on rather than abort the whole spool.
-                rows.push(RecoveryRow {
-                    file: name,
-                    session,
-                    version: journal_version(&bytes).unwrap_or(0),
-                    expected,
-                    recovered: 0,
-                    segments: 0,
-                    torn_bytes: bytes.len(),
-                    orphaned: is_orphan(card.as_ref(), None),
-                    state: SessionState::Degraded,
-                    completeness: 0.0,
-                    damage: Some(e.to_string()),
-                    origin,
-                });
-                continue;
-            }
+        let orphaned = s.orphaned();
+        let card = s.card.as_ref();
+        let expected = card.map_or(0, |c| c.expected);
+        let origin = card.and_then(|c| c.origin.clone());
+        let fsck = match s.fsck {
+            Some(Ok(report)) => report,
+            // Unreadable container: nothing salvageable, report it and
+            // move on rather than abort the whole spool.
+            Some(Err(e)) => FsckReport {
+                torn_tail_bytes: s.len,
+                damage: Some(e),
+                ..FsckReport::default()
+            },
+            // The journal went between the listing and the read.
+            None => continue,
         };
-        let recovered = trace.records.len() as u64;
-        let orphaned = is_orphan(card.as_ref(), Some(&fsck));
-        let (state, completeness) = if !orphaned {
-            let c = card.as_ref().expect("a clean session has a card");
-            (c.state, c.completeness)
-        } else {
-            // Orphan: stamp exact completeness from the handshake-time
-            // expectation and rewrite journal + card.
-            let completeness = if expected > 0 {
-                (recovered as f64 / expected as f64).clamp(0.0, 1.0)
-            } else {
-                trace.meta.completeness
-            };
-            let state = if expected > 0 && recovered >= expected {
-                SessionState::Closed
-            } else {
-                SessionState::Degraded
-            };
-            trace.meta.completeness = completeness;
-            // Rewrite the orphan in the same container version it was
-            // spooled with, so a v2 spool stays v2 across recovery.
-            let version = journal_version(&bytes).unwrap_or(1);
-            replace(&path, |f| {
-                let seg = segment_records;
-                let f = io::BufWriter::new(f);
-                let mut w = JournalWriter::create(f, &trace.meta, version, seg, seg)?;
-                w.append_all(&trace.records)?;
-                w.finish().map(drop)
-            })?;
-            let new_card = SessionCard {
-                session,
-                expected,
-                state,
-                records: recovered,
-                completeness,
-                origin: origin.clone(),
-            };
-            let card_path = dir.join(format!("{}.card", session_stem(session)));
-            replace(&card_path, |mut f| {
-                f.write_all(format!("{}\n", new_card.to_line()).as_bytes())
-            })?;
-            (state, completeness)
+        let recovered = fsck.records_recovered as u64;
+        let (state, completeness) = match &mut trace {
+            None => (SessionState::Degraded, 0.0),
+            Some(_) if !orphaned => {
+                let c = card.expect("a clean session has a card");
+                (c.state, c.completeness)
+            }
+            Some(trace) => {
+                // Orphan: stamp exact completeness from the handshake-time
+                // expectation and rewrite journal + card.
+                let completeness = if expected > 0 {
+                    (recovered as f64 / expected as f64).clamp(0.0, 1.0)
+                } else {
+                    trace.meta.completeness
+                };
+                let state = if expected > 0 && recovered >= expected {
+                    SessionState::Closed
+                } else {
+                    SessionState::Degraded
+                };
+                trace.meta.completeness = completeness;
+                // Rewrite the orphan in the same container version it was
+                // spooled with, so a v2 spool stays v2 across recovery.
+                replace(&dir.join(&name), |f| {
+                    let seg = segment_records;
+                    let f = io::BufWriter::new(f);
+                    let mut w = JournalWriter::create(f, &trace.meta, s.version, seg, seg)?;
+                    w.append_all(&trace.records)?;
+                    w.finish().map(drop)
+                })?;
+                let new_card = SessionCard {
+                    session,
+                    expected,
+                    state,
+                    records: recovered,
+                    completeness,
+                    origin: origin.clone(),
+                };
+                let card_path = dir.join(format!("{}.card", session_stem(session)));
+                write_replacing(&card_path, &format!("{}\n", new_card.to_line()))?;
+                (state, completeness)
+            }
         };
         rows.push(RecoveryRow {
             file: name,
             session,
-            version: journal_version(&bytes).unwrap_or(0),
+            version: s.version,
             expected,
             recovered,
             segments: fsck.segments_recovered,
@@ -351,12 +383,15 @@ pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryRepor
             orphaned,
             state,
             completeness,
-            damage: fsck.damage.clone(),
+            damage: fsck.damage,
             origin,
         });
-        traces.insert(session, trace);
+        if let Some(trace) = trace {
+            by_id.insert(session, traces.len());
+            traces.push(trace);
+        }
     }
-    let ordered: Vec<Trace> = traces.into_values().collect();
+    let ordered: Vec<&Trace> = by_id.values().map(|&i| &traces[i]).collect();
     let (merged_digest, total_records) = merged_stream_digest(&ordered);
     let mut digest_file = String::from("# iotrace spool merged digest v1\n");
     digest_file.push_str(&format!(
@@ -371,25 +406,25 @@ pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryRepor
             r.file, r.recovered, r.completeness, r.state
         ));
     }
-    std::fs::write(dir.join("merged.digest"), digest_file)
-        .map_err(|e| format!("write merged.digest: {e}"))?;
-    Ok(RecoveryReport {
+    write_replacing(&dir.join("merged.digest"), &digest_file)?;
+    let report = RecoveryReport {
         rows,
         total_records,
         merged_digest,
-    })
+    };
+    Ok((report, traces))
 }
 
 /// Digest and length of the merged record stream of `traces` (in
 /// input order, which breaks `(ts, rank)` ties), streamed out of the
 /// merge: no merged copy and no whole-stream encoding is ever built.
 /// Recovery digests are uncorrected — the spool carries no skew fits.
-pub(crate) fn merged_stream_digest(traces: &[Trace]) -> (u64, u64) {
+pub(crate) fn merged_stream_digest<T: Borrow<Trace>>(traces: &[T]) -> (u64, u64) {
     let mut digest = RecordsDigest::default();
     merge_corrected_each(traces, &SkewEstimate::default(), |rec, ts| {
         digest.push(rec, ts)
     });
-    let records = traces.iter().map(|t| t.records.len() as u64).sum();
+    let records = traces.iter().map(|t| t.borrow().records.len() as u64).sum();
     (digest.finish(), records)
 }
 
@@ -407,12 +442,18 @@ pub(crate) fn replace(
         .map_err(|e| format!("write {}: {e}", path.display()))
 }
 
-/// Delete the `.tmp` files a recovery killed mid-rewrite left behind:
-/// only the two names [`replace`] produces, never another `.tmp` that
-/// happens to share the spool directory.
-fn remove_stale_tmp(dir: &Path) -> Result<(), String> {
+/// [`replace`] `path` with `text`.
+pub(crate) fn write_replacing(path: &Path, text: &str) -> Result<(), String> {
+    replace(path, |mut f| f.write_all(text.as_bytes()))
+}
+
+/// Delete the `.tmp` files a killed rewrite left behind: only the names
+/// [`replace`] produces — a journal's, a card's and `merged.digest`'s —
+/// never another `.tmp` that happens to share the directory.
+pub(crate) fn remove_stale_tmp(dir: &Path) -> Result<(), String> {
     for name in dir_names(dir)? {
-        if name.ends_with(".iotj.tmp") || name.ends_with(".card.tmp") {
+        if name.ends_with(".iotj.tmp") || name.ends_with(".card.tmp") || name == "merged.digest.tmp"
+        {
             let path = dir.join(name);
             std::fs::remove_file(&path).map_err(|e| format!("remove {}: {e}", path.display()))?;
         }
@@ -520,14 +561,15 @@ mod tests {
         };
         let clean = spool("tmp-clean");
         recover_spool(&clean, 8).unwrap();
-        // A recovery killed mid-rewrite: half a journal and a card in
-        // their `.tmp` files, the originals untouched — plus the `.tmp`
-        // of a journal federation reunite has since deleted, which no
-        // rewrite will reuse.
+        // A recovery killed mid-rewrite: half a journal, a card and a
+        // digest in their `.tmp` files, the originals untouched — plus
+        // the `.tmp` of a journal federation reunite has since deleted,
+        // which no rewrite will reuse.
         let killed = spool("tmp-killed");
         std::fs::write(killed.join("sess000.iotj.tmp"), &w.torn()[..9]).unwrap();
         std::fs::write(killed.join("sess000.card.tmp"), "session=0 exp").unwrap();
         std::fs::write(killed.join("sess007.iotj.tmp"), &w.torn()[..9]).unwrap();
+        std::fs::write(killed.join("merged.digest.tmp"), "# iotrace spool").unwrap();
         recover_spool(&killed, 8).unwrap();
         let listing = |dir: &Path| {
             let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)

@@ -41,42 +41,14 @@
 //! under that header. Each line is one `write` to an `O_APPEND` file,
 //! so concurrent processes interleave whole lines.
 //!
-//! Build products: the `cdylib` (`libiotrace_interpose.so`) for
-//! preloading, plus this `rlib` with [`shim_path`], which builds the
-//! `cdylib` and says where it is.
+//! The crate builds only the `cdylib` (`libiotrace_interpose.so`), so
+//! its hooks exist in the preload library and in no binary that links a
+//! library of this workspace. Tests, examples and benches find it
+//! through `iotrace_preload::shim_path()`, which builds it first.
 //!
 //! ```text
 //! IOTRACE_TRACE_FILE=/tmp/t.log LD_PRELOAD=target/debug/libiotrace_interpose.so cat /etc/hostname
 //! ```
-
-use std::path::{Path, PathBuf};
-use std::process::Command;
-
-/// Path of the preloadable `libiotrace_interpose.so` for the profile
-/// this crate was built in (`target/debug` or `target/release`, under
-/// `CARGO_TARGET_DIR` if set). Runs `cargo build -p iotrace-interpose`
-/// first, which is a no-op when the library is fresh, so a stale shim
-/// is never preloaded. Panics if the build fails.
-pub fn shim_path() -> PathBuf {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/interpose sits two levels below the workspace root");
-    let release = !cfg!(debug_assertions);
-    let mut cargo = Command::new(env!("CARGO"));
-    cargo
-        .args(["build", "-p", "iotrace-interpose", "--quiet"])
-        .current_dir(root);
-    if release {
-        cargo.arg("--release");
-    }
-    let status = cargo.status().expect("spawn cargo build");
-    assert!(status.success(), "building the interposition shim failed");
-    std::env::var_os("CARGO_TARGET_DIR")
-        .map_or_else(|| root.join("target"), PathBuf::from)
-        .join(if release { "release" } else { "debug" })
-        .join("libiotrace_interpose.so")
-}
 
 #[cfg(target_os = "linux")]
 mod hooks {

@@ -5,9 +5,9 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
-use iotrace_interpose::shim_path;
 use iotrace_model::event::{IoCall, Trace};
 use iotrace_model::text::parse_text;
+use iotrace_preload::shim_path;
 
 /// A fresh trace file path, unique per test.
 fn trace_file(tag: &str) -> PathBuf {

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::process::Command;
 
 use iotrace::model::text::parse_text;
-use iotrace_interpose::shim_path;
+use iotrace_preload::shim_path;
 
 fn main() {
     let shim = shim_path();
