@@ -175,8 +175,8 @@ pub fn merge_corrected_each<T: Borrow<Trace>>(
 
 /// The pre-k-way merge: clone every record, correct it, and stable-sort
 /// the concatenation by `(ts, rank)`. Kept as the reference
-/// implementation the equivalence property tests and `bench-pipeline`
-/// compare [`merge_corrected`] against.
+/// implementation the equivalence property tests compare
+/// [`merge_corrected`] against.
 pub fn merge_by_sort(traces: &[Trace], est: &SkewEstimate) -> Vec<TraceRecord> {
     let mut all: Vec<TraceRecord> =
         Vec::with_capacity(traces.iter().map(|t| t.records.len()).sum());

@@ -177,7 +177,7 @@ fn rank_phases(
             if r.ts >= bounds[p].1 {
                 acc[p].io_time += r.dur;
                 acc[p].io_calls += 1;
-                acc[p].bytes += r.call.bytes();
+                acc[p].bytes += r.bytes_moved();
             }
         }
     } else {
@@ -191,7 +191,7 @@ fn rank_phases(
                 if r.ts >= start && r.ts < end {
                     a.io_time += r.dur;
                     a.io_calls += 1;
-                    a.bytes += r.call.bytes();
+                    a.bytes += r.bytes_moved();
                 }
             }
         }
@@ -231,6 +231,8 @@ mod tests {
     use iotrace_model::event::{TraceMeta, TraceRecord};
 
     fn rec(rank: u32, call: IoCall, ts_ms: u64, dur_ms: u64) -> TraceRecord {
+        // Every write returns its full length.
+        let result = call.bytes() as i64;
         TraceRecord {
             ts: SimTime::from_millis(ts_ms),
             dur: SimDur::from_millis(dur_ms),
@@ -240,7 +242,7 @@ mod tests {
             uid: 0,
             gid: 0,
             call,
-            result: 0,
+            result,
         }
     }
 

@@ -268,6 +268,16 @@ mod tests {
     }
 
     #[test]
+    fn short_eof_and_failed_reads_count_the_bytes_returned() {
+        // `cat` on a 3-byte file: read(3, 131072) returns 3 and the next
+        // returns 0 at EOF; a read on a bad fd fails.
+        let read = |result| rec(IoCall::Read { fd: 3, len: 131072 }, 1, result);
+        let write = rec(IoCall::Write { fd: 1, len: 3 }, 1, 3);
+        let s = TraceStats::from_records(&[read(3), write, read(0), read(-9)]);
+        assert_eq!((s.bytes_read, s.bytes_written), (3, 3));
+    }
+
+    #[test]
     fn percentiles_ordered() {
         let recs: Vec<TraceRecord> = (1..=100)
             .map(|i| rec(IoCall::Write { fd: 3, len: 1 }, i, 1))

@@ -274,7 +274,7 @@ proptest! {
             let f = Frame::from_record(&r, &mut paths);
             tags.push(f.op);
             prop_assert_eq!(f.layer(), r.call.layer());
-            prop_assert_eq!(f.bytes_moved(), r.call.bytes());
+            prop_assert_eq!(f.bytes_moved(), r.bytes_moved());
             prop_assert_eq!(f.path.map(|s| paths.resolve(s)), r.call.path());
             prop_assert_eq!(f.to_record(|s| Some(paths.resolve(s).to_string())), Some(r));
         }

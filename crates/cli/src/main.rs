@@ -30,8 +30,6 @@
 
 use std::process::ExitCode;
 
-mod bench_pipeline;
-mod bench_scale;
 mod cmd;
 mod io;
 mod provenance;
@@ -60,7 +58,6 @@ fn main() -> ExitCode {
         "sessions" => serve::sessions(rest),
         "resume" => cmd::resume(rest),
         "faults" => cmd::faults(rest),
-        "bench-pipeline" => bench_pipeline::run(rest),
         "help" | "--help" | "-h" => {
             println!("{}", USAGE);
             Ok(())
@@ -127,16 +124,6 @@ commands:
   faults    <name|file> [--seed N] [--text] describe a fault plan (canned:
                                             clean, lossy-tracer, degraded-storage,
                                             collector-chaos, federation-chaos)
-  bench-pipeline [--quick] [--ranks N] [--records N] [--out <file>]
-                                            time encode/decode/merge/lint/hotspots
-                                            on a synthetic capture and write
-                                            BENCH_pipeline.json (exits 1 if a
-                                            determinism check fails). --ranks > 64
-                                            adds the streaming scale tier: sharded
-                                            engines spill per-rank journals which
-                                            are analyzed by bounded-memory folds
-                                            at each point of a scaling curve up
-                                            to the requested rank count
 
 stats/hotspots/phases/replay lint their input first and stop on
 error-severity findings; --no-lint skips that gate.

@@ -373,6 +373,47 @@ fn stale_tmp_beside_a_split_session_recovers_like_a_clean_spool() {
     }
 }
 
+/// Every client of a 16-client federation migrates mid-stream, at its
+/// first, second or third frame. No handoff may lose or duplicate a
+/// record: two independent federated runs each merge to the digest of a
+/// never-migrated soak over the same config.
+#[test]
+fn every_client_migrated_mid_stream_merges_to_the_soak_digest() {
+    let mut cfg = FederationConfig::default();
+    cfg.soak.clients = 16;
+    let dir = tmpdir("every-client");
+    let soak = run_soak(&dir.join("soak"), &cfg.soak, &FaultPlan::clean(), None).unwrap();
+    assert_eq!(soak.outcome, SoakOutcome::Completed);
+    assert_eq!(soak.merged_records, 16 * cfg.soak.records_per_client as u64);
+    let plan = FaultPlan {
+        seed: cfg.soak.seed,
+        faults: (0..16)
+            .map(|c| Fault::CollectorMigrate {
+                client: c,
+                at_frame: 1 + u64::from(c % 3),
+            })
+            .collect(),
+    };
+    for run in ["first", "second"] {
+        let (da, db) = (dir.join(format!("{run}-a")), dir.join(format!("{run}-b")));
+        let rep = run_federation(&da, &db, &cfg, &plan, None).unwrap();
+        assert_eq!(rep.outcome, FederationOutcome::Completed);
+        let migrated = rep
+            .migrations
+            .iter()
+            .filter(|m| !m.aborted && m.handoff_ticks.is_some());
+        assert_eq!(migrated.count(), 16, "{run} run: {:?}", rep.migrations);
+        assert_eq!(rep.aborted_handoffs, 0);
+        let merged = (rep.merged_records, rep.merged_digest);
+        assert_eq!(
+            merged,
+            (soak.merged_records, soak.merged_digest),
+            "{run} run"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -268,6 +268,28 @@ impl TraceRecord {
     pub fn is_error(&self) -> bool {
         self.result < 0
     }
+
+    /// Bytes the call actually moved. For syscall read/write/pread/
+    /// pwrite that is the returned count (capped at `len`; 0 on error),
+    /// so a short read or EOF counts what it returned. MPI, mmap and VFS
+    /// calls keep the requested [`IoCall::bytes`].
+    #[inline]
+    pub fn bytes_moved(&self) -> u64 {
+        match self.call {
+            IoCall::Read { len, .. }
+            | IoCall::Write { len, .. }
+            | IoCall::Pread { len, .. }
+            | IoCall::Pwrite { len, .. } => returned_bytes(self.result, len),
+            ref call => call.bytes(),
+        }
+    }
+}
+
+/// The byte count a syscall data op returned: `result` capped at the
+/// requested `len`, and 0 for an error.
+#[inline]
+pub(crate) fn returned_bytes(result: i64, len: u64) -> u64 {
+    u64::try_from(result).map_or(0, |n| n.min(len))
 }
 
 /// Per-trace metadata: one trace file per rank.
@@ -339,11 +361,6 @@ impl Trace {
             meta,
             records: Vec::new(),
         }
-    }
-
-    /// Total bytes moved by data calls.
-    pub fn total_bytes(&self) -> u64 {
-        self.records.iter().map(|r| r.call.bytes()).sum()
     }
 
     /// Span from first record start to last record end.
@@ -438,13 +455,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_totals() {
+    fn trace_span() {
         let mut t = Trace::new(TraceMeta::new("/app", 0, 0, "test"));
         t.records.push(rec(IoCall::Write { fd: 3, len: 100 }));
         let mut r2 = rec(IoCall::Read { fd: 3, len: 50 });
         r2.ts = SimTime::from_millis(10);
         t.records.push(r2);
-        assert_eq!(t.total_bytes(), 150);
         assert_eq!(t.span(), SimDur::from_millis(5) + SimDur::from_micros(100));
     }
 

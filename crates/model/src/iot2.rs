@@ -50,7 +50,7 @@
 use iotrace_sim::time::{SimDur, SimTime};
 
 use crate::crc::fnv1a64_wide;
-use crate::event::{CallLayer, IoCall, Trace, TraceMeta, TraceRecord};
+use crate::event::{returned_bytes, CallLayer, IoCall, Trace, TraceMeta, TraceRecord};
 use crate::fasthash::FxHashMap;
 use crate::intern::{Interner, Sym};
 use crate::journal::{get_meta, put_meta};
@@ -351,11 +351,14 @@ impl Frame {
         }
     }
 
-    /// Bytes moved, matching [`IoCall::bytes`]: `len` for data ops, 0
-    /// for metadata/sync ops.
+    /// Bytes moved, matching [`TraceRecord::bytes_moved`]: the returned
+    /// count for syscall read/write/pread/pwrite, `len` for the other
+    /// data ops, 0 for metadata/sync ops.
+    #[inline]
     pub fn bytes_moved(&self) -> u64 {
         match self.op {
-            2..=5 | 15 | 18 | 19 | 24 | 25 => self.len,
+            2..=5 => returned_bytes(self.result, self.len),
+            15 | 18 | 19 | 24 | 25 => self.len,
             _ => 0,
         }
     }
@@ -1227,7 +1230,8 @@ mod tests {
                 errors += 1;
             }
         }
-        assert_eq!(bytes_moved, t.total_bytes());
+        let want: u64 = t.records.iter().map(TraceRecord::bytes_moved).sum();
+        assert_eq!(bytes_moved, want);
         assert_eq!(errors, t.records.iter().filter(|r| r.result < 0).count());
     }
 

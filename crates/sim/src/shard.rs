@@ -17,8 +17,8 @@
 //! differ in how ranks are partitioned onto engines, never in what a
 //! rank computes; the deterministic k-way merge downstream reunites the
 //! per-rank outputs into one timeline, and the result cannot depend on
-//! the worker count. `bench-pipeline` and the `scale` proptests check
-//! exactly this digest equality.
+//! the worker count. The `scale` proptests in `iotrace-model` and the
+//! perfbench `scale-spool` workload check exactly this digest equality.
 
 use crate::engine::{ClusterConfig, Engine, Executor, RunReport};
 use crate::ids::RankId;
