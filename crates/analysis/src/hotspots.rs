@@ -6,6 +6,7 @@ use std::collections::HashMap;
 
 use iotrace_model::event::TraceRecord;
 use iotrace_model::fasthash::FxHashMap;
+use iotrace_model::fd::FdTable;
 use iotrace_model::intern::{Interner, Sym};
 use iotrace_model::iot2::Frame;
 use iotrace_sim::time::SimDur;
@@ -29,24 +30,23 @@ pub fn by_path_interned<'a>(
     fold.finish()
 }
 
-/// The hotspot fold: the running [`PathStats`] map plus the open-fd
-/// attribution table. Records without a path (fd-based calls) are
-/// attributed via the most recent successful `open` of that fd within
-/// the same rank. The table survives batch boundaries (an `open` in one
-/// journal segment names the I/O of the next), so pushing a stream in
-/// any batching yields the same map as one pass over the whole stream.
+/// The hotspot fold: the running [`PathStats`] map plus the
+/// descriptor table ([`FdTable`], keyed by rank and fd). Records without
+/// a path (fd-based calls) are attributed via the successful `open` (or
+/// the duplication of an opened fd) that bound that fd within the same
+/// rank; any close releases it, failed or not. The table survives batch
+/// boundaries (an `open` in one journal segment names the I/O of the
+/// next), so pushing a stream in any batching yields the same map as one
+/// pass over the whole stream.
 ///
-/// Both tables hash with [`FxHashMap`]: their keys are small integers
-/// (interned symbol ids, and rank/fd pairs from the trace), SipHash was
-/// most of the per-record cost, and — as in the lint passes that key fds
-/// the same way — traces are not treated as hash-flooding input.
-/// Iteration order never reaches output: [`top_by_bytes_interned`]
-/// ranks by a total order.
+/// The stats map hashes with [`FxHashMap`]: its keys are interned symbol
+/// ids, SipHash was most of the per-record cost, and traces are not
+/// treated as hash-flooding input. Iteration order never reaches output:
+/// [`top_by_bytes_interned`] ranks by a total order.
 #[derive(Clone, Debug, Default)]
 pub struct PathFold {
     pub stats: FxHashMap<Sym, PathStats>,
-    /// (rank, fd) -> path of the most recent successful open.
-    open_fds: FxHashMap<(u32, i64), Sym>,
+    open_fds: FdTable<(u32, i64)>,
 }
 
 impl PathFold {
@@ -58,14 +58,17 @@ impl PathFold {
     pub fn push(&mut self, f: &Frame) {
         let path = if f.is_open() {
             if let (Some(sym), true) = (f.path, f.result >= 0) {
-                self.open_fds.insert((f.rank, f.result), sym);
+                self.open_fds.open((f.rank, f.result), sym);
             }
             f.path
         } else if f.is_close() {
-            self.open_fds.remove(&(f.rank, f.fd))
+            self.open_fds.close((f.rank, f.fd))
         } else if f.attributes_via_fd() {
-            self.open_fds.get(&(f.rank, f.fd)).copied()
+            self.open_fds.get((f.rank, f.fd))
         } else {
+            if let Some((old, new)) = f.dup_of() {
+                self.open_fds.dup((f.rank, old), (f.rank, new));
+            }
             // Matches `IoCall::path()`: the primary path, if any.
             f.path
         };
@@ -101,9 +104,8 @@ impl PathFold {
             e.bytes += ps.bytes;
             e.time += ps.time;
         }
-        for (&key, sym) in &other.open_fds {
-            self.open_fds.insert(key, remap[sym.id() as usize]);
-        }
+        self.open_fds
+            .absorb(&other.open_fds, |sym| remap[sym.id() as usize]);
     }
 
     /// The per-path table; rank it with [`top_by_bytes_interned`].
@@ -286,6 +288,29 @@ mod tests {
         assert_eq!(stats.len(), 1);
         assert_eq!(stats["/data/a"].ops, 5);
         assert_eq!(stats["/data/a"].bytes, 100);
+    }
+
+    #[test]
+    fn io_through_a_duplicated_fd_is_attributed() {
+        // dd's input: open, dup2 onto stdin, close the original, read fd 0.
+        let dup = |cmd, result| rec(IoCall::Fcntl { fd: 3, cmd }, result);
+        let recs = vec![
+            rec(
+                IoCall::Open {
+                    path: "/dev/zero".into(),
+                    flags: 0,
+                    mode: 0,
+                },
+                3,
+            ),
+            dup(iotrace_model::fd::DUP_CMD, 0),
+            dup(0, 7), // a Tracefs truncate aliases nothing
+            rec(IoCall::Close { fd: 3 }, 0),
+            rec(IoCall::Read { fd: 0, len: 64 }, 64),
+            rec(IoCall::Read { fd: 7, len: 64 }, 64),
+        ];
+        let stats = by_path(&recs);
+        assert_eq!((stats["/dev/zero"].ops, stats["/dev/zero"].bytes), (3, 64));
     }
 
     #[test]

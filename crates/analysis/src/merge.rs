@@ -203,13 +203,17 @@ type RunKey = (SimTime, u32, usize);
 /// the heap key reproduces the stable sort's tie-break across traces:
 /// records with equal `(ts, rank)` keep concatenation (= input trace)
 /// order; within a trace the run's own order already holds it.
+///
+/// Each record costs one sift: the top entry is overwritten in place
+/// with its run's next key (or popped when the run is exhausted), rather
+/// than popped and pushed back.
 fn merge_runs<T: Borrow<Trace>>(
     traces: &[T],
     runs: &[Vec<RunKey>],
     mut visit: impl FnMut(&TraceRecord, SimTime),
 ) {
     use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    use std::collections::binary_heap::{BinaryHeap, PeekMut};
     let mut heap: BinaryHeap<Reverse<(SimTime, u32, usize, usize)>> =
         BinaryHeap::with_capacity(runs.len());
     for (run, keys) in runs.iter().enumerate() {
@@ -217,11 +221,15 @@ fn merge_runs<T: Borrow<Trace>>(
             heap.push(Reverse((ts, rank, run, 0)));
         }
     }
-    while let Some(Reverse((ts, _, run, pos))) = heap.pop() {
+    while let Some(mut top) = heap.peek_mut() {
+        let Reverse((ts, _, run, pos)) = *top;
         let keys = &runs[run];
         visit(&traces[run].borrow().records[keys[pos].2], ts);
-        if let Some(&(ts, rank, _)) = keys.get(pos + 1) {
-            heap.push(Reverse((ts, rank, run, pos + 1)));
+        match keys.get(pos + 1) {
+            Some(&(ts, rank, _)) => *top = Reverse((ts, rank, run, pos + 1)),
+            None => {
+                PeekMut::pop(top);
+            }
         }
     }
 }

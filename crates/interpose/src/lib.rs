@@ -3,9 +3,10 @@
 //! Everything else in this workspace runs against a simulated cluster;
 //! this crate is the one real-world component: a `cdylib` that, preloaded
 //! into any dynamically linked process, interposes the libc I/O entry
-//! points (`open`, `open64`, `openat`, `read`, `write`, `close`, `lseek`,
-//! `fsync`) and appends one record per call to the file named by the
-//! `IOTRACE_TRACE_FILE` environment variable, its only setting.
+//! points (`open`, `open64`, `openat`, `read`, `write`, `pread`,
+//! `pread64`, `pwrite`, `pwrite64`, `close`, `lseek`, `fsync`, `dup`,
+//! `dup2`, `dup3`) and appends one record per call to the file named by
+//! the `IOTRACE_TRACE_FILE` environment variable, its only setting.
 //!
 //! This is the exact mechanism //TRACE uses ("dynamic library
 //! interposition", Curry '94, paper §2.3/§4.3) and demonstrates its
@@ -30,10 +31,15 @@
 //! ```
 //!
 //! `open64` and `openat` record as `SYS_open` (an `openat` path is
-//! recorded as given). Timestamps are wall-clock (`CLOCK_REALTIME`)
-//! seconds under epoch 0, so processes appending to one file never write
-//! a timestamp before its epoch; `dur` is measured around the real call
-//! and the result is the call's return value. Rank and node are always
+//! recorded as given), the `64` forms of `pread`/`pwrite` as
+//! `SYS_pread`/`SYS_pwrite`, and `dup`, `dup2` and `dup3` as
+//! `SYS_fcntl64(old, 1030)` (`F_DUPFD_CLOEXEC`) returning the new fd,
+//! which is how every analysis recognizes a duplicated descriptor.
+//! `fcntl` itself is C-variadic and stays unhooked, so a duplication
+//! through `fcntl(F_DUPFD)` is not seen. Timestamps are wall-clock
+//! (`CLOCK_REALTIME`) seconds under epoch 0, so processes appending to
+//! one file never write a timestamp before its epoch; `dur` is measured
+//! around the real call and the result is the call's return value. Rank and node are always
 //! 0. A record belongs to the nearest `# pid:` header above it. After a
 //! `fork`, parent and child each write the header again before their
 //! next record. A child started by `vfork` or `posix_spawn` writes its
@@ -59,6 +65,7 @@ mod hooks {
     use std::time::{SystemTime, UNIX_EPOCH};
 
     use iotrace_model::event::{IoCall, TraceRecord};
+    use iotrace_model::fd::DUP_CMD;
     use iotrace_model::text::write_record_line;
     use iotrace_sim::time::{SimDur, SimTime};
 
@@ -66,7 +73,6 @@ mod hooks {
     const RTLD_NEXT: *mut c_void = -1isize as *mut c_void;
     const O_CREAT: c_int = 0o100;
     const O_TMPFILE: c_int = 0o20_200_000;
-    const F_DUPFD_CLOEXEC: c_int = 1030;
     /// The trace fd is moved to at least this number, clear of the low
     /// fds a program closes and expects to get back from its next open.
     const TRACE_FD_FLOOR: c_int = 100;
@@ -165,7 +171,7 @@ mod hooks {
             return DISABLED;
         }
         // SAFETY: fcntl and close on the fd just opened, which we own.
-        let high = unsafe { fcntl(f, F_DUPFD_CLOEXEC, TRACE_FD_FLOOR) };
+        let high = unsafe { fcntl(f, DUP_CMD as c_int, TRACE_FD_FLOOR) };
         if high >= 0 {
             // SAFETY: as above; `high` now refers to the same file.
             unsafe { (real_close())(f) };
@@ -402,6 +408,124 @@ mod hooks {
     pub unsafe extern "C" fn fsync(fd: c_int) -> c_int {
         let real = real!(FSYNC, "fsync", unsafe extern "C" fn(c_int) -> c_int);
         traced(|| real(fd) as i64, || IoCall::Fsync { fd: fd.into() }) as c_int
+    }
+
+    /// A duplication of `old`, recorded as the `fcntl` that
+    /// [`iotrace_model::fd::dup_of`] recognizes; the result is the new fd.
+    fn dup_call(old: c_int) -> IoCall {
+        IoCall::Fcntl {
+            fd: old.into(),
+            cmd: DUP_CMD,
+        }
+    }
+
+    /// # Safety
+    /// Standard libc `dup` contract.
+    #[no_mangle]
+    pub unsafe extern "C" fn dup(old: c_int) -> c_int {
+        let real = real!(DUP, "dup", unsafe extern "C" fn(c_int) -> c_int);
+        traced(|| real(old) as i64, || dup_call(old)) as c_int
+    }
+
+    /// # Safety
+    /// Standard libc `dup2` contract.
+    #[no_mangle]
+    pub unsafe extern "C" fn dup2(old: c_int, new: c_int) -> c_int {
+        let real = real!(DUP2, "dup2", unsafe extern "C" fn(c_int, c_int) -> c_int);
+        traced(|| real(old, new) as i64, || dup_call(old)) as c_int
+    }
+
+    /// # Safety
+    /// Standard libc `dup3` contract.
+    #[no_mangle]
+    pub unsafe extern "C" fn dup3(old: c_int, new: c_int, flags: c_int) -> c_int {
+        let real = real!(
+            DUP3,
+            "dup3",
+            unsafe extern "C" fn(c_int, c_int, c_int) -> c_int
+        );
+        traced(|| real(old, new, flags) as i64, || dup_call(old)) as c_int
+    }
+
+    type PreadFn = unsafe extern "C" fn(c_int, *mut c_void, usize, i64) -> isize;
+    type PwriteFn = unsafe extern "C" fn(c_int, *const c_void, usize, i64) -> isize;
+
+    /// # Safety
+    /// Standard libc `pread` contract; `real` is libc's.
+    unsafe fn traced_pread(
+        real: PreadFn,
+        fd: c_int,
+        buf: *mut c_void,
+        count: usize,
+        off: i64,
+    ) -> isize {
+        traced(
+            // SAFETY: the caller upholds `real`'s contract.
+            || unsafe { real(fd, buf, count, off) } as i64,
+            || IoCall::Pread {
+                fd: fd.into(),
+                offset: off as u64,
+                len: count as u64,
+            },
+        ) as isize
+    }
+
+    /// # Safety
+    /// Standard libc `pwrite` contract; `real` is libc's.
+    unsafe fn traced_pwrite(
+        real: PwriteFn,
+        fd: c_int,
+        buf: *const c_void,
+        count: usize,
+        off: i64,
+    ) -> isize {
+        traced(
+            // SAFETY: the caller upholds `real`'s contract.
+            || unsafe { real(fd, buf, count, off) } as i64,
+            || IoCall::Pwrite {
+                fd: fd.into(),
+                offset: off as u64,
+                len: count as u64,
+            },
+        ) as isize
+    }
+
+    /// # Safety
+    /// Standard libc `pread` contract (`off_t` is 64-bit on this target).
+    #[no_mangle]
+    pub unsafe extern "C" fn pread(fd: c_int, buf: *mut c_void, count: usize, off: i64) -> isize {
+        traced_pread(real!(PREAD, "pread", PreadFn), fd, buf, count, off)
+    }
+
+    /// # Safety
+    /// Standard libc `pread64` contract.
+    #[no_mangle]
+    pub unsafe extern "C" fn pread64(fd: c_int, buf: *mut c_void, count: usize, off: i64) -> isize {
+        traced_pread(real!(PREAD64, "pread64", PreadFn), fd, buf, count, off)
+    }
+
+    /// # Safety
+    /// Standard libc `pwrite` contract (`off_t` is 64-bit on this target).
+    #[no_mangle]
+    pub unsafe extern "C" fn pwrite(
+        fd: c_int,
+        buf: *const c_void,
+        count: usize,
+        off: i64,
+    ) -> isize {
+        traced_pwrite(real!(PWRITE, "pwrite", PwriteFn), fd, buf, count, off)
+    }
+
+    /// # Safety
+    /// Standard libc `pwrite64` contract.
+    #[no_mangle]
+    pub unsafe extern "C" fn pwrite64(
+        fd: c_int,
+        buf: *const c_void,
+        count: usize,
+        off: i64,
+    ) -> isize {
+        traced_pwrite(real!(PWRITE64, "pwrite64", PwriteFn), fd, buf, count, off)
     }
 
     #[cfg(test)]

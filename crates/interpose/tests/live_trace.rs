@@ -2,10 +2,14 @@
 //! verify the captured I/O through the workspace's one text parser.
 
 use std::io::Write as _;
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
+use iotrace_analysis::hotspots::by_path_interned;
 use iotrace_model::event::{IoCall, Trace};
+use iotrace_model::fd::DUP_CMD;
+use iotrace_model::intern::Interner;
 use iotrace_model::text::parse_text;
 use iotrace_preload::shim_path;
 
@@ -150,6 +154,94 @@ fn a_forked_child_writes_under_its_own_pid() {
         "shell records misattributed"
     );
     assert_ne!(pids[1], shell, "subshell records carry the shell's pid");
+}
+
+/// dd reopens its input onto fd 0 (`open`, `dup2`, `close`) and reads
+/// fd 0: the hotspot fold follows the duplicate to `/dev/zero`.
+#[test]
+fn dd_reads_through_a_duplicated_fd_are_attributed() {
+    let trace_file = trace_file("dd");
+    let (_, out) = run_traced(
+        Command::new("dd").args(["if=/dev/zero", "of=/dev/null", "bs=64k", "count=16"]),
+        &trace_file,
+        b"",
+    );
+    assert!(out.status.success(), "dd failed: {out:?}");
+    let trace = parse(&trace_file);
+    let _ = std::fs::remove_file(&trace_file);
+    assert!(
+        trace
+            .records
+            .iter()
+            .any(|r| matches!(r.call, IoCall::Fcntl { cmd: DUP_CMD, .. }) && r.result == 0),
+        "dd's dup2 onto stdin was not traced: {:?}",
+        trace.records
+    );
+    let mut paths = Interner::new();
+    let stats = by_path_interned(&trace.records, &mut paths);
+    let zero = paths.get("/dev/zero").expect("/dev/zero opened");
+    assert_eq!(stats[&zero].bytes, 16 * 65536, "{:?}", trace.records);
+}
+
+/// Set in the environment of this test binary when it re-runs itself
+/// under the shim to make positioned calls.
+const POSITIONED_CHILD: &str = "IOTRACE_LIVE_POSITIONED_FILE";
+
+/// `pread`/`pwrite` (and their `64` forms, which Rust's `FileExt` calls)
+/// record as `SYS_pread`/`SYS_pwrite` with their offsets. The test
+/// re-runs itself under the shim; the child writes and reads back at an
+/// offset.
+#[test]
+fn positioned_calls_are_traced() {
+    if let Some(data) = std::env::var_os(POSITIONED_CHILD) {
+        let f = std::fs::OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .read(true)
+            .write(true)
+            .open(data)
+            .unwrap();
+        f.write_all_at(b"positioned", 4096).unwrap();
+        let mut buf = [0u8; 10];
+        f.read_exact_at(&mut buf, 4096).unwrap();
+        assert_eq!(&buf, b"positioned");
+        return;
+    }
+    let trace_file = trace_file("positioned");
+    let data = trace_file.with_extension("data");
+    let (_, out) = run_traced(
+        Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "positioned_calls_are_traced", "--test-threads=1"])
+            .env(POSITIONED_CHILD, &data),
+        &trace_file,
+        b"",
+    );
+    let _ = std::fs::remove_file(&data);
+    assert!(out.status.success(), "child failed: {out:?}");
+    let trace = parse(&trace_file);
+    let _ = std::fs::remove_file(&trace_file);
+    let fd = trace
+        .records
+        .iter()
+        .find(|r| matches!(&r.call, IoCall::Open { path, .. } if Path::new(path) == data))
+        .expect("the data file's open was traced")
+        .result;
+    let positioned: Vec<(&IoCall, i64)> = trace
+        .records
+        .iter()
+        .filter(|r| matches!(r.call, IoCall::Pread { fd: f, .. } | IoCall::Pwrite { fd: f, .. } if f == fd))
+        .map(|r| (&r.call, r.result))
+        .collect();
+    let (offset, len) = (4096, 10);
+    assert_eq!(
+        positioned,
+        [
+            (&IoCall::Pwrite { fd, offset, len }, 10),
+            (&IoCall::Pread { fd, offset, len }, 10)
+        ],
+        "{:?}",
+        trace.records
+    );
 }
 
 #[test]

@@ -11,9 +11,16 @@
 //! the MPI file handle is a different namespace from the POSIX fd even
 //! when numerically equal. Descriptors 0–2 are exempt from unknown-fd
 //! reporting: traces routinely start with the standard streams open.
+//!
+//! The open descriptors live in the one [`FdTable`], keyed by
+//! (layer, fd). A successful duplication binds its new fd to the old
+//! one's path; duplicating onto an open fd (`dup2`) silently replaces
+//! that binding, as the kernel does, so it is no `fd-reopen`. A
+//! duplicate onto a standard stream is never reported as leaked.
 
 use iotrace_model::event::{CallLayer, IoCall, Trace};
 use iotrace_model::fasthash::FxHashMap;
+use iotrace_model::fd::{dup_of, FdTable};
 use iotrace_model::intern::{Interner, Sym};
 
 use crate::config::LintConfig;
@@ -44,11 +51,11 @@ fn lint_trace(trace: &Trace, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
     // Paths are interned once per distinct string; the open table then
     // carries a `u32` symbol per descriptor instead of a cloned String.
     let mut paths = Interner::new();
-    // (layer, fd) → record index of the witnessing open (plus the opened
+    // (layer, fd) → record index of the witnessing open or dup (plus the
     // path, for the leak report) / close. Hash maps: these are probed
     // once per record, and the leak report sorts its survivors at the
     // end, so nothing needs ordered iteration in the hot loop.
-    let mut open: FxHashMap<(CallLayer, i64), (usize, Sym)> = FxHashMap::default();
+    let mut open: FdTable<(CallLayer, i64), (usize, Sym)> = FdTable::default();
     let mut closed: FxHashMap<(CallLayer, i64), usize> = FxHashMap::default();
     let mut suppressed_unknown = 0usize;
     let mut reported_unknown = 0usize;
@@ -62,7 +69,7 @@ fn lint_trace(trace: &Trace, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
             IoCall::Open { path, .. } | IoCall::MpiFileOpen { path, .. } => {
                 let fd = (layer, r.result);
                 let sym = paths.intern(path);
-                if let Some((prev, _)) = open.insert(fd, (i, sym)) {
+                if let Some((prev, _)) = open.open(fd, (i, sym)) {
                     out.push(
                         Diagnostic::new(
                             "fd-reopen",
@@ -81,7 +88,7 @@ fn lint_trace(trace: &Trace, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
             }
             IoCall::Close { fd } | IoCall::MpiFileClose { fd } => {
                 let fd = (layer, *fd);
-                if open.remove(&fd).is_some() {
+                if open.close(fd).is_some() {
                     closed.insert(fd, i);
                 } else if let Some(prev) = closed.get(&fd) {
                     out.push(
@@ -114,7 +121,7 @@ fn lint_trace(trace: &Trace, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
             }
             call => {
                 if let Some(fd) = used_fd(call).map(|fd| (layer, fd)) {
-                    if open.contains_key(&fd) {
+                    if open.get(fd).is_some() {
                         // healthy
                     } else if let Some(prev) = closed.get(&fd) {
                         out.push(
@@ -154,6 +161,13 @@ fn lint_trace(trace: &Trace, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
                         }
                     }
                 }
+                if let Some((old, new)) = dup_of(call, r.result) {
+                    let new = (layer, new);
+                    if let Some(bound) = open.dup((layer, old), new) {
+                        bound.0 = i;
+                        closed.remove(&new);
+                    }
+                }
             }
         }
     }
@@ -161,6 +175,9 @@ fn lint_trace(trace: &Trace, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
     let mut leaked: Vec<_> = open.iter().collect();
     leaked.sort_by_key(|(&k, _)| k);
     for (&(_, fd), &(opened_at, path)) in leaked {
+        if fd <= 2 && matches!(trace.records[opened_at].call, IoCall::Fcntl { .. }) {
+            continue;
+        }
         out.push(
             Diagnostic::new(
                 "fd-leak",
@@ -337,6 +354,67 @@ mod tests {
             (IoCall::Close { fd: 3 }, 0),
         ]);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    fn dup(old: i64, new: i64) -> (IoCall, i64) {
+        let cmd = iotrace_model::fd::DUP_CMD;
+        (IoCall::Fcntl { fd: old, cmd }, new)
+    }
+
+    fn open(path: &str, fd: i64) -> (IoCall, i64) {
+        let path = path.into();
+        (
+            IoCall::Open {
+                path,
+                flags: 0,
+                mode: 0,
+            },
+            fd,
+        )
+    }
+
+    #[test]
+    fn dup2_over_an_open_fd_replaces_it_quietly() {
+        let out = run(vec![
+            open("/a", 3),
+            open("/b", 4),
+            // dup2(3, 4): the kernel closes /b; no reopen, no leak.
+            dup(3, 4),
+            // dup(4) = 5: fd 5 is open too.
+            dup(4, 5),
+            (IoCall::Close { fd: 3 }, 0),
+            (IoCall::Write { fd: 4, len: 8 }, 8),
+            (IoCall::Close { fd: 4 }, 0),
+            (IoCall::Write { fd: 5, len: 8 }, 8),
+            (IoCall::Close { fd: 5 }, 0),
+        ]);
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn a_duplicate_is_tracked_like_an_open() {
+        let out = run(vec![
+            open("/a", 3),
+            // dd's stdin: dup2(3, 0), close(3); fd 0 stays open.
+            dup(3, 0),
+            (IoCall::Close { fd: 3 }, 0),
+            (IoCall::Read { fd: 0, len: 8 }, 8),
+            open("/b", 3),
+            // A dup onto fd 5 that is never closed leaks, at the dup.
+            dup(3, 5),
+            (IoCall::Close { fd: 3 }, 0),
+            (IoCall::Close { fd: 3 }, 0),
+        ]);
+        let rules: Vec<_> = out.iter().map(|d| (d.rule, d.record)).collect();
+        assert_eq!(
+            rules,
+            [("fd-double-close", Some(7)), ("fd-leak", Some(5))],
+            "{out:?}"
+        );
+        assert_eq!(
+            out[1].hint.as_deref(),
+            Some("the leaked descriptor maps to \"/b\"")
+        );
     }
 
     #[test]

@@ -391,6 +391,14 @@ impl Frame {
         matches!(self.op, 2..=7 | 18 | 19)
     }
 
+    /// `(old, new)` when this frame duplicated a descriptor, as
+    /// [`crate::fd::dup_of`] decides for a record.
+    #[inline]
+    pub fn dup_of(&self) -> Option<(i64, i64)> {
+        (self.op == 14 && self.x == crate::fd::DUP_CMD && self.result >= 0)
+            .then_some((self.fd, self.result))
+    }
+
     pub fn is_error(&self) -> bool {
         self.result < 0
     }

@@ -17,14 +17,16 @@
 //!   field selection (the paper's anonymization axis);
 //! * [`summary`] / [`timing`] — LANL-Trace's call-summary and
 //!   aggregate-timing output types;
-//! * [`intern`] / [`par`] — the analysis pipeline's shared
-//!   infrastructure: path interning and scoped-thread fan-out.
+//! * [`intern`] / [`par`] / [`fd`] — the analysis pipeline's shared
+//!   infrastructure: path interning, scoped-thread fan-out, and the one
+//!   descriptor table that maps an fd to its path and cursor.
 
 pub mod anonymize;
 pub mod binary;
 pub mod crc;
 pub mod event;
 pub mod fasthash;
+pub mod fd;
 pub mod intern;
 pub mod iot2;
 pub mod journal;

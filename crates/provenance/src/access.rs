@@ -7,11 +7,13 @@
 //! * explicit-offset I/O (`pread`/`pwrite`, `MPI_File_read_at`/
 //!   `MPI_File_write_at`, VFS page I/O) — the range is in the record;
 //! * cursor-relative I/O (`read`/`write` after `open`/`lseek`) — the
-//!   file cursor is *emulated*: `open` sets it to 0, `lseek` moves it
-//!   (`SEEK_SET`/`SEEK_CUR`), and each `read`/`write` advances it by the
-//!   call's result. `SEEK_END` needs the file size, which the trace does
-//!   not carry, so it poisons the cursor and subsequent relative I/O on
-//!   that descriptor is skipped rather than guessed.
+//!   file cursor is *emulated* by the one [`FdTable`], keyed by fd:
+//!   `open` sets it to 0, `lseek` moves it (`SEEK_SET`/`SEEK_CUR`), and
+//!   each `read`/`write` advances it by the call's result. A duplicated
+//!   fd shares its original's path and cursor. `SEEK_END` needs the
+//!   file size, which the trace does not carry, so it poisons the cursor
+//!   and subsequent relative I/O on that descriptor is skipped rather
+//!   than guessed.
 //!
 //! The emulation matters because a lineage graph missing every `write`
 //! syscall would be blind to most POSIX workloads — e.g. the
@@ -22,9 +24,8 @@
 //! byte count, never the requested length, so a short read cannot
 //! fabricate lineage for bytes that were never copied.
 
-use std::collections::BTreeMap;
-
 use iotrace_model::event::{IoCall, Trace};
+use iotrace_model::fd::{dup_of, FdTable};
 use iotrace_model::intern::{Interner, Sym};
 
 /// One byte-range access: the unit the lineage graph is built from.
@@ -53,18 +54,11 @@ impl Access {
     }
 }
 
-/// Per-descriptor cursor state for relative I/O emulation.
-struct FdState {
-    path: Sym,
-    /// `None` after a `SEEK_END` (or overflowing seek): position unknown.
-    cursor: Option<u64>,
-}
-
 /// Extract every byte-range access from one rank's trace, interning
 /// paths into `paths`. Output is in record order; epochs count the
 /// non-failed `MPI_Barrier` records preceding each access.
 pub fn extract_accesses(trace: &Trace, paths: &mut Interner, out: &mut Vec<Access>) {
-    let mut fds: BTreeMap<i64, FdState> = BTreeMap::new();
+    let mut fds: FdTable<i64> = FdTable::default();
     let mut epoch = 0usize;
     for (i, r) in trace.records.iter().enumerate() {
         if r.is_error() {
@@ -78,52 +72,43 @@ pub fn extract_accesses(trace: &Trace, paths: &mut Interner, out: &mut Vec<Acces
                 continue;
             }
             IoCall::Open { path, .. } | IoCall::MpiFileOpen { path, .. } => {
-                fds.insert(
-                    r.result,
-                    FdState {
-                        path: paths.intern(path),
-                        cursor: Some(0),
-                    },
-                );
+                fds.open(r.result, paths.intern(path));
                 continue;
             }
             IoCall::Close { fd } | IoCall::MpiFileClose { fd } => {
-                fds.remove(fd);
+                fds.close(*fd);
                 continue;
             }
             IoCall::Lseek { fd, offset, whence } => {
-                if let Some(st) = fds.get_mut(fd) {
-                    st.cursor = match (whence, st.cursor) {
-                        // SEEK_SET
-                        (0, _) => u64::try_from(*offset).ok(),
-                        // SEEK_CUR
-                        (1, Some(cur)) => cur.checked_add_signed(*offset),
-                        // SEEK_END (file size unknown) or unknown base
-                        _ => None,
-                    };
+                fds.seek(*fd, *offset, *whence);
+                continue;
+            }
+            IoCall::Fcntl { .. } => {
+                if let Some((old, new)) = dup_of(&r.call, r.result) {
+                    fds.dup(old, new);
                 }
                 continue;
             }
             IoCall::Read { fd, len } | IoCall::Write { fd, len } => {
                 let n = got.min(*len);
-                let Some(st) = fds.get_mut(fd) else { continue };
-                let Some(cur) = st.cursor else { continue };
-                st.cursor = Some(cur.saturating_add(got));
+                let Some((path, Some(cur))) = fds.advance(*fd, got) else {
+                    continue;
+                };
                 if n == 0 {
                     continue;
                 }
                 let write = matches!(r.call, IoCall::Write { .. });
-                (st.path, cur, n, write)
+                (path, cur, n, write)
             }
             IoCall::Pwrite { fd, offset, len } | IoCall::MpiFileWriteAt { fd, offset, len } => {
-                match fds.get(fd) {
-                    Some(st) => (st.path, *offset, got.min(*len), true),
+                match fds.get(*fd) {
+                    Some(path) => (path, *offset, got.min(*len), true),
                     None => continue,
                 }
             }
             IoCall::Pread { fd, offset, len } | IoCall::MpiFileReadAt { fd, offset, len } => {
-                match fds.get(fd) {
-                    Some(st) => (st.path, *offset, got.min(*len), false),
+                match fds.get(*fd) {
+                    Some(path) => (path, *offset, got.min(*len), false),
                     None => continue,
                 }
             }
@@ -297,6 +282,27 @@ mod tests {
         assert_eq!(acc[0].epoch, 0);
         assert_eq!(acc[1].epoch, 1);
         assert_eq!(barrier_count(&t), 1);
+    }
+
+    #[test]
+    fn a_duplicate_shares_the_path_and_cursor() {
+        let t = trace_of(vec![
+            open("/f"),
+            (IoCall::Write { fd: 3, len: 10 }, 10),
+            (
+                IoCall::Fcntl {
+                    fd: 3,
+                    cmd: iotrace_model::fd::DUP_CMD,
+                },
+                1,
+            ),
+            (IoCall::Close { fd: 3 }, 0),
+            (IoCall::Write { fd: 1, len: 5 }, 5),
+        ]);
+        let (acc, paths) = extract(&t);
+        assert_eq!(acc.len(), 2);
+        assert_eq!((acc[1].record, acc[1].start, acc[1].end), (4, 10, 15));
+        assert_eq!(paths.resolve(acc[1].path), "/f");
     }
 
     #[test]

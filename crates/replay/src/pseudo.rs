@@ -21,6 +21,9 @@ use iotrace_fs::fs::OpenFlags;
 use iotrace_fs::vfs::Vfs;
 use iotrace_ioapi::op::{Fd, IoOp, IoRes, Whence};
 use iotrace_model::event::{IoCall, Trace};
+use iotrace_model::fasthash::FxHashMap;
+use iotrace_model::fd::{dup_of, FdTable};
+use iotrace_model::intern::{Interner, Sym};
 use iotrace_partrace::replayable::ReplayableTrace;
 use iotrace_sim::ids::{CommId, RankId};
 use iotrace_sim::program::{Op, OpList, RankProgram};
@@ -203,46 +206,54 @@ fn dep_tag(rt: &ReplayableTrace, rank: u32, op: usize) -> u32 {
 }
 
 /// Pre-populate the VFS so reads of files the original application merely
-/// consumed (produced outside the trace window) find data. Files are
-/// created in path order: creation order numbers the inodes and the
-/// inode number picks a file's first stripe server, so the order must
-/// not depend on a hash seed.
+/// consumed (produced outside the trace window) find data. Each rank's
+/// reads are sized through the one [`FdTable`]: a successful `open` (or
+/// duplication) binds a path, any close releases it, and a `read`
+/// advances the cursor by its requested length (`lseek` is not
+/// applied). Files are created in path order: creation order numbers
+/// the inodes and the inode number picks a file's first stripe server,
+/// so the order must not depend on a hash seed.
 pub fn prepare_vfs(rt: &ReplayableTrace, vfs: &mut Vfs) {
-    use std::collections::{BTreeMap, HashMap};
+    let mut paths = Interner::new();
     for t in &rt.traces {
-        // Track fd -> path through the record stream to size read targets.
-        let mut fd_path: HashMap<i64, String> = HashMap::new();
-        let mut need: BTreeMap<String, u64> = BTreeMap::new();
-        let mut pos: HashMap<i64, u64> = HashMap::new();
+        let mut fds: FdTable<i64> = FdTable::default();
+        let mut need: FxHashMap<Sym, u64> = FxHashMap::default();
         for rec in &t.records {
-            match &rec.call {
+            let (path, end) = match &rec.call {
                 IoCall::Open { path, .. } if rec.result >= 0 => {
-                    fd_path.insert(rec.result, path.clone());
-                    pos.insert(rec.result, 0);
-                }
-                IoCall::Read { fd, len } => {
-                    if let Some(p) = fd_path.get(fd) {
-                        let at = pos.entry(*fd).or_insert(0);
-                        let end = *at + *len;
-                        *at = end;
-                        let e = need.entry(p.clone()).or_insert(0);
-                        *e = (*e).max(end);
-                    }
-                }
-                IoCall::Pread { fd, offset, len } => {
-                    if let Some(p) = fd_path.get(fd) {
-                        let e = need.entry(p.clone()).or_insert(0);
-                        *e = (*e).max(offset + len);
-                    }
+                    fds.open(rec.result, paths.intern(path));
+                    continue;
                 }
                 IoCall::Close { fd } => {
-                    fd_path.remove(fd);
+                    fds.close(*fd);
+                    continue;
                 }
-                _ => {}
-            }
+                IoCall::Fcntl { .. } => {
+                    if let Some((old, new)) = dup_of(&rec.call, rec.result) {
+                        fds.dup(old, new);
+                    }
+                    continue;
+                }
+                IoCall::Read { fd, len } => match fds.advance(*fd, *len) {
+                    Some((p, Some(at))) => (p, at.saturating_add(*len)),
+                    _ => continue,
+                },
+                IoCall::Pread { fd, offset, len } => match fds.get(*fd) {
+                    Some(p) => (p, offset.saturating_add(*len)),
+                    None => continue,
+                },
+                _ => continue,
+            };
+            let e = need.entry(path).or_insert(0);
+            *e = (*e).max(end);
         }
+        let mut need: Vec<(&str, u64)> = need
+            .into_iter()
+            .map(|(p, size)| (paths.resolve(p), size))
+            .collect();
+        need.sort_unstable();
         for (path, size) in need {
-            ensure_file(vfs, &path, size);
+            ensure_file(vfs, path, size);
         }
     }
 }
