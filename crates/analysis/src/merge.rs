@@ -17,28 +17,6 @@ use iotrace_sim::time::SimTime;
 
 use crate::skew::SkewEstimate;
 
-/// Typed failure of a strict cross-rank merge.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MergeError {
-    /// The rank set has a hole: a rank below the highest present rank
-    /// produced no trace (lost file, crashed node).
-    MissingRank { rank: u32 },
-    /// No traces at all.
-    Empty,
-}
-
-impl std::fmt::Display for MergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MergeError::MissingRank { rank } => {
-                write!(f, "rank {rank} has no trace (lost or never collected)")
-            }
-            MergeError::Empty => write!(f, "no traces to merge"),
-        }
-    }
-}
-impl std::error::Error for MergeError {}
-
 /// Which ranks a set of per-rank traces actually covers, and how
 /// complete each present trace claims to be. The expected world is
 /// inferred as `0..=max_rank` — a hole below the highest present rank is
@@ -98,25 +76,6 @@ impl RankCoverage {
         }
         w
     }
-}
-
-/// Strict merge: refuses a rank set with holes so pipelines that assume
-/// a full world fail loudly instead of silently under-counting.
-pub fn merge_strict(traces: &[Trace], est: &SkewEstimate) -> Result<Vec<TraceRecord>, MergeError> {
-    if traces.is_empty() {
-        return Err(MergeError::Empty);
-    }
-    let cov = RankCoverage::of(traces);
-    if let Some(&rank) = cov.missing.first() {
-        return Err(MergeError::MissingRank { rank });
-    }
-    Ok(merge_corrected(traces, est))
-}
-
-/// Merge whatever ranks are present, reporting coverage alongside the
-/// timeline so callers can surface missing-rank warnings explicitly.
-pub fn merge_partial(traces: &[Trace], est: &SkewEstimate) -> (Vec<TraceRecord>, RankCoverage) {
-    (merge_corrected(traces, est), RankCoverage::of(traces))
 }
 
 /// Merge per-rank traces into one timeline ordered by corrected
@@ -373,23 +332,10 @@ mod tests {
     }
 
     #[test]
-    fn strict_merge_names_the_first_missing_rank() {
-        let traces = vec![trace_with(0, &[10]), trace_with(3, &[20])];
-        let est = SkewEstimate::default();
-        assert_eq!(
-            merge_strict(&traces, &est),
-            Err(MergeError::MissingRank { rank: 1 })
-        );
-        assert_eq!(merge_strict(&[], &est), Err(MergeError::Empty));
-        let ok = merge_strict(&[trace_with(0, &[10]), trace_with(1, &[5])], &est).unwrap();
-        assert_eq!(ok.len(), 2);
-    }
-
-    #[test]
-    fn partial_merge_completes_with_explicit_accounting() {
+    fn merge_over_a_partial_rank_set_merges_every_present_rank() {
         let traces = vec![trace_with(0, &[10, 20]), trace_with(2, &[15])];
-        let (timeline, cov) = merge_partial(&traces, &SkewEstimate::default());
+        let timeline = merge_corrected(&traces, &SkewEstimate::default());
         assert_eq!(timeline.len(), 3, "present ranks fully merged");
-        assert_eq!(cov.missing, vec![1]);
+        assert_eq!(RankCoverage::of(&traces).missing, vec![1]);
     }
 }

@@ -10,9 +10,7 @@
 mod common;
 
 use common::{build_traces, xorshift};
-use iotrace_analysis::merge::{
-    merge_by_sort, merge_corrected, merge_corrected_each, merge_partial, merge_strict,
-};
+use iotrace_analysis::merge::{merge_by_sort, merge_corrected, merge_corrected_each, RankCoverage};
 use iotrace_analysis::skew::{ClockFit, SkewEstimate};
 use iotrace_model::crc::fnv1a64;
 use iotrace_model::event::{IoCall, Trace, TraceMeta, TraceRecord};
@@ -136,22 +134,25 @@ proptest! {
         prop_assert_eq!(kway, sorted);
     }
 
-    /// Degraded captures (missing ranks): the partial merge's timeline
-    /// equals the reference too, and strict merge stays consistent with
-    /// the corrected merge whenever it accepts the rank set.
+    /// Degraded captures (missing ranks): the merge of whatever ranks
+    /// are present equals the reference too, and the coverage names
+    /// exactly the holes below the highest present rank.
     #[test]
-    fn partial_and_strict_merges_match_the_reference(
+    fn partial_rank_set_merges_match_the_reference(
         seed in 1u64..u64::MAX,
         ranks in 1u32..8,
         records in 0usize..60,
     ) {
         let traces = build_traces(seed, ranks, records, false, true);
         let est = build_skew(seed, ranks, false);
-        let (timeline, _cov) = merge_partial(&traces, &est);
+        let timeline = merge_corrected(&traces, &est);
         prop_assert_eq!(&timeline, &merge_by_sort(&traces, &est));
-        if let Ok(strict) = merge_strict(&traces, &est) {
-            prop_assert_eq!(strict, timeline);
-        }
+        let cov = RankCoverage::of(&traces);
+        let present: Vec<u32> = traces.iter().map(|t| t.meta.rank).collect();
+        prop_assert_eq!(&cov.present, &present);
+        let top = present.last().copied().unwrap_or(0);
+        let holes: Vec<u32> = (0..top).filter(|r| !present.contains(r)).collect();
+        prop_assert_eq!(cov.missing, holes);
     }
 
     /// Nested MPI calls (a call's record after its syscalls' records but

@@ -3,7 +3,6 @@
 use iotrace_analysis::hotspots::{by_path_interned, top_by_bytes_interned};
 use iotrace_analysis::merge::RankCoverage;
 use iotrace_analysis::phases::{phases as phase_split, render as render_phases};
-use iotrace_analysis::stats::TraceStats;
 use iotrace_core::classify::{classify_all, ProbeConfig};
 use iotrace_core::table::{table1_template, table2};
 use iotrace_ioapi::harness::standard_cluster;
@@ -14,25 +13,19 @@ use iotrace_model::binary::{decode_binary, encode_binary, BinaryOptions, FieldSe
 use iotrace_model::event::Trace;
 use iotrace_model::intern::Interner;
 use iotrace_model::iot2::{decode_iot2, encode_iot2};
-use iotrace_model::summary::CallSummary;
 use iotrace_model::text::format_text;
 use iotrace_partrace::deps::DependencyMap;
 use iotrace_replay::pseudo::ReplayConfig;
 use iotrace_sim::fault::{FaultPlan, CANNED_PLANS};
 
-use crate::io::{flag, key_from, load, load_traces, split_args, Loaded};
+use crate::io::{flag, key_from, read_store, split_args, Flag};
 
 /// Resolve `--fault-plan <name|file>`: a canned plan name (seeded by
 /// `--seed`, default 42) or a plan file in the `FaultPlan::parse`
 /// format. `None` when the flag is absent.
-pub fn fault_plan_from(flags: &[(String, Option<String>)]) -> Result<Option<FaultPlan>, String> {
-    let Some(v) = flag(flags, "fault-plan") else {
+pub fn fault_plan_from(flags: &[Flag]) -> Result<Option<FaultPlan>, String> {
+    let Some(v) = flag(flags, "fault-plan").and_then(|v| v.as_deref()) else {
         return Ok(None);
-    };
-    let Some(v) = v.as_deref() else {
-        return Err(format!(
-            "--fault-plan needs a value: one of {CANNED_PLANS:?} or a plan file"
-        ));
     };
     let seed: u64 = flag(flags, "seed")
         .and_then(|s| s.as_deref())
@@ -62,11 +55,7 @@ fn coverage_report(traces: &[Trace]) -> RankCoverage {
 /// Lint gate shared by the analysis and replay pipelines: run the
 /// default passes, report findings on stderr, and refuse to continue on
 /// error-severity ones. `--no-lint` skips the gate.
-fn lint_gate(
-    traces: &[Trace],
-    deps: Option<&DependencyMap>,
-    flags: &[(String, Option<String>)],
-) -> Result<(), String> {
+fn lint_gate(traces: &[Trace], deps: Option<&DependencyMap>, flags: &[Flag]) -> Result<(), String> {
     if flag(flags, "no-lint").is_some() {
         return Ok(());
     }
@@ -93,11 +82,11 @@ fn lint_gate(
 }
 
 pub fn lint(args: &[String]) -> Result<(), String> {
-    let (paths, flags) = split_args(args);
+    let (paths, flags) = split_args(args)?;
     if paths.is_empty() {
         return Err("lint needs <trace>...".to_string());
     }
-    let (traces, deps) = crate::provenance::load_capture(&paths, &flags)?;
+    let store = read_store(&paths, &flags)?;
 
     let mut linter = Linter::new(LintConfig::default());
     // --pass <name> (repeatable) and --only <name>[,<name>...] both
@@ -120,8 +109,8 @@ pub fn lint(args: &[String]) -> Result<(), String> {
 
     let policy = crate::provenance::load_policy(&flags)?;
     let report = linter.run(&LintInput {
-        traces: &traces,
-        deps: deps.as_ref(),
+        traces: store.traces(),
+        deps: store.deps(),
         policy: policy.as_ref(),
     });
     if flag(&flags, "json").is_some() {
@@ -141,26 +130,19 @@ pub fn lint(args: &[String]) -> Result<(), String> {
 }
 
 pub fn summary(args: &[String]) -> Result<(), String> {
-    let (paths, flags) = split_args(args);
-    let traces = load_traces(&paths, key_from(&flags, "key").as_ref())?;
-    coverage_report(&traces);
-    let mut s = CallSummary::new();
-    for t in &traces {
-        for r in &t.records {
-            s.add(r);
-        }
-    }
-    print!("{}", s.render());
+    let (paths, flags) = split_args(args)?;
+    let store = read_store(&paths, &flags)?;
+    coverage_report(store.traces());
+    print!("{}", store.summary().render());
     Ok(())
 }
 
 pub fn stats(args: &[String]) -> Result<(), String> {
-    let (paths, flags) = split_args(args);
-    let traces = load_traces(&paths, key_from(&flags, "key").as_ref())?;
-    lint_gate(&traces, None, &flags)?;
-    let cov = coverage_report(&traces);
-    let all = TraceStats::from_records(traces.iter().flat_map(|t| &t.records));
-    println!("traces: {} (ranks: {:?})", traces.len(), cov.present);
+    let (paths, flags) = split_args(args)?;
+    let store = read_store(&paths, &flags)?;
+    lint_gate(store.traces(), None, &flags)?;
+    let cov = coverage_report(store.traces());
+    println!("traces: {} (ranks: {:?})", store.trace_count(), cov.present);
     if !cov.missing.is_empty() {
         println!(
             "missing ranks: {:?} — totals are lower bounds over a partial rank set",
@@ -170,22 +152,22 @@ pub fn stats(args: &[String]) -> Result<(), String> {
     for (r, c) in &cov.incomplete {
         println!("rank {r}: incomplete trace (completeness {c:.3})");
     }
-    print!("{}", all.render());
+    print!("{}", store.stats().render());
     Ok(())
 }
 
 pub fn hotspots(args: &[String]) -> Result<(), String> {
-    let (paths, flags) = split_args(args);
+    let (paths, flags) = split_args(args)?;
     let top_n: usize = flag(&flags, "top")
         .and_then(|v| v.as_deref())
         .map(|v| v.parse().map_err(|_| "bad --top"))
         .transpose()?
         .unwrap_or(10);
-    let traces = load_traces(&paths, key_from(&flags, "key").as_ref())?;
-    lint_gate(&traces, None, &flags)?;
-    coverage_report(&traces);
+    let store = read_store(&paths, &flags)?;
+    lint_gate(store.traces(), None, &flags)?;
+    coverage_report(store.traces());
     let mut interner = Interner::new();
-    let stats = by_path_interned(traces.iter().flat_map(|t| &t.records), &mut interner);
+    let stats = by_path_interned(store.records(), &mut interner);
     println!(
         "{:<48} {:>10} {:>14} {:>12}",
         "path", "ops", "bytes", "time (s)"
@@ -203,11 +185,11 @@ pub fn hotspots(args: &[String]) -> Result<(), String> {
 }
 
 pub fn phases(args: &[String]) -> Result<(), String> {
-    let (paths, flags) = split_args(args);
-    let traces = load_traces(&paths, key_from(&flags, "key").as_ref())?;
-    lint_gate(&traces, None, &flags)?;
-    coverage_report(&traces);
-    let ps = phase_split(&traces);
+    let (paths, flags) = split_args(args)?;
+    let store = read_store(&paths, &flags)?;
+    lint_gate(store.traces(), None, &flags)?;
+    coverage_report(store.traces());
+    let ps = phase_split(store.traces());
     if ps.is_empty() {
         return Err("need traces with at least two MPI_Barrier records per rank".into());
     }
@@ -216,15 +198,12 @@ pub fn phases(args: &[String]) -> Result<(), String> {
 }
 
 pub fn convert(args: &[String]) -> Result<(), String> {
-    let (paths, flags) = split_args(args);
+    let (paths, flags) = split_args(args)?;
     let [input, output] = paths.as_slice() else {
         return Err("convert needs <in> <out>".to_string());
     };
-    let traces = load_traces(
-        std::slice::from_ref(input),
-        key_from(&flags, "key").as_ref(),
-    )?;
-    let [trace] = traces.as_slice() else {
+    let store = read_store(std::slice::from_ref(input), &flags)?;
+    let [trace] = store.traces() else {
         return Err("convert handles single-trace files".to_string());
     };
 
@@ -289,14 +268,14 @@ pub fn convert(args: &[String]) -> Result<(), String> {
 }
 
 pub fn anonymize(args: &[String]) -> Result<(), String> {
-    let (paths, flags) = split_args(args);
+    let (paths, flags) = split_args(args)?;
     let [input, output] = paths.as_slice() else {
         return Err("anonymize needs <in> <out>".to_string());
     };
-    let mut traces = load_traces(
-        std::slice::from_ref(input),
-        key_from(&flags, "key").as_ref(),
-    )?;
+    let mut traces = read_store(std::slice::from_ref(input), &flags)?.into_traces();
+    let [trace] = traces.as_mut_slice() else {
+        return Err("anonymize handles single-trace files".to_string());
+    };
     let mode = if let Some(k) = key_from(&flags, "encrypt") {
         Mode::Encrypt { key: k }
     } else {
@@ -307,25 +286,18 @@ pub fn anonymize(args: &[String]) -> Result<(), String> {
             .unwrap_or(0xA11CE);
         Mode::Randomize { seed }
     };
-    let anon = Anonymizer::new(mode, Selection::ALL);
-    let mut changed = 0;
-    for t in &mut traces {
-        changed += anon.apply(t);
-    }
-    std::fs::write(output, format_text(&traces[0])).map_err(|e| e.to_string())?;
+    let changed = Anonymizer::new(mode, Selection::ALL).apply(trace);
+    std::fs::write(output, format_text(trace)).map_err(|e| e.to_string())?;
     println!("anonymized {changed} fields -> {output}");
     Ok(())
 }
 
 pub fn replay(args: &[String]) -> Result<(), String> {
-    let (paths, flags) = split_args(args);
-    let [input] = paths.as_slice() else {
+    let (paths, flags) = split_args(args)?;
+    let [_] = paths.as_slice() else {
         return Err("replay needs <replayable.txt>".to_string());
     };
-    let rt = match load(input, key_from(&flags, "key").as_ref())? {
-        Loaded::Replayable(rt) => rt,
-        Loaded::Traces(ts) => iotrace_replay::replayable_from_traces("<cli>", ts),
-    };
+    let rt = read_store(&paths, &flags)?.into_replayable("<cli>");
     lint_gate(&rt.traces, Some(&rt.deps), &flags)?;
     coverage_report(&rt.traces);
     let ranks = rt.world().max(1);
@@ -383,7 +355,7 @@ pub fn replay(args: &[String]) -> Result<(), String> {
 /// `iotrace faults <name|file>`: describe a fault plan, or emit it in
 /// the plan-file format with `--text` (for editing / CI fixtures).
 pub fn faults(args: &[String]) -> Result<(), String> {
-    let (paths, flags) = split_args(args);
+    let (paths, flags) = split_args(args)?;
     let plan = match paths.as_slice() {
         [] => fault_plan_from(&flags)?.ok_or_else(|| {
             format!("faults needs a plan: one of {CANNED_PLANS:?}, a plan file, or --fault-plan")
@@ -567,7 +539,7 @@ fn demo_aborted(
 }
 
 pub fn demo(args: &[String]) -> Result<(), String> {
-    let (paths, flags) = split_args(args);
+    let (paths, flags) = split_args(args)?;
     let [dir] = paths.as_slice() else {
         return Err("demo needs <dir>".to_string());
     };
@@ -604,7 +576,7 @@ pub fn demo(args: &[String]) -> Result<(), String> {
 pub fn fsck(args: &[String]) -> Result<(), String> {
     use iotrace_model::journal::fsck_journal;
 
-    let (paths, flags) = split_args(args);
+    let (paths, flags) = split_args(args)?;
     let [input] = paths.as_slice() else {
         return Err("fsck needs <journal.iotj> or a spool directory".to_string());
     };
@@ -655,7 +627,7 @@ pub fn resume(args: &[String]) -> Result<(), String> {
     use iotrace_sim::checkpoint::Checkpoint;
     use iotrace_sim::engine::RunLimits;
 
-    let (paths, _flags) = split_args(args);
+    let (paths, _flags) = split_args(args)?;
     let [ckpt_path] = paths.as_slice() else {
         return Err("resume needs <checkpoint.ckpt>".to_string());
     };

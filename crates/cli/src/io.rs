@@ -1,144 +1,96 @@
-//! Trace-file loading with format auto-detection and salvage decoding.
+//! Command-line plumbing: flag parsing, and trace loading through the
+//! one trace store, [`UnifiedTraces`].
 
-use iotrace_model::binary::decode_binary_salvage;
-use iotrace_model::event::Trace;
-use iotrace_model::iot2::{decode_iot2_salvage, is_iot2};
-use iotrace_model::text::parse_text_salvage;
+use iotrace_core::aggregation::UnifiedTraces;
 use iotrace_model::xtea::Key;
-use iotrace_partrace::replayable::ReplayableTrace;
 
-/// What a file turned out to contain.
-pub enum Loaded {
-    Traces(Vec<Trace>),
-    Replayable(ReplayableTrace),
-}
+/// One parsed flag: `--name` and its value, if it takes one.
+pub type Flag = (String, Option<String>);
 
-/// Load one trace file, auto-detecting the format.
-///
-/// Damaged trace files are *salvaged*, not rejected: the decodable
-/// record prefix is returned with `meta.completeness` stamped, and the
-/// salvage report lands on stderr. Container-level problems (bad magic,
-/// missing key, truncated header) are still hard errors.
-pub fn load(path: &str, key: Option<&Key>) -> Result<Loaded, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    if bytes.starts_with(b"IOTJ") {
-        // Journaled capture: recover the sealed segments, report any
-        // torn tail, and hand the salvaged trace to the pipeline.
-        let (trace, report) = iotrace_model::journal::fsck_journal(&bytes)
-            .map_err(|e| format!("{path}: journal: {e}"))?;
-        if report.is_damaged() {
-            eprintln!("iotrace: warning: {path}: {report}");
-        }
-        return Ok(Loaded::Traces(vec![trace]));
-    }
-    if is_iot2(&bytes) {
-        // Fixed-stride v2 container: digest-verified, salvaged when the
-        // body is truncated or corrupt past the header.
-        let s = decode_iot2_salvage(&bytes).map_err(|e| format!("{path}: iot2: {e}"))?;
-        if let Some(report) = &s.report {
-            eprintln!("iotrace: warning: {path}: {report}");
-        }
-        return Ok(Loaded::Traces(vec![s.trace]));
-    }
-    if bytes.starts_with(b"IOTB") {
-        let s = decode_binary_salvage(&bytes, key)
-            .map_err(|e| format!("{path}: binary decode failed: {e} (need --key?)"))?;
-        if let Some(report) = &s.report {
-            eprintln!("iotrace: warning: {path}: {report}");
-        }
-        return Ok(Loaded::Traces(vec![s.decoded.trace]));
-    }
-    let text = String::from_utf8_lossy(&bytes);
-    if text.contains("==== partrace") {
-        let rt = ReplayableTrace::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        return Ok(Loaded::Replayable(rt));
-    }
-    let s = parse_text_salvage(&text);
-    if let Some(report) = &s.report {
-        if s.trace.records.is_empty() {
-            // Nothing salvageable: not a damaged trace, just not a trace.
-            return Err(format!("{path}: {}", report.error));
-        }
-        eprintln!("iotrace: warning: {path}: {report}");
-    }
-    Ok(Loaded::Traces(vec![s.trace]))
-}
+/// Flags that take a value: `--name <value>`.
+const VALUE_FLAGS: &[&str] = &[
+    "encrypt",
+    "key",
+    "seed",
+    "top",
+    "pass",
+    "only",
+    "policy",
+    "query",
+    "taint",
+    "fault-plan",
+    "checkpoint-every",
+    "out",
+    "records",
+    "clients",
+    "frame-records",
+    "segment-records",
+    "queue-capacity",
+    "drain-per-tick",
+    "kill-at-frame",
+    "status-every",
+    "peer",
+    "kill-peer-at-frame",
+];
 
-/// Load many files as a flat trace list (replayable docs contribute their
-/// per-rank traces). Files decode concurrently — per-rank captures are
-/// independent containers — and results keep command-line order, with the
-/// first failing file reported.
-pub fn load_traces(paths: &[String], key: Option<&Key>) -> Result<Vec<Trace>, String> {
-    let loaded = iotrace_model::par::par_map(paths, |p| load(p, key));
-    let mut out = Vec::new();
-    for l in loaded {
-        match l? {
-            Loaded::Traces(ts) => out.extend(ts),
-            Loaded::Replayable(rt) => out.extend(rt.traces),
-        }
-    }
-    if out.is_empty() {
-        return Err("no traces given".to_string());
-    }
-    Ok(out)
-}
+/// Flags that take no value.
+const SWITCHES: &[&str] = &[
+    "binary",
+    "checksum",
+    "compress",
+    "deny-warnings",
+    "json",
+    "no-lint",
+    "recover-only",
+    "text",
+    "v2",
+];
 
-/// Split flags from positional args: returns (positional, flag lookup fn
-/// input). Flags with values are `--name value`.
-pub fn split_args(args: &[String]) -> (Vec<String>, Vec<(String, Option<String>)>) {
+/// Split flags from positional args: returns (positional, flags). A
+/// value flag takes the next argument as its value; an unknown flag, or
+/// a value flag with nothing after it, is an error naming the flag.
+pub fn split_args(args: &[String]) -> Result<(Vec<String>, Vec<Flag>), String> {
     let mut pos = Vec::new();
     let mut flags = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            let takes_value = matches!(
-                name,
-                "encrypt"
-                    | "key"
-                    | "seed"
-                    | "top"
-                    | "ranks"
-                    | "pass"
-                    | "only"
-                    | "policy"
-                    | "query"
-                    | "taint"
-                    | "fault-plan"
-                    | "checkpoint-every"
-                    | "out"
-                    | "records"
-                    | "clients"
-                    | "frame-records"
-                    | "segment-records"
-                    | "queue-capacity"
-                    | "drain-per-tick"
-                    | "kill-at-frame"
-                    | "status-every"
-                    | "peer"
-                    | "kill-peer-at-frame"
-            );
-            if takes_value && i + 1 < args.len() {
-                flags.push((name.to_string(), Some(args[i + 1].clone())));
-                i += 2;
-            } else {
-                flags.push((name.to_string(), None));
-                i += 1;
-            }
-        } else {
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        let Some(name) = a.strip_prefix("--") else {
             pos.push(a.clone());
-            i += 1;
-        }
+            continue;
+        };
+        let value = if SWITCHES.contains(&name) {
+            None
+        } else if VALUE_FLAGS.contains(&name) {
+            let v = args
+                .next()
+                .ok_or_else(|| format!("--{name} needs a value"))?;
+            Some(v.clone())
+        } else {
+            return Err(format!("unknown flag --{name}"));
+        };
+        flags.push((name.to_string(), value));
     }
-    (pos, flags)
+    Ok((pos, flags))
 }
 
-pub fn flag<'a>(flags: &'a [(String, Option<String>)], name: &str) -> Option<&'a Option<String>> {
+pub fn flag<'a>(flags: &'a [Flag], name: &str) -> Option<&'a Option<String>> {
     flags.iter().find(|(n, _)| n == name).map(|(_, v)| v)
 }
 
-pub fn key_from(flags: &[(String, Option<String>)], name: &str) -> Option<Key> {
+pub fn key_from(flags: &[Flag], name: &str) -> Option<Key> {
     flag(flags, name)
         .and_then(|v| v.as_deref())
         .map(Key::from_passphrase)
+}
+
+/// Load trace files of any format (decrypting with `--key`) and print
+/// each damaged file's salvage report as a warning, in argument order.
+pub fn read_store(paths: &[String], flags: &[Flag]) -> Result<UnifiedTraces, String> {
+    let key = key_from(flags, "key");
+    let (store, reports) =
+        UnifiedTraces::load_files(paths, key.as_ref()).map_err(|e| e.to_string())?;
+    for r in reports {
+        eprintln!("iotrace: warning: {r}");
+    }
+    Ok(store)
 }

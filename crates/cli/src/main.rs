@@ -1,32 +1,7 @@
-//! `iotrace` — command-line tools over trace files.
-//!
-//! Works on real files in the formats this workspace defines: the
-//! human-readable text format (LANL-Trace / //TRACE style), the Tracefs
-//! binary format, and //TRACE replayable documents.
-//!
-//! ```text
-//! iotrace summary   <trace>...               per-function call counts and times
-//! iotrace stats     <trace>...               byte totals, layers, duration percentiles
-//! iotrace hotspots  <trace>...               top files by bytes moved
-//! iotrace convert   <in> <out> [--v2|--binary|--text] [--checksum] [--compress]
-//!                   [--encrypt <pass>] [--key <pass>]
-//! iotrace anonymize <in> <out> [--seed N | --encrypt <pass>] [--key <pass>]
-//! iotrace replay    <replayable.txt>         simulate the pseudo-application
-//! iotrace provenance <trace>... [--query <path> | --taint <rank:N|path>]
-//!                                            byte-range lineage queries
-//! iotrace taxonomy                           print Tables 1 and 2 (quick probes)
-//! iotrace demo      <dir>                    generate sample trace files to play with
-//! iotrace fsck      <journal.iotj|dir>       recover sealed segments from torn journals
-//! iotrace serve     <spool-dir> [--peer <dir>] run the collector daemon soak
-//! iotrace sessions  <spool-dir|fed-root>     list capture sessions across collectors
-//! iotrace resume    <checkpoint.ckpt>        verify and complete a killed run
-//! ```
-//!
-//! Format detection: files starting with the `IOTB` magic are v1
-//! binary, `IOT2` are fixed-stride v2 containers (digest-verified,
-//! salvaged on damage), `IOTJ` are journaled captures (fsck-salvaged on
-//! load); documents containing `==== partrace` are replayable;
-//! everything else is parsed as text. Encrypted binaries need `--key`.
+//! `iotrace` — command-line tools over trace files. The commands and
+//! their flags are listed in [`USAGE`] (`iotrace help`). Every trace
+//! file is loaded by `iotrace_core::aggregation::UnifiedTraces`, which
+//! detects its format and salvages damage.
 
 use std::process::ExitCode;
 
@@ -92,7 +67,7 @@ commands:
                                             container (digest-checked round trip);
                                             v1↔v2 is auto-detected from the input
   anonymize <in> <out> [--seed N | --encrypt <pass>] [--key <pass>]
-  replay    <replayable.txt> [--ranks N] [--fault-plan <name|file>]
+  replay    <replayable.txt> [--fault-plan <name|file>]
                                             simulate the pseudo-application
   provenance <trace>... [--query <path> | --taint <rank:N|path>] [--json]
                                             byte-range lineage: who produced a

@@ -12,20 +12,15 @@
 //! Output is deterministic; `--json` emits a stable machine-readable
 //! document (schema `iotrace-provenance/1`).
 
-use iotrace_model::event::Trace;
-use iotrace_partrace::deps::DependencyMap;
 use iotrace_provenance::query::{render_taint, render_upstream};
 use iotrace_provenance::{taint, upstream, Lineage, LineageGraph, Policy, TaintSource};
 
-use crate::io::{flag, key_from, load, split_args, Loaded};
+use crate::io::{flag, read_store, split_args, Flag};
 
 /// Resolve `--policy <file>` into a parsed [`Policy`].
-pub fn load_policy(flags: &[(String, Option<String>)]) -> Result<Option<Policy>, String> {
-    let Some(v) = flag(flags, "policy") else {
+pub fn load_policy(flags: &[Flag]) -> Result<Option<Policy>, String> {
+    let Some(path) = flag(flags, "policy").and_then(|v| v.as_deref()) else {
         return Ok(None);
-    };
-    let Some(path) = v.as_deref() else {
-        return Err("--policy needs a file".to_string());
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     Policy::parse(&text)
@@ -33,44 +28,15 @@ pub fn load_policy(flags: &[(String, Option<String>)]) -> Result<Option<Policy>,
         .map_err(|e| format!("{path}: {e}"))
 }
 
-/// Load the captures `lint` and `provenance` read: flatten traces, keep
-/// the dependency map only when a single replayable document was given
-/// (its record indices are meaningless across captures).
-pub(crate) fn load_capture(
-    paths: &[String],
-    flags: &[(String, Option<String>)],
-) -> Result<(Vec<Trace>, Option<DependencyMap>), String> {
-    let key = key_from(flags, "key");
-    let mut traces = Vec::new();
-    let mut deps = None;
-    for p in paths {
-        match load(p, key.as_ref())? {
-            Loaded::Traces(ts) => traces.extend(ts),
-            Loaded::Replayable(rt) => {
-                traces.extend(rt.traces);
-                deps = if paths.len() == 1 {
-                    Some(rt.deps)
-                } else {
-                    None
-                };
-            }
-        }
-    }
-    Ok((traces, deps))
-}
-
 pub fn run(args: &[String]) -> Result<(), String> {
-    let (paths, flags) = split_args(args);
+    let (paths, flags) = split_args(args)?;
     if paths.is_empty() {
         return Err(
             "provenance needs <trace>... plus --query <path> or --taint <rank:N|path>".to_string(),
         );
     }
-    let (traces, deps) = load_capture(&paths, &flags)?;
-    if traces.is_empty() {
-        return Err("no traces given".to_string());
-    }
-    let g = LineageGraph::build(&traces, deps.as_ref());
+    let store = read_store(&paths, &flags)?;
+    let g = LineageGraph::build(store.traces(), store.deps());
     let json = flag(&flags, "json").is_some();
 
     let query = flag(&flags, "query").and_then(|v| v.clone());

@@ -22,13 +22,10 @@ use iotrace_collector::CollectorConfig;
 use iotrace_sim::fault::FaultPlan;
 
 use crate::cmd::fault_plan_from;
-use crate::io::{flag, split_args};
+use crate::io::{flag, split_args, Flag};
 
 /// `--<name> <n>`, when given.
-fn parse_opt<T: std::str::FromStr>(
-    flags: &[(String, Option<String>)],
-    name: &str,
-) -> Result<Option<T>, String> {
+fn parse_opt<T: std::str::FromStr>(flags: &[Flag], name: &str) -> Result<Option<T>, String> {
     flag(flags, name)
         .and_then(|v| v.as_deref())
         .map(|v| {
@@ -38,18 +35,14 @@ fn parse_opt<T: std::str::FromStr>(
         .transpose()
 }
 
-fn parse_flag<T: std::str::FromStr>(
-    flags: &[(String, Option<String>)],
-    name: &str,
-    default: T,
-) -> Result<T, String> {
+fn parse_flag<T: std::str::FromStr>(flags: &[Flag], name: &str, default: T) -> Result<T, String> {
     Ok(parse_opt(flags, name)?.unwrap_or(default))
 }
 
 /// `iotrace serve <spool-dir>`: recover the spool if needed, then run a
 /// multi-client capture soak into it.
 pub fn serve(args: &[String]) -> Result<(), String> {
-    let (paths, flags) = split_args(args);
+    let (paths, flags) = split_args(args)?;
     let [dir] = paths.as_slice() else {
         return Err("serve needs <spool-dir>".to_string());
     };
@@ -173,7 +166,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
 /// subdirectories (a federation root) gets the merged cross-collector
 /// table instead.
 pub fn sessions(args: &[String]) -> Result<(), String> {
-    let (paths, _flags) = split_args(args);
+    let (paths, _flags) = split_args(args)?;
     let [dir] = paths.as_slice() else {
         return Err("sessions needs <spool-dir>".to_string());
     };

@@ -760,3 +760,99 @@ fn faults_describes_the_collector_chaos_plan() {
     let s = String::from_utf8_lossy(&out.stdout);
     assert!(s.contains("completed in"), "{s}");
 }
+
+#[test]
+fn anonymize_refuses_multi_trace_input() {
+    let d = demo_dir("anon_multi");
+    let src = d.join("pipeline.replayable.txt");
+    let dst = d.join("anon.txt");
+    let out = run(&["anonymize", src.to_str().unwrap(), dst.to_str().unwrap()]);
+    assert!(!out.status.success(), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("anonymize handles single-trace files"),
+        "{err}"
+    );
+    assert!(!dst.exists(), "no partial output written");
+}
+
+#[test]
+fn unknown_and_valueless_flags_are_errors_naming_the_flag() {
+    let d = demo_dir("flags");
+    let t0 = d.join("lanl_rank00.txt");
+    let t0 = t0.to_str().unwrap();
+    let spool = d.join("spool");
+    let doc = d.join("pipeline.replayable.txt");
+    let cases: [(&[&str], &str); 4] = [
+        (&["stats", t0, "--no-lnit"], "unknown flag --no-lnit"),
+        (
+            &["serve", spool.to_str().unwrap(), "--kill-at", "3"],
+            "unknown flag --kill-at",
+        ),
+        (&["hotspots", t0, "--top"], "--top needs a value"),
+        (
+            &["replay", doc.to_str().unwrap(), "--ranks", "2"],
+            "unknown flag --ranks",
+        ),
+    ];
+    for (args, want) in cases {
+        let out = run(args);
+        assert!(!out.status.success(), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(want), "{args:?}: {err}");
+    }
+    assert!(!spool.exists(), "serve must not start on a bad flag");
+}
+
+/// One demo rank in three binary formats reads back to the same
+/// analysis output. (The text file keeps microsecond durations, so its
+/// output legitimately differs.)
+#[test]
+fn one_rank_in_every_binary_format_analyses_identically() {
+    let d = demo_dir("formats");
+    let iotj = d.join("lanl_rank00.iotj");
+    let iot2 = d.join("lanl_rank00.iot2");
+    let out = run(&["convert", iotj.to_str().unwrap(), iot2.to_str().unwrap()]);
+    assert!(out.status.success(), "{out:?}");
+    let iotb = d.join("lanl_rank00.iotb");
+    for cmd in ["stats", "summary", "hotspots"] {
+        let outputs: Vec<Output> = [&iotb, &iotj, &iot2]
+            .iter()
+            .map(|f| run(&[cmd, f.to_str().unwrap(), "--key", "demo"]))
+            .collect();
+        for o in &outputs {
+            assert!(o.status.success(), "{cmd}: {o:?}");
+        }
+        assert!(!outputs[0].stdout.is_empty());
+        assert_eq!(outputs[0].stdout, outputs[1].stdout, "{cmd}: iotb vs iotj");
+        assert_eq!(outputs[1].stdout, outputs[2].stdout, "{cmd}: iotj vs iot2");
+    }
+}
+
+#[test]
+fn damaged_files_warn_in_argument_order() {
+    let d = demo_dir("damaged");
+    let mut paths = Vec::new();
+    for rank in [3, 0, 2, 1] {
+        let bytes = std::fs::read(d.join(format!("lanl_rank{rank:02}.txt"))).unwrap();
+        let p = d.join(format!("cut{rank}.txt"));
+        // Cut mid-way through the last record line.
+        std::fs::write(&p, &bytes[..bytes.len() - 20]).unwrap();
+        paths.push(p.to_str().unwrap().to_string());
+    }
+    let mut args = vec!["summary"];
+    args.extend(paths.iter().map(String::as_str));
+    let out = run(&args);
+    assert!(out.status.success(), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let warned: Vec<&str> = err
+        .lines()
+        .filter_map(|l| l.strip_prefix("iotrace: warning: "))
+        .filter(|l| l.contains("salvaged"))
+        .collect();
+    assert_eq!(warned.len(), paths.len(), "{err}");
+    for (w, p) in warned.iter().zip(&paths) {
+        assert!(w.starts_with(&format!("{p}: ")), "{err}");
+    }
+}

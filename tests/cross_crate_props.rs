@@ -132,16 +132,16 @@ proptest! {
     fn unified_totals_consistent(trace in arb_trace()) {
         let mut u = UnifiedTraces::new();
         u.add(TraceSource::Decoded(trace.clone())).unwrap();
-        u.add(TraceSource::Text(format_text(&{
+        u.add(TraceSource::Bytes(format_text(&{
             let mut t = trace.clone();
             for r in &mut t.records {
                 r.ts = SimTime::from_nanos(r.ts.as_nanos() / 1000 * 1000);
                 r.dur = SimDur::from_nanos(r.dur.as_nanos() / 1000 * 1000);
             }
             t
-        })))
+        }).into_bytes(), None))
         .unwrap();
-        u.add(TraceSource::Binary(
+        u.add(TraceSource::Bytes(
             encode_binary(&trace, &BinaryOptions::default()),
             None,
         ))

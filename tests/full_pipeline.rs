@@ -27,7 +27,9 @@ fn capture_share_aggregate_analyze_replay() {
         Anonymizer::new(AnonMode::Randomize { seed: 77 }, AnonSelection::ALL).apply(&mut anon);
         let doc = format_text(&anon);
         assert!(!doc.contains("mpi_io_test"), "path leaked into shared doc");
-        unified.add(TraceSource::Text(doc)).unwrap();
+        unified
+            .add(TraceSource::Bytes(doc.into_bytes(), None))
+            .unwrap();
     }
     assert_eq!(unified.trace_count(), ranks as usize);
     assert_eq!(unified.tracers(), vec!["lanl-trace".to_string()]);
@@ -226,7 +228,8 @@ fn kway_merge_matches_reference_on_clean_faulted_and_recovered_captures() {
         &FaultPlan::lossy_tracer(29, ranks),
     );
     let est = estimate(&faulted.timing);
-    let (timeline, coverage) = merge_partial(&faulted.traces, &est);
+    let timeline = merge_corrected(&faulted.traces, &est);
+    let coverage = RankCoverage::of(&faulted.traces);
     assert!(!coverage.present.is_empty());
     assert_eq!(
         timeline,
