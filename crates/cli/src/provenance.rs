@@ -12,6 +12,7 @@
 //! Output is deterministic; `--json` emits a stable machine-readable
 //! document (schema `iotrace-provenance/1`).
 
+use iotrace_lint::diag::json_escape;
 use iotrace_provenance::query::{render_taint, render_upstream};
 use iotrace_provenance::{taint, upstream, Lineage, LineageGraph, Policy, TaintSource};
 
@@ -107,7 +108,7 @@ fn summary_json(g: &LineageGraph) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&format!("\"{}\"", esc(p)));
+        out.push_str(&format!("\"{}\"", json_escape(p)));
     }
     out.push_str("]\n}\n");
     out
@@ -116,8 +117,8 @@ fn summary_json(g: &LineageGraph) -> String {
 fn lineage_json(g: &LineageGraph, mode: &str, subject: &str, l: &Lineage) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"iotrace-provenance/1\",\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", esc(mode)));
-    out.push_str(&format!("  \"subject\": \"{}\",\n", esc(subject)));
+    out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape(mode)));
+    out.push_str(&format!("  \"subject\": \"{}\",\n", json_escape(subject)));
     out.push_str(&format!("  \"ranks\": {:?},\n", l.ranks(g)));
     out.push_str("  \"nodes\": [");
     for (i, &id) in l.nodes.iter().enumerate() {
@@ -132,9 +133,9 @@ fn lineage_json(g: &LineageGraph, mode: &str, subject: &str, l: &Lineage) -> Str
             n.record,
             n.epoch,
             n.kind.as_str(),
-            esc(n.op),
+            json_escape(n.op),
             match g.path_of(id) {
-                Some(p) => format!("\"{}\"", esc(p)),
+                Some(p) => format!("\"{}\"", json_escape(p)),
                 None => "null".to_string(),
             },
             n.start,
@@ -145,22 +146,5 @@ fn lineage_json(g: &LineageGraph, mode: &str, subject: &str, l: &Lineage) -> Str
         out.push_str("\n  ");
     }
     out.push_str("]\n}\n");
-    out
-}
-
-/// Minimal JSON string escaping (mirrors the lint report's).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }

@@ -933,6 +933,101 @@ mod tests {
     }
 
     #[test]
+    fn handoff_backs_off_on_busy_and_completes_once_the_destination_drains() {
+        use crate::migrate::peer_id;
+        use crate::proto::{encode_frame, Frame};
+        use crate::session::session_stem;
+        use iotrace_model::event::TraceMeta;
+
+        let hello = |client: u32| {
+            encode_frame(&Frame::Hello {
+                meta: TraceMeta::new("/app", client, 0, "t"),
+                expected_records: 16,
+            })
+        };
+        // One streaming session on A with two sealed segments.
+        let (da, db) = (tmpdir("busy-a"), tmpdir("busy-b"));
+        let mut a = Collector::open(
+            &da,
+            CollectorConfig {
+                segment_records: 8,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let inputs = synth_client_traces(1, 16, 3);
+        a.offer(0, hello(0)).unwrap();
+        a.offer(
+            0,
+            encode_frame(&Frame::Records {
+                seq: 1,
+                records: inputs[0].records.clone(),
+            }),
+        )
+        .unwrap();
+        a.drain(8, None).unwrap();
+        a.take_outbox();
+
+        // Other clients' handshakes fill B's queue before the handoff.
+        let mut b = Collector::open(
+            &db,
+            CollectorConfig {
+                queue_capacity: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut filler = 1;
+        while b.offer(filler, hello(filler)).is_ok() {
+            filler += 1;
+        }
+        let policy = RetryPolicy {
+            max_attempts: 8,
+            jitter_frac: 0.0,
+            ..RetryPolicy::lanl_2007()
+        };
+        let mut m = Migration::begin(&mut a, 0, policy, 7, 0)
+            .unwrap()
+            .expect("streaming session to drain");
+        m.step(&mut b);
+        assert_eq!(m.retries, 1, "the full queue refuses the announcement");
+
+        // B drains one frame per tick; the handoff backs off, then
+        // ships every chunk.
+        for tick in 1..10_000 {
+            if m.is_settled() {
+                break;
+            }
+            b.drain(1, None).unwrap();
+            for (to, frame) in b.take_outbox() {
+                if to == peer_id(0) {
+                    m.deliver(&frame, tick);
+                }
+            }
+            m.step(&mut b);
+        }
+        assert!(
+            m.is_done(),
+            "retries {}, aborted {:?}",
+            m.retries,
+            m.aborted
+        );
+        assert!(m.retries >= 1);
+        assert_eq!(m.aborted, None);
+        assert_eq!(m.shipped_chunks(), m.total_chunks());
+
+        // The destination's journal fscks to the source's sealed records.
+        let (_, sealed) = read_session(&da, &session_stem(m.src_session)).unwrap();
+        let sealed = sealed.expect("the source journal fscks");
+        assert_eq!(sealed.records, inputs[0].records);
+        let dest = m.dest_session.expect("done implies a destination session");
+        let (_, landed) = read_session(&db, &session_stem(dest)).unwrap();
+        assert_eq!(landed.expect("the destination journal fscks"), sealed);
+        let _ = std::fs::remove_dir_all(&da);
+        let _ = std::fs::remove_dir_all(&db);
+    }
+
+    #[test]
     fn federation_queries_merge_both_collectors() {
         let root = tmpdir("queries");
         let (da, db) = (root.join("coll-a"), root.join("coll-b"));

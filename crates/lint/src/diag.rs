@@ -205,7 +205,8 @@ fn json_opt_num<T: fmt::Display>(v: Option<T>) -> String {
 }
 
 /// Minimal JSON string escaping: quotes, backslashes, control chars.
-fn json_escape(s: &str) -> String {
+/// The one escaper behind every JSON report the CLI prints.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

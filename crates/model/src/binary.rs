@@ -26,6 +26,7 @@ use iotrace_sim::time::{SimDur, SimTime};
 
 use crate::crc::crc32;
 use crate::event::{IoCall, Trace, TraceMeta, TraceRecord};
+use crate::journal::{get_meta, put_meta};
 use crate::lzss;
 use crate::salvage::{SalvageReport, TraceError};
 use crate::varint::{put_i64, put_str, put_u64, Cursor, VarintError};
@@ -440,19 +441,7 @@ pub fn encode_binary_records(
     }
     out.push(flags);
     out.push(opts.encrypt.map(|(_, s)| s.0).unwrap_or(0));
-    put_str(&mut out, &meta.app);
-    put_u64(&mut out, meta.rank as u64);
-    put_u64(&mut out, meta.node as u64);
-    put_str(&mut out, &meta.host);
-    put_str(&mut out, &meta.tracer);
-    put_u64(&mut out, meta.base_epoch);
-    put_u64(&mut out, meta.anonymized as u64);
-    // Completeness travels as parts-per-million so the header stays
-    // integer-only (and bit-exact across platforms).
-    put_u64(
-        &mut out,
-        (meta.completeness.clamp(0.0, 1.0) * 1_000_000.0).round() as u64,
-    );
+    put_meta(&mut out, meta);
     put_u64(&mut out, records.len() as u64);
 
     let sel = opts.encrypt.map(|(_, s)| s).unwrap_or(FieldSel::NONE);
@@ -538,25 +527,8 @@ fn parse_header<'b>(bytes: &'b [u8], key: Option<&Key>) -> Result<(Header, Curso
         return Err(BinError::KeyRequired);
     }
     let mut c = Cursor::new(&bytes[7..]);
-    let app = c.get_str()?;
-    let rank = c.get_u64()? as u32;
-    let node = c.get_u64()? as u32;
-    let host = c.get_str()?;
-    let tracer = c.get_str()?;
-    let base_epoch = c.get_u64()?;
-    let anonymized = c.get_u64()? != 0;
-    let completeness = (c.get_u64()? as f64 / 1_000_000.0).clamp(0.0, 1.0);
+    let meta = get_meta(&mut c)?;
     let n_records = c.get_u64()? as usize;
-    let meta = TraceMeta {
-        app,
-        rank,
-        node,
-        host,
-        tracer,
-        base_epoch,
-        anonymized,
-        completeness,
-    };
     Ok((
         Header {
             flags,

@@ -999,8 +999,7 @@ pub fn decode_iot2_salvage(bytes: &[u8]) -> Result<SalvagedIot2, Iot2Error> {
         Ok(_) => None,
         Err(e @ Iot2Error::Digest { section: "header" }) => return Err(e),
         Err(Iot2Error::Digest { section }) => Some(section),
-        // Truncated: no trailer at all; the frame count check below
-        // reports the tear.
+        // Truncated: no whole trailer; the tear check below reports it.
         Err(_) => None,
     };
 
@@ -1030,7 +1029,9 @@ pub fn decode_iot2_salvage(bytes: &[u8]) -> Result<SalvagedIot2, Iot2Error> {
             Err(e) => return Err(e),
         }
     }
-    if error.is_none() && view.avail_frames < view.n_records {
+    // Every frame present but the trailer cut short is a tear too, at
+    // the trailer offset: its digests cannot vouch for the body.
+    if error.is_none() && (view.avail_frames < view.n_records || view.trailer.is_none()) {
         error = Some(TraceError::Truncated {
             offset: view.body_start + view.avail_frames * view.stride,
             record: view.avail_frames,
@@ -1296,6 +1297,25 @@ mod tests {
             TraceError::Truncated { record: 10, .. }
         ));
         assert!(s.trace.meta.completeness < 1.0);
+    }
+
+    #[test]
+    fn a_cut_trailer_is_reported_at_the_trailer_offset() {
+        let t = sample();
+        let bytes = encode_iot2(&t).unwrap();
+        let trailer = bytes.len() - TRAILER_LEN;
+        for cut in 1..=TRAILER_LEN {
+            let s = decode_iot2_salvage(&bytes[..bytes.len() - cut]).unwrap();
+            assert_eq!(s.trace.records, t.records, "cut {cut}");
+            let rep = s.report.expect("a cut trailer is reported");
+            assert_eq!(rep.records_recovered, t.records.len());
+            match rep.error {
+                TraceError::Truncated { offset, record } => {
+                    assert_eq!((offset, record), (trailer, t.records.len()), "cut {cut}")
+                }
+                other => panic!("cut {cut}: expected Truncated, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -185,7 +185,9 @@ fn header_bytes(meta: &TraceMeta, version: u8) -> Vec<u8> {
 
 /// Encode `meta` in the journal header field layout. Public because the
 /// collector's handshake frames carry the same layout over the wire —
-/// one codec, one set of compatibility rules.
+/// one codec, one set of compatibility rules. The IOTB and IOT2 headers
+/// use it too. Completeness travels as parts per million, so the layout
+/// stays integer-only (and bit-exact across platforms).
 pub fn put_meta(out: &mut Vec<u8>, meta: &TraceMeta) {
     put_str(out, &meta.app);
     put_u64(out, meta.rank as u64);

@@ -36,8 +36,9 @@ pub fn chunk_len(len: usize, workers: usize) -> usize {
 /// Falls back to a plain serial map when there is nothing to gain (zero
 /// or one item, or a single core). `f` must be pure per element: chunks
 /// run concurrently and in no defined order relative to each other. A
-/// panic inside `f` propagates (scoped threads re-raise on join), so
-/// every output slot is filled on normal return.
+/// panic inside `f` propagates (it is re-raised on join), so every
+/// output slot is filled on normal return. Every worker thread has
+/// exited when this returns.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -64,12 +65,26 @@ where
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     let f = &f;
     std::thread::scope(|s| {
-        for (in_chunk, out_chunk) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (item, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(f(item));
-                }
-            });
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .zip(out.chunks_mut(chunk))
+            .map(|(in_chunk, out_chunk)| {
+                s.spawn(move || {
+                    for (item, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
+                        *slot = Some(f(item));
+                    }
+                })
+            })
+            .collect();
+        // Join each thread rather than leave it to `scope`, which returns
+        // once the closures finish, before the threads exit. A thread
+        // still exiting holds its malloc arena, so the next fan-out's
+        // threads would open a new one; on lanl-capture each extra arena
+        // stayed resident at about 9 MiB.
+        for h in handles {
+            if let Err(panic) = h.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     out.into_iter()

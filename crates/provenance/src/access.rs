@@ -56,8 +56,9 @@ impl Access {
 
 /// Extract every byte-range access from one rank's trace, interning
 /// paths into `paths`. Output is in record order; epochs count the
-/// non-failed `MPI_Barrier` records preceding each access.
-pub fn extract_accesses(trace: &Trace, paths: &mut Interner, out: &mut Vec<Access>) {
+/// non-failed `MPI_Barrier` records preceding each access. Returns the
+/// final epoch: the trace's [`barrier_count`].
+pub fn extract_accesses(trace: &Trace, paths: &mut Interner, out: &mut Vec<Access>) -> usize {
     let mut fds: FdTable<i64> = FdTable::default();
     let mut epoch = 0usize;
     for (i, r) in trace.records.iter().enumerate() {
@@ -130,6 +131,7 @@ pub fn extract_accesses(trace: &Trace, paths: &mut Interner, out: &mut Vec<Acces
             write,
         });
     }
+    epoch
 }
 
 /// Number of non-failed barriers in a trace (epoch alignment check).

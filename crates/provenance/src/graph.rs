@@ -10,9 +10,11 @@
 //! wins, per-byte), and reads of bytes no recorded write produced are
 //! reported as orphan spans.
 //!
-//! Determinism: access extraction fans out per rank
-//! ([`iotrace_model::par::par_map`]) but every id-assigning step is
-//! serial and keyed on (epoch, timestamp, rank, record), so the same
+//! There is one builder, [`GraphFold`]: the streaming path feeds it
+//! rank by rank, and [`LineageGraph::build`] runs one fold per rank
+//! ([`iotrace_model::par::par_map_with`]) and merges them in input
+//! order. Merging absorbs each fold's path table in that order and
+//! node ids are keyed on (epoch, timestamp, rank, record), so the same
 //! capture yields a byte-identical graph regardless of worker count —
 //! property-tested in `tests/determinism.rs`.
 //!
@@ -136,49 +138,23 @@ impl LineageGraph {
     }
 
     /// Build with an explicit extraction worker count (the determinism
-    /// property tests sweep this; results must be identical).
+    /// property tests sweep this; results must be identical): one
+    /// [`GraphFold`] per rank on [`par_map_with`], merged in input order.
     pub fn build_with_workers(
         traces: &[Trace],
         deps: Option<&DependencyMap>,
         workers: usize,
     ) -> Self {
-        let hb = HbIndex::build(traces, deps);
-
-        // 1. Fan out: extract each rank's accesses against a rank-local
-        //    interner (interners are not shared across threads). Call
-        //    names ride along so assembly never needs the records again.
-        let extracted: Vec<(Vec<Access>, Vec<String>, Vec<&'static str>)> =
-            par_map_with(traces, workers, |t| {
-                let mut local = Interner::new();
-                let mut acc = Vec::new();
-                extract_accesses(t, &mut local, &mut acc);
-                let names = acc
-                    .iter()
-                    .map(|a| t.records[a.record].call.name())
-                    .collect();
-                let strings = local.iter().map(|(_, s)| s.to_string()).collect();
-                (acc, strings, names)
-            });
-
-        // 2. Serial: remap local symbols into one global interner, in
-        //    input trace order — deterministic ids.
-        let mut paths = Interner::new();
-        let total = extracted.iter().map(|(acc, _, _)| acc.len()).sum();
-        let mut accesses: Vec<(Access, &'static str)> = Vec::with_capacity(total);
-        for (acc, strings, names) in &extracted {
-            let remap: Vec<Sym> = strings.iter().map(|s| paths.intern(s)).collect();
-            accesses.extend(acc.iter().zip(names).map(|(a, &name)| {
-                (
-                    Access {
-                        path: remap[a.path.id() as usize],
-                        ..*a
-                    },
-                    name,
-                )
-            }));
+        let folds = par_map_with(traces, workers, |t| {
+            let mut fold = GraphFold::new();
+            fold.add_rank(t);
+            fold
+        });
+        let mut all = GraphFold::new();
+        for fold in folds {
+            all.merge(fold);
         }
-
-        assemble(paths, accesses, hb, deps.map(|d| (d, traces)))
+        assemble(all, deps.map(|d| (d, traces)))
     }
 
     pub fn hb(&self) -> &HbIndex {
@@ -347,8 +323,9 @@ impl LineageGraph {
 /// envelope at the 4096-rank tier, where traces stream off the
 /// spill-to-journal spool one rank at a time.
 ///
-/// Feeding the same traces in the same order as [`LineageGraph::build`]
-/// yields a byte-identical graph ([`LineageGraph::render_full`] equal).
+/// [`LineageGraph::build`] is this fold run once per rank and merged in
+/// input order, so feeding the same traces in the same order yields a
+/// byte-identical graph ([`LineageGraph::render_full`] equal).
 /// Dependency-map resolution needs whole traces co-resident, so the
 /// streaming path is deps-free by construction — exactly the
 /// lineage-only configuration the scale tier runs.
@@ -369,22 +346,35 @@ impl GraphFold {
         self.accesses.len()
     }
 
+    /// Extract one rank's accesses. Call names ride along so assembly
+    /// never needs the records again; the extraction's final epoch is
+    /// the rank's barrier count.
     pub fn add_rank(&mut self, trace: &Trace) {
-        let before = self.accesses.len();
         let mut acc = Vec::new();
-        extract_accesses(trace, &mut self.paths, &mut acc);
+        let barriers = extract_accesses(trace, &mut self.paths, &mut acc);
         self.accesses.extend(
             acc.into_iter()
                 .map(|a| (a, trace.records[a.record].call.name())),
         );
-        debug_assert!(self.accesses.len() >= before);
-        self.barrier_counts
-            .push(crate::access::barrier_count(trace));
+        self.barrier_counts.push(barriers);
+    }
+
+    /// Fold `other`'s ranks in after this fold's. Its path table is
+    /// absorbed into this interner ([`Interner::absorb`]) and its
+    /// accesses re-keyed, so symbols come out as if one fold had seen
+    /// both rank streams in order. Exact because ranks are disjoint.
+    pub(crate) fn merge(&mut self, other: GraphFold) {
+        let remap = self.paths.absorb(&other.paths);
+        self.accesses
+            .extend(other.accesses.into_iter().map(|(a, op)| {
+                let path = remap[a.path.id() as usize];
+                (Access { path, ..a }, op)
+            }));
+        self.barrier_counts.extend(other.barrier_counts);
     }
 
     pub fn finish(self) -> LineageGraph {
-        let hb = HbIndex::from_barrier_counts(&self.barrier_counts);
-        assemble(self.paths, self.accesses, hb, None)
+        assemble(self, None)
     }
 }
 
@@ -426,16 +416,18 @@ impl Csr {
     }
 }
 
-/// Steps 3–6 of graph construction, shared by the batch and streaming
-/// builders: happens-before-consistent ordering, node creation, dep
-/// endpoint resolution (batch only), interval replay, traversal indexes.
-fn assemble(
-    paths: Interner,
-    mut accesses: Vec<(Access, &'static str)>,
-    hb: HbIndex,
-    deps_ctx: Option<(&DependencyMap, &[Trace])>,
-) -> LineageGraph {
-    // 3. Happens-before-consistent build order: epoch-major when the
+/// Turn folded accesses into the graph: happens-before-consistent
+/// ordering, node creation, dep endpoint resolution (when a dependency
+/// map and its traces are given), interval replay, traversal indexes.
+fn assemble(fold: GraphFold, deps_ctx: Option<(&DependencyMap, &[Trace])>) -> LineageGraph {
+    let GraphFold {
+        paths,
+        mut accesses,
+        barrier_counts,
+    } = fold;
+    let hb = HbIndex::new(&barrier_counts, deps_ctx.map(|(deps, _)| deps));
+
+    // 1. Happens-before-consistent build order: epoch-major when the
     //    barrier structure is aligned, merged-timeline order inside.
     //    (rank, record) names one access, so either key is unique and
     //    an unstable sort yields the one order a stable sort would.
@@ -464,7 +456,7 @@ fn assemble(
         })
         .collect();
 
-    // 4. Dependency endpoints that are not access nodes become `Op`
+    // 2. Dependency endpoints that are not access nodes become `Op`
     //    nodes, in sorted (rank, record) order for stable ids.
     let mut edges: Vec<LineageEdge> = Vec::new();
     if let Some((deps, traces)) = deps_ctx {
@@ -535,7 +527,7 @@ fn assemble(
         }
     }
 
-    // 5. Interval replay: writes claim ranges, reads are attributed
+    // 3. Interval replay: writes claim ranges, reads are attributed
     //    to the covering writers; gaps in files the trace *does*
     //    produce are orphan spans.
     let mut finals: BTreeMap<Sym, RangeMap> = BTreeMap::new();
@@ -566,7 +558,7 @@ fn assemble(
         }
     }
 
-    // 6. Traversal indexes.
+    // 4. Traversal indexes.
     let in_edges = Csr::index(nodes.len(), &edges, |e| e.to);
     let out_edges = Csr::index(nodes.len(), &edges, |e| e.from);
     let mut reads_by_rank: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();

@@ -15,10 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use iotrace_model::event::Trace;
 use iotrace_partrace::deps::DependencyMap;
-
-use crate::access::barrier_count;
 
 /// A located event: rank, record index, barrier epoch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,31 +36,22 @@ pub struct HbIndex {
 }
 
 impl HbIndex {
-    pub fn build(traces: &[Trace], deps: Option<&DependencyMap>) -> Self {
-        let counts: Vec<usize> = traces.iter().map(barrier_count).collect();
-        let aligned = counts.windows(2).all(|w| w[0] == w[1]);
+    /// Build from each rank's barrier count (the graph fold takes it
+    /// from access extraction) and an optional dependency map.
+    pub fn new(barrier_counts: &[usize], deps: Option<&DependencyMap>) -> Self {
         let mut by_from: BTreeMap<u32, Vec<(usize, u32, usize)>> = BTreeMap::new();
-        if let Some(deps) = deps {
-            for e in &deps.edges {
-                by_from
-                    .entry(e.from_rank)
-                    .or_default()
-                    .push((e.from_op, e.to_rank, e.to_op));
-            }
-            for v in by_from.values_mut() {
-                v.sort_unstable();
-            }
+        for e in deps.iter().flat_map(|d| &d.edges) {
+            by_from
+                .entry(e.from_rank)
+                .or_default()
+                .push((e.from_op, e.to_rank, e.to_op));
         }
-        HbIndex { by_from, aligned }
-    }
-
-    /// Build from per-rank barrier counts alone — the streaming graph
-    /// builder's path, where whole traces are never co-resident.
-    /// Equivalent to [`HbIndex::build`] with no dependency map.
-    pub fn from_barrier_counts(counts: &[usize]) -> Self {
+        for v in by_from.values_mut() {
+            v.sort_unstable();
+        }
         HbIndex {
-            by_from: BTreeMap::new(),
-            aligned: counts.windows(2).all(|w| w[0] == w[1]),
+            by_from,
+            aligned: barrier_counts.windows(2).all(|w| w[0] == w[1]),
         }
     }
 
@@ -134,7 +122,8 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
-    use iotrace_model::event::{IoCall, TraceMeta, TraceRecord};
+    use crate::access::barrier_count;
+    use iotrace_model::event::{IoCall, Trace, TraceMeta, TraceRecord};
     use iotrace_partrace::deps::DependencyEdge;
     use iotrace_sim::time::{SimDur, SimTime};
 
@@ -178,7 +167,7 @@ mod tests {
     #[test]
     fn program_order_and_epochs() {
         let ts = [trace(0, 2), trace(1, 2)];
-        let hb = HbIndex::build(&ts, None);
+        let hb = HbIndex::new(&ts.each_ref().map(barrier_count), None);
         assert!(hb.aligned());
         assert!(hb.ordered(loc(0, 1, 0), loc(0, 5, 0)));
         assert!(!hb.ordered(loc(0, 5, 0), loc(0, 1, 0)));
@@ -192,7 +181,7 @@ mod tests {
         let deps = DependencyMap {
             edges: vec![edge(0, 5, 1, 10)],
         };
-        let hb = HbIndex::build(&ts, Some(&deps));
+        let hb = HbIndex::new(&ts.each_ref().map(barrier_count), Some(&deps));
         // write at rank0#3 precedes the edge source; read at rank1#12
         // follows the edge target.
         assert!(hb.ordered(loc(0, 3, 0), loc(1, 12, 0)));
@@ -208,7 +197,7 @@ mod tests {
         let deps = DependencyMap {
             edges: vec![edge(0, 2, 1, 4), edge(1, 6, 2, 1)],
         };
-        let hb = HbIndex::build(&ts, Some(&deps));
+        let hb = HbIndex::new(&ts.each_ref().map(barrier_count), Some(&deps));
         assert!(hb.ordered(loc(0, 0, 0), loc(2, 3, 0)));
         // The chain needs rank1 to move forward (4 -> 6): reversing an
         // edge must not connect.
@@ -218,7 +207,7 @@ mod tests {
     #[test]
     fn torn_barriers_disable_epoch_ordering() {
         let ts = [trace(0, 3), trace(1, 1)];
-        let hb = HbIndex::build(&ts, None);
+        let hb = HbIndex::new(&ts.each_ref().map(barrier_count), None);
         assert!(!hb.aligned());
         assert!(hb.concurrent(loc(0, 0, 0), loc(1, 9, 1)));
     }
