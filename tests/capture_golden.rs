@@ -10,6 +10,8 @@
 //!   the default 64 KiB flush buffer (one end-of-run flush) and with a
 //!   300-byte buffer (many charged appends, then the final flush; the
 //!   charged appends move the timestamps, so the two digests differ);
+//! * the aggregate timing and call summary outputs LANL-Trace writes to
+//!   the shared directory, under both flush buffers;
 //! * `format_text` of the traces LANL-Trace keeps in memory;
 //! * the Tracefs binary blob with checksum, compression and encryption
 //!   of every selectable field all on;
@@ -87,6 +89,34 @@ fn raw_lanl_files_are_pinned() {
     let eager = lanl(300);
     assert_eq!(raw_digest(&lazy), 4_029_875_974_836_627_111);
     assert_eq!(raw_digest(&eager), 11_651_706_910_714_755_546);
+}
+
+/// Digest of the two aggregate outputs LANL-Trace writes to the shared
+/// directory: `(aggregate_timing.txt, call_summary.txt)`.
+fn aggregate_digests(run: &LanlRun) -> (u64, u64) {
+    let dir = &LanlTrace::ltrace().cfg.shared_dir;
+    let digest = |name: &str| {
+        let bytes = run
+            .report
+            .vfs
+            .fetch_file(NodeId(0), &format!("{dir}/{name}"))
+            .expect("aggregate output exists");
+        assert!(!bytes.is_empty());
+        fnv1a64(&bytes)
+    };
+    (digest("aggregate_timing.txt"), digest("call_summary.txt"))
+}
+
+#[test]
+fn aggregate_timing_and_call_summary_are_pinned() {
+    assert_eq!(
+        aggregate_digests(&lanl(64 * 1024)),
+        (363_755_428_460_128_146, 10_620_822_906_366_399_568)
+    );
+    assert_eq!(
+        aggregate_digests(&lanl(300)),
+        (833_610_719_288_294_362, 11_190_536_154_460_556_495)
+    );
 }
 
 #[test]
