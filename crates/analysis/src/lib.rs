@@ -5,8 +5,7 @@
 //! * [`skew`] — estimate and correct clock skew & drift from
 //!   aggregate-timing barrier observations (what LANL-Trace's pre/post
 //!   MPI jobs exist for);
-//! * [`merge`] — clock-corrected cross-rank timeline merging and
-//!   thread-parallel trace parsing;
+//! * [`merge`] — clock-corrected cross-rank timeline merging;
 //! * [`stats`] — per-layer counts, byte totals, duration percentiles;
 //! * [`hotspots`] — per-file attribution of ops/bytes/time with
 //!   rank-aware descriptor tracking;
@@ -27,9 +26,7 @@ pub mod stats;
 
 pub mod prelude {
     pub use crate::hotspots::{by_path_interned, top_by_bytes_interned, PathStats};
-    pub use crate::merge::{
-        merge_by_sort, merge_corrected, merge_corrected_each, parse_parallel, RankCoverage,
-    };
+    pub use crate::merge::{merge_by_sort, merge_corrected, merge_corrected_each, RankCoverage};
     pub use crate::phases::{phases, render as render_phases, Phase, PhaseFold, RankPhase};
     pub use crate::skew::{estimate, ClockFit, SkewEstimate};
     pub use crate::stats::{StreamingStats, TraceStats};

@@ -1,18 +1,14 @@
-//! Cross-rank trace merging with clock correction, and parallel parsing
-//! of per-rank trace files.
+//! Cross-rank trace merging with clock correction.
 //!
 //! Merging distributed traces into one global timeline is only meaningful
 //! after skew/drift correction (a record observed "earlier" on a
 //! fast-running clock may actually be later); [`merge_corrected`] applies
 //! a [`crate::skew::SkewEstimate`] first, and [`merge_corrected_each`]
-//! visits the same timeline without building it. Parsing hundreds of
-//! per-rank text traces is embarrassingly parallel, so [`parse_parallel`]
-//! fans out across scoped threads.
+//! visits the same timeline without building it.
 
 use std::borrow::Borrow;
 
 use iotrace_model::event::{Trace, TraceRecord};
-use iotrace_model::text::{parse_text, ParseError};
 use iotrace_sim::time::SimTime;
 
 use crate::skew::SkewEstimate;
@@ -193,18 +189,10 @@ fn merge_runs<T: Borrow<Trace>>(
     }
 }
 
-/// Parse many trace documents concurrently; results keep input order.
-/// Errors are reported per document. Fan-out and chunking live in
-/// [`iotrace_model::par`], shared with the per-file trace loaders.
-pub fn parse_parallel(docs: &[String]) -> Vec<Result<Trace, ParseError>> {
-    iotrace_model::par::par_map(docs, |d| parse_text(d))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use iotrace_model::event::{IoCall, TraceMeta};
-    use iotrace_model::text::format_text;
     use iotrace_sim::time::{SimDur, SimTime};
 
     fn trace_with(rank: u32, ts_us: &[u64]) -> Trace {
@@ -254,36 +242,6 @@ mod tests {
         assert_eq!(merged[0].rank, 0);
         assert_eq!(merged[1].rank, 1);
         assert_eq!(merged[1].ts, SimTime::from_micros(200));
-    }
-
-    #[test]
-    fn parallel_parse_roundtrips_many_docs() {
-        let docs: Vec<String> = (0..16u32)
-            .map(|r| format_text(&trace_with(r, &[10, 20, 30])))
-            .collect();
-        let parsed = parse_parallel(&docs);
-        assert_eq!(parsed.len(), 16);
-        for (r, p) in parsed.into_iter().enumerate() {
-            let t = p.unwrap();
-            assert_eq!(t.meta.rank, r as u32);
-            assert_eq!(t.records.len(), 3);
-        }
-    }
-
-    #[test]
-    fn parallel_parse_reports_errors_in_place() {
-        let docs = vec![
-            format_text(&trace_with(0, &[10])),
-            "# epoch: 0\nbroken line\n".to_string(),
-        ];
-        let parsed = parse_parallel(&docs);
-        assert!(parsed[0].is_ok());
-        assert!(parsed[1].is_err());
-    }
-
-    #[test]
-    fn parallel_parse_empty() {
-        assert!(parse_parallel(&[]).is_empty());
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn bandwidth(
     let rep = run_job(
         standard_cluster(ranks as usize, 7),
         vfs,
-        Box::new(NullTracer),
+        NullTracer,
         w.programs(),
     );
     w.write_bandwidth(&rep.run, false).unwrap_or(0.0) / (1024.0 * 1024.0)

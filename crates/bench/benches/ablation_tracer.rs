@@ -22,14 +22,15 @@ use iotrace_workloads::pattern::AccessPattern;
 
 fn measure(block: u64, cost: TraceCostParams, aux_stops: u32, ranks: u32, total: u64) -> f64 {
     let w = MpiIoTest::new(AccessPattern::NTo1Strided, ranks, block, 1).with_total_bytes(total);
-    let exec = |tracer| {
+    let vfs = || {
         let mut v = standard_vfs(ranks as usize);
         v.setup_dir(&w.dir).unwrap();
-        IoExecutor::new(v, tracer).with_params(IoApiParams::lanl_2007(), cost)
+        v
     };
+    let params = IoApiParams::lanl_2007();
     let base = run_executor(
         standard_cluster(ranks as usize, 7),
-        exec(Box::new(NullTracer)),
+        IoExecutor::new(vfs(), NullTracer).with_params(params, cost),
         w.programs(),
         RunLimits::default(),
     );
@@ -40,7 +41,7 @@ fn measure(block: u64, cost: TraceCostParams, aux_stops: u32, ranks: u32, total:
     };
     let traced = run_executor(
         standard_cluster(ranks as usize, 7),
-        exec(Box::new(LanlTracer::new(cfg, &w.cmdline()))),
+        IoExecutor::new(vfs(), LanlTracer::new(cfg, &w.cmdline())).with_params(params, cost),
         with_timing_jobs(w.programs()),
         RunLimits::default(),
     );

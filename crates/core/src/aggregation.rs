@@ -12,10 +12,9 @@
 
 use std::path::Path;
 
-use iotrace_analysis::skew::SkewEstimate;
 use iotrace_analysis::stats::TraceStats;
 use iotrace_model::binary::decode_binary_salvage;
-use iotrace_model::event::{CallLayer, Trace, TraceRecord};
+use iotrace_model::event::{Trace, TraceRecord};
 use iotrace_model::iot2::{decode_iot2_salvage, is_iot2};
 use iotrace_model::journal::fsck_journal;
 use iotrace_model::summary::CallSummary;
@@ -23,7 +22,6 @@ use iotrace_model::text::parse_text_salvage;
 use iotrace_model::xtea::Key;
 use iotrace_partrace::deps::DependencyMap;
 use iotrace_partrace::replayable::ReplayableTrace;
-use iotrace_sim::time::SimTime;
 
 /// Anything that can feed the aggregator.
 pub enum TraceSource {
@@ -216,23 +214,6 @@ impl UnifiedTraces {
     pub fn stats(&self) -> TraceStats {
         TraceStats::from_records(self.records())
     }
-
-    /// Records of one layer only.
-    pub fn layer(&self, layer: CallLayer) -> Vec<&TraceRecord> {
-        self.records().filter(|r| r.call.layer() == layer).collect()
-    }
-
-    /// Records within an observed-time window.
-    pub fn window(&self, from: SimTime, until: SimTime) -> Vec<&TraceRecord> {
-        self.records()
-            .filter(|r| r.ts >= from && r.ts < until)
-            .collect()
-    }
-
-    /// Clock-corrected global timeline.
-    pub fn merged_timeline(&self, est: &SkewEstimate) -> Vec<TraceRecord> {
-        iotrace_analysis::merge::merge_corrected(&self.traces, est)
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +225,7 @@ mod tests {
     use iotrace_model::journal::{encode_journal_versioned, VERSION_V1, VERSION_V2};
     use iotrace_model::text::format_text;
     use iotrace_partrace::deps::DependencyEdge;
-    use iotrace_sim::time::SimDur;
+    use iotrace_sim::time::{SimDur, SimTime};
 
     fn mk_trace(tracer: &str, rank: u32) -> Trace {
         mk_trace_n(tracer, rank, 1)
@@ -455,17 +436,5 @@ mod tests {
         let err = UnifiedTraces::load_files(&none, None).err().unwrap();
         assert_eq!(err.0, "no traces given");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn layer_and_window_queries() {
-        let mut u = UnifiedTraces::new();
-        u.add(TraceSource::Decoded(mk_trace("x", 0))).unwrap();
-        u.add(TraceSource::Decoded(mk_trace("x", 5))).unwrap();
-        assert_eq!(u.layer(CallLayer::Sys).len(), 2);
-        assert_eq!(u.layer(CallLayer::Vfs).len(), 0);
-        let w = u.window(SimTime::from_micros(11), SimTime::from_micros(20));
-        assert_eq!(w.len(), 1);
-        assert_eq!(w[0].rank, 5);
     }
 }

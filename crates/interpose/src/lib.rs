@@ -5,8 +5,9 @@
 //! into any dynamically linked process, interposes the libc I/O entry
 //! points (`open`, `open64`, `openat`, `read`, `write`, `pread`,
 //! `pread64`, `pwrite`, `pwrite64`, `close`, `lseek`, `fsync`, `dup`,
-//! `dup2`, `dup3`) and appends one record per call to the file named by
-//! the `IOTRACE_TRACE_FILE` environment variable, its only setting.
+//! `dup2`, `dup3`, `fcntl`, `fcntl64`) and appends one record per call
+//! to the file named by the `IOTRACE_TRACE_FILE` environment variable,
+//! its only setting.
 //!
 //! This is the exact mechanism //TRACE uses ("dynamic library
 //! interposition", Curry '94, paper §2.3/§4.3) and demonstrates its
@@ -35,11 +36,12 @@
 //! `SYS_pread`/`SYS_pwrite`, and `dup`, `dup2` and `dup3` as
 //! `SYS_fcntl64(old, 1030)` (`F_DUPFD_CLOEXEC`) returning the new fd,
 //! which is how every analysis recognizes a duplicated descriptor.
-//! `fcntl` itself is C-variadic and stays unhooked, so a duplication
-//! through `fcntl(F_DUPFD)` is not seen. Timestamps are wall-clock
-//! (`CLOCK_REALTIME`) seconds under epoch 0, so processes appending to
-//! one file never write a timestamp before its epoch; `dur` is measured
-//! around the real call and the result is the call's return value. Rank and node are always
+//! `fcntl` and `fcntl64` record only their duplications, `F_DUPFD` (0)
+//! and `F_DUPFD_CLOEXEC` (1030), both as cmd 1030; every other command
+//! passes through untraced. Timestamps are wall-clock (`CLOCK_REALTIME`)
+//! seconds under epoch 0, so processes appending to one file never write
+//! a timestamp before its epoch; `dur` is measured around the real call
+//! and the result is the call's return value. Rank and node are always
 //! 0. A record belongs to the nearest `# pid:` header above it. After a
 //! `fork`, parent and child each write the header again before their
 //! next record. A child started by `vfork` or `posix_spawn` writes its
@@ -58,7 +60,7 @@
 
 #[cfg(target_os = "linux")]
 mod hooks {
-    use core::ffi::{c_char, c_int, c_long, c_void};
+    use core::ffi::{c_char, c_int, c_long, c_ulong, c_void};
     use std::cell::{Cell, RefCell};
     use std::sync::atomic::{AtomicBool, AtomicI32, AtomicPtr, Ordering};
     use std::sync::Once;
@@ -75,12 +77,14 @@ mod hooks {
     const O_TMPFILE: c_int = 0o20_200_000;
     /// The trace fd is moved to at least this number, clear of the low
     /// fds a program closes and expects to get back from its next open.
-    const TRACE_FD_FLOOR: c_int = 100;
+    const TRACE_FD_FLOOR: c_ulong = 100;
+    /// `fcntl`'s plain duplication command; `F_DUPFD_CLOEXEC` is
+    /// [`DUP_CMD`].
+    const F_DUPFD: c_int = 0;
 
     extern "C" {
         fn dlsym(handle: *mut c_void, symbol: *const c_char) -> *mut c_void;
         fn getenv(name: *const c_char) -> *mut c_char;
-        fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
         fn getpid() -> c_int;
         fn getuid() -> u32;
         fn getgid() -> u32;
@@ -142,6 +146,9 @@ mod hooks {
     fn real_close() -> unsafe extern "C" fn(c_int) -> c_int {
         real!(CLOSE, "close", unsafe extern "C" fn(c_int) -> c_int)
     }
+    fn real_fcntl() -> FcntlFn {
+        real!(FCNTL, "fcntl", FcntlFn)
+    }
 
     fn write_out(fd: c_int, bytes: &[u8]) {
         // SAFETY: valid buffer/len; best-effort, one write per line.
@@ -171,7 +178,7 @@ mod hooks {
             return DISABLED;
         }
         // SAFETY: fcntl and close on the fd just opened, which we own.
-        let high = unsafe { fcntl(f, DUP_CMD as c_int, TRACE_FD_FLOOR) };
+        let high = unsafe { (real_fcntl())(f, DUP_CMD as c_int, TRACE_FD_FLOOR) };
         if high >= 0 {
             // SAFETY: as above; `high` now refers to the same file.
             unsafe { (real_close())(f) };
@@ -445,6 +452,36 @@ mod hooks {
             unsafe extern "C" fn(c_int, c_int, c_int) -> c_int
         );
         traced(|| real(old, new, flags) as i64, || dup_call(old)) as c_int
+    }
+
+    /// `fcntl` as C declares it, `(fd, cmd, ...)`, with its one optional
+    /// argument read as a machine word: an `int` or a pointer arrives in
+    /// the same register, as `open`'s optional mode does.
+    type FcntlFn = unsafe extern "C" fn(c_int, c_int, c_ulong) -> c_int;
+
+    /// # Safety
+    /// Standard libc `fcntl` contract; `real` is libc's.
+    unsafe fn traced_fcntl(real: FcntlFn, fd: c_int, cmd: c_int, arg: c_ulong) -> c_int {
+        // SAFETY: the caller upholds `real`'s contract.
+        let call = || unsafe { real(fd, cmd, arg) };
+        if cmd != F_DUPFD && cmd != DUP_CMD as c_int {
+            return call();
+        }
+        traced(|| call() as i64, || dup_call(fd)) as c_int
+    }
+
+    /// # Safety
+    /// Standard libc `fcntl` contract.
+    #[no_mangle]
+    pub unsafe extern "C" fn fcntl(fd: c_int, cmd: c_int, arg: c_ulong) -> c_int {
+        traced_fcntl(real_fcntl(), fd, cmd, arg)
+    }
+
+    /// # Safety
+    /// Standard libc `fcntl64` contract.
+    #[no_mangle]
+    pub unsafe extern "C" fn fcntl64(fd: c_int, cmd: c_int, arg: c_ulong) -> c_int {
+        traced_fcntl(real!(FCNTL64, "fcntl64", FcntlFn), fd, cmd, arg)
     }
 
     type PreadFn = unsafe extern "C" fn(c_int, *mut c_void, usize, i64) -> isize;

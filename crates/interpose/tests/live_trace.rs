@@ -105,10 +105,11 @@ fn traces_a_real_cat_process() {
     assert_eq!(read, written, "cat copies its input verbatim");
 }
 
-/// `close(0)` made before the trace file is open reaches libc: the shell
-/// really closes stdin, so `cat` cannot read the input piped to it.
+/// The shell saves stdin (`fcntl(0, F_DUPFD, 10)`, its first traced
+/// call) and then closes it: the `close(0)` reaches libc, so `cat`
+/// cannot read the input piped to it.
 #[test]
-fn closing_stdin_before_the_first_trace_line_closes_it() {
+fn a_shell_closing_stdin_closes_it() {
     let trace_file = trace_file("close0");
     let (_, out) = run_traced(
         Command::new("/bin/sh").args(["-c", "exec 0<&-; cat"]),
@@ -123,8 +124,21 @@ fn closing_stdin_before_the_first_trace_line_closes_it() {
         String::from_utf8_lossy(&out.stdout)
     );
     assert!(!out.status.success(), "cat read a closed stdin: {out:?}");
-    let first = trace.records.first().expect("the close was traced");
-    assert_eq!((&first.call, first.result), (&IoCall::Close { fd: 0 }, 0));
+    let [save, close, ..] = trace.records.as_slice() else {
+        panic!(
+            "the save and the close were not traced: {:?}",
+            trace.records
+        );
+    };
+    assert_eq!(
+        save.call,
+        IoCall::Fcntl {
+            fd: 0,
+            cmd: DUP_CMD
+        }
+    );
+    assert!(save.result >= 10, "{save:?}");
+    assert_eq!((&close.call, close.result), (&IoCall::Close { fd: 0 }, 0));
 }
 
 /// After a `fork`, parent and child each write their header again, so
@@ -181,6 +195,32 @@ fn dd_reads_through_a_duplicated_fd_are_attributed() {
     let stats = by_path_interned(&trace.records, &mut paths);
     let zero = paths.get("/dev/zero").expect("/dev/zero opened");
     assert_eq!(stats[&zero].bytes, 16 * 65536, "{:?}", trace.records);
+}
+
+/// dash saves stdin with `fcntl(0, F_DUPFD, 10)` before it redirects
+/// `cat`'s input: the duplication is traced as a dup of fd 0.
+#[test]
+fn an_fcntl_duplication_is_traced() {
+    let trace_file = trace_file("fcntl");
+    let (_, out) = run_traced(
+        Command::new("/bin/sh").args(["-c", "exec 3< /etc/hostname; cat <&3"]),
+        &trace_file,
+        b"",
+    );
+    assert!(out.status.success(), "sh failed: {out:?}");
+    assert_eq!(out.stdout, std::fs::read("/etc/hostname").unwrap());
+    let trace = parse(&trace_file);
+    let _ = std::fs::remove_file(&trace_file);
+    assert!(
+        trace.records.iter().any(|r| r.call
+            == IoCall::Fcntl {
+                fd: 0,
+                cmd: DUP_CMD
+            }
+            && r.result >= 10),
+        "the shell's fcntl(0, F_DUPFD, 10) was not traced: {:?}",
+        trace.records
+    );
 }
 
 /// Set in the environment of this test binary when it re-runs itself

@@ -24,7 +24,7 @@ use iotrace_sim::time::{SimDur, SimTime};
 use crate::op::{Fd, IoOp, IoRes, Whence};
 use crate::params::{IoApiParams, TraceCostParams};
 use crate::proc::{OpenFile, ProcState};
-use crate::tracer::{IoTracer, NullTracer, TracerCtx};
+use crate::tracer::{IoTracer, TracerCtx};
 
 /// //TRACE's online throttle schedule: time is cut into fixed-length
 /// slices and the probed nodes take turns being slowed, round-robin, for
@@ -90,20 +90,21 @@ pub struct IoStats {
     pub tracer_time: SimDur,
 }
 
-/// The engine executor for I/O operations; see module docs.
-pub struct IoExecutor {
+/// The engine executor for I/O operations; see module docs. It owns its
+/// tracer by type, so a harness gets the concrete tracer back after a run.
+pub struct IoExecutor<T: IoTracer> {
     pub vfs: Vfs,
     params: IoApiParams,
     cost: TraceCostParams,
-    tracer: Box<dyn IoTracer>,
+    tracer: T,
     procs: Vec<ProcState>,
     throttle: Option<RotatingThrottle>,
     world: usize,
     pub stats: IoStats,
 }
 
-impl IoExecutor {
-    pub fn new(vfs: Vfs, tracer: Box<dyn IoTracer>) -> Self {
+impl<T: IoTracer> IoExecutor<T> {
+    pub fn new(vfs: Vfs, tracer: T) -> Self {
         IoExecutor {
             vfs,
             params: IoApiParams::lanl_2007(),
@@ -127,12 +128,12 @@ impl IoExecutor {
         self.throttle = r;
     }
 
-    pub fn tracer(&self) -> &dyn IoTracer {
-        self.tracer.as_ref()
+    pub fn tracer(&self) -> &T {
+        &self.tracer
     }
 
     /// Tear down into (VFS, tracer) to harvest trace output after a run.
-    pub fn into_parts(self) -> (Vfs, Box<dyn IoTracer>) {
+    pub fn into_parts(self) -> (Vfs, T) {
         (self.vfs, self.tracer)
     }
 
@@ -142,7 +143,8 @@ impl IoExecutor {
 }
 
 /// Per-operation emission context: advances local time as events are
-/// produced and tracer costs are charged.
+/// produced and tracer costs are charged. The tracer is a trait object
+/// here, so [`dispatch`] is compiled once whatever the tracer.
 struct Emit<'a> {
     vfs: &'a mut Vfs,
     tracer: &'a mut dyn IoTracer,
@@ -162,7 +164,7 @@ struct Emit<'a> {
 
 impl Emit<'_> {
     /// Emit one event: build the record, charge interception and tracer
-    /// bookkeeping time.
+    /// bookkeeping time, and hand the record to the tracer.
     fn emit(&mut self, call: IoCall, start: SimTime, dur: SimDur, result: i64) {
         self.emitted += 1;
         let intercepts = self.tracer.intercepts(&call);
@@ -197,7 +199,7 @@ impl Emit<'_> {
                 clock: self.clock,
                 world: self.world,
             };
-            self.now += self.tracer.on_event(&rec, &mut tctx);
+            self.now += self.tracer.on_event(rec, &mut tctx);
         }
         self.tracer_time += self.now.since(before);
     }
@@ -217,7 +219,7 @@ impl Emit<'_> {
     }
 }
 
-impl Executor for IoExecutor {
+impl<T: IoTracer> Executor for IoExecutor<T> {
     type Op = IoOp;
     type Res = IoRes;
 
@@ -233,7 +235,6 @@ impl Executor for IoExecutor {
 
     fn execute(&mut self, ctx: ExecCtx<'_>, op: &IoOp) -> ExecOutcome<IoRes> {
         self.stats.ops += 1;
-        let mut tracer = std::mem::replace(&mut self.tracer, Box::new(NullTracer));
         let ri = ctx.rank.index();
         let mut start_now = ctx.now;
         if let Some(r) = &self.throttle {
@@ -255,7 +256,7 @@ impl Executor for IoExecutor {
                 clock: ctx.clock,
                 world: self.world,
             };
-            start_now += tracer.startup(&mut tctx);
+            start_now += self.tracer.startup(&mut tctx);
         }
 
         let (pid, uid, gid) = {
@@ -264,7 +265,7 @@ impl Executor for IoExecutor {
         };
         let mut e = Emit {
             vfs: &mut self.vfs,
-            tracer: tracer.as_mut(),
+            tracer: &mut self.tracer,
             cost: &self.cost,
             clock: ctx.clock,
             rank: ctx.rank,
@@ -288,7 +289,6 @@ impl Executor for IoExecutor {
         self.stats.events_traced += e.traced;
         self.stats.tracer_time += e.tracer_time;
         let finish = e.now;
-        self.tracer = tracer;
         ExecOutcome { finish, result }
     }
 }

@@ -4,7 +4,8 @@
 //! kill-and-resume capture — runs its jobs through [`run_executor`],
 //! differing only in the tracer, cost parameters and throttle installed
 //! on the [`IoExecutor`] and in the [`RunLimits`]. [`run_job`] is its
-//! unlimited form over a default executor.
+//! unlimited form over a default executor. Both are generic over the
+//! tracer, and the [`JobReport`] hands that same tracer back by type.
 
 use iotrace_fs::fs::{local_fs, nfs_fs, striped_fs};
 use iotrace_fs::params::{LocalParams, NfsParams, RetryPolicy, StripedParams};
@@ -40,18 +41,19 @@ pub fn standard_cluster(n: usize, seed: u64) -> ClusterConfig {
     ClusterConfig::new(n).with_sampled_clocks(seed, 900_000, 35.0)
 }
 
-/// Everything a finished job leaves behind.
-pub struct JobReport {
+/// Everything a finished job leaves behind, the tracer it ran under
+/// included.
+pub struct JobReport<T> {
     pub run: RunReport,
     pub stats: IoStats,
     pub vfs: Vfs,
-    pub tracer: Box<dyn IoTracer>,
+    pub tracer: T,
     /// One sample per `checkpoint_every` events; empty unless the run's
     /// [`RunLimits`] set it.
     pub checkpoints: Vec<CheckpointSample>,
 }
 
-impl JobReport {
+impl<T> JobReport<T> {
     pub fn elapsed(&self) -> SimDur {
         self.run.elapsed
     }
@@ -94,19 +96,19 @@ pub struct CheckpointSample {
 /// events. An aborted job's tracer never sees `end_run`, so its
 /// unflushed buffers are lost — the crash the checkpoint exists to
 /// survive. Cost parameters and the throttle are set on `exec`.
-pub fn run_executor(
+pub fn run_executor<T: IoTracer>(
     cfg: ClusterConfig,
-    exec: IoExecutor,
+    exec: IoExecutor<T>,
     programs: Vec<Box<dyn RankProgram<IoOp, IoRes>>>,
     limits: RunLimits,
-) -> JobReport {
+) -> JobReport<T> {
     let mut checkpoints = Vec::new();
     let mut engine = Engine::new(cfg, exec);
     let run = engine.run_controlled(
         programs,
         &mut NullObserver,
         limits,
-        &mut |exec: &mut IoExecutor, events, now| {
+        &mut |exec: &mut IoExecutor<T>, events, now| {
             let tracer_state = exec
                 .tracer()
                 .snapshot()
@@ -134,12 +136,12 @@ pub fn run_executor(
 
 /// Run one job to completion: `programs` (one per rank) against `vfs`
 /// under `tracer`, with the standard cost parameters and no throttle.
-pub fn run_job(
+pub fn run_job<T: IoTracer>(
     cfg: ClusterConfig,
     vfs: Vfs,
-    tracer: Box<dyn IoTracer>,
+    tracer: T,
     programs: Vec<Box<dyn RankProgram<IoOp, IoRes>>>,
-) -> JobReport {
+) -> JobReport<T> {
     run_executor(
         cfg,
         IoExecutor::new(vfs, tracer),

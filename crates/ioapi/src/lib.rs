@@ -32,5 +32,5 @@ pub mod prelude {
     pub use crate::params::{Interception, IoApiParams, TraceCostParams};
     pub use crate::proc::{OpenFile, ProcState};
     pub use crate::traced::{traced, Traced};
-    pub use crate::tracer::{downcast_tracer, CollectingTracer, IoTracer, NullTracer, TracerCtx};
+    pub use crate::tracer::{CollectingTracer, IoTracer, NullTracer, TracerCtx};
 }

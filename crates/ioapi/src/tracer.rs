@@ -22,7 +22,6 @@ use iotrace_sim::ids::{NodeId, RankId};
 use iotrace_sim::time::{SimDur, SimTime};
 
 use crate::params::Interception;
-use std::any::Any;
 
 /// Charged VFS access handed to tracers during callbacks.
 pub struct TracerCtx<'a> {
@@ -99,9 +98,10 @@ pub trait IoTracer: Send {
     }
 
     /// Called for every event the tracer `wants`, *after* the mechanism
-    /// cost was charged. Returns any additional time spent (formatting,
-    /// buffer flushes, charged VFS writes).
-    fn on_event(&mut self, rec: &TraceRecord, ctx: &mut TracerCtx<'_>) -> SimDur;
+    /// cost was charged. The record is handed over: a tracer that keeps
+    /// it moves it into its buffer. Returns any additional time spent
+    /// (formatting, buffer flushes, charged VFS writes).
+    fn on_event(&mut self, rec: TraceRecord, ctx: &mut TracerCtx<'_>) -> SimDur;
 
     /// Extra ptrace-style stops per *data* operation that produce no
     /// records (ltrace singlestepping unrelated libc calls: memcpy,
@@ -121,16 +121,6 @@ pub trait IoTracer: Send {
     fn snapshot(&self) -> Option<iotrace_model::journal::TracerSnapshot> {
         None
     }
-
-    /// Downcasting support so harnesses can recover concrete tracer state
-    /// (collected records, trace directories) after a run.
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-/// Recover a concrete tracer type from a boxed [`IoTracer`].
-pub fn downcast_tracer<T: IoTracer + 'static>(b: &dyn IoTracer) -> Option<&T> {
-    b.as_any().downcast_ref::<T>()
 }
 
 /// No tracing: the untraced baseline.
@@ -146,14 +136,8 @@ impl IoTracer for NullTracer {
     fn wants(&self, _call: &IoCall) -> bool {
         false
     }
-    fn on_event(&mut self, _rec: &TraceRecord, _ctx: &mut TracerCtx<'_>) -> SimDur {
+    fn on_event(&mut self, _rec: TraceRecord, _ctx: &mut TracerCtx<'_>) -> SimDur {
         SimDur::ZERO
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -174,15 +158,9 @@ impl IoTracer for CollectingTracer {
     fn wants(&self, _call: &IoCall) -> bool {
         true
     }
-    fn on_event(&mut self, rec: &TraceRecord, _ctx: &mut TracerCtx<'_>) -> SimDur {
-        self.records.push(rec.clone());
+    fn on_event(&mut self, rec: TraceRecord, _ctx: &mut TracerCtx<'_>) -> SimDur {
+        self.records.push(rec);
         SimDur::ZERO
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -30,7 +30,7 @@ fn writer(rank: u32, blocks: u64, block: u64) -> P {
     traced(OpList::new(ops))
 }
 
-fn run(n: usize, tracer: Box<dyn IoTracer>, throttle: Option<RotatingThrottle>) -> JobReport {
+fn run<T: IoTracer>(n: usize, tracer: T, throttle: Option<RotatingThrottle>) -> JobReport<T> {
     let cfg = standard_cluster(n, 42);
     let mut vfs = standard_vfs(n);
     vfs.setup_dir("/pfs/out").unwrap();
@@ -42,7 +42,7 @@ fn run(n: usize, tracer: Box<dyn IoTracer>, throttle: Option<RotatingThrottle>) 
 
 #[test]
 fn job_completes_and_writes_data() {
-    let mut rep = run(4, Box::new(NullTracer), None);
+    let mut rep = run(4, NullTracer, None);
     assert!(rep.run.is_clean());
     assert_eq!(rep.stats.bytes_written, 4 * 8 * 64 * 1024);
     // Files exist with the right sizes.
@@ -57,11 +57,9 @@ fn job_completes_and_writes_data() {
 
 #[test]
 fn collector_sees_layered_events() {
-    let rep = run(2, Box::new(CollectingTracer::default()), None);
+    let rep = run(2, CollectingTracer::default(), None);
     assert!(rep.run.is_clean());
-    let collector = iotrace_ioapi::tracer::downcast_tracer::<CollectingTracer>(rep.tracer.as_ref())
-        .expect("tracer is a CollectingTracer");
-    let recs = &collector.records;
+    let recs = &rep.tracer.records;
     assert!(!recs.is_empty());
     // All three layers are present for an MPI write workload.
     let layers: std::collections::HashSet<CallLayer> =
@@ -106,11 +104,9 @@ fn mmap_data_movement_is_invisible_to_syscall_layer() {
         Op::Exit,
     ];
     let programs: Vec<P> = vec![Box::new(OpList::new(ops))];
-    let rep = run_job(cfg, vfs, Box::new(CollectingTracer::default()), programs);
+    let rep = run_job(cfg, vfs, CollectingTracer::default(), programs);
     assert!(rep.run.is_clean());
-    let recs = &iotrace_ioapi::tracer::downcast_tracer::<CollectingTracer>(rep.tracer.as_ref())
-        .unwrap()
-        .records;
+    let recs = &rep.tracer.records;
     // Syscall layer saw only mmap (zero data bytes); the megabyte moved
     // at the VFS layer — the taxonomy's mmap blind spot.
     let sys_bytes: u64 = recs
@@ -146,18 +142,12 @@ fn traced_run_is_slower_than_untraced() {
         fn wants(&self, call: &IoCall) -> bool {
             call.layer() != CallLayer::Vfs
         }
-        fn on_event(&mut self, _r: &TraceRecord, _c: &mut TracerCtx<'_>) -> SimDur {
+        fn on_event(&mut self, _r: TraceRecord, _c: &mut TracerCtx<'_>) -> SimDur {
             SimDur::ZERO
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
-    let untraced = run(4, Box::new(NullTracer), None);
-    let traced_rep = run(4, Box::new(PtraceAll), None);
+    let untraced = run(4, NullTracer, None);
+    let traced_rep = run(4, PtraceAll, None);
     assert!(untraced.run.is_clean() && traced_rep.run.is_clean());
     let oh = elapsed_overhead(untraced.elapsed(), traced_rep.elapsed());
     assert!(oh > 0.02, "expected measurable overhead, got {oh}");
@@ -171,10 +161,10 @@ fn traced_run_is_slower_than_untraced() {
 /// one-node throttle this rotation replaced (5 ms per op on node 2).
 #[test]
 fn one_node_rotation_matches_the_static_throttle_elapsed() {
-    let base = run(4, Box::new(NullTracer), None);
+    let base = run(4, NullTracer, None);
     let thr = run(
         4,
-        Box::new(NullTracer),
+        NullTracer,
         Some(RotatingThrottle {
             nodes: vec![NodeId(2)],
             slots: 1,
@@ -215,7 +205,7 @@ fn posix_fd_semantics_through_engine() {
         Op::Exit,
     ];
     let programs: Vec<P> = vec![Box::new(OpList::new(ops))];
-    let rep = run_job(cfg, vfs, Box::new(NullTracer), programs);
+    let rep = run_job(cfg, vfs, NullTracer, programs);
     assert!(rep.run.is_clean());
     assert_eq!(rep.stats.bytes_written, 11);
     assert_eq!(rep.stats.bytes_read, 11);
@@ -237,7 +227,7 @@ fn bad_fd_yields_ebadf_not_panic() {
         Op::Exit,
     ];
     let programs: Vec<P> = vec![Box::new(OpList::new(ops))];
-    let rep = run_job(cfg, vfs, Box::new(NullTracer), programs);
+    let rep = run_job(cfg, vfs, NullTracer, programs);
     assert!(rep.run.is_clean());
     assert_eq!(rep.stats.bytes_written, 0);
 }
@@ -266,15 +256,15 @@ fn open_missing_file_reports_enoent() {
         }
     };
     let programs: Vec<P> = vec![Box::new(prog)];
-    let rep = run_job(cfg, vfs, Box::new(NullTracer), programs);
+    let rep = run_job(cfg, vfs, NullTracer, programs);
     assert!(rep.run.is_clean());
     assert_eq!(*seen.borrow(), Some(IoRes::Error(2)));
 }
 
 #[test]
 fn runs_are_deterministic() {
-    let a = run(4, Box::new(NullTracer), None);
-    let b = run(4, Box::new(NullTracer), None);
+    let a = run(4, NullTracer, None);
+    let b = run(4, NullTracer, None);
     assert_eq!(a.elapsed(), b.elapsed());
     assert_eq!(a.stats.bytes_written, b.stats.bytes_written);
     assert_eq!(a.stats.events_emitted, b.stats.events_emitted);

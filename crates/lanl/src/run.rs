@@ -53,7 +53,7 @@ pub fn with_timing_jobs(programs: Vec<P>) -> Vec<P> {
 
 /// Everything a LANL-Trace run produces.
 pub struct LanlRun {
-    pub report: JobReport,
+    pub report: JobReport<LanlTracer>,
     /// Decoded per-rank traces.
     pub traces: Vec<Trace>,
     /// Aggregate timing output (Figure 1, middle).
@@ -156,15 +156,11 @@ impl LanlTrace {
         let tracer = LanlTracer::new(self.cfg.clone(), app_cmdline);
         let mut report = run_executor(
             cluster,
-            IoExecutor::new(vfs, Box::new(tracer)),
+            IoExecutor::new(vfs, tracer),
             with_timing_jobs(programs),
             limits,
         );
-        let t = report
-            .tracer
-            .as_any_mut()
-            .downcast_mut::<LanlTracer>()
-            .expect("tracer is a LanlTracer");
+        let t = &mut report.tracer;
         let mut traces = t.take_traces();
         let timing = t.timing().clone();
         let summary = t.summary().clone();
@@ -184,8 +180,12 @@ impl LanlTrace {
 
 /// Untraced baseline with the same pre/post jobs absent (the plain app,
 /// as `time ./app` would run it).
-pub fn untraced_baseline(cluster: ClusterConfig, vfs: Vfs, programs: Vec<P>) -> JobReport {
-    run_job(cluster, vfs, Box::new(NullTracer), programs)
+pub fn untraced_baseline(
+    cluster: ClusterConfig,
+    vfs: Vfs,
+    programs: Vec<P>,
+) -> JobReport<NullTracer> {
+    run_job(cluster, vfs, NullTracer, programs)
 }
 
 /// Apply a fault plan's trace-level faults to a set of decoded per-rank

@@ -3,13 +3,13 @@
 //! aggregate timing and call-summary outputs (the three output types of
 //! paper Figure 1).
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use iotrace_fs::vfs::{Vfs, VnodeId};
 use iotrace_ioapi::params::Interception;
 use iotrace_ioapi::tracer::{IoTracer, TracerCtx};
 use iotrace_model::event::{CallLayer, IoCall, Trace, TraceMeta, TraceRecord};
+use iotrace_model::journal::{RecordsDigest, TracerSnapshot};
 use iotrace_model::summary::CallSummary;
 use iotrace_model::text;
 use iotrace_model::timing::{AggregateTiming, BarrierObservation, BarrierTiming};
@@ -153,10 +153,13 @@ impl IoTracer for LanlTracer {
         self.cfg.aux_stops
     }
 
-    fn on_event(&mut self, rec: &TraceRecord, ctx: &mut TracerCtx<'_>) -> SimDur {
-        self.summary.add(rec);
+    fn on_event(&mut self, rec: TraceRecord, ctx: &mut TracerCtx<'_>) -> SimDur {
+        self.summary.add(&rec);
 
-        // Aggregate timing: every MPI_Barrier is a labelled observation.
+        // Aggregate timing: every MPI_Barrier is an observation of its
+        // rank's next barrier. A rank reaches barrier `seq` only after
+        // `0..seq`, so barriers are first seen in order and barrier `seq`
+        // is `timing.barriers[seq]`, labelled when first seen.
         if matches!(rec.call, IoCall::MpiBarrier) {
             let seq = {
                 let sink = self.sink_for(ctx);
@@ -164,7 +167,6 @@ impl IoTracer for LanlTracer {
                 sink.barrier_seq += 1;
                 s
             };
-            let label = self.barrier_label(seq);
             let obs = BarrierObservation {
                 rank: rec.rank,
                 host: format!("host{:02}.lanl.gov", rec.node),
@@ -172,13 +174,12 @@ impl IoTracer for LanlTracer {
                 entered: rec.ts,
                 exited: rec.ts + rec.dur,
             };
-            if let Some(b) = self.timing.barriers.iter_mut().find(|b| b.label == label) {
-                b.observations.push(obs);
-            } else {
-                self.timing.barriers.push(BarrierTiming {
-                    label,
+            match self.timing.barriers.get_mut(seq as usize) {
+                Some(b) => b.observations.push(obs),
+                None => self.timing.barriers.push(BarrierTiming {
+                    label: self.barrier_label(seq),
                     observations: vec![obs],
-                });
+                }),
             }
         }
 
@@ -187,10 +188,10 @@ impl IoTracer for LanlTracer {
         let epoch = self.base_epoch;
         let sink = self.sink_for(ctx);
         sink.pid = rec.pid;
+        text::write_record_line(&mut sink.buffer, epoch, &rec);
         if keep {
-            sink.records.push(rec.clone());
+            sink.records.push(rec);
         }
-        text::write_record_line(&mut sink.buffer, epoch, rec);
 
         // Flush to node-local disk when the buffer fills (charged). The
         // buffer itself becomes the write payload; its replacement keeps
@@ -238,29 +239,19 @@ impl IoTracer for LanlTracer {
         );
     }
 
-    fn snapshot(&self) -> Option<iotrace_model::journal::TracerSnapshot> {
-        // Records in rank order (BTreeMap iteration), so the digest is a
-        // stable function of the capture state. Buffered bytes are the
-        // text still sitting in per-rank memory buffers — exactly what a
-        // kill -9 of the wrapper scripts would lose.
-        let records: Vec<TraceRecord> = self
-            .sinks
-            .values()
-            .flat_map(|s| s.records.iter().cloned())
-            .collect();
-        Some(iotrace_model::journal::TracerSnapshot {
+    fn snapshot(&self) -> Option<TracerSnapshot> {
+        // Records folded where they lie, in rank order (BTreeMap
+        // iteration), so the digest is a stable function of the capture
+        // state. Buffered bytes are the text still sitting in per-rank
+        // memory buffers — exactly what a kill -9 of the wrapper scripts
+        // would lose.
+        let records = || self.sinks.values().flat_map(|s| &s.records);
+        Some(TracerSnapshot {
             tracer: "lanl-trace".into(),
-            records: records.len(),
+            records: records().count(),
             buffered_bytes: self.sinks.values().map(|s| s.buffer.len() as u64).sum(),
-            digest: iotrace_model::journal::records_digest(&records),
+            digest: RecordsDigest::of(records()).finish(),
         })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -305,6 +296,49 @@ mod tests {
         let t = LanlTracer::new(LanlConfig::ltrace(), "/app.exe");
         assert_eq!(t.barrier_label(0), "Barrier before /app.exe");
         assert_eq!(t.barrier_label(2), "Barrier 2 of /app.exe");
+    }
+
+    /// At every checkpoint of a real run, the snapshot folds the kept
+    /// records where they lie into what digesting a cloned copy gives.
+    #[test]
+    fn snapshots_equal_the_digest_of_a_cloned_capture() {
+        use iotrace_ioapi::executor::IoExecutor;
+        use iotrace_ioapi::harness::{standard_cluster, standard_vfs};
+        use iotrace_model::journal::records_digest;
+        use iotrace_sim::engine::{Engine, NullObserver, RunLimits};
+        use iotrace_workloads::prelude::*;
+
+        let w = MpiIoTest::new(AccessPattern::NTo1Strided, 4, 4096, 6);
+        let mut vfs = standard_vfs(4);
+        vfs.setup_dir(&w.dir).unwrap();
+        let tracer = LanlTracer::new(LanlConfig::ltrace(), &w.cmdline());
+        let mut engine = Engine::new(standard_cluster(4, 7), IoExecutor::new(vfs, tracer));
+        let mut kept = Vec::new();
+        let report = engine.run_controlled(
+            crate::run::with_timing_jobs(w.programs()),
+            &mut NullObserver,
+            RunLimits {
+                max_events: None,
+                checkpoint_every: Some(4),
+            },
+            &mut |exec: &mut IoExecutor<LanlTracer>, _, _| {
+                let t = exec.tracer();
+                let records: Vec<TraceRecord> = t
+                    .sinks
+                    .values()
+                    .flat_map(|s| s.records.iter().cloned())
+                    .collect();
+                let snap = t.snapshot().expect("LANL-Trace checkpoints");
+                assert_eq!(snap.records, records.len());
+                assert_eq!(snap.digest, records_digest(&records));
+                kept.push(snap.records);
+            },
+        );
+        assert!(report.is_clean());
+        assert!(
+            kept.len() > 10 && kept.windows(2).any(|p| p[0] < p[1]),
+            "{kept:?}"
+        );
     }
 
     #[test]

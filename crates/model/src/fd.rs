@@ -36,8 +36,9 @@ use crate::fasthash::FxHashMap;
 use crate::intern::Sym;
 
 /// The `fcntl` command a duplication is recorded under: Linux's
-/// `F_DUPFD_CLOEXEC`. The interposition shim records `dup`, `dup2` and
-/// `dup3` as `Fcntl { fd: old, cmd: DUP_CMD }` returning the new fd.
+/// `F_DUPFD_CLOEXEC`. The interposition shim records `dup`, `dup2`,
+/// `dup3` and `fcntl`'s `F_DUPFD` and `F_DUPFD_CLOEXEC` as
+/// `Fcntl { fd: old, cmd: DUP_CMD }` returning the new fd.
 pub const DUP_CMD: u32 = 1030;
 
 /// `(old, new)` when `call` returning `result` duplicated a descriptor:

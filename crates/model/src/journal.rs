@@ -802,11 +802,7 @@ pub fn fsck_journal(bytes: &[u8]) -> Result<(Trace, FsckReport), JournalError> {
 /// plain segment encoding. Two tracers hold identical capture state iff
 /// their digests match — the checkpoint/resume divergence check.
 pub fn records_digest(records: &[TraceRecord]) -> u64 {
-    let mut d = RecordsDigest::default();
-    for r in records {
-        d.push(r, r.ts);
-    }
-    d.finish()
+    RecordsDigest::of(records).finish()
 }
 
 /// [`records_digest`] folded one record at a time: each record is
@@ -818,27 +814,39 @@ pub struct RecordsDigest {
     fnv: Fnv64,
     scratch: Vec<u8>,
     prev_ts: u64,
+    bytes: u64,
 }
 
 impl RecordsDigest {
+    /// The fold over `records`, each stamped with its own timestamp.
+    pub fn of<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Self {
+        let mut d = RecordsDigest::default();
+        for r in records {
+            d.push(r, r.ts);
+        }
+        d
+    }
+
     /// Fold in `rec` stamped `ts` — its own timestamp, or the corrected
     /// one a merge visits it with, so nothing is cloned to restamp it.
     pub fn push(&mut self, rec: &TraceRecord, ts: SimTime) {
         self.scratch.clear();
         encode_record_plain(&mut self.scratch, rec, ts, &mut self.prev_ts);
         self.fnv.update(&self.scratch);
+        self.bytes += self.scratch.len() as u64;
     }
 
     /// The digest of every record pushed so far.
     pub fn finish(&self) -> u64 {
         self.fnv.finish()
     }
-}
 
-/// Bytes the records occupy in the plain segment encoding — the honest
-/// "unsynced state" size for in-memory tracers.
-pub fn encoded_size(records: &[TraceRecord]) -> u64 {
-    encode_segment_payload(records).len() as u64
+    /// Bytes the records pushed so far occupy in the plain segment
+    /// encoding ([`encode_segment_payload`]) — the honest "unsynced
+    /// state" size for in-memory tracers.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
 }
 
 /// A framework's capture state frozen at a checkpoint: how many records
@@ -1171,6 +1179,19 @@ mod tests {
         assert_ne!(a, records_digest(&rev));
         assert_ne!(a, records_digest(&t.records[..11]));
         assert_ne!(records_digest(&[]), 0);
+    }
+
+    #[test]
+    fn digest_fold_counts_the_plain_encoded_bytes() {
+        let t = sample(12);
+        for n in [0, 1, 12] {
+            let d = RecordsDigest::of(&t.records[..n]);
+            assert_eq!(d.finish(), records_digest(&t.records[..n]));
+            assert_eq!(
+                d.bytes(),
+                encode_segment_payload(&t.records[..n]).len() as u64
+            );
+        }
     }
 
     #[test]

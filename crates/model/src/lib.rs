@@ -53,9 +53,8 @@ pub mod prelude {
         ContentDigests, DecodedIot2, Frame, Iot2Error, Iot2View, SalvagedIot2, FRAME_STRIDE,
     };
     pub use crate::journal::{
-        encode_journal, encode_journal_versioned, encoded_size, fsck_journal, journal_version,
-        read_journal, records_digest, FsckReport, JournalError, JournalWriter, RecordsDigest,
-        TracerSnapshot,
+        encode_journal, encode_journal_versioned, fsck_journal, journal_version, read_journal,
+        records_digest, FsckReport, JournalError, JournalWriter, RecordsDigest, TracerSnapshot,
     };
     pub use crate::par::par_map;
     pub use crate::salvage::{SalvageReport, TraceError};

@@ -189,7 +189,7 @@ fn run_capture(
     app: &str,
     rotating: Option<RotatingThrottle>,
 ) -> (Vec<Trace>, SimDur) {
-    let mut exec = IoExecutor::new(vfs, Box::new(PartraceTracer::new(app)));
+    let mut exec = IoExecutor::new(vfs, PartraceTracer::new(app));
     exec.set_rotating_throttle(rotating);
     let mut report = run_executor(cluster, exec, programs, RunLimits::default());
     assert!(
@@ -197,11 +197,5 @@ fn run_capture(
         "capture run deadlocked: {:?}",
         report.run.deadlocked
     );
-    let traces = report
-        .tracer
-        .as_any_mut()
-        .downcast_mut::<PartraceTracer>()
-        .expect("tracer is PartraceTracer")
-        .take_traces();
-    (traces, report.run.elapsed)
+    (report.tracer.take_traces(), report.run.elapsed)
 }

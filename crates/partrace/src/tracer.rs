@@ -3,12 +3,12 @@
 //! calls are captured — the framework deliberately has no granularity
 //! control, because complete traces are what replay accuracy needs.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use iotrace_ioapi::params::Interception;
 use iotrace_ioapi::tracer::{IoTracer, TracerCtx};
 use iotrace_model::event::{CallLayer, IoCall, Trace, TraceMeta, TraceRecord};
+use iotrace_model::journal::{RecordsDigest, TracerSnapshot};
 use iotrace_sim::time::SimDur;
 
 /// Per-rank capture buffer.
@@ -80,10 +80,9 @@ impl IoTracer for PartraceTracer {
         self.startup
     }
 
-    fn on_event(&mut self, rec: &TraceRecord, _ctx: &mut TracerCtx<'_>) -> SimDur {
+    fn on_event(&mut self, mut rec: TraceRecord, _ctx: &mut TracerCtx<'_>) -> SimDur {
         let buf = self.bufs.entry(rec.rank).or_default();
         buf.node = rec.node;
-        let mut rec = rec.clone();
         // Subtract the tracer's own accumulated delay from the recorded
         // timestamp (overhead compensation).
         rec.ts =
@@ -93,28 +92,19 @@ impl IoTracer for PartraceTracer {
         SimDur::from_nanos(350)
     }
 
-    fn snapshot(&self) -> Option<iotrace_model::journal::TracerSnapshot> {
+    fn snapshot(&self) -> Option<TracerSnapshot> {
         // //TRACE holds *everything* in memory until the run ends, so the
         // whole capture is volatile: buffered_bytes is the full encoded
-        // size, which is exactly what a mid-run kill loses.
-        let records: Vec<TraceRecord> = self
-            .bufs
-            .values()
-            .flat_map(|b| b.records.iter().cloned())
-            .collect();
-        Some(iotrace_model::journal::TracerSnapshot {
+        // size, which is exactly what a mid-run kill loses. One fold over
+        // the records, in rank order, yields both it and the digest.
+        let records = || self.bufs.values().flat_map(|b| &b.records);
+        let digest = RecordsDigest::of(records());
+        Some(TracerSnapshot {
             tracer: "partrace".into(),
-            records: records.len(),
-            buffered_bytes: iotrace_model::journal::encoded_size(&records),
-            digest: iotrace_model::journal::records_digest(&records),
+            records: records().count(),
+            buffered_bytes: digest.bytes(),
+            digest: digest.finish(),
         })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -137,6 +127,54 @@ mod tests {
             offset: 0,
             len: 8
         }));
+    }
+
+    /// At every checkpoint of a real run, the snapshot folds the
+    /// captured records where they lie into what digesting and encoding
+    /// a cloned copy gives.
+    #[test]
+    fn snapshots_equal_the_digest_and_size_of_a_cloned_capture() {
+        use iotrace_ioapi::executor::IoExecutor;
+        use iotrace_ioapi::harness::{standard_cluster, standard_vfs};
+        use iotrace_model::journal::{encode_segment_payload, records_digest};
+        use iotrace_sim::engine::{Engine, NullObserver, RunLimits};
+        use iotrace_workloads::prelude::*;
+
+        let w = MpiIoTest::new(AccessPattern::NTo1Strided, 4, 4096, 6);
+        let mut vfs = standard_vfs(4);
+        vfs.setup_dir(&w.dir).unwrap();
+        let tracer = PartraceTracer::new(&w.cmdline());
+        let mut engine = Engine::new(standard_cluster(4, 7), IoExecutor::new(vfs, tracer));
+        let mut kept = Vec::new();
+        let report = engine.run_controlled(
+            w.programs(),
+            &mut NullObserver,
+            RunLimits {
+                max_events: None,
+                checkpoint_every: Some(4),
+            },
+            &mut |exec: &mut IoExecutor<PartraceTracer>, _, _| {
+                let t = exec.tracer();
+                let records: Vec<TraceRecord> = t
+                    .bufs
+                    .values()
+                    .flat_map(|b| b.records.iter().cloned())
+                    .collect();
+                let snap = t.snapshot().expect("//TRACE checkpoints");
+                assert_eq!(snap.records, records.len());
+                assert_eq!(
+                    snap.buffered_bytes,
+                    encode_segment_payload(&records).len() as u64
+                );
+                assert_eq!(snap.digest, records_digest(&records));
+                kept.push(snap.records);
+            },
+        );
+        assert!(report.is_clean());
+        assert!(
+            kept.len() > 10 && kept.windows(2).any(|p| p[0] < p[1]),
+            "{kept:?}"
+        );
     }
 
     #[test]

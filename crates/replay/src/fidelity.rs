@@ -5,7 +5,7 @@
 
 use iotrace_fs::vfs::Vfs;
 use iotrace_ioapi::harness::{run_job, JobReport};
-use iotrace_ioapi::tracer::{downcast_tracer, CollectingTracer};
+use iotrace_ioapi::tracer::CollectingTracer;
 use iotrace_model::event::{CallLayer, IoCall, Trace, TraceRecord};
 use iotrace_model::summary::CallSummary;
 use iotrace_partrace::replayable::ReplayableTrace;
@@ -105,24 +105,15 @@ pub fn replay_and_measure(
     cluster: ClusterConfig,
     mut vfs: Vfs,
     cfg: ReplayConfig,
-) -> (FidelityReport, JobReport) {
+) -> (FidelityReport, JobReport<CollectingTracer>) {
     prepare_vfs(rt, &mut vfs);
     let programs = build_programs(rt, cfg);
-    let report = run_job(
-        cluster,
-        vfs,
-        Box::new(CollectingTracer::default()),
-        programs,
-    );
+    let report = run_job(cluster, vfs, CollectingTracer::default(), programs);
     assert!(
         report.run.is_clean(),
         "pseudo-application deadlocked: {:?}",
         report.run.deadlocked
     );
-    let collected: Vec<TraceRecord> = downcast_tracer::<CollectingTracer>(report.tracer.as_ref())
-        .map(|c| c.records.clone())
-        .unwrap_or_default();
-
     let original_span = capture_span(&rt.traces);
     let replay_elapsed = report.run.elapsed;
     let o = original_span.as_secs_f64();
@@ -138,7 +129,7 @@ pub fn replay_and_measure(
         .map(|r| r.call.bytes())
         .sum();
     let bytes_replayed = report.stats.bytes_written + report.stats.bytes_read;
-    let sig = signature_error(&rt.traces, &collected);
+    let sig = signature_error(&rt.traces, &report.tracer.records);
 
     (
         FidelityReport {

@@ -8,6 +8,7 @@
 
 use iotrace_fs::vfs::Vfs;
 use iotrace_ioapi::harness::JobReport;
+use iotrace_ioapi::tracer::CollectingTracer;
 use iotrace_lint::{lint_replayable, LintReport};
 use iotrace_partrace::replayable::ReplayableTrace;
 use iotrace_sim::engine::ClusterConfig;
@@ -134,7 +135,14 @@ pub fn replay_and_measure_checked(
     cluster: ClusterConfig,
     vfs: Vfs,
     cfg: ReplayConfig,
-) -> Result<(FidelityReport, JobReport, DegradationReport), Box<LintReport>> {
+) -> Result<
+    (
+        FidelityReport,
+        JobReport<CollectingTracer>,
+        DegradationReport,
+    ),
+    Box<LintReport>,
+> {
     let report = preflight(rt);
     if report.has_errors() {
         return Err(Box::new(report));

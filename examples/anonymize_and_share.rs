@@ -17,18 +17,9 @@ fn main() {
     let mut vfs = standard_vfs(ranks as usize);
     vfs.setup_dir(&w.dir).unwrap();
     let cluster = standard_cluster(ranks as usize, 3);
-    let rep = run_job(
-        cluster,
-        vfs,
-        Box::new(CollectingTracer::default()),
-        w.programs(),
-    );
-    let records = iotrace::ioapi::tracer::downcast_tracer::<CollectingTracer>(rep.tracer.as_ref())
-        .unwrap()
-        .records
-        .clone();
+    let rep = run_job(cluster, vfs, CollectingTracer::default(), w.programs());
     let mut trace = Trace::new(TraceMeta::new(&w.cmdline(), 0, 0, "collector"));
-    trace.records = records;
+    trace.records = rep.tracer.records;
     println!("captured {} records", trace.records.len());
     let example = trace
         .records
