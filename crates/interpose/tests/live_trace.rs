@@ -1,10 +1,12 @@
 //! Live interposition test: preload the shim onto a real process and
 //! verify the captured I/O through the workspace's one text parser.
 
+use std::ffi::{c_char, c_int};
 use std::io::Write as _;
 use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
+use std::sync::atomic::{AtomicI32, Ordering};
 
 use iotrace_analysis::hotspots::by_path_interned;
 use iotrace_model::event::{IoCall, Trace};
@@ -139,6 +141,68 @@ fn a_shell_closing_stdin_closes_it() {
     );
     assert!(save.result >= 10, "{save:?}");
     assert_eq!((&close.call, close.result), (&IoCall::Close { fd: 0 }, 0));
+}
+
+/// Set in the environment of this test binary when it re-runs itself
+/// under the shim to close stdin before any other hooked call.
+const CLOSE0_CHILD: &str = "IOTRACE_LIVE_CLOSE0_CHILD";
+
+/// What [`close_stdin_first`] saw: `close(0)`'s result, then
+/// `fcntl(0, F_GETFD)`'s right after it.
+static CLOSE0_SEEN: [AtomicI32; 2] = [AtomicI32::new(i32::MIN), AtomicI32::new(i32::MIN)];
+
+extern "C" {
+    fn getenv(name: *const c_char) -> *const c_char;
+    fn close(fd: c_int) -> c_int;
+    fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
+}
+
+/// Runs before `main`, so in the [`CLOSE0_CHILD`] process its
+/// `close(0)` is the first hooked call, made while the shim's trace
+/// file is still unopened (no shell saves stdin first).
+extern "C" fn close_stdin_first() {
+    // SAFETY: getenv with a NUL-terminated literal; result checked.
+    if unsafe { getenv(c"IOTRACE_LIVE_CLOSE0_CHILD".as_ptr()) }.is_null() {
+        return;
+    }
+    const F_GETFD: c_int = 1;
+    // SAFETY: closing stdin and querying its flags touch no Rust-owned fd.
+    let (closed, flags) = unsafe { (close(0), fcntl(0, F_GETFD)) };
+    CLOSE0_SEEN[0].store(closed, Ordering::Relaxed);
+    CLOSE0_SEEN[1].store(flags, Ordering::Relaxed);
+}
+
+#[used]
+#[link_section = ".init_array"]
+static CLOSE_STDIN_FIRST: extern "C" fn() = close_stdin_first;
+
+/// `close(0)` made before the trace file is open reaches libc and is
+/// the first record: the test re-runs itself under the shim, and a
+/// constructor closes stdin before `main`.
+#[test]
+fn closing_stdin_before_the_first_trace_line_closes_it() {
+    if std::env::var_os(CLOSE0_CHILD).is_some() {
+        let seen = CLOSE0_SEEN.each_ref().map(|s| s.load(Ordering::Relaxed));
+        assert_eq!(seen, [0, -1], "close(0) did not close stdin");
+        return;
+    }
+    let trace_file = trace_file("close0_first");
+    let (_, out) = run_traced(
+        Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "closing_stdin_before_the_first_trace_line_closes_it",
+                "--test-threads=1",
+            ])
+            .env(CLOSE0_CHILD, "1"),
+        &trace_file,
+        b"",
+    );
+    assert!(out.status.success(), "child failed: {out:?}");
+    let trace = parse(&trace_file);
+    let _ = std::fs::remove_file(&trace_file);
+    let first = trace.records.first().expect("the close was traced");
+    assert_eq!((&first.call, first.result), (&IoCall::Close { fd: 0 }, 0));
 }
 
 /// After a `fork`, parent and child each write their header again, so
