@@ -2,16 +2,17 @@
 //! on one run and one input, never against absolute seconds.
 //!
 //! A deterministic 32-rank capture (20,000 records per rank, 2,000 with
-//! `IOTRACE_QUICK=1`) goes through five stages, each timed best of 3:
+//! `IOTRACE_QUICK=1`) goes through six stages, each timed best of 3:
 //! v1 binary decode, IOT2 decode, IOTJ v2 journal decode, the k-way
-//! merge and the lineage graph build. Every decoded trace must digest
-//! equal to its input. The last stdout line is one JSON object of the
+//! merge, the sort it replaced (`merge_by_sort`) and the lineage graph
+//! build. Every decoded trace must digest equal to its input, and the
+//! merge equal to the sort. The last stdout line is one JSON object of the
 //! record count and each stage's seconds; CI's `perf-smoke` job holds
 //! the bounds on their ratios.
 
 use std::time::Instant;
 
-use iotrace_analysis::merge::merge_corrected;
+use iotrace_analysis::merge::{merge_by_sort, merge_corrected};
 use iotrace_analysis::skew::{ClockFit, SkewEstimate};
 use iotrace_bench::quick_mode;
 use iotrace_model::binary::{decode_binary, encode_binary, BinaryOptions};
@@ -66,13 +67,20 @@ fn main() {
     let j_s = decode_stage("journal-decode-v2", &traces, || {
         j.iter().map(decode_j).collect()
     });
-    let merge_s = best_of_3(|| merge_corrected(&traces, &est)).0;
+    let (merge_s, merged) = best_of_3(|| merge_corrected(&traces, &est));
+    let (sort_s, sorted) = best_of_3(|| merge_by_sort(&traces, &est));
+    assert!(
+        merged == sorted,
+        "the k-way merge and the sort built different timelines"
+    );
+    drop((merged, sorted));
     let provenance_s = best_of_3(|| LineageGraph::build(&traces, None)).0;
     let stages = [
         ("decode", v1_s),
         ("decode-v2", v2_s),
         ("journal-decode-v2", j_s),
         ("merge", merge_s),
+        ("merge-by-sort", sort_s),
         ("provenance", provenance_s),
     ];
 

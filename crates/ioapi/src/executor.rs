@@ -166,41 +166,91 @@ impl Emit<'_> {
     /// Emit one event: build the record, charge interception and tracer
     /// bookkeeping time, and hand the record to the tracer.
     fn emit(&mut self, call: IoCall, start: SimTime, dur: SimDur, result: i64) {
-        self.emitted += 1;
-        let intercepts = self.tracer.intercepts(&call);
-        let wants = self.tracer.wants(&call);
-        if !intercepts && !wants {
+        if self.offer(&call) {
+            self.keep(call, start, dur, result);
+        }
+    }
+
+    /// Emit a VFS page event on an open file whose path is `path`. The
+    /// path is lent to the call while the tracer decides, so it is copied
+    /// only into a record the tracer keeps.
+    #[allow(clippy::too_many_arguments)]
+    fn emit_page(
+        &mut self,
+        path: &mut String,
+        write: bool,
+        offset: u64,
+        len: u64,
+        start: SimTime,
+        dur: SimDur,
+        result: i64,
+    ) {
+        let path_arg = std::mem::take(path);
+        let mut call = match write {
+            true => IoCall::VfsWritePage {
+                path: path_arg,
+                offset,
+                len,
+            },
+            false => IoCall::VfsReadPage {
+                path: path_arg,
+                offset,
+                len,
+            },
+        };
+        let kept = self.offer(&call);
+        let (IoCall::VfsWritePage { path: lent, .. } | IoCall::VfsReadPage { path: lent, .. }) =
+            &mut call
+        else {
+            unreachable!("a page call")
+        };
+        if !kept {
+            *path = std::mem::take(lent);
             return;
         }
-        let before = self.now;
-        if intercepts {
+        path.clone_from(lent);
+        self.keep(call, start, dur, result);
+    }
+
+    /// Offer an event to the tracer: count it, charge the interception if
+    /// the mechanism stops on it, and say whether the tracer keeps it.
+    fn offer(&mut self, call: &IoCall) -> bool {
+        self.emitted += 1;
+        if self.tracer.intercepts(call) {
             if let Some(m) = self.tracer.mechanism() {
+                let before = self.now;
                 self.now += self.cost.event_cost(m, call.bytes());
+                self.tracer_time += self.now.since(before);
             }
         }
-        if wants {
-            self.traced += 1;
-            let rec = TraceRecord {
-                ts: self.clock.observe(start),
-                dur,
-                rank: self.rank.0,
-                node: self.node.0,
-                pid: self.pid,
-                uid: self.uid,
-                gid: self.gid,
-                call,
-                result,
-            };
-            let mut tctx = TracerCtx {
-                vfs: self.vfs,
-                rank: self.rank,
-                node: self.node,
-                now: self.now,
-                clock: self.clock,
-                world: self.world,
-            };
-            self.now += self.tracer.on_event(rec, &mut tctx);
-        }
+        self.tracer.wants(call)
+    }
+
+    /// Build the record of a kept event and hand it to the tracer,
+    /// charging its bookkeeping time.
+    fn keep(&mut self, call: IoCall, start: SimTime, dur: SimDur, result: i64) {
+        self.traced += 1;
+        let rec = TraceRecord {
+            ts: self.clock.observe(start),
+            dur,
+            rank: self.rank.0,
+            node: self.node.0,
+            pid: self.pid,
+            uid: self.uid,
+            gid: self.gid,
+            call,
+            result,
+        };
+        let mut tctx = TracerCtx {
+            vfs: self.vfs,
+            rank: self.rank,
+            node: self.node,
+            now: self.now,
+            clock: self.clock,
+            world: self.world,
+        };
+        let before = self.now;
+        self.now += self.tracer.on_event(rec, &mut tctx);
         self.tracer_time += self.now.since(before);
     }
 
@@ -546,24 +596,25 @@ fn dispatch(
             e.now += sys_oh;
             e.emit(IoCall::Mmap { len: *len }, start, e.now.since(start), 0);
             // The store + writeback: visible only at VFS layer.
-            let (vn, path) = match proc.get(*fd) {
-                Some(of) => (of.vn, of.path.clone()),
-                None => return IoRes::Error(9),
+            let Some(of) = proc.get_mut(*fd) else {
+                return IoRes::Error(9);
             };
             let w_start = e.now;
-            match e
-                .vfs
-                .write(e.node, vn, *offset, &WritePayload::Synthetic(*len), e.now)
-            {
+            match e.vfs.write(
+                e.node,
+                of.vn,
+                *offset,
+                &WritePayload::Synthetic(*len),
+                e.now,
+            ) {
                 Ok(rep) => {
                     e.now = rep.finish;
                     stats.bytes_written += rep.bytes;
-                    e.emit(
-                        IoCall::VfsWritePage {
-                            path,
-                            offset: *offset,
-                            len: rep.bytes,
-                        },
+                    e.emit_page(
+                        &mut of.path,
+                        true,
+                        *offset,
+                        rep.bytes,
                         w_start,
                         e.now.since(w_start),
                         rep.bytes as i64,
@@ -793,8 +844,8 @@ fn do_read(
     positional: bool,
     stats: &mut IoStats,
 ) -> IoRes {
-    let (vn, path) = match proc.get(fd) {
-        Some(of) => (of.vn, of.path.clone()),
+    let of = match proc.get_mut(fd) {
+        Some(of) => of,
         None => {
             let call = if positional {
                 IoCall::Pread {
@@ -813,17 +864,16 @@ fn do_read(
     };
     let start = e.now;
     e.now += sys_oh;
-    match e.vfs.read(e.node, vn, offset, len, e.now) {
+    match e.vfs.read(e.node, of.vn, offset, len, e.now) {
         Ok(rep) => {
             let v_start = e.now;
             e.now = rep.finish;
             stats.bytes_read += rep.bytes;
-            e.emit(
-                IoCall::VfsReadPage {
-                    path,
-                    offset,
-                    len: rep.bytes,
-                },
+            e.emit_page(
+                &mut of.path,
+                false,
+                offset,
+                rep.bytes,
                 v_start,
                 rep.finish.since(v_start),
                 rep.bytes as i64,
@@ -858,8 +908,8 @@ fn do_write(
     positional: bool,
     stats: &mut IoStats,
 ) -> IoRes {
-    let (vn, path, writable) = match proc.get(fd) {
-        Some(of) => (of.vn, of.path.clone(), of.flags.writable()),
+    let of = match proc.get_mut(fd) {
+        Some(of) => of,
         None => {
             let call = if positional {
                 IoCall::Pwrite {
@@ -876,7 +926,7 @@ fn do_write(
             return bad_fd(e, call, sys_oh);
         }
     };
-    if !writable {
+    if !of.flags.writable() {
         let call = IoCall::Write {
             fd: fd.0 as i64,
             len: payload.len(),
@@ -888,17 +938,16 @@ fn do_write(
     }
     let start = e.now;
     e.now += sys_oh;
-    match e.vfs.write(e.node, vn, offset, payload, e.now) {
+    match e.vfs.write(e.node, of.vn, offset, payload, e.now) {
         Ok(rep) => {
             let v_start = e.now;
             e.now = rep.finish;
             stats.bytes_written += rep.bytes;
-            e.emit(
-                IoCall::VfsWritePage {
-                    path,
-                    offset,
-                    len: rep.bytes,
-                },
+            e.emit_page(
+                &mut of.path,
+                true,
+                offset,
+                rep.bytes,
                 v_start,
                 rep.finish.since(v_start),
                 rep.bytes as i64,

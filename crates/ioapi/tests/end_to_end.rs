@@ -84,6 +84,80 @@ fn collector_sees_layered_events() {
     assert!(mpi.dur >= sys.dur);
 }
 
+/// A VFS page event carries its open file's path whether or not the
+/// tracer kept the event before it: the path the executor lends to a
+/// dropped call goes back to the file. The tracer here keeps every
+/// other page event of the reads, writes and mmap stores below.
+#[test]
+fn page_events_keep_the_path_across_dropped_ones() {
+    use std::cell::Cell;
+    #[derive(Default)]
+    struct EveryOtherPage {
+        asked: Cell<u32>,
+        records: Vec<TraceRecord>,
+    }
+    impl IoTracer for EveryOtherPage {
+        fn name(&self) -> &'static str {
+            "every-other-page"
+        }
+        fn mechanism(&self) -> Option<Interception> {
+            None
+        }
+        fn intercepts(&self, _call: &IoCall) -> bool {
+            false
+        }
+        fn wants(&self, call: &IoCall) -> bool {
+            if !matches!(
+                call,
+                IoCall::VfsReadPage { .. } | IoCall::VfsWritePage { .. }
+            ) {
+                return false;
+            }
+            assert_eq!(call.path(), Some("/pfs/m/f"), "{call:?}");
+            let n = self.asked.get();
+            self.asked.set(n + 1);
+            n.is_multiple_of(2)
+        }
+        fn on_event(&mut self, r: TraceRecord, _c: &mut TracerCtx<'_>) -> SimDur {
+            self.records.push(r);
+            SimDur::ZERO
+        }
+    }
+    let cfg = ClusterConfig::new(1).with_net(NetworkParams::ideal());
+    let mut vfs = standard_vfs(1);
+    vfs.setup_dir("/pfs/m").unwrap();
+    let mut ops: Vec<Op<IoOp>> = vec![Op::Io(IoOp::Open {
+        path: "/pfs/m/f".into(),
+        flags: OpenFlags::RDWR | OpenFlags::CREAT,
+        mode: 0o644,
+    })];
+    for i in 0..3 {
+        ops.push(Op::Io(IoOp::PWrite {
+            fd: Fd(3),
+            offset: i * 4096,
+            payload: WritePayload::Synthetic(4096),
+        }));
+        ops.push(Op::Io(IoOp::PRead {
+            fd: Fd(3),
+            offset: i * 4096,
+            len: 4096,
+        }));
+        ops.push(Op::Io(IoOp::MmapWrite {
+            fd: Fd(3),
+            offset: i * 4096,
+            len: 4096,
+        }));
+    }
+    ops.extend([Op::Io(IoOp::Close { fd: Fd(3) }), Op::Exit]);
+    let programs: Vec<P> = vec![Box::new(OpList::new(ops))];
+    let rep = run_job(cfg, vfs, EveryOtherPage::default(), programs);
+    assert!(rep.run.is_clean());
+    let t = rep.tracer;
+    assert_eq!(t.asked.get(), 9);
+    let pages: Vec<&str> = t.records.iter().filter_map(|r| r.call.path()).collect();
+    assert_eq!(pages, ["/pfs/m/f"; 5]);
+}
+
 #[test]
 fn mmap_data_movement_is_invisible_to_syscall_layer() {
     let cfg = ClusterConfig::new(1).with_net(NetworkParams::ideal());

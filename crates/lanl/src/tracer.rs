@@ -3,8 +3,6 @@
 //! aggregate timing and call-summary outputs (the three output types of
 //! paper Figure 1).
 
-use std::collections::BTreeMap;
-
 use iotrace_fs::vfs::{Vfs, VnodeId};
 use iotrace_ioapi::params::Interception;
 use iotrace_ioapi::tracer::{IoTracer, TracerCtx};
@@ -34,7 +32,9 @@ struct RankSink {
 pub struct LanlTracer {
     cfg: LanlConfig,
     app: String,
-    sinks: BTreeMap<u32, RankSink>,
+    /// Each rank's sink, indexed by rank; `None` until the rank's first
+    /// event.
+    sinks: Vec<Option<RankSink>>,
     summary: CallSummary,
     timing: AggregateTiming,
     base_epoch: u64,
@@ -45,7 +45,7 @@ impl LanlTracer {
         LanlTracer {
             cfg,
             app: app_cmdline.to_string(),
-            sinks: BTreeMap::new(),
+            sinks: Vec::new(),
             summary: CallSummary::new(),
             timing: AggregateTiming::new(1_159_808_385),
             base_epoch: 1_159_808_385,
@@ -68,39 +68,46 @@ impl LanlTracer {
 
     /// Per-rank raw trace paths (on each rank's node-local disk).
     pub fn raw_paths(&self) -> Vec<(u32, String)> {
-        self.sinks
-            .iter()
-            .map(|(r, s)| (*r, s.path.clone()))
-            .collect()
+        self.ranks().map(|(r, s)| (r, s.path.clone())).collect()
     }
 
     /// Decoded per-rank traces (when `keep_records`), moved out of the
     /// sinks.
     pub(crate) fn take_traces(&mut self) -> Vec<Trace> {
-        self.sinks
-            .iter_mut()
+        let app = &self.app;
+        (0u32..)
+            .zip(&mut self.sinks)
+            .filter_map(|(r, s)| Some((r, s.as_mut()?)))
             .map(|(r, s)| Trace {
-                meta: TraceMeta::new(&self.app, *r, s.node, "lanl-trace"),
+                meta: TraceMeta::new(app, r, s.node, "lanl-trace"),
                 records: std::mem::take(&mut s.records),
             })
             .collect()
     }
 
+    /// Every rank's sink, in rank order.
+    fn ranks(&self) -> impl Iterator<Item = (u32, &RankSink)> {
+        (0u32..)
+            .zip(&self.sinks)
+            .filter_map(|(r, s)| Some((r, s.as_ref()?)))
+    }
+
     fn sink_for(&mut self, ctx: &TracerCtx<'_>) -> &mut RankSink {
+        let rank = ctx.rank.index();
+        if rank >= self.sinks.len() {
+            self.sinks.resize_with(rank + 1, || None);
+        }
         let cfg = &self.cfg;
         let app = &self.app;
-        self.sinks.entry(ctx.rank.0).or_insert_with(|| {
-            let path = format!("{}/rank{:04}.trace", cfg.local_dir, ctx.rank.0);
-            RankSink {
-                file: None,
-                path,
-                written: 0,
-                buffer: header_text(app, ctx, 1_159_808_385),
-                node: ctx.node.0,
-                pid: 0,
-                records: Vec::new(),
-                barrier_seq: 0,
-            }
+        self.sinks[rank].get_or_insert_with(|| RankSink {
+            file: None,
+            path: format!("{}/rank{:04}.trace", cfg.local_dir, ctx.rank.0),
+            written: 0,
+            buffer: header_text(app, ctx, 1_159_808_385),
+            node: ctx.node.0,
+            pid: 0,
+            records: Vec::new(),
+            barrier_seq: 0,
         })
     }
 
@@ -215,7 +222,7 @@ impl IoTracer for LanlTracer {
         // Final flush of every rank's buffer (uncharged: job has ended;
         // the wrapper script does this after the app exits). Only the
         // buffered tail is appended, stamped with the end of the run.
-        for sink in self.sinks.values_mut() {
+        for sink in self.sinks.iter_mut().flatten() {
             if !sink.buffer.is_empty() {
                 let data = std::mem::take(&mut sink.buffer).into_bytes();
                 let len = data.len() as u64;
@@ -240,16 +247,15 @@ impl IoTracer for LanlTracer {
     }
 
     fn snapshot(&self) -> Option<TracerSnapshot> {
-        // Records folded where they lie, in rank order (BTreeMap
-        // iteration), so the digest is a stable function of the capture
+        // Records folded where they lie, in rank order, so the digest is a stable function of the capture
         // state. Buffered bytes are the text still sitting in per-rank
         // memory buffers — exactly what a kill -9 of the wrapper scripts
         // would lose.
-        let records = || self.sinks.values().flat_map(|s| &s.records);
+        let records = || self.ranks().flat_map(|(_, s)| &s.records);
         Some(TracerSnapshot {
             tracer: "lanl-trace".into(),
             records: records().count(),
-            buffered_bytes: self.sinks.values().map(|s| s.buffer.len() as u64).sum(),
+            buffered_bytes: self.ranks().map(|(_, s)| s.buffer.len() as u64).sum(),
             digest: RecordsDigest::of(records()).finish(),
         })
     }
@@ -324,9 +330,8 @@ mod tests {
             &mut |exec: &mut IoExecutor<LanlTracer>, _, _| {
                 let t = exec.tracer();
                 let records: Vec<TraceRecord> = t
-                    .sinks
-                    .values()
-                    .flat_map(|s| s.records.iter().cloned())
+                    .ranks()
+                    .flat_map(|(_, s)| s.records.iter().cloned())
                     .collect();
                 let snap = t.snapshot().expect("LANL-Trace checkpoints");
                 assert_eq!(snap.records, records.len());
@@ -339,6 +344,56 @@ mod tests {
             kept.len() > 10 && kept.windows(2).any(|p| p[0] < p[1]),
             "{kept:?}"
         );
+    }
+
+    /// Sinks are created in the order ranks first show up (rank 3
+    /// first here, rank 1 never), and still come out in rank order.
+    #[test]
+    fn sinks_created_out_of_rank_order_come_out_in_rank_order() {
+        use iotrace_ioapi::harness::standard_vfs;
+        use iotrace_sim::clock::NodeClock;
+        use iotrace_sim::ids::{NodeId, RankId};
+
+        let mut vfs = standard_vfs(4);
+        let mut t = LanlTracer::new(LanlConfig::ltrace(), "/app");
+        for (i, rank) in [3u32, 0, 2, 3].into_iter().enumerate() {
+            let mut ctx = TracerCtx {
+                vfs: &mut vfs,
+                rank: RankId(rank),
+                node: NodeId(rank),
+                now: SimTime::from_micros(i as u64),
+                clock: &NodeClock::PERFECT,
+                world: 4,
+            };
+            t.startup(&mut ctx);
+            let rec = TraceRecord {
+                ts: ctx.now,
+                dur: SimDur::from_micros(1),
+                rank,
+                node: rank,
+                pid: 100 + rank,
+                uid: 0,
+                gid: 0,
+                call: IoCall::Close { fd: i as i64 },
+                result: 0,
+            };
+            t.on_event(rec, &mut ctx);
+        }
+        let paths = t.raw_paths();
+        let ranks: Vec<u32> = paths.iter().map(|(r, _)| *r).collect();
+        assert_eq!(ranks, [0, 2, 3]);
+        assert!(paths[2].1.ends_with("/rank0003.trace"), "{paths:?}");
+        let traces = t.take_traces();
+        let ranks: Vec<u32> = traces.iter().map(|t| t.meta.rank).collect();
+        assert_eq!(ranks, [0, 2, 3]);
+        let calls =
+            |t: &Trace| -> Vec<IoCall> { t.records.iter().map(|r| r.call.clone()).collect() };
+        assert_eq!(calls(&traces[0]), [IoCall::Close { fd: 1 }]);
+        assert_eq!(
+            calls(&traces[2]),
+            [IoCall::Close { fd: 0 }, IoCall::Close { fd: 3 }]
+        );
+        assert_eq!(traces[2].meta.node, 3);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use crate::crc::crc32;
 use crate::event::{IoCall, Trace, TraceMeta, TraceRecord};
 use crate::journal::{get_meta, put_meta};
 use crate::lzss;
+use crate::par::par_map;
 use crate::salvage::{SalvageReport, TraceError};
 use crate::varint::{put_i64, put_str, put_u64, Cursor, VarintError};
 use crate::xtea::{cbc_len, decrypt_cbc, encrypt_cbc_into, CipherError, Key};
@@ -117,41 +118,6 @@ const FLAG_CRC: u8 = 1;
 const FLAG_LZSS: u8 = 2;
 const FLAG_ENC: u8 = 4;
 
-/// The wire tag for each call variant — shared with the IOT2 frame
-/// format, which reuses the same numbering for its op field.
-#[inline]
-pub(crate) fn call_tag(c: &IoCall) -> u8 {
-    use IoCall::*;
-    match c {
-        Open { .. } => 0,
-        Close { .. } => 1,
-        Read { .. } => 2,
-        Write { .. } => 3,
-        Pread { .. } => 4,
-        Pwrite { .. } => 5,
-        Lseek { .. } => 6,
-        Fsync { .. } => 7,
-        Stat { .. } => 8,
-        Statfs { .. } => 9,
-        Mkdir { .. } => 10,
-        Unlink { .. } => 11,
-        Readdir { .. } => 12,
-        Rename { .. } => 13,
-        Fcntl { .. } => 14,
-        Mmap { .. } => 15,
-        MpiFileOpen { .. } => 16,
-        MpiFileClose { .. } => 17,
-        MpiFileWriteAt { .. } => 18,
-        MpiFileReadAt { .. } => 19,
-        MpiBarrier => 20,
-        MpiCommRank => 21,
-        MpiWait => 22,
-        VfsLookup { .. } => 23,
-        VfsWritePage { .. } => 24,
-        VfsReadPage { .. } => 25,
-    }
-}
-
 struct FieldCipher<'a> {
     key: Option<&'a Key>,
     sel: FieldSel,
@@ -227,7 +193,7 @@ fn encode_record(
     prev_ts: &mut u64,
     fc: &FieldCipher<'_>,
 ) {
-    put_u64(out, call_tag(&r.call) as u64);
+    put_u64(out, r.call.tag() as u64);
     put_i64(out, ts.as_nanos() as i64 - *prev_ts as i64);
     *prev_ts = ts.as_nanos();
     put_u64(out, r.dur.as_nanos());
@@ -421,12 +387,67 @@ pub fn encode_binary(trace: &Trace, opts: &BinaryOptions) -> Vec<u8> {
 
 /// [`encode_binary`] over a trace's parts, for callers that hold the
 /// records somewhere other than a [`Trace`] and need not clone them.
+///
+/// Blocks are independent: a block's payload depends only on its own
+/// records, the timestamp of the record before it (its delta base) and
+/// the index of its first record (the cipher's IV sequence). So blocks
+/// encode, compress and checksum on [`par_map`] and are concatenated in
+/// block order, byte for byte what one pass over the records writes.
 pub fn encode_binary_records(
     meta: &TraceMeta,
     records: &[TraceRecord],
     opts: &BinaryOptions,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
+    let block_n = opts.block_records.max(1);
+    let starts: Vec<usize> = (0..records.len()).step_by(block_n).collect();
+    let blocks = par_map(&starts, |&start| {
+        encode_block(records, start, (start + block_n).min(records.len()), opts)
+    });
+    // Each block adds at most a 10-byte length varint and a 4-byte CRC.
+    let body: usize = blocks.iter().map(|b| b.payload.len() + 14).sum();
+    let mut out = Vec::with_capacity(64 + body);
+    put_container_header(&mut out, meta, records.len(), opts);
+    for b in blocks {
+        put_u64(&mut out, b.payload.len() as u64);
+        if let Some(crc) = b.crc {
+            out.extend_from_slice(&crc.to_le_bytes());
+        }
+        out.extend_from_slice(&b.payload);
+    }
+    out
+}
+
+/// One block's payload, compressed if asked, with its CRC if asked.
+struct Block {
+    payload: Vec<u8>,
+    crc: Option<u32>,
+}
+
+/// Encode `records[start..end]` as one block. Its delta base is the
+/// timestamp of `records[start - 1]` (0 for the first block) and its
+/// first record's cipher sequence number is `start`.
+fn encode_block(records: &[TraceRecord], start: usize, end: usize, opts: &BinaryOptions) -> Block {
+    let sel = opts.encrypt.map(|(_, s)| s).unwrap_or(FieldSel::NONE);
+    let key = opts.encrypt.as_ref().map(|(k, _)| k);
+    let mut prev_ts = match start {
+        0 => 0,
+        _ => records[start - 1].ts.as_nanos(),
+    };
+    let mut payload = Vec::new();
+    for (seq, r) in (start as u64..).zip(&records[start..end]) {
+        let fc = FieldCipher { key, sel, seq };
+        encode_record(&mut payload, r, r.ts, &mut prev_ts, &fc);
+    }
+    if opts.compress {
+        payload = lzss::compress(&payload);
+    }
+    let crc = opts.checksum.then(|| crc32(&payload));
+    Block { payload, crc }
+}
+
+/// The v1 container header: magic, version, option flags, the field
+/// selection, the trace's metadata and its record count.
+fn put_container_header(out: &mut Vec<u8>, meta: &TraceMeta, n: usize, opts: &BinaryOptions) {
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     let mut flags = 0u8;
@@ -441,33 +462,8 @@ pub fn encode_binary_records(
     }
     out.push(flags);
     out.push(opts.encrypt.map(|(_, s)| s.0).unwrap_or(0));
-    put_meta(&mut out, meta);
-    put_u64(&mut out, records.len() as u64);
-
-    let sel = opts.encrypt.map(|(_, s)| s).unwrap_or(FieldSel::NONE);
-    let key = opts.encrypt.as_ref().map(|(k, _)| k);
-    let block_n = opts.block_records.max(1);
-    let mut prev_ts = 0u64;
-    let mut seq = 0u64;
-    for chunk in records.chunks(block_n) {
-        let mut payload = Vec::new();
-        for r in chunk {
-            let fc = FieldCipher { key, sel, seq };
-            encode_record(&mut payload, r, r.ts, &mut prev_ts, &fc);
-            seq += 1;
-        }
-        let payload = if opts.compress {
-            lzss::compress(&payload)
-        } else {
-            payload
-        };
-        put_u64(&mut out, payload.len() as u64);
-        if opts.checksum {
-            out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        }
-        out.extend_from_slice(&payload);
-    }
-    out
+    put_meta(out, meta);
+    put_u64(out, n as u64);
 }
 
 /// Decoded result: the trace plus the options discovered in the header.
@@ -966,6 +962,96 @@ mod tests {
                 assert!(offset > 7, "offset {offset} not past the header");
             }
             other => panic!("expected Truncated, got {other:?}"),
+        }
+    }
+
+    /// The encoder as it was before blocks encoded in parallel: one pass
+    /// over the records, block after block, carrying the delta base and
+    /// the cipher sequence across block boundaries.
+    /// [`encode_binary_records`] must match it byte for byte.
+    fn encode_oracle(meta: &TraceMeta, records: &[TraceRecord], opts: &BinaryOptions) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_container_header(&mut out, meta, records.len(), opts);
+        let sel = opts.encrypt.map(|(_, s)| s).unwrap_or(FieldSel::NONE);
+        let key = opts.encrypt.as_ref().map(|(k, _)| k);
+        let mut prev_ts = 0u64;
+        let mut seq = 0u64;
+        for chunk in records.chunks(opts.block_records.max(1)) {
+            let mut payload = Vec::new();
+            for r in chunk {
+                let fc = FieldCipher { key, sel, seq };
+                encode_record(&mut payload, r, r.ts, &mut prev_ts, &fc);
+                seq += 1;
+            }
+            let payload = if opts.compress {
+                lzss::compress(&payload)
+            } else {
+                payload
+            };
+            put_u64(&mut out, payload.len() as u64);
+            if opts.checksum {
+                out.extend_from_slice(&crc32(&payload).to_le_bytes());
+            }
+            out.extend_from_slice(&payload);
+        }
+        out
+    }
+
+    /// Every combination of checksum, compress and encrypt (all fields).
+    fn option_sets(block_records: usize) -> Vec<BinaryOptions> {
+        let key = Key::from_passphrase("oracle");
+        (0..8u8)
+            .map(|bits| BinaryOptions {
+                checksum: bits & 1 != 0,
+                compress: bits & 2 != 0,
+                encrypt: (bits & 4 != 0).then_some((key, FieldSel::ALL)),
+                block_records,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parallel_encode_matches_the_serial_oracle_at_block_edges() {
+        let t = sample();
+        let n = t.records.len();
+        // One record a block, a short last block, an exact fit, one block
+        // for the whole trace and a block larger than the trace; then an
+        // empty trace.
+        for block_records in [0, 1, 3, 8, n, n + 1] {
+            for opts in option_sets(block_records) {
+                for records in [&t.records[..], &t.records[..0]] {
+                    assert_eq!(
+                        encode_binary_records(&t.meta, records, &opts),
+                        encode_oracle(&t.meta, records, &opts),
+                        "{opts:?} over {} records",
+                        records.len()
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn parallel_encode_matches_the_serial_oracle(
+            len in 0usize..200,
+            block_records in 1usize..260,
+            bits in 0u8..8,
+            step in 0u64..5_000,
+        ) {
+            // Timestamps that rise, repeat and fall, so delta bases that
+            // cross a block boundary are negative as often as not.
+            let mut t = sample();
+            t.records.truncate(len);
+            for (i, r) in t.records.iter_mut().enumerate() {
+                let i = i as u64;
+                r.ts = SimTime::from_nanos(1_000_000 + (i * step) % 7_919 * 1_000 + i);
+            }
+            let opts = option_sets(block_records).swap_remove(bits as usize);
+            let bytes = encode_binary_records(&t.meta, &t.records, &opts);
+            proptest::prop_assert_eq!(&bytes, &encode_oracle(&t.meta, &t.records, &opts));
+            let key = opts.encrypt.map(|(k, _)| k);
+            proptest::prop_assert_eq!(decode_binary(&bytes, key.as_ref()).unwrap().trace, t);
         }
     }
 

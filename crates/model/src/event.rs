@@ -23,6 +23,39 @@ pub enum CallLayer {
     Vfs,
 }
 
+/// Number of [`IoCall`] kinds; every [`IoCall::tag`] is below it.
+pub(crate) const CALL_KINDS: usize = 26;
+
+/// Each call kind's canonical name, indexed by [`IoCall::tag`].
+pub(crate) const CALL_NAMES: [&str; CALL_KINDS] = [
+    "SYS_open",
+    "SYS_close",
+    "SYS_read",
+    "SYS_write",
+    "SYS_pread",
+    "SYS_pwrite",
+    "SYS_lseek",
+    "SYS_fsync",
+    "SYS_stat",
+    "SYS_statfs64",
+    "SYS_mkdir",
+    "SYS_unlink",
+    "SYS_getdents64",
+    "SYS_rename",
+    "SYS_fcntl64",
+    "SYS_mmap",
+    "MPI_File_open",
+    "MPI_File_close",
+    "MPI_File_write_at",
+    "MPI_File_read_at",
+    "MPI_Barrier",
+    "MPI_Comm_rank",
+    "MPIO_Wait",
+    "VFS_lookup",
+    "VFS_write_page",
+    "VFS_read_page",
+];
+
 /// One traced I/O-related call.
 #[derive(Clone, Debug, PartialEq)]
 pub enum IoCall {
@@ -147,34 +180,41 @@ impl IoCall {
     /// format: `SYS_` prefix for syscalls (as LANL-Trace prints them),
     /// `MPI_`/`MPIO_` names for library calls, `VFS_` for VFS ops.
     pub fn name(&self) -> &'static str {
+        CALL_NAMES[self.tag() as usize]
+    }
+
+    /// The call's kind as a number below [`CALL_KINDS`]: the op tag of
+    /// the binary formats and the index of its [`CALL_NAMES`] entry.
+    #[inline]
+    pub(crate) fn tag(&self) -> u8 {
         use IoCall::*;
         match self {
-            Open { .. } => "SYS_open",
-            Close { .. } => "SYS_close",
-            Read { .. } => "SYS_read",
-            Write { .. } => "SYS_write",
-            Pread { .. } => "SYS_pread",
-            Pwrite { .. } => "SYS_pwrite",
-            Lseek { .. } => "SYS_lseek",
-            Fsync { .. } => "SYS_fsync",
-            Stat { .. } => "SYS_stat",
-            Statfs { .. } => "SYS_statfs64",
-            Mkdir { .. } => "SYS_mkdir",
-            Unlink { .. } => "SYS_unlink",
-            Readdir { .. } => "SYS_getdents64",
-            Rename { .. } => "SYS_rename",
-            Fcntl { .. } => "SYS_fcntl64",
-            Mmap { .. } => "SYS_mmap",
-            MpiFileOpen { .. } => "MPI_File_open",
-            MpiFileClose { .. } => "MPI_File_close",
-            MpiFileWriteAt { .. } => "MPI_File_write_at",
-            MpiFileReadAt { .. } => "MPI_File_read_at",
-            MpiBarrier => "MPI_Barrier",
-            MpiCommRank => "MPI_Comm_rank",
-            MpiWait => "MPIO_Wait",
-            VfsLookup { .. } => "VFS_lookup",
-            VfsWritePage { .. } => "VFS_write_page",
-            VfsReadPage { .. } => "VFS_read_page",
+            Open { .. } => 0,
+            Close { .. } => 1,
+            Read { .. } => 2,
+            Write { .. } => 3,
+            Pread { .. } => 4,
+            Pwrite { .. } => 5,
+            Lseek { .. } => 6,
+            Fsync { .. } => 7,
+            Stat { .. } => 8,
+            Statfs { .. } => 9,
+            Mkdir { .. } => 10,
+            Unlink { .. } => 11,
+            Readdir { .. } => 12,
+            Rename { .. } => 13,
+            Fcntl { .. } => 14,
+            Mmap { .. } => 15,
+            MpiFileOpen { .. } => 16,
+            MpiFileClose { .. } => 17,
+            MpiFileWriteAt { .. } => 18,
+            MpiFileReadAt { .. } => 19,
+            MpiBarrier => 20,
+            MpiCommRank => 21,
+            MpiWait => 22,
+            VfsLookup { .. } => 23,
+            VfsWritePage { .. } => 24,
+            VfsReadPage { .. } => 25,
         }
     }
 
@@ -424,6 +464,15 @@ mod tests {
         );
         assert_eq!(IoCall::MpiWait.name(), "MPIO_Wait");
         assert_eq!(IoCall::Statfs { path: "/".into() }.name(), "SYS_statfs64");
+    }
+
+    /// A name identifies its kind: summaries parse rows back by name.
+    #[test]
+    fn call_names_are_distinct() {
+        let mut names = CALL_NAMES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), CALL_KINDS);
     }
 
     #[test]

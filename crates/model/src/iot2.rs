@@ -412,7 +412,7 @@ impl Frame {
     pub fn from_record(r: &TraceRecord, paths: &mut Interner) -> Frame {
         let p = call_parts(&r.call);
         Frame {
-            op: crate::binary::call_tag(&r.call),
+            op: r.call.tag(),
             rank: r.rank,
             node: r.node,
             fd: p.fd,
@@ -488,7 +488,7 @@ fn push_frame<'r>(
     prev_ts: &mut u64,
     path_id: &mut impl FnMut(&'r str) -> u32,
 ) -> Result<(), String> {
-    let tag = crate::binary::call_tag(&r.call) as u64;
+    let tag = r.call.tag() as u64;
     if r.rank as u64 > RANK_MASK {
         return Err(format!("rank {} exceeds the 22-bit frame field", r.rank));
     }

@@ -8,16 +8,22 @@
 //!    SYS_read                             565                  0.022137
 //! ```
 
-use std::collections::BTreeMap;
-
 use iotrace_sim::time::SimDur;
 
-use crate::event::TraceRecord;
+use crate::event::{TraceRecord, CALL_KINDS, CALL_NAMES};
 
 /// Aggregated per-function call counts and total time.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CallSummary {
-    entries: BTreeMap<String, (u64, SimDur)>,
+    /// Count and total time of each call kind, indexed by
+    /// [`IoCall::tag`](crate::event::IoCall::tag); `None` for a kind not
+    /// seen. Counting a record is an array index, not a lookup by name.
+    by_kind: [Option<(u64, SimDur)>; CALL_KINDS],
+}
+
+/// The call kind named `name`, if any.
+fn kind_named(name: &str) -> Option<usize> {
+    CALL_NAMES.iter().position(|&n| n == name)
 }
 
 impl CallSummary {
@@ -34,61 +40,68 @@ impl CallSummary {
         s
     }
 
-    /// Count one call. The name is allocated only on its first call.
+    /// Count one call.
     pub fn add(&mut self, r: &TraceRecord) {
-        let name = r.call.name();
-        match self.entries.get_mut(name) {
-            Some(e) => {
-                e.0 += 1;
-                e.1 += r.dur;
-            }
-            None => {
-                self.entries.insert(name.to_string(), (1, r.dur));
-            }
-        }
+        let e = self.by_kind[r.call.tag() as usize].get_or_insert((0, SimDur::ZERO));
+        e.0 += 1;
+        e.1 += r.dur;
     }
 
     /// Merge another summary in (aggregating across ranks).
     pub fn merge(&mut self, other: &CallSummary) {
-        for (name, &(count, time)) in &other.entries {
-            let e = self
-                .entries
-                .entry(name.clone())
-                .or_insert((0, SimDur::ZERO));
-            e.0 += count;
-            e.1 += time;
+        for (e, o) in self.by_kind.iter_mut().zip(&other.by_kind) {
+            if let Some((count, time)) = *o {
+                let e = e.get_or_insert((0, SimDur::ZERO));
+                e.0 += count;
+                e.1 += time;
+            }
         }
     }
 
+    fn get(&self, name: &str) -> Option<(u64, SimDur)> {
+        kind_named(name).and_then(|k| self.by_kind[k])
+    }
+
     pub fn count(&self, name: &str) -> u64 {
-        self.entries.get(name).map(|e| e.0).unwrap_or(0)
+        self.get(name).map(|e| e.0).unwrap_or(0)
     }
 
     pub fn total_time(&self, name: &str) -> SimDur {
-        self.entries.get(name).map(|e| e.1).unwrap_or(SimDur::ZERO)
+        self.get(name).map(|e| e.1).unwrap_or(SimDur::ZERO)
     }
 
+    /// The functions seen, in name order.
     pub fn functions(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(|s| s.as_str())
+        self.entries().into_iter().map(|(name, _)| name)
+    }
+
+    /// Every function seen with its count and total time, in name order.
+    fn entries(&self) -> Vec<(&'static str, (u64, SimDur))> {
+        let mut entries: Vec<_> = (CALL_NAMES.iter().zip(&self.by_kind))
+            .filter_map(|(&name, e)| Some((name, (*e)?)))
+            .collect();
+        entries.sort_unstable_by_key(|&(name, _)| name);
+        entries
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.by_kind.iter().all(Option::is_none)
     }
 
     pub fn total_calls(&self) -> u64 {
-        self.entries.values().map(|e| e.0).sum()
+        self.by_kind.iter().flatten().map(|e| e.0).sum()
     }
 
     /// Render in the Figure 1 layout.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::with_capacity(220 + self.entries.len() * 70);
+        let entries = self.entries();
+        let mut out = String::with_capacity(220 + entries.len() * 70);
         out.push_str("#                     SUMMARY COUNT OF TRACED CALL(S)\n");
         out.push_str("#  Function Name            Number of Calls            Total time (s)\n");
         out.push_str(&"=".repeat(77));
         out.push('\n');
-        for (name, (count, time)) in &self.entries {
+        for (name, (count, time)) in entries {
             let _ = writeln!(
                 out,
                 "   {:<24} {:>15} {:>25.6}",
@@ -120,8 +133,9 @@ impl CallSummary {
                 .ok_or("missing time")?
                 .parse()
                 .map_err(|_| format!("bad time on line: {line}"))?;
-            s.entries
-                .insert(name.to_string(), (count, SimDur::from_secs_f64(secs)));
+            let kind =
+                kind_named(name).ok_or_else(|| format!("unknown function on line: {line}"))?;
+            s.by_kind[kind] = Some((count, SimDur::from_secs_f64(secs)));
         }
         Ok(s)
     }
@@ -200,6 +214,44 @@ mod tests {
             back.total_time("SYS_write").as_nanos() / 1000,
             s.total_time("SYS_write").as_nanos() / 1000
         );
+    }
+
+    /// Kinds are counted by tag, but rows come out in name order, as
+    /// they did when the summary was keyed by name: `MPI_Barrier` (tag
+    /// 20) before `SYS_open` (tag 0), `SYS_fsync` before `SYS_write`.
+    #[test]
+    fn rows_render_in_name_order_whatever_the_tag_order() {
+        let s = CallSummary::from_records(&[
+            rec(IoCall::Write { fd: 1, len: 2 }, 1),
+            rec(
+                IoCall::Open {
+                    path: "/a".into(),
+                    flags: 0,
+                    mode: 0,
+                },
+                1,
+            ),
+            rec(IoCall::Fsync { fd: 1 }, 1),
+            rec(IoCall::MpiBarrier, 1),
+        ]);
+        let names = ["MPI_Barrier", "SYS_fsync", "SYS_open", "SYS_write"];
+        assert_eq!(s.functions().collect::<Vec<_>>(), names);
+        let doc = s.render();
+        let rows: Vec<&str> = doc
+            .lines()
+            .skip(3)
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(rows, names);
+    }
+
+    #[test]
+    fn parse_rejects_an_unknown_function() {
+        let mut doc = CallSummary::new().render();
+        doc.push_str("   SYS_frobnicate 3 0.000001\n");
+        assert!(CallSummary::parse(&doc)
+            .unwrap_err()
+            .contains("SYS_frobnicate"));
     }
 
     #[test]

@@ -114,13 +114,15 @@ impl TracefsLayer {
     }
 
     /// Evaluate the policy and, if selected, record + charge. Returns the
-    /// op's new completion time.
+    /// op's new completion time. The policy matches the path the call
+    /// carries; `ino_path` names the file of a call that carries none
+    /// (close, fsync, truncate).
     #[allow(clippy::too_many_arguments)]
     fn observe(
         &mut self,
         node: NodeId,
         kind: FsOpKind,
-        path: &str,
+        ino_path: Option<&str>,
         size: u64,
         uid: u32,
         gid: u32,
@@ -134,7 +136,7 @@ impl TracefsLayer {
         finish += self.costs.filter_check;
         let facts = OpFacts {
             kind,
-            path,
+            path: call.path().or(ino_path).unwrap_or_default(),
             uid,
             gid,
             size,
@@ -215,7 +217,7 @@ impl FileSystem for TracefsLayer {
                 let f = self.observe(
                     node,
                     FsOpKind::Open,
-                    p,
+                    None,
                     0,
                     uid,
                     gid,
@@ -240,7 +242,7 @@ impl FileSystem for TracefsLayer {
         Ok(self.observe(
             node,
             FsOpKind::Close,
-            &self.path_of(ino),
+            Some(&self.path_of(ino)),
             0,
             uid,
             gid,
@@ -261,16 +263,15 @@ impl FileSystem for TracefsLayer {
     ) -> FsResult<IoReply> {
         let (uid, gid) = self.meta_of(ino);
         let rep = self.lower.read(node, ino, offset, len, now)?;
-        let path = self.path_of(ino);
         let finish = self.observe(
             node,
             FsOpKind::Read,
-            &path.clone(),
+            None,
             rep.bytes,
             uid,
             gid,
             IoCall::VfsReadPage {
-                path,
+                path: self.path_of(ino),
                 offset,
                 len: rep.bytes,
             },
@@ -294,16 +295,15 @@ impl FileSystem for TracefsLayer {
     ) -> FsResult<IoReply> {
         let (uid, gid) = self.meta_of(ino);
         let rep = self.lower.write(node, ino, offset, payload, now)?;
-        let path = self.path_of(ino);
         let finish = self.observe(
             node,
             FsOpKind::Write,
-            &path.clone(),
+            None,
             rep.bytes,
             uid,
             gid,
             IoCall::VfsWritePage {
-                path,
+                path: self.path_of(ino),
                 offset,
                 len: rep.bytes,
             },
@@ -323,7 +323,7 @@ impl FileSystem for TracefsLayer {
         Ok(self.observe(
             node,
             FsOpKind::Fsync,
-            &self.path_of(ino),
+            Some(&self.path_of(ino)),
             0,
             uid,
             gid,
@@ -339,7 +339,7 @@ impl FileSystem for TracefsLayer {
         let f = self.observe(
             node,
             FsOpKind::Stat,
-            p,
+            None,
             0,
             st.meta.uid,
             st.meta.gid,
@@ -359,7 +359,7 @@ impl FileSystem for TracefsLayer {
         Ok(self.observe(
             node,
             FsOpKind::Mkdir,
-            p,
+            None,
             0,
             uid,
             gid,
@@ -378,7 +378,7 @@ impl FileSystem for TracefsLayer {
         Ok(self.observe(
             node,
             FsOpKind::Unlink,
-            p,
+            None,
             0,
             0,
             0,
@@ -396,7 +396,7 @@ impl FileSystem for TracefsLayer {
         let f = self.observe(
             node,
             FsOpKind::Readdir,
-            p,
+            None,
             0,
             0,
             0,
@@ -415,7 +415,7 @@ impl FileSystem for TracefsLayer {
         Ok(self.observe(
             node,
             FsOpKind::Rename,
-            from,
+            None,
             0,
             0,
             0,
@@ -441,7 +441,7 @@ impl FileSystem for TracefsLayer {
         Ok(self.observe(
             node,
             FsOpKind::Truncate,
-            &self.path_of(ino),
+            Some(&self.path_of(ino)),
             size,
             uid,
             gid,
