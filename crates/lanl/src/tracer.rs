@@ -247,10 +247,10 @@ impl IoTracer for LanlTracer {
     }
 
     fn snapshot(&self) -> Option<TracerSnapshot> {
-        // Records folded where they lie, in rank order, so the digest is a stable function of the capture
-        // state. Buffered bytes are the text still sitting in per-rank
-        // memory buffers — exactly what a kill -9 of the wrapper scripts
-        // would lose.
+        // Records folded where they lie, in rank order, so the digest is
+        // a stable function of the capture state. Buffered bytes are the
+        // text still sitting in per-rank memory buffers — exactly what a
+        // kill -9 of the wrapper scripts would lose.
         let records = || self.ranks().flat_map(|(_, s)| &s.records);
         Some(TracerSnapshot {
             tracer: "lanl-trace".into(),

@@ -77,7 +77,9 @@ impl CallSummary {
 
     /// Every function seen with its count and total time, in name order.
     fn entries(&self) -> Vec<(&'static str, (u64, SimDur))> {
-        let mut entries: Vec<_> = (CALL_NAMES.iter().zip(&self.by_kind))
+        let mut entries: Vec<_> = CALL_NAMES
+            .iter()
+            .zip(&self.by_kind)
             .filter_map(|(&name, e)| Some((name, (*e)?)))
             .collect();
         entries.sort_unstable_by_key(|&(name, _)| name);
