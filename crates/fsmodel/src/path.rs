@@ -78,37 +78,47 @@ pub fn strip_prefix<'a>(path: &'a str, prefix: &str) -> Option<&'a str> {
 
 /// Shell-style glob match supporting `*` (any run, not crossing `/`),
 /// `**` (any run including `/`) and `?` (one non-`/` char). Used by the
-/// Tracefs granularity filter language.
+/// Tracefs granularity filter language and by provenance policy files.
+/// Literals and `?` advance in a loop; only a star recurses, once per
+/// stop point it tries, shortest first. Allocates nothing.
 pub fn glob_match(pattern: &str, path: &str) -> bool {
-    fn inner(p: &[u8], s: &[u8]) -> bool {
-        if p.is_empty() {
-            return s.is_empty();
-        }
-        match p[0] {
-            b'*' => {
-                if p.len() >= 2 && p[1] == b'*' {
-                    // '**' crosses separators
-                    let rest = &p[2..];
-                    (0..=s.len()).any(|i| inner(rest, &s[i..]))
-                } else {
-                    let rest = &p[1..];
-                    let mut i = 0;
-                    loop {
-                        if inner(rest, &s[i..]) {
-                            return true;
-                        }
-                        if i >= s.len() || s[i] == b'/' {
-                            return false;
-                        }
-                        i += 1;
+    let mut pat = pattern.chars();
+    let mut rest = path;
+    while let Some(c) = pat.next() {
+        match c {
+            '*' => {
+                let after = pat.as_str();
+                let (double, after) = match after.strip_prefix('*') {
+                    Some(a) => (true, a),
+                    None => (false, after),
+                };
+                let mut stop = rest;
+                loop {
+                    if glob_match(after, stop) {
+                        return true;
+                    }
+                    let mut chars = stop.chars();
+                    match chars.next() {
+                        Some('/') if !double => return false,
+                        Some(_) => stop = chars.as_str(),
+                        None => return false,
                     }
                 }
             }
-            b'?' => !s.is_empty() && s[0] != b'/' && inner(&p[1..], &s[1..]),
-            c => !s.is_empty() && s[0] == c && inner(&p[1..], &s[1..]),
+            '?' => {
+                let mut chars = rest.chars();
+                match chars.next() {
+                    Some(ch) if ch != '/' => rest = chars.as_str(),
+                    _ => return false,
+                }
+            }
+            c => match rest.strip_prefix(c) {
+                Some(r) => rest = r,
+                None => return false,
+            },
         }
     }
-    inner(pattern.as_bytes(), path.as_bytes())
+    rest.is_empty()
 }
 
 #[cfg(test)]
@@ -159,6 +169,24 @@ mod tests {
         assert!(glob_match("*", "abc"));
         assert!(!glob_match("*", "a/b"));
         assert!(glob_match("**", "a/b"));
+        assert!(glob_match("/pfs/*.dat", "/pfs/a.dat"));
+        assert!(!glob_match("/pfs/*.dat", "/pfs/sub/a.dat"));
+        assert!(glob_match("/pfs/**.dat", "/pfs/sub/a.dat"));
+        assert!(glob_match("/pfs/**", "/pfs/a/b/c"));
+        assert!(glob_match("/pfs/?.dat", "/pfs/a.dat"));
+        assert!(!glob_match("/pfs/?.dat", "/pfs/ab.dat"));
+        assert!(!glob_match("/pfs/*", "/other"));
+        assert!(glob_match("**", "/anything/at/all"));
+    }
+
+    /// `?` takes one whole char, however many bytes it is.
+    #[test]
+    fn glob_question_mark_takes_one_char() {
+        assert!(glob_match("/d/?.dat", "/d/é.dat"));
+        assert!(!glob_match("/d/?.dat", "/d/éé.dat"));
+        assert!(glob_match("/d/??.dat", "/d/éa.dat"));
+        assert!(glob_match("/d/*é?", "/d/xéy"));
+        assert!(!glob_match("/d/?", "/d//"));
     }
 
     #[test]

@@ -23,9 +23,8 @@
 //!
 //! `causality` and the last three are dataflow passes built on the
 //! [`iotrace_provenance`] lineage graph, which one run builds at most
-//! once and shares; `policy-flow` only activates when the caller
-//! attaches a [`Policy`](iotrace_provenance::Policy) via
-//! [`LintInput::with_policy`].
+//! once and shares; `policy-flow` only activates when the caller sets
+//! [`LintInput::policy`] to a [`Policy`](iotrace_provenance::Policy).
 //!
 //! Drive it with [`Linter`]:
 //!

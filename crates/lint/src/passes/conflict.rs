@@ -150,9 +150,9 @@ mod tests {
     #[test]
     fn unordered_overlapping_writes_are_flagged() {
         let deps = DependencyMap { edges: vec![] };
-        // An empty dep map still opts in to conflict detection…
-        // but HbIndex::has_deps is false; pass still runs because the
-        // capture *claimed* to know its dependencies.
+        // An empty dep map still opts in to conflict detection: it has
+        // no edges, but the pass runs because the capture *claimed* to
+        // know its dependencies.
         let out = run(&[writer(0, 0, 100), writer(1, 50, 100)], Some(&deps));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, "conflict-write-write");

@@ -46,12 +46,6 @@ impl<'a> LintInput<'a> {
             policy: None,
         }
     }
-
-    /// Attach a flow policy (enables the `policy-flow` pass).
-    pub fn with_policy(mut self, policy: &'a Policy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
 }
 
 /// What the passes of one [`Linter::run`](crate::Linter::run) share:

@@ -25,7 +25,7 @@ use std::borrow::Cow;
 use iotrace_sim::time::{SimDur, SimTime};
 
 use crate::crc::crc32;
-use crate::event::{IoCall, Trace, TraceMeta, TraceRecord};
+use crate::event::{CallKind, CallParts, Field, IoCall, Trace, TraceMeta, TraceRecord};
 use crate::journal::{get_meta, put_meta};
 use crate::lzss;
 use crate::par::par_map;
@@ -185,7 +185,8 @@ impl<'a> FieldCipher<'a> {
 }
 
 /// Encode `r` stamped `ts` — its own timestamp, or a corrected one a
-/// merged-stream digest supplies without restamping a clone.
+/// merged-stream digest supplies without restamping a clone. The call's
+/// operands follow in its kind's canonical field order.
 fn encode_record(
     out: &mut Vec<u8>,
     r: &TraceRecord,
@@ -201,67 +202,23 @@ fn encode_record(
     fc.put_id(out, 1, r.uid, FieldSel::UID);
     fc.put_id(out, 2, r.gid, FieldSel::GID);
     put_i64(out, r.result);
-    use IoCall::*;
-    match &r.call {
-        Open { path, flags, mode } => {
-            fc.put_path(out, 3, path);
-            put_u64(out, *flags as u64);
-            put_u64(out, *mode as u64);
-        }
-        Close { fd } | Fsync { fd } | MpiFileClose { fd } => put_i64(out, *fd),
-        Read { fd, len } | Write { fd, len } => {
-            put_i64(out, *fd);
-            put_u64(out, *len);
-        }
-        Pread { fd, offset, len } | Pwrite { fd, offset, len } => {
-            put_i64(out, *fd);
-            put_u64(out, *offset);
-            put_u64(out, *len);
-        }
-        Lseek { fd, offset, whence } => {
-            put_i64(out, *fd);
-            put_i64(out, *offset);
-            put_u64(out, *whence as u64);
-        }
-        Stat { path }
-        | Statfs { path }
-        | Unlink { path }
-        | Readdir { path }
-        | VfsLookup { path } => fc.put_path(out, 3, path),
-        Mkdir { path, mode } => {
-            fc.put_path(out, 3, path);
-            put_u64(out, *mode as u64);
-        }
-        Rename { from, to } => {
-            fc.put_path(out, 3, from);
-            fc.put_path(out, 4, to);
-        }
-        Fcntl { fd, cmd } => {
-            put_i64(out, *fd);
-            put_u64(out, *cmd as u64);
-        }
-        Mmap { len } => put_u64(out, *len),
-        MpiFileOpen { path, amode } => {
-            fc.put_path(out, 3, path);
-            put_u64(out, *amode as u64);
-        }
-        MpiFileWriteAt { fd, offset, len } | MpiFileReadAt { fd, offset, len } => {
-            put_i64(out, *fd);
-            put_u64(out, *offset);
-            put_u64(out, *len);
-        }
-        MpiBarrier | MpiCommRank | MpiWait => {}
-        VfsWritePage { path, offset, len } | VfsReadPage { path, offset, len } => {
-            fc.put_path(out, 3, path);
-            put_u64(out, *offset);
-            put_u64(out, *len);
+    let p = r.call.call_parts();
+    for &f in r.call.kind().fields {
+        match f {
+            Field::PathA => fc.put_path(out, 3, p.path_a.unwrap_or_default()),
+            Field::PathB => fc.put_path(out, 4, p.path_b.unwrap_or_default()),
+            Field::Fd => put_i64(out, p.fd),
+            Field::Offset => put_u64(out, p.offset),
+            Field::SignedOffset => put_i64(out, p.offset as i64),
+            Field::Len => put_u64(out, p.len),
+            Field::X => put_u64(out, u64::from(p.x)),
+            Field::Y => put_u64(out, u64::from(p.y)),
         }
     }
 }
 
-/// Decode one record; `meta` supplies rank/node. The per-tag fields
-/// are read in exact wire order into the operands of
-/// `iot2::parts_to_call`.
+/// Decode one record; `meta` supplies rank/node. The call's operands
+/// are read in its kind's field order, as [`encode_record`] wrote them.
 fn decode_record(
     c: &mut Cursor<'_>,
     prev_ts: &mut u64,
@@ -276,66 +233,22 @@ fn decode_record(
     let uid = fc.get_id(c, 1, FieldSel::UID)?;
     let gid = fc.get_id(c, 2, FieldSel::GID)?;
     let result = c.get_i64()?;
-    let (mut fd, mut offset, mut len, mut x, mut y) = (0, 0, 0, 0, 0);
-    let (mut path_a, mut path_b) = (None, None);
-    match tag {
-        0 => {
-            path_a = Some(fc.get_path(c, 3)?);
-            x = c.get_u64()? as u32;
-            y = c.get_u64()? as u32;
+    let kind = CallKind::of(tag).ok_or(BinError::UnknownTag(tag))?;
+    let mut p = CallParts::default();
+    for &f in kind.fields {
+        match f {
+            Field::PathA => p.path_a = Some(fc.get_path(c, 3)?),
+            Field::PathB => p.path_b = Some(fc.get_path(c, 4)?),
+            Field::Fd => p.fd = c.get_i64()?,
+            Field::Offset => p.offset = c.get_u64()?,
+            Field::SignedOffset => p.offset = c.get_i64()? as u64,
+            Field::Len => p.len = c.get_u64()?,
+            Field::X => p.x = c.get_u64()? as u32,
+            Field::Y => p.y = c.get_u64()? as u32,
         }
-        1 | 7 | 17 => fd = c.get_i64()?,
-        2 | 3 => {
-            fd = c.get_i64()?;
-            len = c.get_u64()?;
-        }
-        4 | 5 | 18 | 19 => {
-            fd = c.get_i64()?;
-            offset = c.get_u64()?;
-            len = c.get_u64()?;
-        }
-        6 => {
-            fd = c.get_i64()?;
-            offset = c.get_i64()? as u64;
-            x = c.get_u64()? as u32;
-        }
-        8 | 9 | 11 | 12 | 23 => path_a = Some(fc.get_path(c, 3)?),
-        10 => {
-            path_a = Some(fc.get_path(c, 3)?);
-            y = c.get_u64()? as u32;
-        }
-        13 => {
-            path_a = Some(fc.get_path(c, 3)?);
-            path_b = Some(fc.get_path(c, 4)?);
-        }
-        14 => {
-            fd = c.get_i64()?;
-            x = c.get_u64()? as u32;
-        }
-        15 => len = c.get_u64()?,
-        16 => {
-            path_a = Some(fc.get_path(c, 3)?);
-            x = c.get_u64()? as u32;
-        }
-        20..=22 => {}
-        24 | 25 => {
-            path_a = Some(fc.get_path(c, 3)?);
-            offset = c.get_u64()?;
-            len = c.get_u64()?;
-        }
-        t => return Err(BinError::UnknownTag(t)),
     }
-    let call = crate::iot2::parts_to_call(
-        tag,
-        fd,
-        offset,
-        len,
-        x,
-        y,
-        path_a.map(Cow::into_owned),
-        path_b.map(Cow::into_owned),
-    )
-    .ok_or(BinError::UnknownTag(tag))?;
+    let call = IoCall::parts_to_call(tag, p.map_paths(Cow::into_owned))
+        .ok_or(BinError::UnknownTag(tag))?;
     Ok(TraceRecord {
         ts: SimTime::from_nanos(ts),
         dur: SimDur::from_nanos(dur),
@@ -653,6 +566,7 @@ fn decode_impl(bytes: &[u8], key: Option<&Key>, salvage: bool) -> Result<Salvage
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::testkit::arb_call;
 
     fn sample() -> Trace {
         let meta = TraceMeta::new("/mpi_io_test.exe", 3, 17, "tracefs");
@@ -1052,6 +966,129 @@ mod tests {
             proptest::prop_assert_eq!(&bytes, &encode_oracle(&t.meta, &t.records, &opts));
             let key = opts.encrypt.map(|(k, _)| k);
             proptest::prop_assert_eq!(decode_binary(&bytes, key.as_ref()).unwrap().trace, t);
+        }
+    }
+
+    /// The record encoder as it was before it walked the call-kind
+    /// table: one match arm per call kind. Kept as the oracle
+    /// [`encode_record`] must match byte for byte.
+    fn encode_record_oracle(
+        out: &mut Vec<u8>,
+        r: &TraceRecord,
+        ts: SimTime,
+        prev_ts: &mut u64,
+        fc: &FieldCipher<'_>,
+    ) {
+        put_u64(out, r.call.tag() as u64);
+        put_i64(out, ts.as_nanos() as i64 - *prev_ts as i64);
+        *prev_ts = ts.as_nanos();
+        put_u64(out, r.dur.as_nanos());
+        put_u64(out, r.pid as u64);
+        fc.put_id(out, 1, r.uid, FieldSel::UID);
+        fc.put_id(out, 2, r.gid, FieldSel::GID);
+        put_i64(out, r.result);
+        use IoCall::*;
+        match &r.call {
+            Open { path, flags, mode } => {
+                fc.put_path(out, 3, path);
+                put_u64(out, *flags as u64);
+                put_u64(out, *mode as u64);
+            }
+            Close { fd } | Fsync { fd } | MpiFileClose { fd } => put_i64(out, *fd),
+            Read { fd, len } | Write { fd, len } => {
+                put_i64(out, *fd);
+                put_u64(out, *len);
+            }
+            Pread { fd, offset, len } | Pwrite { fd, offset, len } => {
+                put_i64(out, *fd);
+                put_u64(out, *offset);
+                put_u64(out, *len);
+            }
+            Lseek { fd, offset, whence } => {
+                put_i64(out, *fd);
+                put_i64(out, *offset);
+                put_u64(out, *whence as u64);
+            }
+            Stat { path }
+            | Statfs { path }
+            | Unlink { path }
+            | Readdir { path }
+            | VfsLookup { path } => fc.put_path(out, 3, path),
+            Mkdir { path, mode } => {
+                fc.put_path(out, 3, path);
+                put_u64(out, *mode as u64);
+            }
+            Rename { from, to } => {
+                fc.put_path(out, 3, from);
+                fc.put_path(out, 4, to);
+            }
+            Fcntl { fd, cmd } => {
+                put_i64(out, *fd);
+                put_u64(out, *cmd as u64);
+            }
+            Mmap { len } => put_u64(out, *len),
+            MpiFileOpen { path, amode } => {
+                fc.put_path(out, 3, path);
+                put_u64(out, *amode as u64);
+            }
+            MpiFileWriteAt { fd, offset, len } | MpiFileReadAt { fd, offset, len } => {
+                put_i64(out, *fd);
+                put_u64(out, *offset);
+                put_u64(out, *len);
+            }
+            MpiBarrier | MpiCommRank | MpiWait => {}
+            VfsWritePage { path, offset, len } | VfsReadPage { path, offset, len } => {
+                fc.put_path(out, 3, path);
+                put_u64(out, *offset);
+                put_u64(out, *len);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn record_bytes_match_the_per_kind_oracle(
+            call in arb_call(),
+            ts in 0u64..1 << 62,
+            prev in 0u64..1 << 62,
+            dur in proptest::prelude::any::<u64>(),
+            pid in proptest::prelude::any::<u32>(),
+            uid in proptest::prelude::any::<u32>(),
+            gid in proptest::prelude::any::<u32>(),
+            result in proptest::prelude::any::<i64>(),
+            sel in 0u8..9,
+            seq in proptest::prelude::any::<u64>(),
+        ) {
+            // `sel` 8 encodes plain; 0..8 encrypts that field selection.
+            let key = Key::from_passphrase("oracle");
+            let fc = FieldCipher {
+                key: (sel < 8).then_some(&key),
+                sel: FieldSel(sel % 8),
+                seq,
+            };
+            let meta = TraceMeta::new("/app", 5, 9, "t");
+            let r = TraceRecord {
+                ts: SimTime::from_nanos(ts),
+                dur: SimDur::from_nanos(dur),
+                rank: meta.rank,
+                node: meta.node,
+                pid,
+                uid,
+                gid,
+                call,
+                result,
+            };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let (mut prev_got, mut prev_want) = (prev, prev);
+            encode_record(&mut got, &r, r.ts, &mut prev_got, &fc);
+            encode_record_oracle(&mut want, &r, r.ts, &mut prev_want, &fc);
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(prev_got, prev_want);
+            let mut c = Cursor::new(&got);
+            let mut prev_dec = prev;
+            let back = decode_record(&mut c, &mut prev_dec, &fc, &meta).unwrap();
+            proptest::prop_assert!(c.is_empty());
+            proptest::prop_assert_eq!(back, r);
         }
     }
 

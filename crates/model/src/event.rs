@@ -26,35 +26,183 @@ pub enum CallLayer {
 /// Number of [`IoCall`] kinds; every [`IoCall::tag`] is below it.
 pub(crate) const CALL_KINDS: usize = 26;
 
-/// Each call kind's canonical name, indexed by [`IoCall::tag`].
-pub(crate) const CALL_NAMES: [&str; CALL_KINDS] = [
-    "SYS_open",
-    "SYS_close",
-    "SYS_read",
-    "SYS_write",
-    "SYS_pread",
-    "SYS_pwrite",
-    "SYS_lseek",
-    "SYS_fsync",
-    "SYS_stat",
-    "SYS_statfs64",
-    "SYS_mkdir",
-    "SYS_unlink",
-    "SYS_getdents64",
-    "SYS_rename",
-    "SYS_fcntl64",
-    "SYS_mmap",
-    "MPI_File_open",
-    "MPI_File_close",
-    "MPI_File_write_at",
-    "MPI_File_read_at",
-    "MPI_Barrier",
-    "MPI_Comm_rank",
-    "MPIO_Wait",
-    "VFS_lookup",
-    "VFS_write_page",
-    "VFS_read_page",
-];
+/// One operand of a call, named after the frame field that holds it
+/// (see [`CallParts`]). The discriminants give the canonical field
+/// order: every codec writes a call's fields in this order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Field {
+    /// The call's path (`from` for rename).
+    PathA,
+    /// Rename's `to` path.
+    PathB,
+    Fd,
+    Offset,
+    /// Lseek's offset: signed, kept in [`CallParts::offset`] as its
+    /// two's complement.
+    SignedOffset,
+    Len,
+    /// flags (open), amode (MPI open), cmd (fcntl), whence (lseek);
+    /// decimal in the text format.
+    X,
+    /// mode (open, mkdir); octal in the text format.
+    Y,
+}
+
+/// What a call does, for the frame predicates
+/// ([`crate::iot2::Frame::is_read`] and its siblings).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// Binds its result as an fd on success.
+    Open,
+    /// Releases its fd.
+    Close,
+    Read,
+    Write,
+    Seek,
+    Sync,
+    /// May duplicate its fd ([`crate::fd::DUP_CMD`]).
+    Fcntl,
+    Other,
+}
+
+/// One row of the call-kind table: everything a codec needs to know
+/// about a kind besides the enum variant itself.
+#[derive(Debug)]
+pub(crate) struct CallKind {
+    /// Canonical function name (LANL-Trace's `SYS_` spelling for
+    /// syscalls).
+    pub(crate) name: &'static str,
+    pub(crate) layer: CallLayer,
+    pub(crate) role: Role,
+    /// The operands this kind carries, in canonical order.
+    pub(crate) fields: &'static [Field],
+    /// `fields` as a bit set, one bit per [`Field`] discriminant.
+    mask: u8,
+}
+
+impl CallKind {
+    /// The row of op tag `op`; `None` at and above [`CALL_KINDS`].
+    #[inline]
+    pub(crate) fn of(op: u8) -> Option<&'static CallKind> {
+        CALL_TABLE.get(op as usize)
+    }
+
+    /// The op tag of the kind named `name`.
+    pub(crate) fn named(name: &str) -> Option<u8> {
+        CALL_TABLE
+            .iter()
+            .position(|k| k.name == name)
+            .map(|i| i as u8)
+    }
+
+    #[inline]
+    pub(crate) fn has(&self, f: Field) -> bool {
+        self.mask & (1 << f as u8) != 0
+    }
+
+    /// Bytes a call of this kind moved, given its result and `len`
+    /// operand: the returned count for syscall reads and writes, `len`
+    /// for every other kind that carries one, 0 for the rest.
+    #[inline]
+    pub(crate) fn bytes_moved(&self, result: i64, len: u64) -> u64 {
+        match self.role {
+            Role::Read | Role::Write if self.layer == CallLayer::Sys => returned_bytes(result, len),
+            _ if self.has(Field::Len) => len,
+            _ => 0,
+        }
+    }
+}
+
+/// A table row. Fails to compile if `fields` is out of canonical order.
+const fn kind(
+    name: &'static str,
+    layer: CallLayer,
+    role: Role,
+    fields: &'static [Field],
+) -> CallKind {
+    let mut mask = 0u8;
+    let mut i = 0;
+    while i < fields.len() {
+        let bit = 1u8 << fields[i] as u8;
+        assert!(bit > mask, "fields out of canonical order");
+        mask |= bit;
+        i += 1;
+    }
+    CallKind {
+        name,
+        layer,
+        role,
+        fields,
+        mask,
+    }
+}
+
+/// The call-kind table, indexed by [`IoCall::tag`]. The binary formats'
+/// op tags are these indices, so rows are only ever appended.
+pub(crate) static CALL_TABLE: [CallKind; CALL_KINDS] = {
+    use CallLayer::{Mpi, Sys, Vfs};
+    use Field::*;
+    const FD_OFF_LEN: &[Field] = &[Fd, Offset, Len];
+    const PATH_OFF_LEN: &[Field] = &[PathA, Offset, Len];
+    [
+        kind("SYS_open", Sys, Role::Open, &[PathA, X, Y]),
+        kind("SYS_close", Sys, Role::Close, &[Fd]),
+        kind("SYS_read", Sys, Role::Read, &[Fd, Len]),
+        kind("SYS_write", Sys, Role::Write, &[Fd, Len]),
+        kind("SYS_pread", Sys, Role::Read, FD_OFF_LEN),
+        kind("SYS_pwrite", Sys, Role::Write, FD_OFF_LEN),
+        kind("SYS_lseek", Sys, Role::Seek, &[Fd, SignedOffset, X]),
+        kind("SYS_fsync", Sys, Role::Sync, &[Fd]),
+        kind("SYS_stat", Sys, Role::Other, &[PathA]),
+        kind("SYS_statfs64", Sys, Role::Other, &[PathA]),
+        kind("SYS_mkdir", Sys, Role::Other, &[PathA, Y]),
+        kind("SYS_unlink", Sys, Role::Other, &[PathA]),
+        kind("SYS_getdents64", Sys, Role::Other, &[PathA]),
+        kind("SYS_rename", Sys, Role::Other, &[PathA, PathB]),
+        kind("SYS_fcntl64", Sys, Role::Fcntl, &[Fd, X]),
+        kind("SYS_mmap", Sys, Role::Other, &[Len]),
+        kind("MPI_File_open", Mpi, Role::Open, &[PathA, X]),
+        kind("MPI_File_close", Mpi, Role::Close, &[Fd]),
+        kind("MPI_File_write_at", Mpi, Role::Write, FD_OFF_LEN),
+        kind("MPI_File_read_at", Mpi, Role::Read, FD_OFF_LEN),
+        kind("MPI_Barrier", Mpi, Role::Other, &[]),
+        kind("MPI_Comm_rank", Mpi, Role::Other, &[]),
+        kind("MPIO_Wait", Mpi, Role::Other, &[]),
+        kind("VFS_lookup", Vfs, Role::Other, &[PathA]),
+        kind("VFS_write_page", Vfs, Role::Write, PATH_OFF_LEN),
+        kind("VFS_read_page", Vfs, Role::Read, PATH_OFF_LEN),
+    ]
+};
+
+/// A call's operands, one slot per [`Field`]; the slots its kind does
+/// not carry are zero or `None`. `P` is `&str` when taken from a call
+/// and an owned (or borrowed-from-input) string when decoded.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct CallParts<P> {
+    pub(crate) path_a: Option<P>,
+    pub(crate) path_b: Option<P>,
+    pub(crate) fd: i64,
+    pub(crate) offset: u64,
+    pub(crate) len: u64,
+    pub(crate) x: u32,
+    pub(crate) y: u32,
+}
+
+impl<P> CallParts<P> {
+    /// The same operands with both paths mapped by `f`.
+    #[inline]
+    pub(crate) fn map_paths<Q>(self, mut f: impl FnMut(P) -> Q) -> CallParts<Q> {
+        CallParts {
+            path_a: self.path_a.map(&mut f),
+            path_b: self.path_b.map(f),
+            fd: self.fd,
+            offset: self.offset,
+            len: self.len,
+            x: self.x,
+            y: self.y,
+        }
+    }
+}
 
 /// One traced I/O-related call.
 #[derive(Clone, Debug, PartialEq)]
@@ -162,29 +310,24 @@ pub enum IoCall {
 impl IoCall {
     /// The layer this call is captured at.
     pub fn layer(&self) -> CallLayer {
-        use IoCall::*;
-        match self {
-            MpiFileOpen { .. }
-            | MpiFileClose { .. }
-            | MpiFileWriteAt { .. }
-            | MpiFileReadAt { .. }
-            | MpiBarrier
-            | MpiCommRank
-            | MpiWait => CallLayer::Mpi,
-            VfsLookup { .. } | VfsWritePage { .. } | VfsReadPage { .. } => CallLayer::Vfs,
-            _ => CallLayer::Sys,
-        }
+        self.kind().layer
     }
 
     /// Canonical function name, used in call summaries and the text
     /// format: `SYS_` prefix for syscalls (as LANL-Trace prints them),
     /// `MPI_`/`MPIO_` names for library calls, `VFS_` for VFS ops.
     pub fn name(&self) -> &'static str {
-        CALL_NAMES[self.tag() as usize]
+        self.kind().name
+    }
+
+    /// This call's row of the call-kind table.
+    #[inline]
+    pub(crate) fn kind(&self) -> &'static CallKind {
+        &CALL_TABLE[self.tag() as usize]
     }
 
     /// The call's kind as a number below [`CALL_KINDS`]: the op tag of
-    /// the binary formats and the index of its [`CALL_NAMES`] entry.
+    /// the binary formats and the index of its [`CALL_TABLE`] row.
     #[inline]
     pub(crate) fn tag(&self) -> u8 {
         use IoCall::*;
@@ -218,23 +361,141 @@ impl IoCall {
         }
     }
 
-    /// Path argument, if the call carries one (anonymization target).
-    pub fn path(&self) -> Option<&str> {
+    /// The call's operands; exactly the fields of its [`CallKind`] row
+    /// are set.
+    #[inline]
+    pub(crate) fn call_parts(&self) -> CallParts<&str> {
         use IoCall::*;
+        let mut p = CallParts::default();
         match self {
-            Open { path, .. }
-            | Stat { path }
+            Open { path, flags, mode } => {
+                p.path_a = Some(path.as_str());
+                p.x = *flags;
+                p.y = *mode;
+            }
+            Close { fd } | Fsync { fd } | MpiFileClose { fd } => p.fd = *fd,
+            Read { fd, len } | Write { fd, len } => {
+                p.fd = *fd;
+                p.len = *len;
+            }
+            Pread { fd, offset, len }
+            | Pwrite { fd, offset, len }
+            | MpiFileWriteAt { fd, offset, len }
+            | MpiFileReadAt { fd, offset, len } => {
+                p.fd = *fd;
+                p.offset = *offset;
+                p.len = *len;
+            }
+            Lseek { fd, offset, whence } => {
+                p.fd = *fd;
+                p.offset = *offset as u64;
+                p.x = u32::from(*whence);
+            }
+            Stat { path }
             | Statfs { path }
-            | Mkdir { path, .. }
             | Unlink { path }
             | Readdir { path }
-            | MpiFileOpen { path, .. }
-            | VfsLookup { path }
-            | VfsWritePage { path, .. }
-            | VfsReadPage { path, .. } => Some(path),
-            Rename { from, .. } => Some(from),
-            _ => None,
+            | VfsLookup { path } => p.path_a = Some(path),
+            Mkdir { path, mode } => {
+                p.path_a = Some(path);
+                p.y = *mode;
+            }
+            Rename { from, to } => {
+                p.path_a = Some(from);
+                p.path_b = Some(to);
+            }
+            Fcntl { fd, cmd } => {
+                p.fd = *fd;
+                p.x = *cmd;
+            }
+            Mmap { len } => p.len = *len,
+            MpiFileOpen { path, amode } => {
+                p.path_a = Some(path);
+                p.x = *amode;
+            }
+            MpiBarrier | MpiCommRank | MpiWait => {}
+            VfsWritePage { path, offset, len } | VfsReadPage { path, offset, len } => {
+                p.path_a = Some(path);
+                p.offset = *offset;
+                p.len = *len;
+            }
         }
+        p
+    }
+
+    /// Inverse of [`IoCall::tag`] plus [`IoCall::call_parts`]: rebuild
+    /// the owned call. `None` when `op` is unknown or a path its kind
+    /// needs is missing.
+    pub(crate) fn parts_to_call(op: u8, p: CallParts<String>) -> Option<IoCall> {
+        use IoCall::*;
+        let CallParts {
+            path_a,
+            path_b,
+            fd,
+            offset,
+            len,
+            x,
+            y,
+        } = p;
+        Some(match op {
+            0 => Open {
+                path: path_a?,
+                flags: x,
+                mode: y,
+            },
+            1 => Close { fd },
+            2 => Read { fd, len },
+            3 => Write { fd, len },
+            4 => Pread { fd, offset, len },
+            5 => Pwrite { fd, offset, len },
+            6 => Lseek {
+                fd,
+                offset: offset as i64,
+                whence: x as u8,
+            },
+            7 => Fsync { fd },
+            8 => Stat { path: path_a? },
+            9 => Statfs { path: path_a? },
+            10 => Mkdir {
+                path: path_a?,
+                mode: y,
+            },
+            11 => Unlink { path: path_a? },
+            12 => Readdir { path: path_a? },
+            13 => Rename {
+                from: path_a?,
+                to: path_b?,
+            },
+            14 => Fcntl { fd, cmd: x },
+            15 => Mmap { len },
+            16 => MpiFileOpen {
+                path: path_a?,
+                amode: x,
+            },
+            17 => MpiFileClose { fd },
+            18 => MpiFileWriteAt { fd, offset, len },
+            19 => MpiFileReadAt { fd, offset, len },
+            20 => MpiBarrier,
+            21 => MpiCommRank,
+            22 => MpiWait,
+            23 => VfsLookup { path: path_a? },
+            24 => VfsWritePage {
+                path: path_a?,
+                offset,
+                len,
+            },
+            25 => VfsReadPage {
+                path: path_a?,
+                offset,
+                len,
+            },
+            _ => return None,
+        })
+    }
+
+    /// Path argument, if the call carries one (anonymization target).
+    pub fn path(&self) -> Option<&str> {
+        self.call_parts().path_a
     }
 
     /// Mutable path references (both ends of a rename), for anonymizers.
@@ -258,19 +519,7 @@ impl IoCall {
 
     /// Bytes moved by this call (0 for metadata ops).
     pub fn bytes(&self) -> u64 {
-        use IoCall::*;
-        match self {
-            Read { len, .. }
-            | Write { len, .. }
-            | Pread { len, .. }
-            | Pwrite { len, .. }
-            | Mmap { len }
-            | MpiFileWriteAt { len, .. }
-            | MpiFileReadAt { len, .. }
-            | VfsWritePage { len, .. }
-            | VfsReadPage { len, .. } => *len,
-            _ => 0,
-        }
+        self.call_parts().len
     }
 
     /// True for calls that move data (vs metadata / sync calls).
@@ -315,20 +564,14 @@ impl TraceRecord {
     /// calls keep the requested [`IoCall::bytes`].
     #[inline]
     pub fn bytes_moved(&self) -> u64 {
-        match self.call {
-            IoCall::Read { len, .. }
-            | IoCall::Write { len, .. }
-            | IoCall::Pread { len, .. }
-            | IoCall::Pwrite { len, .. } => returned_bytes(self.result, len),
-            ref call => call.bytes(),
-        }
+        self.call.kind().bytes_moved(self.result, self.call.bytes())
     }
 }
 
 /// The byte count a syscall data op returned: `result` capped at the
 /// requested `len`, and 0 for an error.
 #[inline]
-pub(crate) fn returned_bytes(result: i64, len: u64) -> u64 {
+fn returned_bytes(result: i64, len: u64) -> u64 {
     u64::try_from(result).map_or(0, |n| n.min(len))
 }
 
@@ -415,9 +658,179 @@ impl Trace {
     }
 }
 
+/// Calls of every kind for the codec tests, built variant by variant
+/// rather than through [`IoCall::parts_to_call`], so they can check it.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use super::IoCall;
+    use proptest::prelude::*;
+
+    /// The call of kind `op` (mod 26) from operand values: `p`/`q` are
+    /// paths, `a`/`b` the first and second 64-bit operand, `x`/`y` the
+    /// 32-bit ones.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn call_of(
+        op: u8,
+        p: String,
+        q: String,
+        fd: i64,
+        a: u64,
+        b: u64,
+        x: u32,
+        y: u32,
+    ) -> IoCall {
+        use IoCall::*;
+        match op % 26 {
+            0 => Open {
+                path: p,
+                flags: x,
+                mode: y,
+            },
+            1 => Close { fd },
+            2 => Read { fd, len: a },
+            3 => Write { fd, len: a },
+            4 => Pread {
+                fd,
+                offset: a,
+                len: b,
+            },
+            5 => Pwrite {
+                fd,
+                offset: a,
+                len: b,
+            },
+            6 => Lseek {
+                fd,
+                offset: a as i64,
+                whence: x as u8,
+            },
+            7 => Fsync { fd },
+            8 => Stat { path: p },
+            9 => Statfs { path: p },
+            10 => Mkdir { path: p, mode: y },
+            11 => Unlink { path: p },
+            12 => Readdir { path: p },
+            13 => Rename { from: p, to: q },
+            14 => Fcntl { fd, cmd: x },
+            15 => Mmap { len: a },
+            16 => MpiFileOpen { path: p, amode: x },
+            17 => MpiFileClose { fd },
+            18 => MpiFileWriteAt {
+                fd,
+                offset: a,
+                len: b,
+            },
+            19 => MpiFileReadAt {
+                fd,
+                offset: a,
+                len: b,
+            },
+            20 => MpiBarrier,
+            21 => MpiCommRank,
+            22 => MpiWait,
+            23 => VfsLookup { path: p },
+            24 => VfsWritePage {
+                path: p,
+                offset: a,
+                len: b,
+            },
+            _ => VfsReadPage {
+                path: p,
+                offset: a,
+                len: b,
+            },
+        }
+    }
+
+    /// One call of each kind, in tag order, every operand nonzero;
+    /// lseek's offset is negative.
+    pub(crate) fn every_kind() -> Vec<IoCall> {
+        (0..26)
+            .map(|op| call_of(op, "/a".into(), "/b".into(), -3, u64::MAX - 4, 7, 9, 0o644))
+            .collect()
+    }
+
+    /// Path characters, the three escaped specials and a multi-byte
+    /// character among them.
+    const PATH_CHARS: [char; 10] = ['/', 'a', 'z', '0', '.', ' ', '"', '\\', '\n', 'é'];
+
+    pub(crate) fn arb_path() -> impl Strategy<Value = String> {
+        prop::collection::vec(0usize..PATH_CHARS.len(), 0..12)
+            .prop_map(|ix| ix.into_iter().map(|i| PATH_CHARS[i]).collect())
+    }
+
+    /// Every one of the 26 `IoCall` variants, with full-range integers.
+    pub(crate) fn arb_call() -> impl Strategy<Value = IoCall> {
+        (
+            0u8..26,
+            arb_path(),
+            arb_path(),
+            any::<i64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u32>(),
+            any::<u32>(),
+        )
+            .prop_map(|(op, p, q, fd, a, b, x, y)| call_of(op, p, q, fd, a, b, x, y))
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testkit::every_kind;
     use super::*;
+
+    /// The table cannot drift from the enum: each kind's row lists
+    /// exactly the operands `call_parts` fills, and `parts_to_call`
+    /// rebuilds the call from them.
+    #[test]
+    fn table_rows_match_the_enum() {
+        let calls = every_kind();
+        assert_eq!(calls.len(), CALL_KINDS);
+        for (op, call) in calls.iter().enumerate() {
+            assert_eq!(call.tag() as usize, op, "{call:?}");
+            let kind = call.kind();
+            let p = call.call_parts();
+            let signed = matches!(call, IoCall::Lseek { .. });
+            let filled = [
+                (Field::PathA, p.path_a.is_some()),
+                (Field::PathB, p.path_b.is_some()),
+                (Field::Fd, p.fd != 0),
+                (Field::Offset, p.offset != 0 && !signed),
+                (Field::SignedOffset, p.offset != 0 && signed),
+                (Field::Len, p.len != 0),
+                (Field::X, p.x != 0),
+                (Field::Y, p.y != 0),
+            ];
+            for (f, set) in filled {
+                assert_eq!(kind.has(f), set, "{} field {f:?}", kind.name);
+            }
+            let listed: Vec<Field> = filled.iter().filter(|(_, s)| *s).map(|(f, _)| *f).collect();
+            assert_eq!(kind.fields, listed.as_slice(), "{}", kind.name);
+            let rebuilt = IoCall::parts_to_call(op as u8, p.map_paths(String::from));
+            assert_eq!(rebuilt.as_ref(), Some(call), "{}", kind.name);
+        }
+        assert_eq!(
+            IoCall::parts_to_call(CALL_KINDS as u8, CallParts::default()),
+            None
+        );
+        assert!(CallKind::of(CALL_KINDS as u8).is_none());
+    }
+
+    /// A kind that carries a path refuses to rebuild without it.
+    #[test]
+    fn parts_to_call_needs_every_path_its_kind_carries() {
+        for (op, call) in every_kind().iter().enumerate() {
+            let kind = call.kind();
+            let mut p = call.call_parts().map_paths(String::from);
+            p.path_b = None;
+            let rebuilt = IoCall::parts_to_call(op as u8, p.clone());
+            assert_eq!(rebuilt.is_none(), kind.has(Field::PathB), "{}", kind.name);
+            p.path_a = None;
+            let rebuilt = IoCall::parts_to_call(op as u8, p);
+            assert_eq!(rebuilt.is_none(), kind.has(Field::PathA), "{}", kind.name);
+        }
+    }
 
     fn rec(call: IoCall) -> TraceRecord {
         TraceRecord {
@@ -469,7 +882,7 @@ mod tests {
     /// A name identifies its kind: summaries parse rows back by name.
     #[test]
     fn call_names_are_distinct() {
-        let mut names = CALL_NAMES.to_vec();
+        let mut names: Vec<_> = CALL_TABLE.iter().map(|k| k.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), CALL_KINDS);

@@ -50,7 +50,9 @@
 use iotrace_sim::time::{SimDur, SimTime};
 
 use crate::crc::fnv1a64_wide;
-use crate::event::{returned_bytes, CallLayer, IoCall, Trace, TraceMeta, TraceRecord};
+use crate::event::{
+    CallKind, CallLayer, CallParts, Field, IoCall, Role, Trace, TraceMeta, TraceRecord,
+};
 use crate::fasthash::FxHashMap;
 use crate::intern::{Interner, Sym};
 use crate::journal::{get_meta, put_meta};
@@ -72,7 +74,6 @@ const OP_SHIFT: u32 = 58;
 const RANK_SHIFT: u32 = 36;
 const RANK_MASK: u64 = (1 << 22) - 1;
 const FD_MASK: u64 = (1 << 36) - 1;
-const MAX_OP: u8 = 25;
 
 /// True when `bytes` starts with the IOT2 magic (format auto-detection).
 pub fn is_iot2(bytes: &[u8]) -> bool {
@@ -153,165 +154,6 @@ impl std::fmt::Display for Iot2Error {
 }
 impl std::error::Error for Iot2Error {}
 
-/// The per-call scalar fields of the frame layout, shared by encode,
-/// decode and [`Frame::from_record`] so they cannot drift.
-struct Parts<'r> {
-    fd: i64,
-    offset: u64,
-    len: u64,
-    x: u32,
-    y: u32,
-    path_a: Option<&'r str>,
-    path_b: Option<&'r str>,
-}
-
-#[inline]
-fn call_parts(c: &IoCall) -> Parts<'_> {
-    use IoCall::*;
-    let mut p = Parts {
-        fd: 0,
-        offset: 0,
-        len: 0,
-        x: 0,
-        y: 0,
-        path_a: None,
-        path_b: None,
-    };
-    match c {
-        Open { path, flags, mode } => {
-            p.path_a = Some(path);
-            p.x = *flags;
-            p.y = *mode;
-        }
-        Close { fd } | Fsync { fd } | MpiFileClose { fd } => p.fd = *fd,
-        Read { fd, len } | Write { fd, len } => {
-            p.fd = *fd;
-            p.len = *len;
-        }
-        Pread { fd, offset, len }
-        | Pwrite { fd, offset, len }
-        | MpiFileWriteAt { fd, offset, len }
-        | MpiFileReadAt { fd, offset, len } => {
-            p.fd = *fd;
-            p.offset = *offset;
-            p.len = *len;
-        }
-        Lseek { fd, offset, whence } => {
-            p.fd = *fd;
-            p.offset = *offset as u64;
-            p.x = *whence as u32;
-        }
-        Stat { path }
-        | Statfs { path }
-        | Unlink { path }
-        | Readdir { path }
-        | VfsLookup { path } => p.path_a = Some(path),
-        Mkdir { path, mode } => {
-            p.path_a = Some(path);
-            p.y = *mode;
-        }
-        Rename { from, to } => {
-            p.path_a = Some(from);
-            p.path_b = Some(to);
-        }
-        Fcntl { fd, cmd } => {
-            p.fd = *fd;
-            p.x = *cmd;
-        }
-        Mmap { len } => p.len = *len,
-        MpiFileOpen { path, amode } => {
-            p.path_a = Some(path);
-            p.x = *amode;
-        }
-        MpiBarrier | MpiCommRank | MpiWait => {}
-        VfsWritePage { path, offset, len } | VfsReadPage { path, offset, len } => {
-            p.path_a = Some(path);
-            p.offset = *offset;
-            p.len = *len;
-        }
-    }
-    p
-}
-
-/// Inverse of [`call_parts`] + tag: rebuild the owned call. `None` when
-/// the tag is unknown or a required path is missing.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn parts_to_call(
-    op: u8,
-    fd: i64,
-    offset: u64,
-    len: u64,
-    x: u32,
-    y: u32,
-    path_a: Option<String>,
-    path_b: Option<String>,
-) -> Option<IoCall> {
-    use IoCall::*;
-    Some(match op {
-        0 => Open {
-            path: path_a?,
-            flags: x,
-            mode: y,
-        },
-        1 => Close { fd },
-        2 => Read { fd, len },
-        3 => Write { fd, len },
-        4 => Pread { fd, offset, len },
-        5 => Pwrite { fd, offset, len },
-        6 => Lseek {
-            fd,
-            offset: offset as i64,
-            whence: x as u8,
-        },
-        7 => Fsync { fd },
-        8 => Stat { path: path_a? },
-        9 => Statfs { path: path_a? },
-        10 => Mkdir {
-            path: path_a?,
-            mode: y,
-        },
-        11 => Unlink { path: path_a? },
-        12 => Readdir { path: path_a? },
-        13 => Rename {
-            from: path_a?,
-            to: path_b?,
-        },
-        14 => Fcntl { fd, cmd: x },
-        15 => Mmap { len },
-        16 => MpiFileOpen {
-            path: path_a?,
-            amode: x,
-        },
-        17 => MpiFileClose { fd },
-        18 => MpiFileWriteAt { fd, offset, len },
-        19 => MpiFileReadAt { fd, offset, len },
-        20 => MpiBarrier,
-        21 => MpiCommRank,
-        22 => MpiWait,
-        23 => VfsLookup { path: path_a? },
-        24 => VfsWritePage {
-            path: path_a?,
-            offset,
-            len,
-        },
-        25 => VfsReadPage {
-            path: path_a?,
-            offset,
-            len,
-        },
-        _ => return None,
-    })
-}
-
-/// Which paths an op stores: (needs path_a, needs path_b).
-fn path_arity(op: u8) -> (bool, bool) {
-    match op {
-        13 => (true, true),
-        0 | 8 | 9 | 10 | 11 | 12 | 16 | 23 | 24 | 25 => (true, false),
-        _ => (false, false),
-    }
-}
-
 /// One decoded frame: a plain `Copy` record with paths as string-table
 /// symbols. This is the zero-allocation unit analysis folds consume —
 /// from an [`Iot2View`] (symbols index the view's table) or from the v1
@@ -343,12 +185,20 @@ pub struct Frame {
 }
 
 impl Frame {
+    /// This frame's row of the call-kind table; `None` for an `op` no
+    /// kind has (possible only in a frame built by hand).
+    #[inline]
+    fn kind(&self) -> Option<&'static CallKind> {
+        CallKind::of(self.op)
+    }
+
+    #[inline]
+    fn role(&self) -> Role {
+        self.kind().map_or(Role::Other, |k| k.role)
+    }
+
     pub fn layer(&self) -> CallLayer {
-        match self.op {
-            16..=22 => CallLayer::Mpi,
-            23..=25 => CallLayer::Vfs,
-            _ => CallLayer::Sys,
-        }
+        self.kind().map_or(CallLayer::Sys, |k| k.layer)
     }
 
     /// Bytes moved, matching [`TraceRecord::bytes_moved`]: the returned
@@ -356,46 +206,45 @@ impl Frame {
     /// data ops, 0 for metadata/sync ops.
     #[inline]
     pub fn bytes_moved(&self) -> u64 {
-        match self.op {
-            2..=5 => returned_bytes(self.result, self.len),
-            15 | 18 | 19 | 24 | 25 => self.len,
-            _ => 0,
-        }
+        self.kind()
+            .map_or(0, |k| k.bytes_moved(self.result, self.len))
     }
 
     /// A read-direction data op (read/pread/MPI read_at/vfs read_page).
     pub fn is_read(&self) -> bool {
-        matches!(self.op, 2 | 4 | 19 | 25)
+        self.role() == Role::Read
     }
 
     /// A write-direction data op (write/pwrite/MPI write_at/vfs
     /// write_page).
     pub fn is_write(&self) -> bool {
-        matches!(self.op, 3 | 5 | 18 | 24)
+        self.role() == Role::Write
     }
 
     /// open/MPI_File_open: binds `result` as an fd on success.
     pub fn is_open(&self) -> bool {
-        matches!(self.op, 0 | 16)
+        self.role() == Role::Open
     }
 
     /// close/MPI_File_close: releases `fd`.
     pub fn is_close(&self) -> bool {
-        matches!(self.op, 1 | 17)
+        self.role() == Role::Close
     }
 
     /// Ops hotspot analysis attributes to a path via the open-fd table
     /// (the exact v1 set: read/write/pread/pwrite/lseek/fsync/MPI
     /// read_at/write_at — notably *not* fcntl).
     pub fn attributes_via_fd(&self) -> bool {
-        matches!(self.op, 2..=7 | 18 | 19)
+        self.kind().is_some_and(|k| {
+            k.has(Field::Fd) && matches!(k.role, Role::Read | Role::Write | Role::Seek | Role::Sync)
+        })
     }
 
     /// `(old, new)` when this frame duplicated a descriptor, as
     /// [`crate::fd::dup_of`] decides for a record.
     #[inline]
     pub fn dup_of(&self) -> Option<(i64, i64)> {
-        (self.op == 14 && self.x == crate::fd::DUP_CMD && self.result >= 0)
+        (self.role() == Role::Fcntl && self.x == crate::fd::DUP_CMD && self.result >= 0)
             .then_some((self.fd, self.result))
     }
 
@@ -404,13 +253,13 @@ impl Frame {
     }
 
     /// The frame of an owned record, its paths interned into `paths`.
-    /// Uses the same `call_parts` field layout as encode and decode, so
+    /// Uses the same `IoCall::call_parts` layout as encode and decode, so
     /// a record folds identically whether it arrives owned or framed.
     /// Always inlined, so a fold that reads a few fields of the frame
     /// pays only for converting those.
     #[inline(always)]
     pub fn from_record(r: &TraceRecord, paths: &mut Interner) -> Frame {
-        let p = call_parts(&r.call);
+        let p = r.call.call_parts();
         Frame {
             op: r.call.tag(),
             rank: r.rank,
@@ -436,27 +285,22 @@ impl Frame {
     /// symbol does not resolve (cannot happen for frames from a
     /// validated view).
     pub fn to_record(&self, mut resolve: impl FnMut(Sym) -> Option<String>) -> Option<TraceRecord> {
-        let (need_a, need_b) = path_arity(self.op);
-        let path_a = match (need_a, self.path) {
-            (true, Some(s)) => Some(resolve(s)?),
-            (true, None) => return None,
-            _ => None,
+        let kind = self.kind()?;
+        let mut resolve_if = |need: bool, sym: Option<Sym>| match (need, sym) {
+            (true, Some(s)) => resolve(s).map(Some),
+            (true, None) => None,
+            (false, _) => Some(None),
         };
-        let path_b = match (need_b, self.path2) {
-            (true, Some(s)) => Some(resolve(s)?),
-            (true, None) => return None,
-            _ => None,
+        let parts = CallParts {
+            path_a: resolve_if(kind.has(Field::PathA), self.path)?,
+            path_b: resolve_if(kind.has(Field::PathB), self.path2)?,
+            fd: self.fd,
+            offset: self.offset,
+            len: self.len,
+            x: self.x,
+            y: self.y,
         };
-        let call = parts_to_call(
-            self.op,
-            self.fd,
-            self.offset,
-            self.len,
-            self.x,
-            self.y,
-            path_a,
-            path_b,
-        )?;
+        let call = IoCall::parts_to_call(self.op, parts)?;
         Some(TraceRecord {
             ts: self.ts,
             dur: self.dur,
@@ -492,7 +336,7 @@ fn push_frame<'r>(
     if r.rank as u64 > RANK_MASK {
         return Err(format!("rank {} exceeds the 22-bit frame field", r.rank));
     }
-    let p = call_parts(&r.call);
+    let p = r.call.call_parts();
     let zfd = zigzag(p.fd);
     if zfd > FD_MASK {
         return Err(format!("fd {} exceeds the 36-bit frame field", p.fd));
@@ -539,9 +383,7 @@ fn parse_frame(
         .expect("caller hands full frames");
     let w0 = le_u64(chunk, 0);
     let op = (w0 >> OP_SHIFT) as u8;
-    if op > MAX_OP {
-        return Err(FrameError::UnknownOp(op));
-    }
+    let kind = CallKind::of(op).ok_or(FrameError::UnknownOp(op))?;
     let delta = le_u64(chunk, 8) as i64;
     let ts = (*prev_ts as i64).wrapping_add(delta) as u64;
     *prev_ts = ts;
@@ -556,8 +398,7 @@ fn parse_frame(
     };
     let path = sym_of(le_u32(chunk, 48))?;
     let path2 = sym_of(le_u32(chunk, 52))?;
-    let (need_a, need_b) = path_arity(op);
-    if (need_a && path.is_none()) || (need_b && path2.is_none()) {
+    if (kind.has(Field::PathA) && path.is_none()) || (kind.has(Field::PathB) && path2.is_none()) {
         return Err(FrameError::MissingPath);
     }
     Ok(Frame {
@@ -620,7 +461,7 @@ impl<'r> TableBuilder<'r> {
     fn scan(records: &[TraceRecord]) -> TableBuilder<'_> {
         let mut tb = TableBuilder::default();
         for r in records {
-            let p = call_parts(&r.call);
+            let p = r.call.call_parts();
             if let Some(s) = p.path_a {
                 tb.id_of(s);
             }
@@ -1189,6 +1030,76 @@ mod tests {
             });
         }
         t
+    }
+
+    /// The frame predicates as op-number lists, as they were before
+    /// they read the call-kind table.
+    fn predicates_oracle(f: &Frame) -> (CallLayer, u64, [bool; 5], Option<(i64, i64)>) {
+        let layer = match f.op {
+            16..=22 => CallLayer::Mpi,
+            23..=25 => CallLayer::Vfs,
+            _ => CallLayer::Sys,
+        };
+        let moved = match f.op {
+            2..=5 => u64::try_from(f.result).map_or(0, |n| n.min(f.len)),
+            15 | 18 | 19 | 24 | 25 => f.len,
+            _ => 0,
+        };
+        let flags = [
+            matches!(f.op, 2 | 4 | 19 | 25),
+            matches!(f.op, 3 | 5 | 18 | 24),
+            matches!(f.op, 0 | 16),
+            matches!(f.op, 1 | 17),
+            matches!(f.op, 2..=7 | 18 | 19),
+        ];
+        let dup =
+            (f.op == 14 && f.x == crate::fd::DUP_CMD && f.result >= 0).then_some((f.fd, f.result));
+        (layer, moved, flags, dup)
+    }
+
+    /// Every op byte, the 26 kinds and the 230 that a frame built by
+    /// hand may hold, answers as the op lists did: an unknown op is a
+    /// Sys-layer call that moves nothing and matches no predicate.
+    #[test]
+    fn frame_predicates_match_the_op_lists_for_every_op_byte() {
+        for op in 0..=u8::MAX {
+            for (result, len) in [(40, 100), (100, 40), (-5, 100)] {
+                let f = Frame {
+                    op,
+                    rank: 0,
+                    node: 0,
+                    fd: 3,
+                    ts: SimTime::ZERO,
+                    dur: SimDur::ZERO,
+                    result,
+                    offset: 0,
+                    len,
+                    path: None,
+                    path2: None,
+                    x: crate::fd::DUP_CMD,
+                    y: 0,
+                    pid: 0,
+                    uid: 0,
+                    gid: 0,
+                };
+                let got = (
+                    f.layer(),
+                    f.bytes_moved(),
+                    [
+                        f.is_read(),
+                        f.is_write(),
+                        f.is_open(),
+                        f.is_close(),
+                        f.attributes_via_fd(),
+                    ],
+                    f.dup_of(),
+                );
+                assert_eq!(got, predicates_oracle(&f), "op {op} result {result}");
+            }
+        }
+        let mut unknown = Frame::from_record(&sample().records[0], &mut Interner::default());
+        unknown.op = 26;
+        assert_eq!(unknown.to_record(|_| Some(String::new())), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use iotrace_sim::time::SimDur;
 
-use crate::event::{TraceRecord, CALL_KINDS, CALL_NAMES};
+use crate::event::{CallKind, TraceRecord, CALL_KINDS, CALL_TABLE};
 
 /// Aggregated per-function call counts and total time.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -19,11 +19,6 @@ pub struct CallSummary {
     /// [`IoCall::tag`](crate::event::IoCall::tag); `None` for a kind not
     /// seen. Counting a record is an array index, not a lookup by name.
     by_kind: [Option<(u64, SimDur)>; CALL_KINDS],
-}
-
-/// The call kind named `name`, if any.
-fn kind_named(name: &str) -> Option<usize> {
-    CALL_NAMES.iter().position(|&n| n == name)
 }
 
 impl CallSummary {
@@ -59,7 +54,7 @@ impl CallSummary {
     }
 
     fn get(&self, name: &str) -> Option<(u64, SimDur)> {
-        kind_named(name).and_then(|k| self.by_kind[k])
+        CallKind::named(name).and_then(|k| self.by_kind[k as usize])
     }
 
     pub fn count(&self, name: &str) -> u64 {
@@ -77,10 +72,10 @@ impl CallSummary {
 
     /// Every function seen with its count and total time, in name order.
     fn entries(&self) -> Vec<(&'static str, (u64, SimDur))> {
-        let mut entries: Vec<_> = CALL_NAMES
+        let mut entries: Vec<_> = CALL_TABLE
             .iter()
             .zip(&self.by_kind)
-            .filter_map(|(&name, e)| Some((name, (*e)?)))
+            .filter_map(|(k, e)| Some((k.name, (*e)?)))
             .collect();
         entries.sort_unstable_by_key(|&(name, _)| name);
         entries
@@ -136,8 +131,8 @@ impl CallSummary {
                 .parse()
                 .map_err(|_| format!("bad time on line: {line}"))?;
             let kind =
-                kind_named(name).ok_or_else(|| format!("unknown function on line: {line}"))?;
-            s.by_kind[kind] = Some((count, SimDur::from_secs_f64(secs)));
+                CallKind::named(name).ok_or_else(|| format!("unknown function on line: {line}"))?;
+            s.by_kind[kind as usize] = Some((count, SimDur::from_secs_f64(secs)));
         }
         Ok(s)
     }

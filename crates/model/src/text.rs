@@ -12,10 +12,15 @@
 //! the paper notes "it is trivial to imagine a replayer being built that
 //! reads and replays the raw trace files"; `iotrace-replay` is that
 //! replayer.
+//!
+//! A call's arguments are the operands its kind carries, in the
+//! canonical order of the call-kind table (DESIGN.md §15): paths
+//! quoted, the `x` operand (flags, amode, cmd, whence) in decimal and
+//! the `y` operand (mode) in octal.
 
 use iotrace_sim::time::{SimDur, SimTime};
 
-use crate::event::{IoCall, Trace, TraceMeta, TraceRecord};
+use crate::event::{CallKind, CallParts, Field, IoCall, Trace, TraceMeta, TraceRecord, CALL_TABLE};
 use crate::salvage::{SalvageReport, TraceError};
 
 /// Parse failure, with the 1-based line number.
@@ -124,75 +129,26 @@ fn push_secs6(out: &mut String, dur: SimDur) {
     push_frac6(out, micros % 1_000_000);
 }
 
-/// Append one call as `name(arg, arg, ...)`.
+/// Append one call as `name(arg, arg, ...)`: its kind's fields in
+/// canonical order, paths quoted, `x` in decimal and `y` in octal.
 fn write_call(out: &mut String, call: &IoCall) {
-    use IoCall::*;
-    out.push_str(call.name());
+    let kind = call.kind();
+    let p = call.call_parts();
+    out.push_str(kind.name);
     out.push('(');
-    match call {
-        Open { path, flags, mode } => {
-            push_quoted(out, path);
+    for (i, &f) in kind.fields.iter().enumerate() {
+        if i > 0 {
             out.push_str(", ");
-            push_u64(out, u64::from(*flags));
-            out.push_str(", ");
-            push_octal(out, *mode);
         }
-        Close { fd } | Fsync { fd } | MpiFileClose { fd } => push_i64(out, *fd),
-        Read { fd, len } | Write { fd, len } => {
-            push_i64(out, *fd);
-            out.push_str(", ");
-            push_u64(out, *len);
-        }
-        Pread { fd, offset, len }
-        | Pwrite { fd, offset, len }
-        | MpiFileWriteAt { fd, offset, len }
-        | MpiFileReadAt { fd, offset, len } => {
-            push_i64(out, *fd);
-            out.push_str(", ");
-            push_u64(out, *offset);
-            out.push_str(", ");
-            push_u64(out, *len);
-        }
-        Lseek { fd, offset, whence } => {
-            push_i64(out, *fd);
-            out.push_str(", ");
-            push_i64(out, *offset);
-            out.push_str(", ");
-            push_u64(out, u64::from(*whence));
-        }
-        Stat { path }
-        | Statfs { path }
-        | Unlink { path }
-        | Readdir { path }
-        | VfsLookup { path } => push_quoted(out, path),
-        Mkdir { path, mode } => {
-            push_quoted(out, path);
-            out.push_str(", ");
-            push_octal(out, *mode);
-        }
-        Rename { from, to } => {
-            push_quoted(out, from);
-            out.push_str(", ");
-            push_quoted(out, to);
-        }
-        Fcntl { fd, cmd } => {
-            push_i64(out, *fd);
-            out.push_str(", ");
-            push_u64(out, u64::from(*cmd));
-        }
-        Mmap { len } => push_u64(out, *len),
-        MpiFileOpen { path, amode } => {
-            push_quoted(out, path);
-            out.push_str(", ");
-            push_u64(out, u64::from(*amode));
-        }
-        MpiBarrier | MpiCommRank | MpiWait => {}
-        VfsWritePage { path, offset, len } | VfsReadPage { path, offset, len } => {
-            push_quoted(out, path);
-            out.push_str(", ");
-            push_u64(out, *offset);
-            out.push_str(", ");
-            push_u64(out, *len);
+        match f {
+            Field::PathA => push_quoted(out, p.path_a.unwrap_or_default()),
+            Field::PathB => push_quoted(out, p.path_b.unwrap_or_default()),
+            Field::Fd => push_i64(out, p.fd),
+            Field::Offset => push_u64(out, p.offset),
+            Field::SignedOffset => push_i64(out, p.offset as i64),
+            Field::Len => push_u64(out, p.len),
+            Field::X => push_u64(out, u64::from(p.x)),
+            Field::Y => push_octal(out, p.y),
         }
     }
     out.push(')');
@@ -358,127 +314,51 @@ impl<'a> Lexer<'a> {
         }
         None
     }
+
+    /// A string argument and, unless it is the `last` one, an optional
+    /// comma after it.
+    fn string_arg(&mut self, last: bool) -> Result<String, &'static str> {
+        let s = self.string().ok_or("expected string arg")?;
+        if !last {
+            self.eat(b',');
+        }
+        Ok(s)
+    }
+
+    /// An integer argument and an optional comma after it.
+    fn int_arg(&mut self) -> Result<i64, &'static str> {
+        let v = self.int().ok_or("expected int arg")?;
+        self.eat(b',');
+        Ok(v)
+    }
 }
 
+/// Parse `name(args)`, walking the kind's fields in canonical order. A
+/// comma may follow every integer, and every string but a final one.
 fn parse_call(lex: &mut Lexer<'_>) -> Result<IoCall, String> {
-    let name = lex.ident().ok_or("expected call name")?.to_string();
+    let name = lex.ident().ok_or("expected call name")?;
     if !lex.eat(b'(') {
         return Err("expected '('".to_string());
     }
-    macro_rules! s {
-        () => {
-            lex.string().ok_or("expected string arg")?
-        };
+    let op = CallKind::named(name).ok_or_else(|| format!("unknown call {name}"))?;
+    let fields = CALL_TABLE[op as usize].fields;
+    let mut p = CallParts::default();
+    for (i, &f) in fields.iter().enumerate() {
+        let last = i + 1 == fields.len();
+        match f {
+            Field::PathA => p.path_a = Some(lex.string_arg(last)?),
+            Field::PathB => p.path_b = Some(lex.string_arg(last)?),
+            Field::Fd => p.fd = lex.int_arg()?,
+            Field::Offset | Field::SignedOffset => p.offset = lex.int_arg()? as u64,
+            Field::Len => p.len = lex.int_arg()? as u64,
+            Field::X => p.x = lex.int_arg()? as u32,
+            Field::Y => p.y = lex.int_arg()? as u32,
+        }
     }
-    macro_rules! n {
-        () => {{
-            let v = lex.int().ok_or("expected int arg")?;
-            lex.eat(b',');
-            v
-        }};
-    }
-    let call = match name.as_str() {
-        "SYS_open" => {
-            let path = s!();
-            lex.eat(b',');
-            IoCall::Open {
-                path,
-                flags: n!() as u32,
-                mode: n!() as u32,
-            }
-        }
-        "SYS_close" => IoCall::Close { fd: n!() },
-        "SYS_read" => IoCall::Read {
-            fd: n!(),
-            len: n!() as u64,
-        },
-        "SYS_write" => IoCall::Write {
-            fd: n!(),
-            len: n!() as u64,
-        },
-        "SYS_pread" => IoCall::Pread {
-            fd: n!(),
-            offset: n!() as u64,
-            len: n!() as u64,
-        },
-        "SYS_pwrite" => IoCall::Pwrite {
-            fd: n!(),
-            offset: n!() as u64,
-            len: n!() as u64,
-        },
-        "SYS_lseek" => IoCall::Lseek {
-            fd: n!(),
-            offset: n!(),
-            whence: n!() as u8,
-        },
-        "SYS_fsync" => IoCall::Fsync { fd: n!() },
-        "SYS_stat" => IoCall::Stat { path: s!() },
-        "SYS_statfs64" => IoCall::Statfs { path: s!() },
-        "SYS_mkdir" => {
-            let path = s!();
-            lex.eat(b',');
-            IoCall::Mkdir {
-                path,
-                mode: n!() as u32,
-            }
-        }
-        "SYS_unlink" => IoCall::Unlink { path: s!() },
-        "SYS_getdents64" => IoCall::Readdir { path: s!() },
-        "SYS_rename" => {
-            let from = s!();
-            lex.eat(b',');
-            IoCall::Rename { from, to: s!() }
-        }
-        "SYS_fcntl64" => IoCall::Fcntl {
-            fd: n!(),
-            cmd: n!() as u32,
-        },
-        "SYS_mmap" => IoCall::Mmap { len: n!() as u64 },
-        "MPI_File_open" => {
-            let path = s!();
-            lex.eat(b',');
-            IoCall::MpiFileOpen {
-                path,
-                amode: n!() as u32,
-            }
-        }
-        "MPI_File_close" => IoCall::MpiFileClose { fd: n!() },
-        "MPI_File_write_at" => IoCall::MpiFileWriteAt {
-            fd: n!(),
-            offset: n!() as u64,
-            len: n!() as u64,
-        },
-        "MPI_File_read_at" => IoCall::MpiFileReadAt {
-            fd: n!(),
-            offset: n!() as u64,
-            len: n!() as u64,
-        },
-        "MPI_Barrier" => IoCall::MpiBarrier,
-        "MPI_Comm_rank" => IoCall::MpiCommRank,
-        "MPIO_Wait" => IoCall::MpiWait,
-        "VFS_lookup" => IoCall::VfsLookup { path: s!() },
-        "VFS_write_page" => IoCall::VfsWritePage {
-            path: s!(),
-            offset: {
-                lex.eat(b',');
-                n!() as u64
-            },
-            len: n!() as u64,
-        },
-        "VFS_read_page" => IoCall::VfsReadPage {
-            path: s!(),
-            offset: {
-                lex.eat(b',');
-                n!() as u64
-            },
-            len: n!() as u64,
-        },
-        other => return Err(format!("unknown call {other}")),
-    };
     if !lex.eat(b')') {
         return Err("expected ')'".to_string());
     }
-    Ok(call)
+    Ok(IoCall::parts_to_call(op, p).expect("every path field was parsed"))
 }
 
 fn parse_ts(tok: &str, base_epoch: u64) -> Result<SimTime, String> {
@@ -680,12 +560,14 @@ pub fn parse_text_salvage(input: &str) -> SalvagedText {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::testkit::arb_call;
     use proptest::prelude::*;
 
     /// The line formatter as it was before [`write_record_line`]: a
     /// `format!` per line over `String`-returning helpers and `{:.6}`
     /// float formatting of the duration. Kept as the oracle the integer
-    /// writer must match byte for byte.
+    /// writer must match byte for byte, with the per-name call parser
+    /// that [`parse_call`] must agree with line for line.
     mod oracle {
         use super::*;
 
@@ -746,92 +628,129 @@ mod tests {
                 r.dur.as_secs_f64(),
             )
         }
-    }
 
-    /// Path characters, the three escaped specials and a multi-byte
-    /// character among them.
-    const PATH_CHARS: [char; 10] = ['/', 'a', 'z', '0', '.', ' ', '"', '\\', '\n', 'é'];
-
-    fn arb_path() -> impl Strategy<Value = String> {
-        prop::collection::vec(0usize..PATH_CHARS.len(), 0..12)
-            .prop_map(|ix| ix.into_iter().map(|i| PATH_CHARS[i]).collect())
-    }
-
-    /// Every one of the 26 `IoCall` variants, with full-range integers.
-    fn arb_call() -> impl Strategy<Value = IoCall> {
-        (
-            0u8..26,
-            arb_path(),
-            arb_path(),
-            any::<i64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u32>(),
-            any::<u32>(),
-        )
-            .prop_map(|(v, p, q, fd, a, b, x, y)| {
-                use IoCall::*;
-                match v {
-                    0 => Open {
-                        path: p,
-                        flags: x,
-                        mode: y,
-                    },
-                    1 => Close { fd },
-                    2 => Read { fd, len: a },
-                    3 => Write { fd, len: a },
-                    4 => Pread {
-                        fd,
-                        offset: a,
-                        len: b,
-                    },
-                    5 => Pwrite {
-                        fd,
-                        offset: a,
-                        len: b,
-                    },
-                    6 => Lseek {
-                        fd,
-                        offset: a as i64,
-                        whence: x as u8,
-                    },
-                    7 => Fsync { fd },
-                    8 => Stat { path: p },
-                    9 => Statfs { path: p },
-                    10 => Mkdir { path: p, mode: y },
-                    11 => Unlink { path: p },
-                    12 => Readdir { path: p },
-                    13 => Rename { from: p, to: q },
-                    14 => Fcntl { fd, cmd: x },
-                    15 => Mmap { len: a },
-                    16 => MpiFileOpen { path: p, amode: x },
-                    17 => MpiFileClose { fd },
-                    18 => MpiFileWriteAt {
-                        fd,
-                        offset: a,
-                        len: b,
-                    },
-                    19 => MpiFileReadAt {
-                        fd,
-                        offset: a,
-                        len: b,
-                    },
-                    20 => MpiBarrier,
-                    21 => MpiCommRank,
-                    22 => MpiWait,
-                    23 => VfsLookup { path: p },
-                    24 => VfsWritePage {
-                        path: p,
-                        offset: a,
-                        len: b,
-                    },
-                    _ => VfsReadPage {
-                        path: p,
-                        offset: a,
-                        len: b,
-                    },
+        /// The call parser as it was before it walked the call-kind
+        /// table: one match arm per call name.
+        pub fn parse_call(lex: &mut Lexer<'_>) -> Result<IoCall, String> {
+            let name = lex.ident().ok_or("expected call name")?.to_string();
+            if !lex.eat(b'(') {
+                return Err("expected '('".to_string());
+            }
+            macro_rules! s {
+                () => {
+                    lex.string().ok_or("expected string arg")?
+                };
+            }
+            macro_rules! n {
+                () => {{
+                    let v = lex.int().ok_or("expected int arg")?;
+                    lex.eat(b',');
+                    v
+                }};
+            }
+            let call = match name.as_str() {
+                "SYS_open" => {
+                    let path = s!();
+                    lex.eat(b',');
+                    IoCall::Open {
+                        path,
+                        flags: n!() as u32,
+                        mode: n!() as u32,
+                    }
                 }
-            })
+                "SYS_close" => IoCall::Close { fd: n!() },
+                "SYS_read" => IoCall::Read {
+                    fd: n!(),
+                    len: n!() as u64,
+                },
+                "SYS_write" => IoCall::Write {
+                    fd: n!(),
+                    len: n!() as u64,
+                },
+                "SYS_pread" => IoCall::Pread {
+                    fd: n!(),
+                    offset: n!() as u64,
+                    len: n!() as u64,
+                },
+                "SYS_pwrite" => IoCall::Pwrite {
+                    fd: n!(),
+                    offset: n!() as u64,
+                    len: n!() as u64,
+                },
+                "SYS_lseek" => IoCall::Lseek {
+                    fd: n!(),
+                    offset: n!(),
+                    whence: n!() as u8,
+                },
+                "SYS_fsync" => IoCall::Fsync { fd: n!() },
+                "SYS_stat" => IoCall::Stat { path: s!() },
+                "SYS_statfs64" => IoCall::Statfs { path: s!() },
+                "SYS_mkdir" => {
+                    let path = s!();
+                    lex.eat(b',');
+                    IoCall::Mkdir {
+                        path,
+                        mode: n!() as u32,
+                    }
+                }
+                "SYS_unlink" => IoCall::Unlink { path: s!() },
+                "SYS_getdents64" => IoCall::Readdir { path: s!() },
+                "SYS_rename" => {
+                    let from = s!();
+                    lex.eat(b',');
+                    IoCall::Rename { from, to: s!() }
+                }
+                "SYS_fcntl64" => IoCall::Fcntl {
+                    fd: n!(),
+                    cmd: n!() as u32,
+                },
+                "SYS_mmap" => IoCall::Mmap { len: n!() as u64 },
+                "MPI_File_open" => {
+                    let path = s!();
+                    lex.eat(b',');
+                    IoCall::MpiFileOpen {
+                        path,
+                        amode: n!() as u32,
+                    }
+                }
+                "MPI_File_close" => IoCall::MpiFileClose { fd: n!() },
+                "MPI_File_write_at" => IoCall::MpiFileWriteAt {
+                    fd: n!(),
+                    offset: n!() as u64,
+                    len: n!() as u64,
+                },
+                "MPI_File_read_at" => IoCall::MpiFileReadAt {
+                    fd: n!(),
+                    offset: n!() as u64,
+                    len: n!() as u64,
+                },
+                "MPI_Barrier" => IoCall::MpiBarrier,
+                "MPI_Comm_rank" => IoCall::MpiCommRank,
+                "MPIO_Wait" => IoCall::MpiWait,
+                "VFS_lookup" => IoCall::VfsLookup { path: s!() },
+                "VFS_write_page" => IoCall::VfsWritePage {
+                    path: s!(),
+                    offset: {
+                        lex.eat(b',');
+                        n!() as u64
+                    },
+                    len: n!() as u64,
+                },
+                "VFS_read_page" => IoCall::VfsReadPage {
+                    path: s!(),
+                    offset: {
+                        lex.eat(b',');
+                        n!() as u64
+                    },
+                    len: n!() as u64,
+                },
+                other => return Err(format!("unknown call {other}")),
+            };
+            if !lex.eat(b')') {
+                return Err("expected ')'".to_string());
+            }
+            Ok(call)
+        }
     }
 
     /// Durations that stress the rounding: any sub-µs remainder, exact
@@ -846,6 +765,59 @@ mod tests {
             4 => DUR_EXACT_LIMIT_NS - 1_000 + rem * 2,
             _ => DUR_EXACT_LIMIT_NS + x % (u64::MAX - DUR_EXACT_LIMIT_NS),
         })
+    }
+
+    /// Apply `edits` to a call's text, each `(what, where)`: drop a
+    /// comma, double a comma, add a comma before the last `)`, add two
+    /// spaces, or cut the text short.
+    fn mutate(mut text: String, edits: &[(u8, usize)]) -> String {
+        for &(what, at) in edits {
+            let commas: Vec<usize> = text.match_indices(',').map(|(i, _)| i).collect();
+            let mut cut = at % (text.len() + 1);
+            while !text.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            match what {
+                0 | 1 if commas.is_empty() => {}
+                0 => drop(text.remove(commas[at % commas.len()])),
+                1 => text.insert(commas[at % commas.len()], ','),
+                2 => {
+                    if let Some(i) = text.rfind(')') {
+                        text.insert(i, ',');
+                    }
+                }
+                3 => text.insert_str(cut, "  "),
+                _ => text.truncate(cut),
+            }
+        }
+        text
+    }
+
+    /// A comma is optional after every integer, and after every string
+    /// but a final one.
+    #[test]
+    fn call_parser_comma_rules() {
+        for (text, ok) in [
+            ("SYS_close(3,)", true),
+            ("SYS_read(3 4096)", true),
+            ("SYS_read(3,, 4096)", false),
+            ("SYS_open(\"x\" 0, 0o644)", true),
+            ("SYS_open(\"x\",, 0, 0o644)", false),
+            ("SYS_stat(\"x\")", true),
+            ("SYS_stat(\"x\",)", false),
+            ("SYS_rename(\"a\" \"b\")", true),
+            ("SYS_rename(\"a\", \"b\",)", false),
+            ("VFS_read_page(\"p\", 0, 4096,)", true),
+            ("MPI_Barrier()", true),
+            ("MPI_Barrier(,)", false),
+            ("SYS_lseek(3, -5, 0)", true),
+            ("SYS_read(3", false),
+            ("SYS_nope(3)", false),
+        ] {
+            let got = parse_call(&mut Lexer::new(text));
+            assert_eq!(got.is_ok(), ok, "{text}: {got:?}");
+            assert_eq!(got, oracle::parse_call(&mut Lexer::new(text)), "{text}");
+        }
     }
 
     fn secs6(ns: u64) -> String {
@@ -907,6 +879,28 @@ mod tests {
             write_record_line(&mut line, base_epoch, &r);
             let want = oracle::line(base_epoch, &r);
             prop_assert_eq!(&line["prefix ".len()..], want.as_str());
+        }
+
+        #[test]
+        fn call_parser_accepts_and_rejects_what_the_per_name_parser_does(
+            call in arb_call(),
+            edits in prop::collection::vec((0u8..5, any::<usize>()), 0..4),
+        ) {
+            let mut text = String::new();
+            write_call(&mut text, &call);
+            let text = mutate(text, &edits);
+            let (mut got_lex, mut want_lex) = (Lexer::new(&text), Lexer::new(&text));
+            let got = parse_call(&mut got_lex);
+            let want = oracle::parse_call(&mut want_lex);
+            prop_assert!(got == want, "{text}: {got:?} vs {want:?}");
+            prop_assert!(got_lex.pos == want_lex.pos, "{text}: stops at {} vs {}", got_lex.pos, want_lex.pos);
+            // Unedited text reads back as the call, unless an operand
+            // is a u64 above i64::MAX, which the integer lexer refuses,
+            // or a path is not ASCII: the string lexer takes each byte
+            // for a char.
+            if edits.is_empty() && got.is_ok() && text.is_ascii() {
+                prop_assert!(got == Ok(call.clone()), "{text}: {got:?} vs {call:?}");
+            }
         }
 
         #[test]

@@ -60,11 +60,6 @@ impl HbIndex {
         self.aligned
     }
 
-    /// Is there any dependency edge at all?
-    pub fn has_deps(&self) -> bool {
-        !self.by_from.is_empty()
-    }
-
     /// Does `a` happen before `b`?
     ///
     /// Same rank: program order. Different epochs (when aligned): epoch

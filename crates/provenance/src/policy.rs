@@ -17,12 +17,14 @@
 //! integ    /tmp/*                0
 //! ```
 //!
-//! Globs: `*` matches within one path segment, `**` matches across
-//! segments, `?` matches one character. When several globs match a path,
-//! the **highest** matching level wins (most-restrictive-wins keeps the
-//! check conservative). Unlabeled paths default to level 0 for
+//! Globs ([`glob_match`]): `*` matches within one path segment, `**`
+//! matches across segments, `?` matches one character other than `/`.
+//! When several globs match a path, the **highest** matching level wins
+//! (most-restrictive-wins keeps the check conservative). Unlabeled paths default to level 0 for
 //! confidentiality (public) and — asymmetrically — level 0 for
 //! integrity (untrusted), so a policy only constrains what it names.
+
+use iotrace_fs::path::glob_match;
 
 /// Which lattice a rule labels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,70 +128,11 @@ impl Policy {
     }
 }
 
-/// Match `glob` against `path`. `*` stops at `/`, `**` does not, `?`
-/// matches any single character. Plain iterative matcher with
-/// backtracking over the two star kinds — no regex dependency.
-pub fn glob_match(glob: &str, path: &str) -> bool {
-    let g: Vec<char> = glob.chars().collect();
-    let p: Vec<char> = path.chars().collect();
-    matches_at(&g, 0, &p, 0)
-}
-
-fn matches_at(g: &[char], mut gi: usize, p: &[char], mut pi: usize) -> bool {
-    while gi < g.len() {
-        match g[gi] {
-            '*' => {
-                let double = g.get(gi + 1) == Some(&'*');
-                let skip = if double { 2 } else { 1 };
-                // Try every stop point, shortest first. A single star may
-                // not cross a '/' .
-                let mut end = pi;
-                loop {
-                    if matches_at(g, gi + skip, p, end) {
-                        return true;
-                    }
-                    if end >= p.len() || (!double && p[end] == '/') {
-                        return false;
-                    }
-                    end += 1;
-                }
-            }
-            '?' => {
-                if pi >= p.len() || p[pi] == '/' {
-                    return false;
-                }
-                gi += 1;
-                pi += 1;
-            }
-            c => {
-                if p.get(pi) != Some(&c) {
-                    return false;
-                }
-                gi += 1;
-                pi += 1;
-            }
-        }
-    }
-    pi == p.len()
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
-
-    #[test]
-    fn glob_star_stops_at_separator() {
-        assert!(glob_match("/pfs/*.dat", "/pfs/a.dat"));
-        assert!(!glob_match("/pfs/*.dat", "/pfs/sub/a.dat"));
-        assert!(glob_match("/pfs/**.dat", "/pfs/sub/a.dat"));
-        assert!(glob_match("/pfs/**", "/pfs/a/b/c"));
-        assert!(glob_match("/pfs/?.dat", "/pfs/a.dat"));
-        assert!(!glob_match("/pfs/?.dat", "/pfs/ab.dat"));
-        assert!(!glob_match("/pfs/*", "/other"));
-        assert!(glob_match("**", "/anything/at/all"));
-    }
 
     #[test]
     fn parse_and_levels() {
