@@ -285,15 +285,18 @@ impl Frame {
     /// symbol does not resolve (cannot happen for frames from a
     /// validated view).
     pub fn to_record(&self, mut resolve: impl FnMut(Sym) -> Option<String>) -> Option<TraceRecord> {
+        // Only the paths the kind carries are resolved; `parts_to_call`
+        // refuses a kind whose path is missing or did not resolve.
         let kind = self.kind()?;
-        let mut resolve_if = |need: bool, sym: Option<Sym>| match (need, sym) {
-            (true, Some(s)) => resolve(s).map(Some),
-            (true, None) => None,
-            (false, _) => Some(None),
-        };
         let parts = CallParts {
-            path_a: resolve_if(kind.has(Field::PathA), self.path)?,
-            path_b: resolve_if(kind.has(Field::PathB), self.path2)?,
+            path_a: self
+                .path
+                .filter(|_| kind.has(Field::PathA))
+                .and_then(&mut resolve),
+            path_b: self
+                .path2
+                .filter(|_| kind.has(Field::PathB))
+                .and_then(&mut resolve),
             fd: self.fd,
             offset: self.offset,
             len: self.len,
