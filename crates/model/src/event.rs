@@ -309,6 +309,7 @@ pub enum IoCall {
 
 impl IoCall {
     /// The layer this call is captured at.
+    #[inline]
     pub fn layer(&self) -> CallLayer {
         self.kind().layer
     }
@@ -316,6 +317,7 @@ impl IoCall {
     /// Canonical function name, used in call summaries and the text
     /// format: `SYS_` prefix for syscalls (as LANL-Trace prints them),
     /// `MPI_`/`MPIO_` names for library calls, `VFS_` for VFS ops.
+    #[inline]
     pub fn name(&self) -> &'static str {
         self.kind().name
     }
@@ -494,6 +496,7 @@ impl IoCall {
     }
 
     /// Path argument, if the call carries one (anonymization target).
+    #[inline]
     pub fn path(&self) -> Option<&str> {
         self.call_parts().path_a
     }
@@ -518,6 +521,7 @@ impl IoCall {
     }
 
     /// Bytes moved by this call (0 for metadata ops).
+    #[inline]
     pub fn bytes(&self) -> u64 {
         self.call_parts().len
     }
@@ -564,7 +568,9 @@ impl TraceRecord {
     /// calls keep the requested [`IoCall::bytes`].
     #[inline]
     pub fn bytes_moved(&self) -> u64 {
-        self.call.kind().bytes_moved(self.result, self.call.bytes())
+        self.call
+            .kind()
+            .bytes_moved(self.result, self.call.call_parts().len)
     }
 }
 

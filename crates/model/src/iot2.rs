@@ -197,6 +197,7 @@ impl Frame {
         self.kind().map_or(Role::Other, |k| k.role)
     }
 
+    #[inline]
     pub fn layer(&self) -> CallLayer {
         self.kind().map_or(CallLayer::Sys, |k| k.layer)
     }
@@ -211,22 +212,26 @@ impl Frame {
     }
 
     /// A read-direction data op (read/pread/MPI read_at/vfs read_page).
+    #[inline]
     pub fn is_read(&self) -> bool {
         self.role() == Role::Read
     }
 
     /// A write-direction data op (write/pwrite/MPI write_at/vfs
     /// write_page).
+    #[inline]
     pub fn is_write(&self) -> bool {
         self.role() == Role::Write
     }
 
     /// open/MPI_File_open: binds `result` as an fd on success.
+    #[inline]
     pub fn is_open(&self) -> bool {
         self.role() == Role::Open
     }
 
     /// close/MPI_File_close: releases `fd`.
+    #[inline]
     pub fn is_close(&self) -> bool {
         self.role() == Role::Close
     }
@@ -234,6 +239,7 @@ impl Frame {
     /// Ops hotspot analysis attributes to a path via the open-fd table
     /// (the exact v1 set: read/write/pread/pwrite/lseek/fsync/MPI
     /// read_at/write_at — notably *not* fcntl).
+    #[inline]
     pub fn attributes_via_fd(&self) -> bool {
         self.kind().is_some_and(|k| {
             k.has(Field::Fd) && matches!(k.role, Role::Read | Role::Write | Role::Seek | Role::Sync)
