@@ -398,7 +398,6 @@ const DEMO_CHECKPOINT_EVERY: u64 = 64;
 fn demo_stage1(
     plan: &FaultPlan,
     limits: iotrace_sim::engine::RunLimits,
-    samples: &mut Vec<iotrace_ioapi::harness::CheckpointSample>,
 ) -> (
     iotrace_sim::engine::ClusterConfig,
     iotrace_lanl::run::LanlRun,
@@ -418,7 +417,6 @@ fn demo_stage1(
         &w.cmdline(),
         plan,
         limits,
-        samples,
     );
     (cluster, run)
 }
@@ -492,7 +490,6 @@ fn demo_aborted(
     every: u64,
     cluster: &iotrace_sim::engine::ClusterConfig,
     run: &iotrace_lanl::run::LanlRun,
-    samples: &[iotrace_ioapi::harness::CheckpointSample],
 ) -> Result<(), String> {
     use iotrace_model::journal::{JournalWriter, VERSION_V1};
     use iotrace_sim::checkpoint::Checkpoint;
@@ -509,7 +506,7 @@ fn demo_aborted(
             w.sealed_segments()
         );
     }
-    let Some(last) = samples.last() else {
+    let Some(last) = run.report.checkpoints.last() else {
         return Err(format!(
             "run died at event {events}, before the first checkpoint (cadence {every}); \
              nothing to resume from — lower --checkpoint-every"
@@ -560,10 +557,9 @@ pub fn demo(args: &[String]) -> Result<(), String> {
         max_events: plan.abort_event(),
         checkpoint_every: Some(every),
     };
-    let mut samples = Vec::new();
-    let (cluster, run) = demo_stage1(&plan, limits, &mut samples);
+    let (cluster, run) = demo_stage1(&plan, limits);
     if run.report.run.aborted {
-        return demo_aborted(dir, &plan, every, &cluster, &run, &samples);
+        return demo_aborted(dir, &plan, every, &cluster, &run);
     }
     demo_outputs(dir, &plan, &run)
 }
@@ -651,8 +647,7 @@ pub fn resume(args: &[String]) -> Result<(), String> {
         max_events: Some(ckpt.events),
         checkpoint_every: Some(ckpt.checkpoint_every.max(1)),
     };
-    let mut samples = Vec::new();
-    let (cluster, _run) = demo_stage1(&plan, limits, &mut samples);
+    let (cluster, run) = demo_stage1(&plan, limits);
     let clocks: Vec<(i64, u64)> = cluster
         .clocks
         .iter()
@@ -664,7 +659,7 @@ pub fn resume(args: &[String]) -> Result<(), String> {
                 .to_string(),
         );
     }
-    let Some(last) = samples.last() else {
+    let Some(last) = run.report.checkpoints.last() else {
         return Err("resume verification failed: re-execution reached no checkpoint".to_string());
     };
     if last.events != ckpt.events
@@ -688,8 +683,7 @@ pub fn resume(args: &[String]) -> Result<(), String> {
     // Deterministic re-execution from the start *is* the resume: the
     // trace output cannot tell the difference.
     let full_plan = plan.without_aborts();
-    let mut ignored = Vec::new();
-    let (_, run) = demo_stage1(&full_plan, RunLimits::default(), &mut ignored);
+    let (_, run) = demo_stage1(&full_plan, RunLimits::default());
     // Drop the crash artifacts before writing the completed outputs: the
     // torn rank-0 journal is superseded (or, if the plan loses rank 0's
     // file, must not linger), and the checkpoint is consumed.

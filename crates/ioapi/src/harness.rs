@@ -10,7 +10,7 @@
 use iotrace_fs::fs::{local_fs, nfs_fs, striped_fs};
 use iotrace_fs::params::{LocalParams, NfsParams, RetryPolicy, StripedParams};
 use iotrace_fs::vfs::Vfs;
-use iotrace_sim::engine::{ClusterConfig, Engine, NullObserver, RunLimits, RunReport};
+use iotrace_sim::engine::{ClusterConfig, Engine, RunLimits, RunReport};
 use iotrace_sim::fault::FaultPlan;
 use iotrace_sim::program::RankProgram;
 use iotrace_sim::time::SimDur;
@@ -106,7 +106,6 @@ pub fn run_executor<T: IoTracer>(
     let mut engine = Engine::new(cfg, exec);
     let run = engine.run_controlled(
         programs,
-        &mut NullObserver,
         limits,
         &mut |exec: &mut IoExecutor<T>, events, now| {
             let tracer_state = exec

@@ -9,7 +9,7 @@
 
 use iotrace_fs::vfs::Vfs;
 use iotrace_ioapi::executor::IoExecutor;
-use iotrace_ioapi::harness::{degrade_vfs, run_executor, run_job, CheckpointSample, JobReport};
+use iotrace_ioapi::harness::{degrade_vfs, run_executor, run_job, JobReport};
 use iotrace_ioapi::op::{IoOp, IoRes};
 use iotrace_ioapi::traced::Traced;
 use iotrace_ioapi::tracer::NullTracer;
@@ -106,7 +106,7 @@ impl LanlTrace {
         app_cmdline: &str,
         plan: &FaultPlan,
     ) -> LanlRun {
-        self.run_under(
+        self.run_with_faults_controlled(
             cluster,
             vfs,
             programs,
@@ -116,34 +116,18 @@ impl LanlTrace {
         )
     }
 
-    /// [`LanlTrace::run_with_faults`] under [`RunLimits`]: the engine
-    /// aborts after `limits.max_events` (the plan's `run-abort` kill) and
-    /// appends one [`CheckpointSample`] per `checkpoint_every` events to
-    /// `samples`. On an aborted run the plan's trace-level faults are
-    /// *not* applied — the run died before the wrapper's collection step
-    /// — and the traces are whatever the tracer held in memory at the
-    /// kill, unflushed buffers included only insofar as they were already
-    /// captured.
-    #[allow(clippy::too_many_arguments)]
+    /// [`LanlTrace::run_with_faults`] under [`RunLimits`], and the one
+    /// LANL-Trace job: degrade storage, run the wrapped programs under
+    /// the tracer and move its outputs out. The engine aborts after
+    /// `limits.max_events` (the plan's `run-abort` kill), and
+    /// `report.checkpoints` holds one
+    /// [`CheckpointSample`](iotrace_ioapi::harness::CheckpointSample) per
+    /// `checkpoint_every` events. On an aborted run the plan's
+    /// trace-level faults are *not* applied — the run died before the
+    /// wrapper's collection step — and the traces are whatever the tracer
+    /// held in memory at the kill, unflushed buffers included only
+    /// insofar as they were already captured.
     pub fn run_with_faults_controlled(
-        &self,
-        cluster: ClusterConfig,
-        vfs: Vfs,
-        programs: Vec<P>,
-        app_cmdline: &str,
-        plan: &FaultPlan,
-        limits: RunLimits,
-        samples: &mut Vec<CheckpointSample>,
-    ) -> LanlRun {
-        let mut run = self.run_under(cluster, vfs, programs, app_cmdline, plan, limits);
-        samples.append(&mut run.report.checkpoints);
-        run
-    }
-
-    /// The one LANL-Trace job: degrade storage, run the wrapped programs
-    /// under the tracer, move its outputs out, and apply the plan's
-    /// trace-level faults unless the run was killed.
-    fn run_under(
         &self,
         cluster: ClusterConfig,
         mut vfs: Vfs,

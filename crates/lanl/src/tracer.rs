@@ -311,7 +311,7 @@ mod tests {
         use iotrace_ioapi::executor::IoExecutor;
         use iotrace_ioapi::harness::{standard_cluster, standard_vfs};
         use iotrace_model::journal::records_digest;
-        use iotrace_sim::engine::{Engine, NullObserver, RunLimits};
+        use iotrace_sim::engine::{Engine, RunLimits};
         use iotrace_workloads::prelude::*;
 
         let w = MpiIoTest::new(AccessPattern::NTo1Strided, 4, 4096, 6);
@@ -322,7 +322,6 @@ mod tests {
         let mut kept = Vec::new();
         let report = engine.run_controlled(
             crate::run::with_timing_jobs(w.programs()),
-            &mut NullObserver,
             RunLimits {
                 max_events: None,
                 checkpoint_every: Some(4),

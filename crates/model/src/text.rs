@@ -302,13 +302,21 @@ impl<'a> Lexer<'a> {
                         b'"' => out.push('"'),
                         b'\\' => out.push('\\'),
                         b'n' => out.push('\n'),
-                        &c => out.push(c as char),
+                        // Any other escaped char stands for itself: the
+                        // run below copies it.
+                        _ => continue,
                     }
                     self.pos += 1;
                 }
-                c => {
-                    out.push(c as char);
-                    self.pos += 1;
+                _ => {
+                    // Copy an unescaped run whole. Both delimiters are
+                    // ASCII, so the run ends on a char boundary of the
+                    // input `&str` and stays valid UTF-8.
+                    let start = self.pos;
+                    while self.pos < self.s.len() && !matches!(self.s[self.pos], b'"' | b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(std::str::from_utf8(&self.s[start..self.pos]).ok()?);
                 }
             }
         }
@@ -895,10 +903,8 @@ mod tests {
             prop_assert!(got == want, "{text}: {got:?} vs {want:?}");
             prop_assert!(got_lex.pos == want_lex.pos, "{text}: stops at {} vs {}", got_lex.pos, want_lex.pos);
             // Unedited text reads back as the call, unless an operand
-            // is a u64 above i64::MAX, which the integer lexer refuses,
-            // or a path is not ASCII: the string lexer takes each byte
-            // for a char.
-            if edits.is_empty() && got.is_ok() && text.is_ascii() {
+            // is a u64 above i64::MAX, which the integer lexer refuses.
+            if edits.is_empty() && got.is_ok() {
                 prop_assert!(got == Ok(call.clone()), "{text}: {got:?} vs {call:?}");
             }
         }
@@ -990,6 +996,21 @@ mod tests {
             let db = b.dur.as_nanos() / 1000;
             assert_eq!(da, db);
         }
+    }
+
+    #[test]
+    fn non_ascii_paths_roundtrip() {
+        let mut t = sample_trace();
+        t.records[0].call = IoCall::Statfs { path: "/é".into() };
+        t.records[5].call = IoCall::Rename {
+            from: "/é \"ü\"".into(),
+            to: "/日本\\é\nx".into(),
+        };
+        let text = format_text(&t);
+        assert!(text.contains("SYS_statfs64(\"/é\")"), "{text}");
+        let back = parse_text(&text).unwrap();
+        let calls = |t: &Trace| t.records.iter().map(|r| r.call.clone()).collect::<Vec<_>>();
+        assert_eq!(calls(&back), calls(&t));
     }
 
     #[test]

@@ -137,7 +137,7 @@ mod tests {
         use iotrace_ioapi::executor::IoExecutor;
         use iotrace_ioapi::harness::{standard_cluster, standard_vfs};
         use iotrace_model::journal::{encode_segment_payload, records_digest};
-        use iotrace_sim::engine::{Engine, NullObserver, RunLimits};
+        use iotrace_sim::engine::{Engine, RunLimits};
         use iotrace_workloads::prelude::*;
 
         let w = MpiIoTest::new(AccessPattern::NTo1Strided, 4, 4096, 6);
@@ -148,7 +148,6 @@ mod tests {
         let mut kept = Vec::new();
         let report = engine.run_controlled(
             w.programs(),
-            &mut NullObserver,
             RunLimits {
                 max_events: None,
                 checkpoint_every: Some(4),

@@ -55,14 +55,6 @@ impl NodeClock {
         SimTime::from_nanos(obs.clamp(0, u64::MAX as i128) as u64)
     }
 
-    /// Invert [`observe`](Self::observe): recover true time from an
-    /// observed timestamp. Exact up to rounding of the drift term.
-    pub fn recover_truth(&self, observed: SimTime) -> SimTime {
-        let obs = observed.as_nanos() as i128 - self.skew_ns as i128;
-        let t = obs as f64 / (1.0 + self.drift_ppm / 1_000_000.0);
-        SimTime::from_nanos(t.max(0.0) as u64)
-    }
-
     /// Instantaneous offset (observed − true) at a given true time, ns.
     pub fn offset_at(&self, truth: SimTime) -> i64 {
         let obs = self.observe(truth).as_nanos() as i128;
@@ -103,17 +95,6 @@ mod tests {
         assert_eq!(c.offset_at(t), 100_000);
         // and over 10 seconds, 1 ms
         assert_eq!(c.offset_at(SimTime::from_secs(10)), 1_000_000);
-    }
-
-    #[test]
-    fn recover_truth_inverts_observe() {
-        let c = NodeClock::new(123_456, -37.5);
-        for secs in [0u64, 1, 17, 3_600] {
-            let t = SimTime::from_secs(secs);
-            let back = c.recover_truth(c.observe(t));
-            let err = (back.as_nanos() as i128 - t.as_nanos() as i128).unsigned_abs();
-            assert!(err <= 2, "round-trip error {err} ns at {secs}s");
-        }
     }
 
     #[test]

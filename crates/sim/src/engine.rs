@@ -11,12 +11,12 @@
 //! timings, which is what lets //TRACE-style throttling experiments
 //! attribute *every* timing shift to the injected delay.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::clock::NodeClock;
 use crate::ids::{CommId, NodeId, RankId, ANY_SOURCE, ANY_TAG};
 use crate::net::NetworkParams;
-use crate::pool::EventQueue;
 use crate::program::{Op, OpResult, RankProgram};
 use crate::rng::DetRng;
 use crate::time::{SimDur, SimTime};
@@ -89,27 +89,6 @@ pub struct BarrierRecord {
     pub entries: Vec<BarrierEntry>,
 }
 
-/// Observer hooks for engine-level events (barriers, messages, rank
-/// lifecycle). Tracing frameworks mostly hook the I/O executor instead;
-/// this exists for analysis tooling and tests.
-pub trait EngineObserver {
-    fn on_barrier(&mut self, _rec: &BarrierRecord) {}
-    fn on_message(
-        &mut self,
-        _src: RankId,
-        _dst: RankId,
-        _bytes: u64,
-        _tag: u32,
-        _deliver: SimTime,
-    ) {
-    }
-    fn on_rank_finished(&mut self, _rank: RankId, _at: SimTime) {}
-}
-
-/// A no-op observer.
-pub struct NullObserver;
-impl EngineObserver for NullObserver {}
-
 /// Static description of the simulated cluster.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
@@ -168,7 +147,7 @@ impl ClusterConfig {
 /// Execution limits for a controlled run: abort after a fixed number of
 /// processed events (deterministic kill injection) and/or invoke a
 /// checkpoint hook every `checkpoint_every` events. The default is an
-/// unlimited run with no checkpoints — exactly [`Engine::run_observed`].
+/// unlimited run with no checkpoints — exactly [`Engine::run`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunLimits {
     /// Stop (abort) the run after this many events have been processed.
@@ -293,18 +272,9 @@ impl<E: Executor> Engine<E> {
         self.executor
     }
 
-    /// Run `programs` (one per rank) to completion with a no-op observer.
+    /// Run `programs` (one per rank) to completion.
     pub fn run(&mut self, programs: Vec<Box<dyn RankProgram<E::Op, E::Res>>>) -> RunReport {
-        self.run_observed(programs, &mut NullObserver)
-    }
-
-    /// Run with an observer receiving engine-level events.
-    pub fn run_observed(
-        &mut self,
-        programs: Vec<Box<dyn RankProgram<E::Op, E::Res>>>,
-        observer: &mut dyn EngineObserver,
-    ) -> RunReport {
-        self.run_controlled(programs, observer, RunLimits::default(), &mut |_, _, _| {})
+        self.run_controlled(programs, RunLimits::default(), &mut |_, _, _| {})
     }
 
     /// Run under [`RunLimits`]: the checkpoint hook fires with the executor,
@@ -316,7 +286,6 @@ impl<E: Executor> Engine<E> {
     pub fn run_controlled(
         &mut self,
         mut programs: Vec<Box<dyn RankProgram<E::Op, E::Res>>>,
-        observer: &mut dyn EngineObserver,
         limits: RunLimits,
         on_checkpoint: &mut dyn FnMut(&mut E, u64, SimTime),
     ) -> RunReport {
@@ -360,12 +329,12 @@ impl<E: Executor> Engine<E> {
         let mut barrier_records: Vec<BarrierRecord> = Vec::new();
         let mut barrier_seq: u64 = 0;
 
-        // Ready queue: pooled pairing heap, ordered by (time, seq) for
-        // determinism (seq is unique, so the order is total).
-        let mut heap = EventQueue::with_capacity(world);
+        // Ready queue, a min-heap on (time, seq) for determinism: seq is
+        // unique per push, so the order is total and rank never decides it.
+        let mut heap: BinaryHeap<Reverse<(SimTime, u64, u32)>> = BinaryHeap::with_capacity(world);
         let mut seq: u64 = 0;
         for r in 0..world as u32 {
-            heap.push(SimTime::ZERO, seq, base + r);
+            heap.push(Reverse((SimTime::ZERO, seq, base + r)));
             seq += 1;
         }
 
@@ -374,8 +343,7 @@ impl<E: Executor> Engine<E> {
         let mut events: u64 = 0;
         let mut aborted = false;
 
-        while let Some(ev) = heap.pop() {
-            let (t, ridx) = (ev.time, ev.rank);
+        while let Some(Reverse((t, _, ridx))) = heap.pop() {
             debug_assert!(t >= now, "time went backwards");
             now = t;
             let rank = RankId(ridx);
@@ -407,7 +375,7 @@ impl<E: Executor> Engine<E> {
                     stats[ri].compute_time += d;
                     pending[ri] = Some(OpResult::Computed);
                     states[ri] = RankState::Scheduled;
-                    heap.push(now + d, seq, ridx);
+                    heap.push(Reverse((now + d, seq, ridx)));
                     seq += 1;
                 }
                 Op::ReadClock => {
@@ -416,7 +384,7 @@ impl<E: Executor> Engine<E> {
                         truth: now,
                     });
                     states[ri] = RankState::Scheduled;
-                    heap.push(now, seq, ridx);
+                    heap.push(Reverse((now, seq, ridx)));
                     seq += 1;
                 }
                 Op::Barrier(comm) => {
@@ -451,7 +419,7 @@ impl<E: Executor> Engine<E> {
                                 exited_obs: mclock.observe(release),
                             });
                             states[mi] = RankState::Scheduled;
-                            heap.push(release, seq, m.0);
+                            heap.push(Reverse((release, seq, m.0)));
                             seq += 1;
                         }
                         let rec = BarrierRecord {
@@ -460,7 +428,6 @@ impl<E: Executor> Engine<E> {
                             entries,
                         };
                         barrier_seq += 1;
-                        observer.on_barrier(&rec);
                         barrier_records.push(rec);
                         comms[ci].reset();
                     }
@@ -473,7 +440,6 @@ impl<E: Executor> Engine<E> {
                         base as usize + world
                     );
                     let deliver = now + self.cfg.net.delivery_time(bytes);
-                    observer.on_message(rank, dst, bytes, tag, deliver);
                     stats[ri].messages_sent += 1;
                     stats[ri].bytes_sent += bytes;
                     let di = local(dst.0);
@@ -497,13 +463,13 @@ impl<E: Executor> Engine<E> {
                             });
                             stats[di].messages_received += 1;
                             states[di] = RankState::Scheduled;
-                            heap.push(at, seq, dst.0);
+                            heap.push(Reverse((at, seq, dst.0)));
                             seq += 1;
                         }
                     }
                     pending[ri] = Some(OpResult::Sent);
                     states[ri] = RankState::Scheduled;
-                    heap.push(now + self.cfg.net.send_overhead, seq, ridx);
+                    heap.push(Reverse((now + self.cfg.net.send_overhead, seq, ridx)));
                     seq += 1;
                 }
                 Op::Recv { src, tag } => {
@@ -516,7 +482,7 @@ impl<E: Executor> Engine<E> {
                         });
                         stats[ri].messages_received += 1;
                         states[ri] = RankState::Scheduled;
-                        heap.push(at, seq, ridx);
+                        heap.push(Reverse((at, seq, ridx)));
                         seq += 1;
                     } else {
                         states[ri] = RankState::WaitingRecv { src, tag };
@@ -536,14 +502,13 @@ impl<E: Executor> Engine<E> {
                     debug_assert!(outcome.finish >= now, "executor moved time backwards");
                     pending[ri] = Some(OpResult::Io(outcome.result));
                     states[ri] = RankState::Scheduled;
-                    heap.push(outcome.finish.max_of(now), seq, ridx);
+                    heap.push(Reverse((outcome.finish.max_of(now), seq, ridx)));
                     seq += 1;
                 }
                 Op::Exit => {
                     states[ri] = RankState::Finished;
                     stats[ri].finished_at = now;
                     finished += 1;
-                    observer.on_rank_finished(rank, now);
                 }
             }
 
@@ -881,29 +846,54 @@ mod tests {
         assert_eq!(cfg.node_of(RankId(3)), NodeId(1));
     }
 
+    /// Logs which rank issued each I/O op and when; every op takes 1 ms.
+    #[derive(Default)]
+    struct Recording {
+        log: Vec<(u32, SimTime)>,
+    }
+    impl Executor for Recording {
+        type Op = ();
+        type Res = ();
+        fn execute(&mut self, ctx: ExecCtx<'_>, _op: &()) -> ExecOutcome<()> {
+            self.log.push((ctx.rank.0, ctx.now));
+            ExecOutcome {
+                finish: ctx.now + SimDur::from_millis(1),
+                result: (),
+            }
+        }
+    }
+
     #[test]
-    fn observer_sees_barriers_and_exits() {
-        #[derive(Default)]
-        struct Counting {
-            barriers: usize,
-            finished: usize,
-        }
-        impl EngineObserver for Counting {
-            fn on_barrier(&mut self, _r: &BarrierRecord) {
-                self.barriers += 1;
-            }
-            fn on_rank_finished(&mut self, _r: RankId, _t: SimTime) {
-                self.finished += 1;
-            }
-        }
-        let cfg = ClusterConfig::new(2).with_net(NetworkParams::ideal());
-        let mut eng = Engine::new(cfg, NullExecutor);
-        let mk = || -> P { Box::new(OpList::new(vec![Op::Barrier(CommId::WORLD), Op::Exit])) };
-        let mut obs = Counting::default();
-        let report = eng.run_observed(vec![mk(), mk()], &mut obs);
+    fn equal_time_events_run_in_push_order() {
+        let mut cfg = ClusterConfig::new(4).with_net(NetworkParams::ideal());
+        // Released in member order, so this barrier pushes ranks 3, 2, 1, 0.
+        let rev = cfg.add_comm(vec![RankId(3), RankId(2), RankId(1), RankId(0)]);
+        let mut eng = Engine::new(cfg, Recording::default());
+        let mk = || -> P {
+            Box::new(OpList::new(vec![
+                Op::Io(()),
+                Op::Barrier(CommId::WORLD),
+                Op::Io(()),
+                Op::Io(()),
+                Op::Barrier(rev),
+                Op::Io(()),
+                Op::Io(()),
+                Op::Exit,
+            ]))
+        };
+        let report = eng.run((0..4).map(|_| mk()).collect());
         assert!(report.is_clean());
-        assert_eq!(obs.barriers, 1);
-        assert_eq!(obs.finished, 2);
+        let ms = SimTime::from_millis;
+        let at = |t, ranks: [u32; 4]| ranks.map(|r| (r, ms(t)));
+        let expected: Vec<(u32, SimTime)> = [
+            at(0, [0, 1, 2, 3]), // the start pushes ranks in ascending order
+            at(1, [0, 1, 2, 3]), // WORLD's release, in member order
+            at(2, [0, 1, 2, 3]), // I/O finishing together, in issue order
+            at(3, [3, 2, 1, 0]), // `rev`'s release, in member order
+            at(4, [3, 2, 1, 0]), // I/O finishing together, in issue order
+        ]
+        .concat();
+        assert_eq!(eng.into_executor().log, expected);
     }
 
     fn long_progs() -> Vec<P> {
@@ -935,7 +925,7 @@ mod tests {
             max_events: Some(10),
             checkpoint_every: None,
         };
-        let cut = eng.run_controlled(long_progs(), &mut NullObserver, limits, &mut |_, _, _| {});
+        let cut = eng.run_controlled(long_progs(), limits, &mut |_, _, _| {});
         assert!(cut.aborted);
         assert!(!cut.is_clean());
         assert_eq!(cut.events, 10, "aborts after exactly max_events events");
@@ -952,9 +942,7 @@ mod tests {
                 max_events: max,
                 checkpoint_every: Some(every),
             };
-            eng.run_controlled(long_progs(), &mut NullObserver, limits, &mut |_, e, t| {
-                seen.push((e, t))
-            });
+            eng.run_controlled(long_progs(), limits, &mut |_, e, t| seen.push((e, t)));
             seen
         };
         let full = capture(8, None);

@@ -38,7 +38,6 @@ pub mod engine;
 pub mod fault;
 pub mod ids;
 pub mod net;
-pub mod pool;
 pub mod program;
 pub mod rng;
 pub mod shard;
@@ -52,8 +51,8 @@ pub mod prelude {
     pub use crate::checkpoint::CheckpointError;
     pub use crate::clock::NodeClock;
     pub use crate::engine::{
-        BarrierEntry, BarrierRecord, ClusterConfig, Engine, EngineObserver, ExecCtx, ExecOutcome,
-        Executor, NullExecutor, NullObserver, RankStats, RunLimits, RunReport,
+        BarrierEntry, BarrierRecord, ClusterConfig, Engine, ExecCtx, ExecOutcome, Executor,
+        NullExecutor, RankStats, RunLimits, RunReport,
     };
     pub use crate::fault::{DegradedWindow, Fault, FaultPlan};
     pub use crate::ids::{CommId, NodeId, RankId, ANY_SOURCE, ANY_TAG};

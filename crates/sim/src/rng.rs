@@ -85,16 +85,6 @@ impl DetRng {
     }
 }
 
-impl DetRng {
-    /// Fill a byte slice from the stream (little-endian 64-bit chunks).
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,13 +163,5 @@ mod tests {
         // different salts give different children
         let mut c = DetRng::new(11);
         assert_ne!(fa, c.fork(2).next_u64());
-    }
-
-    #[test]
-    fn rngcore_fill_bytes_covers_partial_chunks() {
-        let mut r = DetRng::new(3);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -4,7 +4,7 @@
 //! The engine is single-threaded by design — determinism comes from one
 //! global `(time, seq)` pop order. To scale past one core without
 //! giving that up, the world is split into contiguous rank groups and
-//! each group runs on its *own* engine (own clock, own event pool) with
+//! each group runs on its *own* engine (own clock, own event queue) with
 //! [`crate::engine::Engine::with_rank_base`] keeping global rank ids,
 //! node mapping and per-node clocks exactly as the unsharded engine
 //! would assign them.
